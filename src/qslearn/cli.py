@@ -16,8 +16,9 @@ import numpy as np
 
 from .data import DataFormatError, MultilabelDataset, parse_multilabel, split, standardize
 from .decode import DEFAULT_BUDGET, decode, decode_bruteforce
-from .estimator import empirical_risk, fit, load_model, predict_batch, save_model
-from .kernels import KernelSpec, median_heuristic
+from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_from_kernel,
+                        save_model, select_lambda)
+from .kernels import KernelSpec, cross_kernel, median_heuristic
 from .losses import (
     DiscreteLoss,
     LossConfigError,
@@ -141,34 +142,33 @@ def _load_dataset(args) -> MultilabelDataset:
 
 
 def cmd_train(args) -> int:
+    if not args.out:
+        print("--out is required for train", file=sys.stderr)
+        return USAGE_ERROR
     ds = _load_dataset(args)
     loss = _loss_from_args(args)
     x = ds.dense_features()
+    scaler = None
     if args.standardize:
-        x = standardize(x).apply(x)
+        scaler = standardize(x)
+        x = scaler.apply(x)
     grid = _lambda_grid(args, ds.n)
     if len(grid) > 1:
         rng = np.random.default_rng(args.seed)
         perm = rng.permutation(ds.n)
         n_val = max(1, int(0.25 * ds.n))
         val_idx, tr_idx = perm[:n_val], perm[n_val:]
-        best_lam, best_risk = None, np.inf
-        for lam in grid:
-            model = fit(loss, _kernel_from_args(args, x[tr_idx]), lam, x[tr_idx],
-                        [ds.labels[i] for i in tr_idx])
-            risk = empirical_risk(
-                predict_batch(model, x[val_idx]), loss, [ds.labels[i] for i in val_idx]
-            )
-            if risk < best_risk:
-                best_lam, best_risk = lam, risk
-        lam = best_lam
-        print(f"selected lambda = {lam:.6g} (validation risk {best_risk:.4f})")
+        # the refit keeps the bandwidth that lambda was selected under
+        kernel = _kernel_from_args(args, x[tr_idx])
+        y = ds.labels
+        [(risk, best)] = select_lambda([loss], kernel, grid, x[tr_idx], [y[i] for i in tr_idx],
+                                       x[val_idx], [y[i] for i in val_idx])
+        lam = best.lam
+        print(f"selected lambda = {lam:.6g} (validation risk {risk:.4f})")
     else:
-        lam = grid[0]
-    model = fit(loss, _kernel_from_args(args, x), lam, x, ds.labels)
-    if not args.out:
-        print("--out is required for train", file=sys.stderr)
-        return USAGE_ERROR
+        kernel, lam = _kernel_from_args(args, x), grid[0]
+    model = fit(loss, kernel, lam, x, ds.labels)
+    model.scaler = scaler
     save_model(model, args.out)
     print(f"model written to {args.out}")
     return 0
@@ -182,10 +182,12 @@ def _format_label(z) -> str:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
+    if args.standardize and model.scaler is None:
+        raise ValueError(f"{args.model} has no saved scaler; train it with --standardize")
     ds = parse_multilabel(args.data, model.loss.m, fmt=args.data_format, d=model.x_train.shape[1])
     x = ds.dense_features()
     if args.standardize:
-        x = standardize(x).apply(x)
+        x = model.scaler.apply(x)
     path = "alpha" if args.decompose_free else "fast"
     preds = predict_batch(model, x, DEFAULT_BUDGET, path=path)
     _emit("\n".join(_format_label(z) for z in preds) + "\n", args.out)
@@ -196,25 +198,21 @@ def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     train, val, test = split(ds, seed=args.seed)
     scaler = standardize(train.dense_features())
-    x_tr = scaler.apply(train.dense_features())
-    x_va = scaler.apply(val.dense_features())
-    x_te = scaler.apply(test.dense_features())
+    x_tr, x_va, x_te = (scaler.apply(part.dense_features()) for part in (train, val, test))
     losses = [make_loss(name, ds.m) for name in (args.losses or "zero_one,hamming,fscore").split(",")]
     path = "alpha" if args.decompose_free else "fast"
+    kernel = _kernel_from_args(args, x_tr)
+    picks = select_lambda(losses, kernel, _lambda_grid(args, train.n), x_tr, train.labels,
+                          x_va, val.labels, path)
+    k_te = cross_kernel(kernel, x_te, x_tr)
     records = []
-    for loss in losses:
-        best = (np.inf, None, None)
-        for lam in _lambda_grid(args, train.n):
-            model = fit(loss, _kernel_from_args(args, x_tr), lam, x_tr, train.labels)
-            risk = empirical_risk(predict_batch(model, x_va, path=path), loss, val.labels)
-            if risk < best[0]:
-                best = (risk, lam, model)
-        val_risk, lam, model = best
-        test_risk = empirical_risk(predict_batch(model, x_te, path=path), loss, test.labels)
+    for (val_risk, model), loss in zip(picks, losses):
+        # the alpha path rebuilds the chosen lambda's factor here
+        test_risk = empirical_risk(predict_from_kernel(model, k_te, path=path), loss, test.labels)
         records.append(
-            {"loss": loss.name, "lambda": lam, "val_risk": val_risk, "test_risk": test_risk}
+            {"loss": loss.name, "lambda": model.lam, "val_risk": val_risk, "test_risk": test_risk}
         )
-        print(f"{loss.name}: lambda={lam:.6g} val={val_risk:.4f} test={test_risk:.4f}")
+        print(f"{loss.name}: lambda={model.lam:.6g} val={val_risk:.4f} test={test_risk:.4f}")
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     elif args.out:
@@ -275,7 +273,7 @@ def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bandwidth", type=float, help="gaussian bandwidth (default: median heuristic)")
     p.add_argument("--lambda", dest="lam", type=float, help="ridge regularization")
     p.add_argument("--lambda-grid", help="comma-separated grid; default 10^k n^-1/2, k=-3..1")
-    p.add_argument("--standardize", action="store_true", help="standardize features from train stats")
+    p.add_argument("--standardize", action="store_true", help="standardize; train saves the scaler")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -312,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[common], help="predict labels with a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--decompose-free", action="store_true", help="use the weight-based inference path")
-    p.add_argument("--standardize", action="store_true")
+    p.add_argument("--standardize", action="store_true",
+                   help="scale features with the scaler saved by train --standardize")
     _add_data_flags(p)
     p.set_defaults(func=cmd_predict)
 

@@ -18,19 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Standardizer
 from .decode import DEFAULT_BUDGET, DecodeBudget, decode, decode_bruteforce
 from .kernels import (
     KernelSpec,
     RidgeSolution,
     build_gram,
     cross_kernel,
+    ridge_factor,
     solve_ridge,
     weights_at,
 )
 from .losses import DiscreteLoss, InvalidLabelError, as_label, loss_config, make_loss
 from .losses.base import Label
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # 2 adds the optional training scaler; 1 still loads
 
 
 @dataclass
@@ -41,21 +43,22 @@ class QSModel:
     x_train: np.ndarray
     y_train: list
     ridge: RidgeSolution
+    scaler: Standardizer | None = None  # maps raw features to x_train's scale
 
     @property
     def coefficients(self) -> np.ndarray:
         return self.ridge.coefficients
 
 
-def fit(loss: DiscreteLoss, kernel: KernelSpec, lam: float, x, y) -> QSModel:
-    """Train the surrogate regressor on (x_i, U_{y_i}) pairs.
-
-    Solves (K + lambda n I) C = Psi once via a shared Cholesky factor; C has
-    one column per decomposition coordinate.
-    """
+def _features(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("X must be a nonempty n x d array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("X has non-finite entries")
+    return x
+
+
+def _labels(loss: DiscreteLoss, y) -> list:
+    """y as canonical labels, each checked against the loss's observations."""
     labels = []
     for i, yi in enumerate(y):
         yi = as_label(yi)
@@ -64,12 +67,44 @@ def fit(loss: DiscreteLoss, kernel: KernelSpec, lam: float, x, y) -> QSModel:
         except InvalidLabelError as exc:
             raise InvalidLabelError(f"observation {i}: {exc}") from exc
         labels.append(yi)
-    if len(labels) != x.shape[0]:
+    return labels
+
+
+def fit_path(losses, kernel: KernelSpec, grid, x, y):
+    """Fit every loss at every lambda of ``grid`` on one Gram matrix.
+
+    Yields ``(lam, models)`` in grid order, one model per loss.  The losses'
+    embeddings are stacked column-wise, so each lambda costs one Cholesky
+    factorization of K + lambda n I and one solve; each model's coefficients
+    are its column slice of C, and all of them share that factor.
+    """
+    x = _features(x)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("X must be a nonempty n x d array")
+    y = list(y)
+    labels = [_labels(loss, y) for loss in losses]
+    if any(len(ys) != x.shape[0] for ys in labels):
         raise ValueError("X and Y must have equal length")
-    psi = np.array([loss.u_row(yi) for yi in labels])
+    edges = np.cumsum([0] + [loss.r for loss in losses])
+    psi = np.hstack([[loss.u_row(yi) for yi in ys] for loss, ys in zip(losses, labels)])
     gram = build_gram(kernel, x)
-    ridge = solve_ridge(gram, psi, lam)
-    return QSModel(loss, kernel, lam, x, labels, ridge)
+    for lam in grid:
+        ridge = solve_ridge(gram, psi, lam)
+        yield lam, [
+            QSModel(loss, kernel, lam, x, ys,
+                    RidgeSolution(ridge.coefficients[:, a:b], lam, ridge.factor))
+            for loss, ys, a, b in zip(losses, labels, edges[:-1], edges[1:])
+        ]
+
+
+def fit(loss: DiscreteLoss, kernel: KernelSpec, lam: float, x, y) -> QSModel:
+    """Train the surrogate regressor on (x_i, U_{y_i}) pairs.
+
+    Solves (K + lambda n I) C = Psi once via a shared Cholesky factor; C has
+    one column per decomposition coordinate.
+    """
+    _, (model,) = next(fit_path([loss], kernel, [lam], x, y))
+    return model
 
 
 def surrogate_values(model: QSModel, x) -> np.ndarray:
@@ -78,10 +113,19 @@ def surrogate_values(model: QSModel, x) -> np.ndarray:
     return k_x @ model.coefficients
 
 
+def _factored(model: QSModel) -> RidgeSolution:
+    """The model's ridge solution with its Cholesky factor, which is built
+    from the training inputs on first use and kept on the model."""
+    if model.ridge.factor is None:
+        factor = ridge_factor(build_gram(model.kernel, model.x_train), model.lam)
+        model.ridge = RidgeSolution(model.coefficients, model.lam, factor)
+    return model.ridge
+
+
 def alpha_weights(model: QSModel, x) -> np.ndarray:
     """alpha(x) rows for one point or a batch."""
     k_x = cross_kernel(model.kernel, x, model.x_train)
-    return weights_at(model.ridge, k_x)
+    return weights_at(_factored(model), k_x)
 
 
 def predict(
@@ -103,11 +147,25 @@ def predict_batch(
     budget: DecodeBudget = DEFAULT_BUDGET,
     path: str = "fast",
 ) -> list:
+    k_x = cross_kernel(model.kernel, _features(x), model.x_train)
+    return predict_from_kernel(model, k_x, budget, path)
+
+
+def predict_from_kernel(
+    model: QSModel,
+    k_x: np.ndarray,
+    budget: DecodeBudget = DEFAULT_BUDGET,
+    path: str = "fast",
+) -> list:
+    """Decode the rows of a precomputed cross-kernel k(x, x_train).
+
+    Callers that score several models trained on the same inputs compute
+    the cross-kernel once and pass it here.
+    """
     if path == "fast":
-        thetas = surrogate_values(model, x)
-        return [decode(model.loss, t, budget) for t in thetas]
+        return [decode(model.loss, t, budget) for t in k_x @ model.coefficients]
     if path == "alpha":
-        alphas = np.atleast_2d(alpha_weights(model, x))
+        alphas = weights_at(_factored(model), k_x)
         return [decode_bruteforce(model.loss, a, model.y_train) for a in alphas]
     raise ValueError(f"unknown prediction path {path!r}")
 
@@ -122,6 +180,27 @@ def empirical_risk(predictions, loss: DiscreteLoss, y_true) -> float:
     )
 
 
+def select_lambda(
+    losses, kernel: KernelSpec, grid, x_tr, y_tr, x_val, y_val, path: str = "fast"
+) -> list:
+    """Per loss, the (validation risk, model) of least validation risk.
+
+    All losses and lambdas share one Gram matrix and one validation
+    cross-kernel, and each lambda one factorization (see ``fit_path``).
+    Ties go to the earlier lambda.  The models kept as best drop their
+    factor, so only the current lambda's factor is alive.
+    """
+    k_val = cross_kernel(kernel, x_val, x_tr)
+    best = [(np.inf, None)] * len(losses)
+    for lam, models in fit_path(losses, kernel, grid, x_tr, y_tr):
+        for j, model in enumerate(models):
+            risk = empirical_risk(predict_from_kernel(model, k_val, path=path), model.loss, y_val)
+            if risk < best[j][0]:
+                model.ridge = RidgeSolution(model.coefficients, lam)
+                best[j] = (risk, model)
+    return best
+
+
 def evaluate(
     model: QSModel, x_test, y_test, budget: DecodeBudget = DEFAULT_BUDGET
 ) -> float:
@@ -129,7 +208,11 @@ def evaluate(
 
 
 def save_model(model: QSModel, path: str) -> None:
-    """Versioned .npz dump: loss config (JSON), kernel spec, lambda, X, C, Y."""
+    """Versioned .npz dump: loss config (JSON), kernel spec, lambda, X, C, Y,
+    and the training scaler's mean and scale when the model has one."""
+    scaler = {}
+    if model.scaler is not None:
+        scaler = {"scaler_mean": model.scaler.mean, "scaler_scale": model.scaler.scale}
     np.savez(
         path,
         format_version=MODEL_FORMAT_VERSION,
@@ -140,28 +223,57 @@ def save_model(model: QSModel, path: str) -> None:
         x_train=model.x_train,
         coefficients=model.coefficients,
         y_train=np.array([list(yi) for yi in model.y_train], dtype=np.int64),
+        **scaler,
     )
 
 
 def load_model(path: str) -> QSModel:
-    """Rebuild a model from ``save_model`` output.
+    """Rebuild a model from ``save_model`` output (format 1 or 2).
 
-    The stored coefficient matrix is reused verbatim; only the Gram factor
-    (needed by the alpha path) is recomputed from the stored training inputs.
+    Nothing is refitted: the stored coefficients are used as they are, after
+    checking that the arrays agree in shape with each other and with the
+    loss and are finite.  The Cholesky factor, which only the alpha path
+    needs, is built on its first use.
     """
     with np.load(path, allow_pickle=False) as payload:
-        version = int(payload["format_version"])
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        cfg = json.loads(str(payload["loss_json"]))
-        loss = make_loss(cfg.pop("name"), cfg.pop("m"), **cfg)
-        bw = float(payload["bandwidth"])
-        kernel = KernelSpec(str(payload["kernel_kind"]), None if bw < 0 else bw)
-        lam = float(payload["lam"])
-        x_train = np.array(payload["x_train"])
-        coef = np.array(payload["coefficients"])
-        y_train = [tuple(int(v) for v in row) for row in payload["y_train"]]
-    gram = build_gram(kernel, x_train)
-    ridge = solve_ridge(gram, np.array([loss.u_row(yi) for yi in y_train]), lam)
-    ridge = RidgeSolution(coef, lam, ridge.factor)
-    return QSModel(loss, kernel, lam, x_train, y_train, ridge)
+        try:
+            version = int(payload["format_version"])
+            if version not in (1, MODEL_FORMAT_VERSION):
+                raise ValueError(f"unsupported model format version {version}")
+            cfg = json.loads(str(payload["loss_json"]))
+            loss = make_loss(cfg.pop("name"), cfg.pop("m"), **cfg)
+            bw = float(payload["bandwidth"])
+            kernel = KernelSpec(str(payload["kernel_kind"]), None if bw < 0 else bw)
+            lam = float(payload["lam"])
+            x_train = np.asarray(payload["x_train"], dtype=float)
+            coef = np.asarray(payload["coefficients"], dtype=float)
+            y_arr = np.asarray(payload["y_train"])
+            scaler = None
+            if "scaler_mean" in payload.files:
+                scaler = Standardizer(np.asarray(payload["scaler_mean"], dtype=float),
+                                      np.asarray(payload["scaler_scale"], dtype=float))
+        except KeyError as exc:
+            raise ValueError(f"{path}: model file lacks {exc}") from exc
+
+    def require(ok, message: str) -> None:
+        if not ok:
+            raise ValueError(f"{path}: {message}")
+
+    require(x_train.ndim == 2 and x_train.shape[0] > 0,
+            f"x_train has shape {x_train.shape}, expected a nonempty n x d array")
+    n, d = x_train.shape
+    require(coef.shape == (n, loss.r),
+            f"coefficients have shape {coef.shape}, expected {(n, loss.r)}")
+    require(y_arr.shape == (n, loss.m), f"y_train has shape {y_arr.shape}, expected {(n, loss.m)}")
+    require(np.all(np.isfinite(x_train)) and np.all(np.isfinite(coef)),
+            "x_train or coefficients have non-finite entries")
+    require(np.isfinite(lam) and lam > 0 and np.isfinite(bw),
+            f"lambda {lam} and bandwidth {bw} must be finite, lambda positive")
+    if scaler is not None:
+        require(scaler.mean.shape == scaler.scale.shape == (d,)
+                and np.all(np.isfinite(scaler.mean)) and np.all(np.isfinite(scaler.scale)),
+                f"scaler must hold {d} finite means and scales")
+    y_train = [tuple(row) for row in y_arr.tolist()]
+    for y in set(y_train):
+        loss.check_observation(y)
+    return QSModel(loss, kernel, lam, x_train, y_train, RidgeSolution(coef, lam), scaler)

@@ -4,6 +4,11 @@ Training the surrogate regressor reduces to one symmetric positive-definite
 factorization of K + lambda n I shared across all r right-hand sides
 (O(n^3 + n^2 r) instead of O(n^3 r)), plus triangular solves at prediction
 time for the decomposition-free weight path alpha(x) = (K + n lambda I)^{-1} K_x.
+The Gram matrix does not depend on lambda and the factor does not depend on
+the loss, so a lambda grid over several losses needs one Gram and one
+factorization per lambda, with the losses' embeddings as stacked columns.
+One Cholesky per lambda is cheaper than one eigendecomposition for the whole
+grid at the sizes used here (n ~ 1000, grids of five).
 """
 
 from __future__ import annotations
@@ -48,12 +53,17 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class RidgeSolution:
-    """Coefficients C solving (K + lambda n I) C = Psi, with the factor kept
-    for reuse by the weight path."""
+    """Coefficients C solving (K + lambda n I) C = Psi, and the Cholesky
+    factor for the weight path when it has been built.
+
+    ``solve_ridge`` keeps the factor it solved with.  A solution read back
+    from coefficients alone has ``factor=None``; the estimator builds the
+    factor on the weight path's first call.
+    """
 
     coefficients: np.ndarray  # n x r
     lam: float
-    factor: tuple  # scipy cho_factor handle of K + lambda n I
+    factor: tuple | None = None  # scipy cho_factor handle of K + lambda n I
 
 
 def eval_kernel(spec: KernelSpec, x1, x2) -> float:
@@ -121,6 +131,8 @@ def solve_ridge(gram: GramMatrix, psi, lam: float) -> RidgeSolution:
 
 def weights_at(solution: RidgeSolution, k_x) -> np.ndarray:
     """alpha(x) = (K + n lambda I)^{-1} K_x; accepts a vector or a batch."""
+    if solution.factor is None:
+        raise ValueError("ridge solution carries no factor")
     k_x = np.asarray(k_x, dtype=float)
     if k_x.ndim == 1:
         return cho_solve(solution.factor, k_x)

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import qslearn.cli as cli
-from qslearn.losses import NDCGType, enumerated_constants
+import qslearn.estimator as estimator
+import qslearn.kernels as kernels
+from qslearn.data import parse_multilabel, split, standardize
+from qslearn.estimator import empirical_risk, fit, load_model, predict_batch, save_model
+from qslearn.kernels import KernelSpec, median_heuristic
+from qslearn.losses import NDCGType, enumerated_constants, make_loss
 
 
 def make_toy_dataset(path, n=60, seed=0):
@@ -160,3 +165,132 @@ def test_threads_do_not_change_output(tmp_path):
                     "--out-dir", str(out_dir)]) == 0
         outs.append((out_dir / "rates.csv").read_text())
     assert outs[0] == outs[1]
+
+
+def make_noisy_dataset(path, n=90, d=3, m=3, seed=1):
+    """Labels are noisy coordinate signs, so validation risks differ across lambdas."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc=2.0, scale=[1.0, 3.0, 0.5], size=(n, d))
+    flip = rng.uniform(size=(n, m)) < 0.2
+    with open(path, "w", encoding="utf-8") as fh:
+        for row, noise in zip(x, flip):
+            labels = [j for j in range(m) if (row[j % d] > 2.0) != noise[j]]
+            feats = " ".join(f"{j + 1}:{v:.6f}" for j, v in enumerate(row))
+            fh.write(",".join(map(str, labels)) + " " + feats + "\n")
+
+
+GRID = [0.001, 0.01, 0.1, 1.0]
+
+
+def per_pair_eval(data, m, seed, losses, grid):
+    """The eval records from one fit per (loss, lambda), as a reference."""
+    train, val, test = split(parse_multilabel(str(data), m), seed=seed)
+    scaler = standardize(train.dense_features())
+    x_tr, x_va, x_te = (scaler.apply(p.dense_features()) for p in (train, val, test))
+    kernel = KernelSpec("gaussian", median_heuristic(x_tr))
+    records = []
+    for name in losses:
+        loss = make_loss(name, m)
+        best = (np.inf, None, None)
+        for lam in grid:
+            model = fit(loss, kernel, lam, x_tr, train.labels)
+            risk = empirical_risk(predict_batch(model, x_va), loss, val.labels)
+            if risk < best[0]:
+                best = (risk, lam, model)
+        risk, lam, model = best
+        test_risk = empirical_risk(predict_batch(model, x_te), loss, test.labels)
+        records.append({"loss": name, "lambda": lam, "val_risk": risk, "test_risk": test_risk})
+    return records
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_eval_equals_per_pair_reference(tmp_path, seed):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data, seed=seed)
+    out = tmp_path / "eval.json"
+    assert run(["eval", "--data", str(data), "--m", "3", "--seed", str(seed),
+                "--lambda-grid", ",".join(map(str, GRID)), "--format", "json",
+                "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    want = per_pair_eval(data, 3, seed, ["zero_one", "hamming", "fscore"], GRID)
+    assert got == want
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_eval_builds_one_gram_and_one_factor_per_lambda(tmp_path, monkeypatch):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data)
+    counts = {}
+    for module, name in [(estimator, "build_gram"), (kernels, "ridge_factor"),
+                         (estimator, "ridge_factor"), (cli, "median_heuristic")]:
+        _count_calls(monkeypatch, module, name, counts)
+    assert run(["eval", "--data", str(data), "--m", "3", "--lambda-grid",
+                ",".join(map(str, GRID)), "--out", str(tmp_path / "e.csv")]) == 0
+    assert counts == {"build_gram": 1, "ridge_factor": len(GRID), "median_heuristic": 1}
+
+
+def test_train_refits_with_selection_bandwidth(tmp_path):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data)
+    model_path = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming", "--seed", "2",
+                "--lambda-grid", ",".join(map(str, GRID)), "--out", str(model_path)]) == 0
+    x = parse_multilabel(str(data), 3).dense_features()
+    n = len(x)
+    tr_idx = np.random.default_rng(2).permutation(n)[max(1, int(0.25 * n)):]
+    model = load_model(str(model_path))
+    assert model.kernel.bandwidth == median_heuristic(x[tr_idx])
+    assert model.lam in GRID and len(model.x_train) == n
+
+
+def test_one_row_predict_standardize_uses_training_scaler(tmp_path):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data)
+    model_path = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming",
+                "--standardize", "--lambda", "0.01", "--out", str(model_path)]) == 0
+    x = parse_multilabel(str(data), 3).dense_features()
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    model = load_model(str(model_path))
+    rows = data.read_text().splitlines()
+    for i in range(5):
+        one = tmp_path / f"one{i}.libsvm"
+        one.write_text(rows[i] + "\n")
+        out = tmp_path / f"one{i}.txt"
+        assert run(["predict", "--model", str(model_path), "--standardize",
+                    "--data", str(one), "--out", str(out)]) == 0
+        want = predict_batch(model, ((x[i] - mean) / std)[None, :])[0]
+        assert out.read_text().strip() == cli._format_label(want)
+
+
+def test_predict_standardize_needs_saved_scaler(tmp_path, capsys):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data, n=20)
+    model_path = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming",
+                "--lambda", "0.01", "--out", str(model_path)]) == 0
+    assert run(["predict", "--model", str(model_path), "--standardize",
+                "--data", str(data)]) == cli.USAGE_ERROR
+    assert "scaler" in capsys.readouterr().err
+
+
+def test_corrupt_model_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data, n=20)
+    model_path = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming",
+                "--lambda", "0.01", "--out", str(model_path)]) == 0
+    model = load_model(str(model_path))
+    model.ridge = kernels.RidgeSolution(model.coefficients[:, :-1], model.lam)
+    save_model(model, str(model_path))
+    assert run(["predict", "--model", str(model_path), "--data", str(data)]) == cli.USAGE_ERROR
+    assert "coefficients" in capsys.readouterr().err

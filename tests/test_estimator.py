@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import qslearn.estimator as estimator
+from qslearn.data import standardize
 from qslearn.decode import decode_bruteforce
 from qslearn.estimator import (
     alpha_weights,
     empirical_risk,
     evaluate,
     fit,
+    fit_path,
     load_model,
     predict,
     predict_batch,
@@ -16,7 +19,7 @@ from qslearn.estimator import (
     surrogate_values,
 )
 from qslearn.kernels import KernelSpec
-from qslearn.losses import Hamming, InvalidLabelError, NDCGType, PrecAtK
+from qslearn.losses import FScore, Hamming, InvalidLabelError, NDCGType, PrecAtK, ZeroOne
 
 from conftest import loss_ids, random_observation, small_losses
 
@@ -172,3 +175,141 @@ def test_evaluate_risk(rng):
     model = fit(loss, KernelSpec("gaussian", 0.5), 1e-6, x, ys)
     # near-interpolation: training risk should be small
     assert evaluate(model, x, ys) <= 0.15
+
+
+def _fitted(rng, loss=None, n=14, scaler=False):
+    loss = loss or Hamming(3)
+    x = rng.normal(size=(n, 3))
+    ys = [random_observation(loss, rng) for _ in range(n)]
+    model = fit(loss, KernelSpec("gaussian", 1.3), 0.05, x, ys)
+    if scaler:
+        model.scaler = standardize(x)
+    return model
+
+
+def _arrays(path) -> dict:
+    with np.load(path, allow_pickle=False) as payload:
+        return {k: np.array(payload[k]) for k in payload.files}
+
+
+def test_fit_path_slices_match_standalone_fit(rng):
+    losses = [ZeroOne(3), Hamming(3), FScore(3)]
+    x = rng.normal(size=(25, 4))
+    ys = [random_observation(losses[0], rng) for _ in range(25)]
+    grid = [1e-3, 1e-2, 0.3]
+    d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
+    gram = np.exp(-d2 / (2.0 * GAUSS.bandwidth**2))
+    seen = []
+    for lam, models in fit_path(losses, GAUSS, grid, x, ys):
+        seen.append(lam)
+        assert len({id(m.ridge.factor) for m in models}) == 1
+        for loss, model in zip(losses, models):
+            ref = fit(loss, GAUSS, lam, x, ys).coefficients
+            assert model.coefficients.shape == ref.shape == (25, loss.r)
+            assert np.max(np.abs(model.coefficients - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # and an LU solve made apart from the estimator's code
+            psi = np.array([loss.u_row(y) for y in ys])
+            own = np.linalg.solve(gram + 25 * lam * np.eye(25), psi)
+            assert np.max(np.abs(model.coefficients - own)) <= 1e-9 * np.max(np.abs(own))
+    assert seen == grid
+
+
+def test_non_finite_features_rejected(rng):
+    x = rng.normal(size=(6, 2))
+    ys = [(0, 1)] * 6
+    bad = x.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        fit(Hamming(2), GAUSS, 0.1, bad, ys)
+    model = fit(Hamming(2), GAUSS, 0.1, x, ys)
+    bad[3, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        predict_batch(model, bad)
+
+
+def test_load_builds_no_gram_and_alpha_path_matches(tmp_path, rng, monkeypatch):
+    model = _fitted(rng, PrecAtK(4, 2), n=16)
+    x_test = rng.normal(size=(7, 3))
+    want_alpha = alpha_weights(model, x_test)
+    want_labels = predict_batch(model, x_test, path="alpha")
+    path = str(tmp_path / "m.npz")
+    save_model(model, path)
+    calls = []
+    build = estimator.build_gram
+    monkeypatch.setattr(estimator, "build_gram", lambda *a: calls.append(1) or build(*a))
+    restored = load_model(path)
+    assert calls == [] and restored.ridge.factor is None
+    assert predict_batch(restored, x_test) == predict_batch(model, x_test)
+    assert calls == []
+    assert np.allclose(alpha_weights(restored, x_test), want_alpha, rtol=0, atol=1e-10)
+    assert predict_batch(restored, x_test, path="alpha") == want_labels
+    assert calls == [1]  # the factor is built once and kept
+
+
+def test_save_load_save_keeps_arrays(tmp_path, rng):
+    for scaler in (False, True):
+        first, second = tmp_path / f"a{scaler}.npz", tmp_path / f"b{scaler}.npz"
+        save_model(_fitted(rng, scaler=scaler), str(first))
+        save_model(load_model(str(first)), str(second))
+        a, b = _arrays(first), _arrays(second)
+        assert a.keys() == b.keys()
+        assert ("scaler_mean" in a) == scaler
+        for key in a:
+            assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+
+
+def test_load_keeps_training_scaler(tmp_path, rng):
+    model = _fitted(rng, scaler=True)
+    path = str(tmp_path / "m.npz")
+    save_model(model, path)
+    back = load_model(path)
+    assert np.array_equal(back.scaler.mean, model.scaler.mean)
+    assert np.array_equal(back.scaler.scale, model.scaler.scale)
+
+
+def test_load_reads_format_version_1(tmp_path, rng):
+    model = _fitted(rng)
+    path = str(tmp_path / "v2.npz")
+    save_model(model, path)
+    arrays = _arrays(path)
+    arrays["format_version"] = np.array(1)
+    np.savez(str(tmp_path / "v1.npz"), **arrays)
+    back = load_model(str(tmp_path / "v1.npz"))
+    assert back.scaler is None
+    x_test = rng.normal(size=(5, 3))
+    assert predict_batch(back, x_test) == predict_batch(model, x_test)
+
+
+def _nan_at(key):
+    def corrupt(arrays):
+        arrays[key] = arrays[key].astype(float)
+        arrays[key][1, 0] = np.nan
+    return corrupt
+
+
+CORRUPTIONS = {
+    "x_train_flat": lambda a: a.update(x_train=a["x_train"].ravel()),
+    "x_train_rows": lambda a: a.update(x_train=a["x_train"][:-1]),
+    "coefficients_r": lambda a: a.update(coefficients=a["coefficients"][:, :-1]),
+    "coefficients_n": lambda a: a.update(coefficients=a["coefficients"][1:]),
+    "y_train_m": lambda a: a.update(y_train=a["y_train"][:, :-1]),
+    "y_train_n": lambda a: a.update(y_train=a["y_train"][1:]),
+    "y_train_values": lambda a: a["y_train"].__setitem__((0, 0), 7),
+    "x_train_nan": _nan_at("x_train"),
+    "coefficients_inf": lambda a: a["coefficients"].__setitem__((2, 1), np.inf),
+    "lam_nan": lambda a: a.update(lam=np.array(np.nan)),
+    "scaler_d": lambda a: a.update(scaler_mean=a["scaler_mean"][:-1]),
+    "missing_key": lambda a: a.pop("coefficients"),
+    "version": lambda a: a.update(format_version=np.array(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_load_rejects_corrupt_model(name, tmp_path, rng):
+    path = str(tmp_path / "m.npz")
+    save_model(_fitted(rng, scaler=True), path)
+    arrays = _arrays(path)
+    CORRUPTIONS[name](arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError):
+        load_model(path)
