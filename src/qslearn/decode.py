@@ -1,38 +1,37 @@
-"""Inference: argmin_z F_z . theta for each loss, plus a brute-force oracle.
+"""Inference: argmin_z F_z . theta through each loss's decoder, plus a brute-force oracle.
 
-Every decoder here reproduces the canonical tie-break of exhaustive
-enumeration (lexicographically smallest label among exact-score ties), so
-``decode`` and ``decode_bruteforce`` are interchangeable on enumerable
-spaces.  Score comparisons are exact double comparisons; ties are broken
-only on exact equality.
+Each loss class owns its decoder as ``DiscreteLoss.decode``, next to the
+``f_row`` it inverts; the base class enumerates Z.  ``decode`` checks the
+shape of theta and calls that method.  Every decoder reproduces the
+canonical tie-break of exhaustive enumeration (lexicographically smallest
+label among exact-score ties), so ``decode`` and ``decode_bruteforce`` are
+interchangeable on enumerable spaces.  Score comparisons are exact double
+comparisons; ties are broken only on exact equality, and ``argmin_untied``
+tells which instances that contract covers.
 
 The two NP-hard inference problems fall back to heuristics beyond the
 budget's exact limits: pairwise disagreement to a greedy feedback-arc-set
 ordering, MAP to a 2-swap local search on its quadratic-assignment form.
+Those heuristics and ``topk_subset`` live with the losses that use them and
+are re-exported here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (
-    BlockZeroOne,
-    DiscreteLoss,
-    FScore,
-    Hamming,
-    MeanAveragePrecision,
-    NDCGType,
-    PairwiseDisagreement,
-    PrecAtK,
-    SpaceTooLargeError,
-    ZeroOne,
-    subset_from_rank,
-)
+from .losses import DiscreteLoss, SpaceTooLargeError
 from .losses.base import Label
+from .losses.multilabel import topk_subset  # noqa: F401
+from .losses.ranking import (  # noqa: F401
+    arcset_objective,
+    greedy_arcset,
+    qap_local_search,
+    qap_trace_objective,
+)
 
 
 @dataclass(frozen=True)
@@ -60,128 +59,18 @@ DEFAULT_BUDGET = DecodeBudget()
 _BRUTE_FORCE_LIMIT = 2_000_000  # |Z| * n objective evaluations
 
 
-def _argmin_enumerate(loss: DiscreteLoss, theta: np.ndarray) -> Label:
-    """Exact argmin of F_z . theta by enumeration, canonical tie-break."""
-    outs = list(loss.outputs())
-    scores = np.array([loss.f_row(z) @ theta for z in outs])
-    return outs[int(np.argmin(scores))]
-
-
-def topk_subset(scores: np.ndarray, k: int, m: int) -> Label:
-    """k-subset maximizing the score sum; ties resolved to the canonical
-    (lexicographically smallest) bit tuple, i.e. later indices win ties."""
-    order = sorted(range(m), key=lambda j: (-scores[j], -j))
-    chosen = set(order[:k])
-    return tuple(1 if j in chosen else 0 for j in range(m))
-
-
-def _rank_by_scores(scores: np.ndarray, m: int) -> Label:
-    """Permutation assigning rank 1 to the largest score; ties by item index."""
-    order = sorted(range(m), key=lambda j: (-scores[j], j))
-    sigma = [0] * m
-    for pos, item in enumerate(order):
-        sigma[item] = pos + 1
-    return tuple(sigma)
-
-
-def _decode_hamming(loss: Hamming, theta: np.ndarray) -> Label:
-    # maximize sum_j s_j(z) theta_j coordinate-wise; theta_j == 0 keeps bit 0
-    return tuple(1 if t > 0.0 else 0 for t in theta)
-
-
-def _decode_zero_one(loss: ZeroOne, theta: np.ndarray) -> Label:
-    return subset_from_rank(int(np.argmax(theta)), loss.m)
-
-
-def _decode_block(loss: BlockZeroOne, theta: np.ndarray) -> Label:
-    best = float(np.max(theta))
-    return min(loss._block_min[j] for j in range(loss.b) if theta[j] == best)
-
-
-def _decode_prec_at_k(loss: PrecAtK, theta: np.ndarray) -> Label:
-    return topk_subset(theta, loss.k, loss.m)
-
-
-def _decode_fscore(loss: FScore, theta: np.ndarray) -> Label:
-    m = loss.m
-    grid = theta[: m * m].reshape(m, m)  # [ell-1, j]
-    if loss.side == "p":
-        pos = np.arange(1, m + 1, dtype=float)
-        conv = 1.0 / (pos[:, None] + pos[None, :])  # conv[l-1, k-1] = 1/(l+k)
-        per_card = grid.T @ conv  # per_card[j, k-1]: score of item j at card k
-    else:
-        per_card = grid.T
-    best_z = (0,) * m
-    best_score = float(theta[m * m])  # z = 0 scores the empty-set coordinate
-    for k in range(1, m + 1):
-        col = per_card[:, k - 1]
-        z = topk_subset(col, k, m)
-        score = float(sum(col[j] for j in range(m) if z[j]))
-        if score > best_score or (score == best_score and z < best_z):
-            best_score, best_z = score, z
-    return best_z
-
-
-def _decode_ndcg(loss: NDCGType, theta: np.ndarray) -> Label:
-    return _rank_by_scores(theta, loss.m)
-
-
-def _decode_pd(loss: PairwiseDisagreement, theta: np.ndarray, budget: DecodeBudget) -> Label:
-    if loss.m <= budget.exact_limit:
-        return _argmin_enumerate(loss, theta)
-    m = loss.m
-    gamma = np.zeros((m, m))
-    for idx, (j, l) in enumerate(loss.pairs):
-        t = float(theta[idx])
-        # gamma[a, b] = cost of ranking a below b; per-pair shift keeps it >= 0
-        gamma[j, l] = max(-t, 0.0) / 2.0
-        gamma[l, j] = max(t, 0.0) / 2.0
-    return greedy_arcset(gamma)
-
-
-def _decode_map(loss: MeanAveragePrecision, theta: np.ndarray, budget: DecodeBudget) -> Label:
-    if loss.m <= budget.exact_limit_map:
-        return _argmin_enumerate(loss, theta)
-    m = loss.m
-    w = np.zeros((m, m))
-    for idx, (j, l) in enumerate(loss.pairs):
-        if j == l:
-            w[j, j] = -theta[idx]
-        else:  # split unordered pair mass across the symmetric entries
-            w[j, l] = w[l, j] = -theta[idx] / 2.0
-    pos = np.arange(1, m + 1, dtype=float)
-    d = 1.0 / np.maximum(pos[:, None], pos[None, :])
-    return qap_local_search(w, d, restarts=budget.restarts, seed=budget.seed)
-
-
 def decode(
     loss: DiscreteLoss, theta: np.ndarray, budget: DecodeBudget = DEFAULT_BUDGET
 ) -> Label:
     """Minimize F_z . theta over the loss's output space.
 
     ``theta`` is the surrogate prediction g(x) in R^r (equivalently
-    sum_i alpha_i U_{y_i}).  Dispatches to the per-loss fast decoder.
+    sum_i alpha_i U_{y_i}).  Calls the loss's own decoder.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (loss.r,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({loss.r},)")
-    if isinstance(loss, Hamming):
-        return _decode_hamming(loss, theta)
-    if isinstance(loss, ZeroOne):
-        return _decode_zero_one(loss, theta)
-    if isinstance(loss, BlockZeroOne):
-        return _decode_block(loss, theta)
-    if isinstance(loss, PrecAtK):
-        return _decode_prec_at_k(loss, theta)
-    if isinstance(loss, FScore):
-        return _decode_fscore(loss, theta)
-    if isinstance(loss, NDCGType):
-        return _decode_ndcg(loss, theta)
-    if isinstance(loss, PairwiseDisagreement):
-        return _decode_pd(loss, theta, budget)
-    if isinstance(loss, MeanAveragePrecision):
-        return _decode_map(loss, theta, budget)
-    return _argmin_enumerate(loss, theta)  # pragma: no cover - no such loss yet
+    return loss.decode(theta, budget)
 
 
 def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label:
@@ -193,6 +82,8 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label:
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(observations):
         raise ValueError("weights and observations must have equal length")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
     n_z = loss.n_outputs()
     if n_z * max(len(observations), 1) > _BRUTE_FORCE_LIMIT:
         raise SpaceTooLargeError(
@@ -208,98 +99,20 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label:
     return best_z
 
 
-def greedy_arcset(gamma) -> Label:
-    """Greedy ordering for the weighted feedback-arc-set objective.
+def argmin_untied(f_rows: np.ndarray, theta: np.ndarray, gap: float = 1e-9) -> bool:
+    """True when the argmin of F . theta is unambiguous across computation orders.
 
-    ``gamma[a, b]`` is the cost incurred when item a is ranked below item b;
-    the objective is sum over ordered pairs of gamma[a, b] 1(rank_a > rank_b).
-    Items are ordered by descending (out-mass - in-mass), then improved by
-    adjacent swaps until no strict improvement remains.  Deterministic; on a
-    consistent total order the result has objective zero.
+    ``f_rows`` holds F_z for every output in canonical order.  Exact ties
+    between identical F rows are benign (any summation order gives
+    bitwise-equal scores, so every path picks the canonical first row); exact
+    or near ties between DISTINCT rows are resolved by sub-ulp rounding
+    differences and are outside the decoder/oracle equivalence contract.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    m = gamma.shape[0]
-    if gamma.shape != (m, m):
-        raise ValueError("gamma must be square")
-    score = gamma.sum(axis=1) - gamma.sum(axis=0)
-    order = sorted(range(m), key=lambda j: (-score[j], j))  # top of ranking first
-    improved = True
-    while improved:
-        improved = False
-        for pos in range(m - 1):
-            a, b = order[pos], order[pos + 1]  # a currently above b
-            if gamma[a, b] < gamma[b, a]:  # strictly cheaper with a below b
-                order[pos], order[pos + 1] = b, a
-                improved = True
-    sigma = [0] * m
-    for pos, item in enumerate(order):
-        sigma[item] = pos + 1
-    return tuple(sigma)
-
-
-def arcset_objective(gamma, sigma: Label) -> float:
-    gamma = np.asarray(gamma, dtype=float)
-    m = gamma.shape[0]
-    return float(
-        sum(
-            gamma[a, b]
-            for a in range(m)
-            for b in range(m)
-            if a != b and sigma[a] > sigma[b]
-        )
-    )
-
-
-def qap_trace_objective(w, d, sigma: Label) -> float:
-    """Tr(W^T P D P^T) for the permutation matrix P of sigma."""
-    w = np.asarray(w, dtype=float)
-    d = np.asarray(d, dtype=float)
-    p = np.asarray(sigma, dtype=int) - 1
-    return float(np.sum(w * d[np.ix_(p, p)]))
-
-
-def qap_local_search(w, d, restarts: int = 8, seed: int = 0) -> Label:
-    """Best 2-swap local maximum of Tr(W^T P D P^T) over ``restarts`` starts.
-
-    Start 0 is the identity; the rest are seeded random permutations.  Swap
-    selection is best-improvement with index tie-break, so the result is
-    deterministic given the seed.  Returns the best local optimum, breaking
-    exact objective ties toward the lexicographically smaller permutation.
-    """
-    w = np.asarray(w, dtype=float)
-    d = np.asarray(d, dtype=float)
-    m = w.shape[0]
-    if w.shape != (m, m) or d.shape != (m, m):
-        raise ValueError("W and D must be square matrices of equal size")
-    if m == 1:
-        return (1,)
-    rng = np.random.default_rng(seed)
-    pairs = list(itertools.combinations(range(m), 2))
-
-    def objective(p: np.ndarray) -> float:
-        return float(np.sum(w * d[np.ix_(p, p)]))
-
-    def climb(p: np.ndarray) -> tuple[np.ndarray, float]:
-        cur = objective(p)
-        while True:
-            best_delta, best_pair = 0.0, None
-            for a, b in pairs:
-                q = p.copy()
-                q[a], q[b] = q[b], q[a]
-                delta = objective(q) - cur
-                if delta > best_delta:
-                    best_delta, best_pair = delta, (a, b)
-            if best_pair is None:
-                return p, cur
-            a, b = best_pair
-            p[a], p[b] = p[b], p[a]
-            cur += best_delta
-
-    best_sigma, best_obj = None, -math.inf
-    for start in range(max(restarts, 1)):
-        p0 = np.arange(m) if start == 0 else rng.permutation(m)
-        p, obj = climb(p0.copy())
-        sigma = tuple(int(r) + 1 for r in p)
-        if obj > best_obj or (obj == best_obj and sigma < best_sigma):
-            best_obj, best_sigma = obj, sigma
-    return best_sigma
+    scores = f_rows @ theta
+    smin = scores.min()
+    tied = np.flatnonzero(scores == smin)
+    for i in tied[1:]:
+        if not np.array_equal(f_rows[i], f_rows[tied[0]]):
+            return False
+    above = scores[scores > smin]
+    return not above.size or float(above.min() - smin) > gap

@@ -8,6 +8,7 @@ from .base import (  # noqa: F401
     DiscreteLoss,
     InvalidLabelError,
     Label,
+    LabelSpace,
     LossConfigError,
     SharpConstant,
     SpaceTooLargeError,

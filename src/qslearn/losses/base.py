@@ -27,6 +27,7 @@ fast and exhaustive inference are exactly interchangeable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -83,20 +84,68 @@ def subset_rank(z: Sequence[int]) -> int:
     return rank
 
 
-def is_bit_tuple(y, m: int) -> bool:
-    return (
-        isinstance(y, tuple)
-        and len(y) == m
-        and all(isinstance(b, (int, np.integer)) and b in (0, 1) for b in y)
-    )
+@dataclass(frozen=True)
+class LabelSpace:
+    """A finite space of length-m int tuples, iterated in canonical order.
 
+    ``grid(m, top)`` is {0..top}^m (top = 1 gives the subsets as bit tuples),
+    ``ksubsets(m, k)`` the bit tuples with exactly k ones and
+    ``permutations(m)`` the one-line permutations of 1..m.
+    """
 
-def is_permutation_tuple(z, m: int) -> bool:
-    return (
-        isinstance(z, tuple)
-        and len(z) == m
-        and sorted(z) == list(range(1, m + 1))
-    )
+    kind: str  # "grid", "ksubset" or "perm"
+    m: int
+    top: int = 1
+    k: int = 0
+
+    @classmethod
+    def grid(cls, m: int, top: int = 1) -> "LabelSpace":
+        return cls("grid", m, top)
+
+    @classmethod
+    def ksubsets(cls, m: int, k: int) -> "LabelSpace":
+        return cls("ksubset", m, 1, k)
+
+    @classmethod
+    def permutations(cls, m: int) -> "LabelSpace":
+        return cls("perm", m)
+
+    def __iter__(self) -> Iterator[Label]:
+        if self.kind == "perm":
+            return permutations(self.m)
+        if self.kind == "ksubset":
+            return ksubsets(self.m, self.k)
+        return relevance_grid(self.m, self.top)
+
+    @property
+    def size(self) -> int:
+        if self.kind == "perm":
+            return math.factorial(self.m)
+        if self.kind == "ksubset":
+            return math.comb(self.m, self.k)
+        return (self.top + 1) ** self.m
+
+    def __contains__(self, y) -> bool:
+        if not (isinstance(y, tuple) and len(y) == self.m):
+            return False
+        if self.kind == "perm":
+            return sorted(y) == list(range(1, self.m + 1))
+        if not all(isinstance(t, (int, np.integer)) and 0 <= t <= self.top for t in y):
+            return False
+        return self.kind == "grid" or sum(y) == self.k
+
+    def check(self, y) -> None:
+        if y in self:
+            return
+        if self.kind == "perm":
+            what = f"a permutation of 1..{self.m} in one-line form"
+        elif self.kind == "ksubset":
+            what = f"a {self.k}-subset bit tuple"
+        elif self.top == 1:
+            what = f"a length-{self.m} bit tuple"
+        else:
+            what = f"a relevance vector in {{0..{self.top}}}^{self.m}"
+        raise InvalidLabelError(f"not {what}: {y!r}")
 
 
 def as_label(y) -> Label:
@@ -130,9 +179,11 @@ class SharpConstant:
 class DiscreteLoss:
     """A loss L: Z x Y -> [0,1] with an exact affine decomposition.
 
-    Subclasses fix the output space Z, observation space Y, the evaluator
-    ``value``, the decomposition (``f_row``, ``u_row``, ``offset``, ``r``)
-    and the exact sup-norm ``f_norm`` of the F rows.
+    Subclasses set the spaces Z and Y (``output_space``,
+    ``observation_space``), the evaluator ``value``, the decomposition
+    (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
+    of the F rows and ``sharp``.  A loss with structure overrides ``decode``
+    with a fast decoder and describes it in ``decoder``.
     """
 
     name: str
@@ -141,24 +192,28 @@ class DiscreteLoss:
     offset: float
     f_norm: float  # exact sup_z ||F_z||_2 of the implemented decomposition
 
+    output_space: LabelSpace
+    observation_space: LabelSpace
+    decoder: str = "O(|Z|) enumeration"
+
     # -- spaces ------------------------------------------------------------
     def outputs(self) -> Iterator[Label]:
-        raise NotImplementedError
+        return iter(self.output_space)
 
     def observations(self) -> Iterator[Label]:
-        raise NotImplementedError
+        return iter(self.observation_space)
 
     def n_outputs(self) -> int:
-        raise NotImplementedError
+        return self.output_space.size
 
     def n_observations(self) -> int:
-        raise NotImplementedError
+        return self.observation_space.size
 
     def check_output(self, z: Label) -> None:
-        raise NotImplementedError
+        self.output_space.check(z)
 
     def check_observation(self, y: Label) -> None:
-        raise NotImplementedError
+        self.observation_space.check(y)
 
     def is_degenerate(self, y: Label) -> bool:
         """True for observations that carry no preference information.
@@ -176,6 +231,16 @@ class DiscreteLoss:
     def f_row(self, z: Label) -> np.ndarray:
         raise NotImplementedError
 
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        """argmin_z F_z . theta by enumeration, canonical tie-break.
+
+        ``budget`` is a ``qslearn.decode.DecodeBudget``; the exact
+        enumeration ignores it.
+        """
+        outs = list(self.outputs())
+        scores = np.array([self.f_row(z) @ theta for z in outs])
+        return outs[int(np.argmin(scores))]
+
     def u_row(self, y: Label) -> np.ndarray:
         raise NotImplementedError
 
@@ -188,9 +253,6 @@ class DiscreteLoss:
         y = as_label(y)
         self.check_observation(y)
         return self.u_row(y)
-
-    def enumerable(self, limit: int = 300_000) -> bool:
-        return self.n_outputs() * self.n_observations() <= limit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(m={self.m}, r={self.r})"

@@ -3,21 +3,27 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .base import (
     DiscreteLoss,
-    InvalidLabelError,
     Label,
+    LabelSpace,
     LossConfigError,
     SharpConstant,
-    is_bit_tuple,
-    ksubsets,
+    subset_from_rank,
     subset_rank,
-    subsets,
 )
+
+
+def topk_subset(scores: np.ndarray, k: int, m: int) -> Label:
+    """k-subset maximizing the score sum; ties resolved to the canonical
+    (lexicographically smallest) bit tuple, i.e. later indices win ties."""
+    order = sorted(range(m), key=lambda j: (-scores[j], -j))
+    chosen = set(order[:k])
+    return tuple(1 if j in chosen else 0 for j in range(m))
 
 
 class ZeroOne(DiscreteLoss):
@@ -28,30 +34,16 @@ class ZeroOne(DiscreteLoss):
     """
 
     name = "zero_one"
+    decoder = "O(2^m) argmax"
 
     def __init__(self, m: int):
         if m < 1:
             raise LossConfigError("zero_one: m must be >= 1")
         self.m = m
+        self.output_space = self.observation_space = LabelSpace.grid(m)
         self.r = 2 ** m
         self.offset = 1.0
         self.f_norm = 1.0
-
-    def outputs(self) -> Iterator[Label]:
-        return subsets(self.m)
-
-    observations = outputs
-
-    def n_outputs(self) -> int:
-        return 2 ** self.m
-
-    n_observations = n_outputs
-
-    def check_output(self, z: Label) -> None:
-        if not is_bit_tuple(z, self.m):
-            raise InvalidLabelError(f"not a length-{self.m} bit tuple: {z!r}")
-
-    check_observation = check_output
 
     def value(self, z: Label, y: Label) -> float:
         return 0.0 if z == y else 1.0
@@ -60,6 +52,9 @@ class ZeroOne(DiscreteLoss):
         row = np.zeros(self.r)
         row[subset_rank(z)] = -1.0
         return row
+
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        return subset_from_rank(int(np.argmax(theta)), self.m)
 
     def u_row(self, y: Label) -> np.ndarray:
         row = np.zeros(self.r)
@@ -78,18 +73,20 @@ class BlockZeroOne(DiscreteLoss):
     """
 
     name = "block_zero_one"
+    decoder = "O(b) block argmax"
 
     def __init__(self, m: int, partition: Sequence[Sequence[Sequence[int]]]):
         if m < 1:
             raise LossConfigError("block_zero_one: m must be >= 1")
         self.m = m
+        self.output_space = self.observation_space = LabelSpace.grid(m)
         blocks = [[tuple(int(b) for b in z) for z in block] for block in partition]
         if any(len(block) == 0 for block in blocks):
             raise LossConfigError("block_zero_one: empty block in partition")
         seen: dict[Label, int] = {}
         for j, block in enumerate(blocks):
             for z in block:
-                if not is_bit_tuple(z, m):
+                if z not in self.output_space:
                     raise LossConfigError(f"block_zero_one: bad subset {z!r}")
                 if z in seen:
                     raise LossConfigError(f"block_zero_one: subset {z!r} in two blocks")
@@ -106,25 +103,6 @@ class BlockZeroOne(DiscreteLoss):
         self.offset = 1.0
         self.f_norm = 1.0
 
-    def outputs(self) -> Iterator[Label]:
-        return subsets(self.m)
-
-    observations = outputs
-
-    def n_outputs(self) -> int:
-        return 2 ** self.m
-
-    n_observations = n_outputs
-
-    def check_output(self, z: Label) -> None:
-        if not is_bit_tuple(z, self.m):
-            raise InvalidLabelError(f"not a length-{self.m} bit tuple: {z!r}")
-
-    check_observation = check_output
-
-    def block_index(self, z: Label) -> int:
-        return self._block_of[tuple(z)]
-
     def value(self, z: Label, y: Label) -> float:
         return 0.0 if self._block_of[z] == self._block_of[y] else 1.0
 
@@ -132,6 +110,10 @@ class BlockZeroOne(DiscreteLoss):
         row = np.zeros(self.r)
         row[self._block_of[z]] = -1.0
         return row
+
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        best = float(np.max(theta))
+        return min(self._block_min[j] for j in range(self.b) if theta[j] == best)
 
     def u_row(self, y: Label) -> np.ndarray:
         row = np.zeros(self.r)
@@ -151,36 +133,26 @@ class Hamming(DiscreteLoss):
     """
 
     name = "hamming"
+    decoder = "O(m) coordinate signs"
 
     def __init__(self, m: int):
         if m < 1:
             raise LossConfigError("hamming: m must be >= 1")
         self.m = m
+        self.output_space = self.observation_space = LabelSpace.grid(m)
         self.r = m
         self.offset = 0.5
         self.f_norm = 1.0 / (2.0 * math.sqrt(m))
-
-    def outputs(self) -> Iterator[Label]:
-        return subsets(self.m)
-
-    observations = outputs
-
-    def n_outputs(self) -> int:
-        return 2 ** self.m
-
-    n_observations = n_outputs
-
-    def check_output(self, z: Label) -> None:
-        if not is_bit_tuple(z, self.m):
-            raise InvalidLabelError(f"not a length-{self.m} bit tuple: {z!r}")
-
-    check_observation = check_output
 
     def value(self, z: Label, y: Label) -> float:
         return sum(a != b for a, b in zip(z, y)) / self.m
 
     def f_row(self, z: Label) -> np.ndarray:
         return -(2.0 * np.asarray(z, dtype=float) - 1.0) / (2.0 * self.m)
+
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        # maximize sum_j s_j(z) theta_j coordinate-wise; theta_j == 0 keeps bit 0
+        return tuple(1 if t > 0.0 else 0 for t in theta)
 
     def u_row(self, y: Label) -> np.ndarray:
         return 2.0 * np.asarray(y, dtype=float) - 1.0
@@ -196,41 +168,27 @@ class PrecAtK(DiscreteLoss):
     """
 
     name = "prec_at_k"
+    decoder = "O(m log k) top-k"
 
     def __init__(self, m: int, k: int):
         if not 1 <= k <= m:
             raise LossConfigError(f"prec_at_k: need 1 <= k <= m, got k={k}, m={m}")
         self.m = m
         self.k = k
+        self.output_space = LabelSpace.ksubsets(m, k)
+        self.observation_space = LabelSpace.grid(m)
         self.r = m
         self.offset = 1.0
         self.f_norm = 1.0 / math.sqrt(k)
-
-    def outputs(self) -> Iterator[Label]:
-        return ksubsets(self.m, self.k)
-
-    def observations(self) -> Iterator[Label]:
-        return subsets(self.m)
-
-    def n_outputs(self) -> int:
-        return math.comb(self.m, self.k)
-
-    def n_observations(self) -> int:
-        return 2 ** self.m
-
-    def check_output(self, z: Label) -> None:
-        if not is_bit_tuple(z, self.m) or sum(z) != self.k:
-            raise InvalidLabelError(f"not a {self.k}-subset bit tuple: {z!r}")
-
-    def check_observation(self, y: Label) -> None:
-        if not is_bit_tuple(y, self.m):
-            raise InvalidLabelError(f"not a length-{self.m} bit tuple: {y!r}")
 
     def value(self, z: Label, y: Label) -> float:
         return 1.0 - sum(a & b for a, b in zip(z, y)) / self.k
 
     def f_row(self, z: Label) -> np.ndarray:
         return -np.asarray(z, dtype=float) / self.k
+
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        return topk_subset(theta, self.k, self.m)
 
     def u_row(self, y: Label) -> np.ndarray:
         return np.asarray(y, dtype=float)
@@ -257,6 +215,7 @@ class FScore(DiscreteLoss):
     """
 
     name = "fscore"
+    decoder = "O(m^2) after O(m^3) side conversion"
 
     def __init__(self, m: int, side: str = "p"):
         if m < 1:
@@ -265,25 +224,10 @@ class FScore(DiscreteLoss):
             raise LossConfigError(f"fscore: side must be 'p' or 'a', got {side!r}")
         self.m = m
         self.side = side
+        self.output_space = self.observation_space = LabelSpace.grid(m)
         self.r = m * m + 1
         self.offset = 1.0
         self.f_norm = 1.0 if side == "p" else math.sqrt(m)
-
-    def outputs(self) -> Iterator[Label]:
-        return subsets(self.m)
-
-    observations = outputs
-
-    def n_outputs(self) -> int:
-        return 2 ** self.m
-
-    n_observations = n_outputs
-
-    def check_output(self, z: Label) -> None:
-        if not is_bit_tuple(z, self.m):
-            raise InvalidLabelError(f"not a length-{self.m} bit tuple: {z!r}")
-
-    check_observation = check_output
 
     def value(self, z: Label, y: Label) -> float:
         sy = sum(y)
@@ -313,6 +257,25 @@ class FScore(DiscreteLoss):
                 if z[j]:
                     row[base + j] = -1.0
         return row
+
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        m = self.m
+        grid = theta[: m * m].reshape(m, m)  # [ell-1, j]
+        if self.side == "p":
+            pos = np.arange(1, m + 1, dtype=float)
+            conv = 1.0 / (pos[:, None] + pos[None, :])  # conv[l-1, k-1] = 1/(l+k)
+            per_card = grid.T @ conv  # per_card[j, k-1]: score of item j at card k
+        else:
+            per_card = grid.T
+        best_z = (0,) * m
+        best_score = float(theta[m * m])  # z = 0 scores the empty-set coordinate
+        for k in range(1, m + 1):
+            col = per_card[:, k - 1]
+            z = topk_subset(col, k, m)
+            score = float(sum(col[j] for j in range(m) if z[j]))
+            if score > best_score or (score == best_score and z < best_z):
+                best_score, best_z = score, z
+        return best_z
 
     def u_row(self, y: Label) -> np.ndarray:
         m = self.m

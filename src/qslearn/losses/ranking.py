@@ -2,33 +2,39 @@
 
 Permutations are one-line tuples with sigma[j] = rank of item j (rank 1 is
 the top position).  NDCG-type losses observe relevance vectors in {0..R}^m;
-PD and MAP observe binary relevance, i.e. subsets.
+PD and MAP observe binary relevance, i.e. subsets.  Beyond the decode
+budget, PD decodes by ``greedy_arcset`` and MAP by ``qap_local_search``,
+both at the end of this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .base import (
     DiscreteLoss,
-    InvalidLabelError,
     Label,
+    LabelSpace,
     LossConfigError,
     SharpConstant,
-    is_bit_tuple,
-    is_permutation_tuple,
-    permutations,
-    relevance_grid,
-    subsets,
 )
 
 
-def _check_permutation(z: Label, m: int) -> None:
-    if not is_permutation_tuple(z, m):
-        raise InvalidLabelError(f"not a permutation of 1..{m} in one-line form: {z!r}")
+def _sigma_from_order(order) -> Label:
+    """One-line permutation giving rank pos + 1 to the item at order[pos]."""
+    sigma = [0] * len(order)
+    for pos, item in enumerate(order):
+        sigma[item] = pos + 1
+    return tuple(sigma)
+
+
+def _rank_by_scores(scores: np.ndarray, m: int) -> Label:
+    """Permutation assigning rank 1 to the largest score; ties by item index."""
+    return _sigma_from_order(sorted(range(m), key=lambda j: (-scores[j], j)))
 
 
 class NDCGType(DiscreteLoss):
@@ -48,6 +54,7 @@ class NDCGType(DiscreteLoss):
     """
 
     name = "ndcg"
+    decoder = "O(m log m) argsort"
 
     def __init__(
         self,
@@ -64,6 +71,8 @@ class NDCGType(DiscreteLoss):
         self.name = name
         self.m = m
         self.top_relevance = top_relevance
+        self.output_space = LabelSpace.permutations(m)
+        self.observation_space = LabelSpace.grid(m, top_relevance)
         if gain is None:
             gain = lambda t: 2.0 ** t - 1.0
         if callable(gain):
@@ -115,32 +124,6 @@ class NDCGType(DiscreteLoss):
         g = np.sort(self.gains(y))[::-1]
         return float(g @ self._discount)
 
-    def outputs(self) -> Iterator[Label]:
-        return permutations(self.m)
-
-    def observations(self) -> Iterator[Label]:
-        return relevance_grid(self.m, self.top_relevance)
-
-    def n_outputs(self) -> int:
-        return math.factorial(self.m)
-
-    def n_observations(self) -> int:
-        return (self.top_relevance + 1) ** self.m
-
-    def check_output(self, z: Label) -> None:
-        _check_permutation(z, self.m)
-
-    def check_observation(self, y: Label) -> None:
-        ok = (
-            isinstance(y, tuple)
-            and len(y) == self.m
-            and all(isinstance(t, (int, np.integer)) and 0 <= t <= self.top_relevance for t in y)
-        )
-        if not ok:
-            raise InvalidLabelError(
-                f"not a relevance vector in {{0..{self.top_relevance}}}^{self.m}: {y!r}"
-            )
-
     def is_degenerate(self, y: Label) -> bool:
         return bool(np.all(self.gains(y) == 0.0))
 
@@ -154,6 +137,9 @@ class NDCGType(DiscreteLoss):
 
     def f_row(self, z: Label) -> np.ndarray:
         return -self._discount[np.asarray(z, dtype=int) - 1]
+
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        return _rank_by_scores(theta, self.m)
 
     def u_row(self, y: Label) -> np.ndarray:
         g = self.gains(y)
@@ -208,34 +194,18 @@ class PairwiseDisagreement(DiscreteLoss):
     """
 
     name = "pd"
+    decoder = "NP-hard (MWFAS); exact <= budget, else greedy arcset"
 
     def __init__(self, m: int):
         if m < 2:
             raise LossConfigError("pd: m must be >= 2")
         self.m = m
+        self.output_space = LabelSpace.permutations(m)
+        self.observation_space = LabelSpace.grid(m)
         self.pairs = pair_index(m)
         self.r = len(self.pairs)
         self.offset = 0.5
         self.f_norm = 0.25 * math.sqrt(self.r)
-
-    def outputs(self) -> Iterator[Label]:
-        return permutations(self.m)
-
-    def observations(self) -> Iterator[Label]:
-        return subsets(self.m)
-
-    def n_outputs(self) -> int:
-        return math.factorial(self.m)
-
-    def n_observations(self) -> int:
-        return 2 ** self.m
-
-    def check_output(self, z: Label) -> None:
-        _check_permutation(z, self.m)
-
-    def check_observation(self, y: Label) -> None:
-        if not is_bit_tuple(y, self.m):
-            raise InvalidLabelError(f"not a length-{self.m} bit tuple: {y!r}")
 
     def is_degenerate(self, y: Label) -> bool:
         return sum(y) in (0, self.m)
@@ -257,6 +227,18 @@ class PairwiseDisagreement(DiscreteLoss):
         return 0.25 * np.array(
             [float(np.sign(z[l] - z[j])) for j, l in self.pairs]
         )
+
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        if self.m <= budget.exact_limit:
+            return super().decode(theta, budget)
+        m = self.m
+        gamma = np.zeros((m, m))
+        for idx, (j, l) in enumerate(self.pairs):
+            t = float(theta[idx])
+            # gamma[a, b] = cost of ranking a below b; per-pair shift keeps it >= 0
+            gamma[j, l] = max(-t, 0.0) / 2.0
+            gamma[l, j] = max(t, 0.0) / 2.0
+        return greedy_arcset(gamma)
 
     def u_row(self, y: Label) -> np.ndarray:
         s = sum(y)
@@ -285,34 +267,18 @@ class MeanAveragePrecision(DiscreteLoss):
     """
 
     name = "map"
+    decoder = "NP-hard (QAP); exact <= budget, else 2-swap local search"
 
     def __init__(self, m: int):
         if m < 1:
             raise LossConfigError("map: m must be >= 1")
         self.m = m
+        self.output_space = LabelSpace.permutations(m)
+        self.observation_space = LabelSpace.grid(m)
         self.pairs = [(j, l) for j in range(m) for l in range(j + 1)]
         self.r = len(self.pairs)
         self.offset = 1.0
         self.f_norm = math.sqrt(sum(1.0 / a for a in range(1, m + 1)))
-
-    def outputs(self) -> Iterator[Label]:
-        return permutations(self.m)
-
-    def observations(self) -> Iterator[Label]:
-        return subsets(self.m)
-
-    def n_outputs(self) -> int:
-        return math.factorial(self.m)
-
-    def n_observations(self) -> int:
-        return 2 ** self.m
-
-    def check_output(self, z: Label) -> None:
-        _check_permutation(z, self.m)
-
-    def check_observation(self, y: Label) -> None:
-        if not is_bit_tuple(y, self.m):
-            raise InvalidLabelError(f"not a length-{self.m} bit tuple: {y!r}")
 
     def is_degenerate(self, y: Label) -> bool:
         return sum(y) == 0
@@ -331,6 +297,20 @@ class MeanAveragePrecision(DiscreteLoss):
 
     def f_row(self, z: Label) -> np.ndarray:
         return np.array([1.0 / max(z[j], z[l]) for j, l in self.pairs])
+
+    def decode(self, theta: np.ndarray, budget) -> Label:
+        if self.m <= budget.exact_limit_map:
+            return super().decode(theta, budget)
+        m = self.m
+        w = np.zeros((m, m))
+        for idx, (j, l) in enumerate(self.pairs):
+            if j == l:
+                w[j, j] = -theta[idx]
+            else:  # split unordered pair mass across the symmetric entries
+                w[j, l] = w[l, j] = -theta[idx] / 2.0
+        pos = np.arange(1, m + 1, dtype=float)
+        d = 1.0 / np.maximum(pos[:, None], pos[None, :])
+        return qap_local_search(w, d, restarts=budget.restarts, seed=budget.seed)
 
     def u_row(self, y: Label) -> np.ndarray:
         s = sum(y)
@@ -352,3 +332,101 @@ class MeanAveragePrecision(DiscreteLoss):
                 "and U_max = 1"
             ),
         )
+
+
+# ---------------------------------------------------------------------------
+# heuristics for the two NP-hard decoders
+# ---------------------------------------------------------------------------
+
+def greedy_arcset(gamma) -> Label:
+    """Greedy ordering for the weighted feedback-arc-set objective.
+
+    ``gamma[a, b]`` is the cost incurred when item a is ranked below item b;
+    the objective is sum over ordered pairs of gamma[a, b] 1(rank_a > rank_b).
+    Items are ordered by descending (out-mass - in-mass), then improved by
+    adjacent swaps until no strict improvement remains.  Deterministic; on a
+    consistent total order the result has objective zero.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    m = gamma.shape[0]
+    if gamma.shape != (m, m):
+        raise ValueError("gamma must be square")
+    score = gamma.sum(axis=1) - gamma.sum(axis=0)
+    order = sorted(range(m), key=lambda j: (-score[j], j))  # top of ranking first
+    improved = True
+    while improved:
+        improved = False
+        for pos in range(m - 1):
+            a, b = order[pos], order[pos + 1]  # a currently above b
+            if gamma[a, b] < gamma[b, a]:  # strictly cheaper with a below b
+                order[pos], order[pos + 1] = b, a
+                improved = True
+    return _sigma_from_order(order)
+
+
+def arcset_objective(gamma, sigma: Label) -> float:
+    gamma = np.asarray(gamma, dtype=float)
+    m = gamma.shape[0]
+    return float(
+        sum(
+            gamma[a, b]
+            for a in range(m)
+            for b in range(m)
+            if a != b and sigma[a] > sigma[b]
+        )
+    )
+
+
+def qap_trace_objective(w, d, sigma: Label) -> float:
+    """Tr(W^T P D P^T) for the permutation matrix P of sigma."""
+    w = np.asarray(w, dtype=float)
+    d = np.asarray(d, dtype=float)
+    p = np.asarray(sigma, dtype=int) - 1
+    return float(np.sum(w * d[np.ix_(p, p)]))
+
+
+def qap_local_search(w, d, restarts: int = 8, seed: int = 0) -> Label:
+    """Best 2-swap local maximum of Tr(W^T P D P^T) over ``restarts`` starts.
+
+    Start 0 is the identity; the rest are seeded random permutations.  Swap
+    selection is best-improvement with index tie-break, so the result is
+    deterministic given the seed.  Returns the best local optimum, breaking
+    exact objective ties toward the lexicographically smaller permutation.
+    """
+    w = np.asarray(w, dtype=float)
+    d = np.asarray(d, dtype=float)
+    m = w.shape[0]
+    if w.shape != (m, m) or d.shape != (m, m):
+        raise ValueError("W and D must be square matrices of equal size")
+    if m == 1:
+        return (1,)
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(m), 2))
+
+    def objective(p: np.ndarray) -> float:
+        return float(np.sum(w * d[np.ix_(p, p)]))
+
+    def climb(p: np.ndarray) -> tuple[np.ndarray, float]:
+        cur = objective(p)
+        while True:
+            best_delta, best_pair = 0.0, None
+            for a, b in pairs:
+                q = p.copy()
+                q[a], q[b] = q[b], q[a]
+                delta = objective(q) - cur
+                if delta > best_delta:
+                    best_delta, best_pair = delta, (a, b)
+            if best_pair is None:
+                return p, cur
+            a, b = best_pair
+            p[a], p[b] = p[b], p[a]
+            cur += best_delta
+
+    best_sigma, best_obj = None, -math.inf
+    for start in range(max(restarts, 1)):
+        p0 = np.arange(m) if start == 0 else rng.permutation(m)
+        p, obj = climb(p0.copy())
+        sigma = tuple(int(r) + 1 for r in p)
+        if obj > best_obj or (obj == best_obj and sigma < best_sigma):
+            best_obj, best_sigma = obj, sigma
+    return best_sigma

@@ -28,7 +28,6 @@ grid and reports per-replication log-log slopes of the exact excess risk.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ import numpy as np
 from .decode import DEFAULT_BUDGET, topk_subset
 from .estimator import fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
-from .losses import DiscreteLoss, Hamming, PrecAtK, make_loss
+from .losses import DiscreteLoss, Hamming, PrecAtK, make_loss, subsets
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,7 @@ def conditional_risk(loss: DiscreteLoss, z, q_x: np.ndarray) -> float:
         return float(np.mean(z + (1.0 - 2.0 * z) * q_x))
     if isinstance(loss, PrecAtK):
         return 1.0 - float(sum(q_x[j] for j in range(loss.m) if z[j])) / loss.k
-    probs = _product_probs(loss, q_x)
-    return float(sum(p * loss.value(z, y) for p, y in zip(probs, loss.observations())))
+    return float(_expected_losses(loss, [z], q_x)[0])
 
 
 def bayes_conditional_risk(loss: DiscreteLoss, q_x: np.ndarray) -> float:
@@ -149,21 +147,23 @@ def bayes_conditional_risk(loss: DiscreteLoss, q_x: np.ndarray) -> float:
         return float(np.mean(np.minimum(q_x, 1.0 - q_x)))
     if isinstance(loss, PrecAtK):
         return 1.0 - float(np.sort(q_x)[::-1][: loss.k].sum()) / loss.k
-    probs = _product_probs(loss, q_x)
-    best = math.inf
-    for z in loss.outputs():
-        best = min(best, sum(p * loss.value(z, y) for p, y in zip(probs, loss.observations())))
-    return float(best)
+    return float(min(_expected_losses(loss, loss.outputs(), q_x)))
 
 
-def _product_probs(loss: DiscreteLoss, q_x: np.ndarray) -> np.ndarray:
+def _expected_losses(loss: DiscreteLoss, outputs, q_x: np.ndarray) -> list:
+    """sum_y P(y | x) L(z, y) for each z in ``outputs``.
+
+    The generator draws bit tuples, so y runs over ``subsets(m)`` whatever
+    the loss's observation space (NDCG's relevance grid is larger).
+    """
     if loss.m > 12:
         raise ValueError("generic exact risk limited to m <= 12")
-    probs = np.empty(2 ** loss.m)
-    for i, y in enumerate(itertools.product((0, 1), repeat=loss.m)):
+    ys = list(subsets(loss.m))
+    probs = np.empty(len(ys))
+    for i, y in enumerate(ys):
         y_arr = np.asarray(y, dtype=float)
         probs[i] = float(np.prod(q_x * y_arr + (1.0 - q_x) * (1.0 - y_arr)))
-    return probs
+    return [sum(p * loss.value(z, y) for p, y in zip(probs, ys)) for z in outputs]
 
 
 def excess_risk_exact(predictions, gen: MultilabelGenerator, x_probe, loss) -> float:
@@ -188,12 +188,7 @@ def bayes_predictions(gen: MultilabelGenerator, x_probe, loss) -> list:
             continue
         if outs is None:
             outs = list(loss.outputs())
-        probs = _product_probs(loss, q_x)
-        vals = [
-            sum(p * loss.value(z, y) for p, y in zip(probs, loss.observations()))
-            for z in outs
-        ]
-        preds.append(outs[int(np.argmin(np.asarray(vals)))])
+        preds.append(outs[int(np.argmin(np.asarray(_expected_losses(loss, outs, q_x))))])
     return preds
 
 

@@ -142,13 +142,20 @@ def g_star_matrix(problem: FiniteProblem) -> np.ndarray:
     return problem.conditionals @ problem.u_matrix
 
 
-def surrogate_excess(problem: FiniteProblem, g) -> float:
-    """sum_x P(x) ||g(x) - g*(x)||_2^2, the exact surrogate excess risk."""
+def _checked_g(problem: FiniteProblem, g) -> np.ndarray:
+    """g as an n_states x r float array; ValueError on other shapes or non-finite entries."""
     g = np.asarray(g, dtype=float)
     expected = (problem.n_states, problem.loss.r)
     if g.shape != expected:
         raise ValueError(f"g must be {expected}, got {g.shape}")
-    diff = g - g_star_matrix(problem)
+    if not np.isfinite(g).all():
+        raise ValueError("g must be finite")
+    return g
+
+
+def surrogate_excess(problem: FiniteProblem, g) -> float:
+    """sum_x P(x) ||g(x) - g*(x)||_2^2, the exact surrogate excess risk."""
+    diff = _checked_g(problem, g) - g_star_matrix(problem)
     return float(problem.masses @ np.sum(diff * diff, axis=1))
 
 
@@ -165,7 +172,7 @@ def true_excess(problem: FiniteProblem, predictions: Sequence[Label]) -> float:
 def decode_states(
     problem: FiniteProblem, g, budget: DecodeBudget = DEFAULT_BUDGET
 ) -> list:
-    g = np.asarray(g, dtype=float)
+    g = _checked_g(problem, g)
     return [decode(problem.loss, g[s], budget) for s in problem.states()]
 
 

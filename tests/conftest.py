@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qslearn.decode import argmin_untied
 from qslearn.losses import (
     BlockZeroOne,
     DiscreteLoss,
@@ -98,24 +99,6 @@ def random_instance(loss: DiscreteLoss, rng: np.random.Generator, n: int = 10):
         if argmin_untied(f_rows, theta):
             return weights, ys, theta
     raise AssertionError("could not draw an untied instance")
-
-
-def argmin_untied(f_rows: np.ndarray, theta: np.ndarray, gap: float = 1e-9) -> bool:
-    """True when the argmin of F . theta is unambiguous across computation orders.
-
-    Exact ties between identical F rows are benign (any summation order gives
-    bitwise-equal scores, so every path picks the canonical first row); exact
-    or near ties between DISTINCT rows are resolved by sub-ulp rounding
-    differences and are excluded from equivalence tests by design.
-    """
-    scores = f_rows @ theta
-    smin = scores.min()
-    tied = np.flatnonzero(scores == smin)
-    for i in tied[1:]:
-        if not np.array_equal(f_rows[i], f_rows[tied[0]]):
-            return False
-    above = scores[scores > smin]
-    return not above.size or float(above.min() - smin) > gap
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import qslearn.kernels as kernels
 from qslearn.data import parse_multilabel, split, standardize
 from qslearn.estimator import empirical_risk, fit, load_model, predict_batch, save_model
 from qslearn.kernels import KernelSpec, median_heuristic
-from qslearn.losses import NDCGType, enumerated_constants, make_loss
+from qslearn.losses import LOSS_NAMES, Hamming, NDCGType, enumerated_constants, make_loss
+
+from conftest import popcount_partition
 
 
 def make_toy_dataset(path, n=60, seed=0):
@@ -77,6 +80,30 @@ def test_check_detects_injected_corruption(monkeypatch, capsys):
     monkeypatch.setattr(cli, "decomposition_check", lambda loss: 0.5)
     assert run(["check", "--loss", "hamming", "--m", "3"]) == cli.CHECK_FAILURE
     assert "hamming" in capsys.readouterr().err
+
+
+def test_check_redraws_tied_instances(capsys):
+    # MAP scores tie often in exact arithmetic; rounding must not count as a mismatch
+    assert run(["check", "--loss", "map", "--m", "4", "--instances", "150", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "decoder vs brute force: 0 mismatches in 150 instances" in out
+    assert re.search(r"^tied instances redrawn: [1-9]\d*$", out, re.M)
+
+
+def test_check_detects_wrong_decoder(monkeypatch, capsys):
+    monkeypatch.setattr(Hamming, "decode", lambda self, theta, budget: (0,) * self.m)
+    assert run(["check", "--loss", "hamming", "--m", "3"]) == cli.CHECK_FAILURE
+    assert "decoder mismatches" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_constants_reports_class_decoder(name, tmp_path, capsys):
+    params = {"prec_at_k": {"k": 2}, "block_zero_one": {"partition": popcount_partition(3)}}
+    cfg = tmp_path / "loss.json"
+    cfg.write_text(json.dumps({"name": name, "m": 3, **params.get(name, {})}))
+    assert run(["constants", "--config", str(cfg), "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["decoder"] == type(make_loss(name, 3, **params.get(name, {}))).decoder
 
 
 def test_train_eval_workflow(tmp_path, capsys):

@@ -67,6 +67,12 @@ def test_bruteforce_guards():
         decode_bruteforce(ZeroOne(22), np.ones(4), [(0,) * 22] * 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bruteforce_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        decode_bruteforce(Hamming(3), [1.0, bad], [(1, 1, 1), (0, 0, 0)])
+
+
 @pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
 def test_decoder_matches_oracle(loss, rng):
     for _ in range(60):

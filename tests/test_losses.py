@@ -14,6 +14,7 @@ from qslearn.losses import (
     FScore,
     Hamming,
     InvalidLabelError,
+    LabelSpace,
     LossConfigError,
     MeanAveragePrecision,
     NDCGType,
@@ -204,6 +205,42 @@ def test_embed_validates_labels():
         NDCGType(3, top_relevance=2).embed((0, 5, 1))
     with pytest.raises(InvalidLabelError):
         MeanAveragePrecision(3).embed((1, 2))
+
+
+# ---------------------------------------------------------------------------
+# label spaces
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
+def test_label_space_contract(loss):
+    spaces = [
+        (list(loss.outputs()), loss.n_outputs(), loss.check_output),
+        (list(loss.observations()), loss.n_observations(), loss.check_observation),
+    ]
+    for members, size, check in spaces:
+        assert all(a < b for a, b in zip(members, members[1:]))  # canonical = lexicographic
+        assert len(members) == size
+        for label in members:
+            check(label)
+        with pytest.raises(InvalidLabelError):
+            check((-1,) + members[0][1:])
+
+
+def test_label_space_kinds():
+    assert list(LabelSpace.grid(2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(LabelSpace.ksubsets(3, 2)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert list(LabelSpace.permutations(2)) == [(1, 2), (2, 1)]
+    assert LabelSpace.grid(2, 3).size == 16 and LabelSpace.ksubsets(5, 2).size == 10
+    assert LabelSpace.permutations(25).size == math.factorial(25)
+    assert (1, 1) not in LabelSpace.ksubsets(2, 1)
+    assert (0, 2) not in LabelSpace.grid(2) and (0, 2) in LabelSpace.grid(2, 2)
+    assert (1, 1) not in LabelSpace.permutations(2)
+    assert [0, 1] not in LabelSpace.grid(2)  # labels are tuples
+    assert (0, 1, 0) not in LabelSpace.grid(2)
+    with pytest.raises(InvalidLabelError, match="length-2 bit tuple"):
+        LabelSpace.grid(2).check((0, 2))
+    with pytest.raises(InvalidLabelError, match="permutation of 1..3"):
+        LabelSpace.permutations(3).check((1, 1, 2))
 
 
 # ---------------------------------------------------------------------------

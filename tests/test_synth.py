@@ -1,9 +1,11 @@
 """Synthetic generators: margin regimes, exact excess, reproducibility, slopes."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from qslearn.losses import Hamming, PrecAtK
+from qslearn.losses import Hamming, PrecAtK, make_loss
 from qslearn.synth import (
     SyntheticSpec,
     bayes_conditional_risk,
@@ -173,3 +175,25 @@ def test_rate_rows_csv_format():
     assert lines[0] == "loss,noise_mode,n,replication,excess_exact,excess_test,seed"
     assert len(lines) == 1 + len(report.rows)
     assert report.to_json().startswith("{")
+
+
+@pytest.mark.parametrize("name", ["ndcg", "eru"])
+def test_generic_exact_risk_sums_over_bit_tuples(name):
+    # the generator draws bit tuples, a strict subset of the relevance grid
+    loss = make_loss(name, 3, R=3)
+    gen = gen_multilabel(SyntheticSpec(m=3, seed=3))
+    x = np.random.default_rng(0).uniform(size=(4, gen.spec.d))
+    outs = list(loss.outputs())
+    for x_row, q in zip(x, gen.q(x)):
+        direct = [
+            sum(
+                np.prod([qj if b else 1.0 - qj for qj, b in zip(q, y)]) * loss.value(z, y)
+                for y in itertools.product((0, 1), repeat=3)
+            )
+            for z in outs
+        ]
+        for z, risk in zip(outs, direct):
+            assert conditional_risk(loss, z, q) == pytest.approx(risk, abs=1e-12)
+        assert bayes_conditional_risk(loss, q) == pytest.approx(min(direct), abs=1e-12)
+        [pred] = bayes_predictions(gen, x_row[None, :], loss)
+        assert pred == outs[int(np.argmin(direct))]

@@ -271,3 +271,13 @@ def test_finite_problem_validation(rng):
     bad[0, 1] = 0.75
     with pytest.raises(ValueError):
         FiniteProblem(loss, [1.0], bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_g_rejected(bad, rng):
+    problem = random_problem(Hamming(3), 4, rng)
+    g = g_star_matrix(problem)
+    g[1, 2] = bad
+    for call in (decode_states, surrogate_excess, comparison_check):
+        with pytest.raises(ValueError, match="finite"):
+            call(problem, g)
