@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DataFormatError, MultilabelDataset, parse_multilabel, split, standardize
 from .decode import DEFAULT_BUDGET, argmin_untied, decode, decode_bruteforce
-from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_from_kernel,
+from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_models,
                         save_model, select_lambda)
 from .kernels import KernelSpec, cross_kernel, median_heuristic
 from .losses import (
@@ -90,7 +90,7 @@ def cmd_check(args) -> int:
         failures.append(f"{loss.name}: decomposition error {err:.3e} > 1e-12")
     rng = np.random.default_rng(args.seed)
     observations = list(loss.observations())
-    f_rows = np.array([loss.f_row(z) for z in loss.outputs()])
+    f_rows = loss.output_table.f
     mismatches = redrawn = 0
     for _ in range(args.instances):
         # ties between distinct outputs fall to rounding, outside the decoder contract
@@ -170,8 +170,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _format_label(z) -> str:
-    if sorted(z) == list(range(1, len(z) + 1)):  # permutation
+def _format_label(loss: DiscreteLoss, z) -> str:
+    """A permutation as its ranks, a subset as its item indices."""
+    if loss.output_space.kind == "perm":
         return " ".join(str(r) for r in z)
     return ",".join(str(j) for j, b in enumerate(z) if b)
 
@@ -186,7 +187,7 @@ def cmd_predict(args) -> int:
         x = model.scaler.apply(x)
     path = "alpha" if args.decompose_free else "fast"
     preds = predict_batch(model, x, DEFAULT_BUDGET, path=path)
-    _emit("\n".join(_format_label(z) for z in preds) + "\n", args.out)
+    _emit("\n".join(_format_label(model.loss, z) for z in preds) + "\n", args.out)
     return 0
 
 
@@ -201,10 +202,10 @@ def cmd_eval(args) -> int:
     picks = select_lambda(losses, kernel, _lambda_grid(args, train.n), x_tr, train.labels,
                           x_va, val.labels, path)
     k_te = cross_kernel(kernel, x_te, x_tr)
+    preds = predict_models([model for _, model in picks], k_te, path=path)
     records = []
-    for (val_risk, model), loss in zip(picks, losses):
-        # the alpha path rebuilds the chosen lambda's factor here
-        test_risk = empirical_risk(predict_from_kernel(model, k_te, path=path), loss, test.labels)
+    for (val_risk, model), loss, pred in zip(picks, losses, preds):
+        test_risk = empirical_risk(pred, loss, test.labels)
         records.append(
             {"loss": loss.name, "lambda": model.lam, "val_risk": val_risk, "test_risk": test_risk}
         )

@@ -1,7 +1,8 @@
 """Inference: argmin_z F_z . theta through each loss's decoder, plus a brute-force oracle.
 
 Each loss class owns its decoder as ``DiscreteLoss.decode``, next to the
-``f_row`` it inverts; the base class enumerates Z.  ``decode`` checks the
+``f_row`` it inverts; the base class scores the loss's cached output table
+(every z with its F row) with one matrix-vector product.  ``decode`` checks the
 shape of theta and calls that method.  Every decoder reproduces the
 canonical tie-break of exhaustive enumeration (lexicographically smallest
 label among exact-score ties), so ``decode`` and ``decode_bruteforce`` are
@@ -39,9 +40,15 @@ class DecodeBudget:
     """Limits for exact enumeration of the NP-hard decoders.
 
     PD enumerates S_m up to ``exact_limit`` items, MAP up to
-    ``exact_limit_map`` (its enumeration constant is the same but the trace
-    objective is costlier per candidate).  Beyond the limit the registered
-    heuristic runs with ``restarts`` deterministic restarts.
+    ``exact_limit_map``.  Beyond the limit the registered heuristic runs
+    with ``restarts`` deterministic restarts.
+
+    Exact enumeration scores the loss's ``output_table``, m! rows of r
+    floats built once per loss instance: PD m=8 is 40320 x 28 (about
+    9 MB), MAP m=6 720 x 21 (0.1 MB), PD m=9 362880 x 36 (105 MB).
+    Tables beyond 2^24 cells (128 MiB) are refused with
+    ``SpaceTooLargeError`` before anything is allocated: PD and MAP fit up
+    to m=9, so a limit of 10 or more makes the larger decodes fail.
     """
 
     exact_limit: int = 8

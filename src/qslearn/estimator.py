@@ -148,25 +148,39 @@ def predict_batch(
     path: str = "fast",
 ) -> list:
     k_x = cross_kernel(model.kernel, _features(x), model.x_train)
-    return predict_from_kernel(model, k_x, budget, path)
+    return predict_models([model], k_x, budget, path)[0]
 
 
-def predict_from_kernel(
-    model: QSModel,
+def predict_models(
+    models,
     k_x: np.ndarray,
     budget: DecodeBudget = DEFAULT_BUDGET,
     path: str = "fast",
 ) -> list:
-    """Decode the rows of a precomputed cross-kernel k(x, x_train).
+    """Decode the rows of a precomputed cross-kernel k(x, x_train), one
+    list of labels per model.
 
-    Callers that score several models trained on the same inputs compute
-    the cross-kernel once and pass it here.
+    The models must be fitted on the same inputs with the same kernel, so
+    that callers who score several of them compute the cross-kernel once.
+    On the alpha path the weights alpha(x) do not depend on the loss, so
+    models that share a lambda share one solve.  Surrogate values that
+    overflow to inf or NaN raise ValueError.
     """
     if path == "fast":
-        return [decode(model.loss, t, budget) for t in k_x @ model.coefficients]
+        out = []
+        for model in models:
+            thetas = k_x @ model.coefficients
+            if not np.isfinite(thetas).all():
+                raise ValueError("surrogate values are not finite; the inputs overflow the kernel")
+            out.append([decode(model.loss, t, budget) for t in thetas])
+        return out
     if path == "alpha":
-        alphas = weights_at(_factored(model), k_x)
-        return [decode_bruteforce(model.loss, a, model.y_train) for a in alphas]
+        alphas = {}
+        for model in models:
+            if model.lam not in alphas:
+                alphas[model.lam] = weights_at(_factored(model), k_x)
+        return [[decode_bruteforce(model.loss, a, model.y_train) for a in alphas[model.lam]]
+                for model in models]
     raise ValueError(f"unknown prediction path {path!r}")
 
 
@@ -186,17 +200,21 @@ def select_lambda(
     """Per loss, the (validation risk, model) of least validation risk.
 
     All losses and lambdas share one Gram matrix and one validation
-    cross-kernel, and each lambda one factorization (see ``fit_path``).
-    Ties go to the earlier lambda.  The models kept as best drop their
-    factor, so only the current lambda's factor is alive.
+    cross-kernel, and each lambda one factorization (see ``fit_path``) and,
+    on the alpha path, one solve for alpha.  Ties go to the earlier lambda.
+    On the fast path the models kept as best drop their factor, so only the
+    current lambda's factor is alive; on the alpha path they keep it for
+    test-time prediction, one shared factor per distinct selected lambda.
     """
     k_val = cross_kernel(kernel, x_val, x_tr)
     best = [(np.inf, None)] * len(losses)
     for lam, models in fit_path(losses, kernel, grid, x_tr, y_tr):
-        for j, model in enumerate(models):
-            risk = empirical_risk(predict_from_kernel(model, k_val, path=path), model.loss, y_val)
+        preds = predict_models(models, k_val, path=path)
+        for j, (model, pred) in enumerate(zip(models, preds)):
+            risk = empirical_risk(pred, model.loss, y_val)
             if risk < best[j][0]:
-                model.ridge = RidgeSolution(model.coefficients, lam)
+                if path != "alpha":
+                    model.ridge = RidgeSolution(model.coefficients, lam)
                 best[j] = (risk, model)
     return best
 

@@ -26,6 +26,7 @@ fast and exhaustive inference are exactly interchangeable.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -176,6 +177,57 @@ class SharpConstant:
     note: str = ""
 
 
+TABLE_CELLS = 2 ** 24  # largest |Z| * r an OutputTable holds: 128 MiB of floats
+
+
+@dataclass(frozen=True)
+class OutputTable:
+    """Every output z in canonical order next to its F row.
+
+    ``labels[i]`` is the i-th output of ``outputs()`` (int16) and ``f[i]``
+    is its ``f_row``.  ``first[i]`` is the first row equal to row i, or
+    ``first`` is None when all rows differ; decoding maps its argmin through
+    it, so an exact tie between identical rows goes to the canonical first
+    output even when the matrix product rounds the copies differently.
+    """
+
+    labels: np.ndarray
+    f: np.ndarray
+    first: np.ndarray | None
+
+    @classmethod
+    def build(cls, loss: "DiscreteLoss") -> "OutputTable":
+        n, r = loss.n_outputs(), loss.r
+        if n * r > TABLE_CELLS:
+            raise SpaceTooLargeError(
+                f"{loss.name}: a {n} x {r} output table exceeds {TABLE_CELLS} cells"
+            )
+        labels = np.empty((n, loss.m), dtype=np.int16)
+        f = np.empty((n, r))
+        hashes = np.empty(n, dtype=np.int64)
+        for i, z in enumerate(loss.outputs()):
+            labels[i] = z
+            f[i] = loss.f_row(z)
+            hashes[i] = hash((f[i] + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+        _, start, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+        if len(start) == n:
+            return cls(labels, f, None)
+        first = start[inverse.ravel()]
+        for i in np.flatnonzero(first != np.arange(n)):
+            if not np.array_equal(f[i], f[first[i]]):  # hash collision of distinct rows
+                first[i] = next(j for j in range(i + 1) if np.array_equal(f[j], f[i]))
+        return cls(labels, f, first)
+
+    def argmin(self, theta: np.ndarray) -> Label:
+        """argmin_z F_z . theta with the canonical tie-break."""
+        if not np.isfinite(theta).all():
+            raise ValueError("theta has non-finite entries")
+        i = int(np.argmin(self.f @ theta))
+        if self.first is not None:
+            i = int(self.first[i])
+        return tuple(self.labels[i].tolist())
+
+
 class DiscreteLoss:
     """A loss L: Z x Y -> [0,1] with an exact affine decomposition.
 
@@ -183,7 +235,9 @@ class DiscreteLoss:
     ``observation_space``), the evaluator ``value``, the decomposition
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
     of the F rows and ``sharp``.  A loss with structure overrides ``decode``
-    with a fast decoder and describes it in ``decoder``.
+    with a fast decoder and describes it in ``decoder``.  ``output_table``
+    enumerates Z and F once per instance, for the default decoder and the
+    checks.
     """
 
     name: str
@@ -231,15 +285,19 @@ class DiscreteLoss:
     def f_row(self, z: Label) -> np.ndarray:
         raise NotImplementedError
 
+    @functools.cached_property
+    def output_table(self) -> OutputTable:
+        """Z and its F rows, built on first use and kept on the instance;
+        raises SpaceTooLargeError beyond ``TABLE_CELLS``."""
+        return OutputTable.build(self)
+
     def decode(self, theta: np.ndarray, budget) -> Label:
-        """argmin_z F_z . theta by enumeration, canonical tie-break.
+        """argmin_z F_z . theta over the output table, canonical tie-break.
 
         ``budget`` is a ``qslearn.decode.DecodeBudget``; the exact
         enumeration ignores it.
         """
-        outs = list(self.outputs())
-        scores = np.array([self.f_row(z) @ theta for z in outs])
-        return outs[int(np.argmin(scores))]
+        return self.output_table.argmin(theta)
 
     def u_row(self, y: Label) -> np.ndarray:
         raise NotImplementedError
@@ -271,7 +329,7 @@ def decomposition_check(loss: DiscreteLoss, limit: int = 1_500_000) -> float:
             f"{loss.name}: {n_pairs} (z, y) pairs exceed limit {limit}; "
             "use a sampled check instead"
         )
-    f_rows = np.array([loss.f_row(z) for z in loss.outputs()])
+    f_rows = loss.output_table.f
     worst = 0.0
     for y in loss.observations():
         if loss.is_degenerate(y):

@@ -75,14 +75,6 @@ def random_observation(loss: DiscreteLoss, rng: np.random.Generator):
     return obs[int(rng.integers(len(obs)))]
 
 
-def _f_rows(loss: DiscreteLoss) -> np.ndarray:
-    rows = getattr(loss, "_f_rows_cache", None)
-    if rows is None:
-        rows = np.array([loss.f_row(z) for z in loss.outputs()])
-        loss._f_rows_cache = rows
-    return rows
-
-
 def random_instance(loss: DiscreteLoss, rng: np.random.Generator, n: int = 10):
     """Random weights and observations for a decoder/oracle comparison.
 
@@ -91,7 +83,7 @@ def random_instance(loss: DiscreteLoss, rng: np.random.Generator, n: int = 10):
     score computation, which the exact-comparison tie-break contract
     explicitly excludes.
     """
-    f_rows = _f_rows(loss)
+    f_rows = loss.output_table.f
     for _ in range(100):
         weights = rng.normal(size=n)
         ys = [random_observation(loss, rng) for _ in range(n)]

@@ -41,7 +41,6 @@ from qslearn.theory import (
 )
 
 from conftest import (
-    _f_rows,
     argmin_untied,
     popcount_partition,
     random_instance,
@@ -334,7 +333,7 @@ def test_criterion_10_two_path_equivalence():
     rng = np.random.default_rng(10)
     total = 0
     for loss in small_losses():
-        f_rows = _f_rows(loss)
+        f_rows = loss.output_table.f
         done = 0
         while done < 100:
             n = int(rng.integers(5, 12))

@@ -150,6 +150,29 @@ def test_eval_decompose_free_matches_fast(tmp_path):
     assert json.loads(out_fast.read_text()) == json.loads(out_alpha.read_text())
 
 
+def test_predict_overflowing_row_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data, n=40)
+    model = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "pd", "--kernel", "linear",
+                "--lambda", "0.1", "--out", str(model)]) == 0
+    huge = tmp_path / "huge.libsvm"
+    huge.write_text("0 1:1.7e308 2:-1.7e308 3:1.7e308\n")
+    assert run(["predict", "--model", str(model), "--data", str(huge)]) == cli.USAGE_ERROR
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_one_class_subset_model_writes_item_zero(tmp_path):
+    data = tmp_path / "one.libsvm"
+    data.write_text("".join(f"0 1:{v:.2f}\n" for v in np.linspace(-1, 1, 12)))
+    model, preds = tmp_path / "m.npz", tmp_path / "p.txt"
+    assert run(["train", "--data", str(data), "--m", "1", "--loss", "hamming",
+                "--lambda", "0.01", "--out", str(model)]) == 0
+    assert run(["predict", "--model", str(model), "--data", str(data), "--out", str(preds)]) == 0
+    assert preds.read_text().split("\n") == ["0"] * 12 + [""]
+    assert cli._format_label(make_loss("pd", 2), (2, 1)) == "2 1"
+
+
 def test_predict_missing_file_is_usage_error(tmp_path):
     assert run(["predict", "--model", str(tmp_path / "none.npz"),
                 "--data", str(tmp_path / "none.libsvm")]) == cli.USAGE_ERROR
@@ -265,6 +288,22 @@ def test_eval_builds_one_gram_and_one_factor_per_lambda(tmp_path, monkeypatch):
     assert counts == {"build_gram": 1, "ridge_factor": len(GRID), "median_heuristic": 1}
 
 
+def test_decompose_free_eval_solves_alpha_once_per_lambda(tmp_path, monkeypatch):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data)
+    counts = {}
+    for module, name in [(estimator, "build_gram"), (estimator, "ridge_factor"),
+                         (estimator, "weights_at")]:
+        _count_calls(monkeypatch, module, name, counts)
+    out = tmp_path / "e.json"
+    assert run(["eval", "--data", str(data), "--m", "3", "--decompose-free", "--format", "json",
+                "--lambda-grid", ",".join(map(str, GRID)), "--out", str(out)]) == 0
+    selected = {rec["lambda"] for rec in json.loads(out.read_text())}
+    assert counts == {"build_gram": 1, "weights_at": len(GRID) + len(selected)}
+    assert json.loads(out.read_text()) == per_pair_eval(data, 3, 0, ["zero_one", "hamming", "fscore"],
+                                                       GRID)
+
+
 def test_train_refits_with_selection_bandwidth(tmp_path):
     data = tmp_path / "noisy.libsvm"
     make_noisy_dataset(data)
@@ -296,7 +335,7 @@ def test_one_row_predict_standardize_uses_training_scaler(tmp_path):
         assert run(["predict", "--model", str(model_path), "--standardize",
                     "--data", str(one), "--out", str(out)]) == 0
         want = predict_batch(model, ((x[i] - mean) / std)[None, :])[0]
-        assert out.read_text().strip() == cli._format_label(want)
+        assert out.read_text().strip() == cli._format_label(model.loss, want)
 
 
 def test_predict_standardize_needs_saved_scaler(tmp_path, capsys):

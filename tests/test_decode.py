@@ -1,14 +1,18 @@
 """Fast decoders against the brute-force oracle, plus the two heuristics."""
 
+import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import qslearn.losses.base as base
 from qslearn.decode import (
     DecodeBudget,
     arcset_objective,
+    argmin_untied,
     decode,
     decode_bruteforce,
     greedy_arcset,
@@ -25,7 +29,9 @@ from qslearn.losses import (
     PrecAtK,
     SpaceTooLargeError,
     ZeroOne,
+    decomposition_check,
 )
+from qslearn.losses.base import DiscreteLoss, LabelSpace
 
 from conftest import loss_ids, random_instance, random_partition, small_losses
 
@@ -244,6 +250,109 @@ def test_linear_decoders_scale(rng):
     start = time.perf_counter()
     decode(PrecAtK(5000, 17), theta)
     assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the cached output table behind the default decoder
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
+def test_output_table_is_the_enumeration(loss):
+    table = loss.output_table
+    outs = list(loss.outputs())
+    assert [tuple(row) for row in table.labels.tolist()] == outs
+    assert table.f.shape == (len(outs), loss.r)
+    for z, row in zip(outs, table.f):
+        assert np.array_equal(row, loss.f_row(z))
+    assert loss.output_table is table
+
+
+@pytest.mark.parametrize("cls", [PairwiseDisagreement, MeanAveragePrecision])
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_table_decode_matches_oracle_with_ties(cls, m):
+    loss = cls(m)
+    f = loss.output_table.f
+    obs = [y for y in loss.observations() if not loss.is_degenerate(y)]
+    rng = np.random.default_rng([m, 7])
+    compared = rounded = 0
+    for i in range(80):
+        weights = rng.normal(size=6)
+        if i % 2:
+            weights = np.round(weights, 1)  # short decimals tie often
+        ys = [obs[j] for j in rng.integers(len(obs), size=6)]
+        theta = np.sum([w * loss.u_row(y) for w, y in zip(weights, ys)], axis=0)
+        if not argmin_untied(f, theta):
+            continue
+        assert decode(loss, theta) == decode_bruteforce(loss, weights, ys)
+        compared += 1
+        rounded += i % 2
+    assert compared >= 50 and rounded >= 25
+
+
+def test_table_is_built_once(monkeypatch):
+    calls = []
+    original = MeanAveragePrecision.f_row
+    monkeypatch.setattr(MeanAveragePrecision, "f_row",
+                        lambda self, z: calls.append(z) or original(self, z))
+    loss = MeanAveragePrecision(5)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        decode(loss, rng.normal(size=loss.r))
+    decomposition_check(loss)
+    assert len(calls) == loss.n_outputs()
+
+
+class _TwinRows(DiscreteLoss):
+    """Toy loss on {0,1}^2 whose outputs (0, 1) and (1, 0) share one F row."""
+
+    name = "twin"
+    m = r = 2
+    offset = 0.0
+    output_space = observation_space = LabelSpace.grid(2)
+
+    def f_row(self, z):
+        return np.array([float(z[0] + z[1]), float(z[0] * z[1])])
+
+
+def test_identical_rows_decode_to_the_first_output(monkeypatch):
+    table = _TwinRows().output_table
+    assert table.first.tolist() == [0, 1, 1, 3]
+    assert table.argmin(np.array([-1.0, 5.0])) == (0, 1)
+    # were the copies rounded apart, the later one would still map to (0, 1)
+    apart = dataclasses.replace(table, f=table.f + np.array([[0, 0], [0, 0], [1e-15, 0], [0, 0]]))
+    assert apart.argmin(np.array([-1.0, 5.0])) == (0, 1)
+    # a hash collision between distinct rows falls back to comparing the rows
+    monkeypatch.setattr(base, "hash", lambda data: 0, raising=False)
+    assert _TwinRows().output_table.first.tolist() == [0, 1, 1, 3]
+
+
+def test_distinct_rows_need_no_tie_map():
+    assert PairwiseDisagreement(4).output_table.first is None
+    assert MeanAveragePrecision(4).output_table.first is None
+
+
+def test_table_decode_rejects_non_finite_theta():
+    loss = PairwiseDisagreement(4)
+    theta = np.zeros(loss.r)
+    theta[2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        decode(loss, theta)
+
+
+def test_oversized_table_refused_before_allocating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(PairwiseDisagreement, "f_row", lambda self, z: calls.append(z))
+    loss = PairwiseDisagreement(10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpaceTooLargeError, match="cells"):
+            decode(loss, np.zeros(loss.r), DecodeBudget(exact_limit=10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 1 << 20
+    for fits in (PairwiseDisagreement(9), MeanAveragePrecision(9)):
+        assert fits.n_outputs() * fits.r <= base.TABLE_CELLS
 
 
 def test_budget_validation():

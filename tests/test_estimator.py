@@ -19,7 +19,8 @@ from qslearn.estimator import (
     surrogate_values,
 )
 from qslearn.kernels import KernelSpec
-from qslearn.losses import FScore, Hamming, InvalidLabelError, NDCGType, PrecAtK, ZeroOne
+from qslearn.losses import (FScore, Hamming, InvalidLabelError, NDCGType, PairwiseDisagreement,
+                            PrecAtK, ZeroOne)
 
 from conftest import loss_ids, random_observation, small_losses
 
@@ -225,6 +226,17 @@ def test_non_finite_features_rejected(rng):
     bad[3, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         predict_batch(model, bad)
+
+
+@pytest.mark.parametrize("loss", [Hamming(4), PairwiseDisagreement(4)], ids=["hamming", "pd"])
+def test_overflowing_surrogate_is_refused(loss, rng):
+    x = rng.normal(size=(40, 3))
+    y = [random_observation(loss, rng) for _ in range(40)]
+    model = fit(loss, KernelSpec("linear"), 0.1, x, y)
+    huge = np.array([[1.7e308, -1.7e308, 1.7e308]])  # finite, but k(x, x_i) overflows
+    with pytest.raises(ValueError, match="not finite"):
+        predict_batch(model, np.vstack([x[:3], huge]))
+    assert len(predict_batch(model, x[:3])) == 3
 
 
 def test_load_builds_no_gram_and_alpha_path_matches(tmp_path, rng, monkeypatch):
