@@ -10,6 +10,12 @@ interchangeable on enumerable spaces.  Score comparisons are exact double
 comparisons; ties are broken only on exact equality, and ``argmin_untied``
 tells which instances that contract covers.
 
+``decode_bruteforce`` is the decomposition-free oracle.  It adds up the
+weights of each distinct observation and scores them against the loss's
+cached ``loss_matrix``: columns of ``loss.value`` over Z, built once per
+loss instance and observation and never derived from F, U or the output
+table, so the oracle stays independent of the decomposition it checks.
+
 The two NP-hard inference problems fall back to heuristics beyond the
 budget's exact limits: pairwise disagreement to a greedy feedback-arc-set
 ordering, MAP to a 2-swap local search on its quadratic-assignment form.
@@ -19,7 +25,7 @@ are re-exported here.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +69,10 @@ class DecodeBudget:
 
 DEFAULT_BUDGET = DecodeBudget()
 
-_BRUTE_FORCE_LIMIT = 2_000_000  # |Z| * n objective evaluations
+# |Z| x distinct observations: the loss-matrix cells one brute-force decode
+# may read (16 MB), each built once from ``loss.value`` and then kept on the
+# loss, independent of F and U
+_BRUTE_FORCE_LIMIT = 2_000_000
 
 
 def decode(
@@ -80,30 +89,47 @@ def decode(
     return loss.decode(theta, budget)
 
 
+def column_sums(matrix: np.ndarray, weights) -> np.ndarray:
+    """sum_j weights[..., j] matrix[:, j] for every row of ``matrix``, in the
+    last axis.
+
+    The columns are accumulated one at a time, so every row sees the same
+    sequence of roundings: equal rows get bitwise-equal sums, and the first
+    argmin among them is the canonical one, which a BLAS product does not
+    promise.
+    """
+    weights = np.asarray(weights, dtype=float)
+    out = np.zeros(weights.shape[:-1] + (matrix.shape[0],))
+    for j in range(matrix.shape[1]):
+        out += weights[..., j, None] * matrix[:, j]
+    return out
+
+
 def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label:
     """Exact argmin_z sum_i w_i L(z, y_i) by enumeration of Z.
 
     This is the decomposition-free inference path: it touches only the raw
-    evaluator, never F or U, and serves as the oracle for every fast decoder.
+    evaluator, through the cached ``loss_matrix``, never F or U, and serves
+    as the oracle for every fast decoder.  The weights of repeated
+    observations are added up first, so a row costs one loss-matrix column
+    per distinct observation.
     """
     weights = np.asarray(weights, dtype=float)
     if len(weights) != len(observations):
         raise ValueError("weights and observations must have equal length")
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
+    seen: dict = {}
+    inverse = [seen.setdefault(tuple(y), len(seen)) for y in observations]
     n_z = loss.n_outputs()
-    if n_z * max(len(observations), 1) > _BRUTE_FORCE_LIMIT:
+    if n_z * max(len(seen), 1) > _BRUTE_FORCE_LIMIT:
         raise SpaceTooLargeError(
-            f"{loss.name}: {n_z} outputs x {len(observations)} observations "
+            f"{loss.name}: {n_z} outputs x {len(seen)} distinct observations "
             "is beyond the brute-force budget"
         )
-    best_z = None
-    best = math.inf
-    for z in loss.outputs():
-        obj = float(sum(w * loss.value(z, y) for w, y in zip(weights, observations)))
-        if obj < best:
-            best, best_z = obj, z
-    return best_z
+    totals = np.bincount(np.array(inverse, dtype=np.intp), weights, minlength=len(seen))
+    best = int(np.argmin(column_sums(loss.loss_matrix(seen), totals)))
+    return next(itertools.islice(loss.outputs(), best, None))
 
 
 def argmin_untied(f_rows: np.ndarray, theta: np.ndarray, gap: float = 1e-9) -> bool:

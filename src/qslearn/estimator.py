@@ -169,7 +169,8 @@ def predict_models(
     if path == "fast":
         out = []
         for model in models:
-            thetas = k_x @ model.coefficients
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                thetas = k_x @ model.coefficients
             if not np.isfinite(thetas).all():
                 raise ValueError("surrogate values are not finite; the inputs overflow the kernel")
             out.append([decode(model.loss, t, budget) for t in thetas])

@@ -98,10 +98,13 @@ def cross_kernel(spec: KernelSpec, x_test, x_train) -> np.ndarray:
         raise ValueError(
             f"feature dimension mismatch: {x_test.shape[1]} vs {x_train.shape[1]}"
         )
-    if spec.kind == "linear":
-        return x_test @ x_train.T
-    d2 = cdist(x_test, x_train, "sqeuclidean")
-    return np.exp(-d2 / (2.0 * spec.bandwidth**2))
+    # a finite row may still overflow the kernel; callers refuse the result
+    # once (see estimator.predict_models) instead of numpy warning here
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "linear":
+            return x_test @ x_train.T
+        d2 = cdist(x_test, x_train, "sqeuclidean")
+        return np.exp(-d2 / (2.0 * spec.bandwidth**2))
 
 
 def ridge_factor(gram: GramMatrix, lam: float) -> tuple:

@@ -177,7 +177,8 @@ class SharpConstant:
     note: str = ""
 
 
-TABLE_CELLS = 2 ** 24  # largest |Z| * r an OutputTable holds: 128 MiB of floats
+# largest |Z| * r of an OutputTable, and |Z| * columns of a loss matrix: 128 MiB
+TABLE_CELLS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,8 @@ class DiscreteLoss:
     of the F rows and ``sharp``.  A loss with structure overrides ``decode``
     with a fast decoder and describes it in ``decoder``.  ``output_table``
     enumerates Z and F once per instance, for the default decoder and the
-    checks.
+    checks; ``loss_matrix`` keeps the columns of ``value`` over Z that the
+    decomposition-free paths ask for.
     """
 
     name: str
@@ -291,6 +293,40 @@ class DiscreteLoss:
         raises SpaceTooLargeError beyond ``TABLE_CELLS``."""
         return OutputTable.build(self)
 
+    @functools.cached_property
+    def _loss_columns(self) -> dict:
+        return {}  # observation -> its column of ``value`` over Z
+
+    def loss_matrix(self, observations) -> np.ndarray:
+        """The |Z| x len(observations) matrix of ``value(z, y)``, outputs in
+        canonical order.
+
+        Built from ``value`` alone, never from F, U or ``output_table``, so
+        the decomposition-free paths stay independent of the decomposition.
+        Each observation's column is computed on first use and kept on the
+        instance.  The matrix, and the columns kept, are each limited to
+        ``TABLE_CELLS`` cells; beyond that SpaceTooLargeError is raised
+        before any new column is computed.
+        """
+        n_z = self.n_outputs()
+        most = TABLE_CELLS // n_z
+        observations = [tuple(y) for y in itertools.islice(observations, most + 1)]
+        columns = self._loss_columns
+        missing = [y for y in dict.fromkeys(observations) if y not in columns]
+        if len(observations) > most or len(columns) + len(missing) > most:
+            raise SpaceTooLargeError(
+                f"{self.name}: a loss matrix over {n_z} outputs holds at most "
+                f"{most} observations ({TABLE_CELLS} cells)"
+            )
+        if missing:
+            outputs = list(self.outputs())
+            for y in missing:
+                columns[y] = np.fromiter((self.value(z, y) for z in outputs), float, n_z)
+        matrix = np.empty((n_z, len(observations)))
+        for j, y in enumerate(observations):
+            matrix[:, j] = columns[y]
+        return matrix
+
     def decode(self, theta: np.ndarray, budget) -> Label:
         """argmin_z F_z . theta over the output table, canonical tie-break.
 
@@ -319,9 +355,9 @@ class DiscreteLoss:
 def decomposition_check(loss: DiscreteLoss, limit: int = 1_500_000) -> float:
     """Max over all (z, y) of |F_z . U_y + c - L(z, y)|.
 
-    Exhaustive over both spaces; raises SpaceTooLargeError beyond ``limit``
-    pairs.  Degenerate observations (U_y = 0 by convention) are skipped, see
-    ``DiscreteLoss.is_degenerate``.
+    Exhaustive over both spaces, against the cached ``loss_matrix``; raises
+    SpaceTooLargeError beyond ``limit`` pairs.  Degenerate observations
+    (U_y = 0 by convention) are skipped, see ``DiscreteLoss.is_degenerate``.
     """
     n_pairs = loss.n_outputs() * loss.n_observations()
     if n_pairs > limit:
@@ -329,19 +365,16 @@ def decomposition_check(loss: DiscreteLoss, limit: int = 1_500_000) -> float:
             f"{loss.name}: {n_pairs} (z, y) pairs exceed limit {limit}; "
             "use a sampled check instead"
         )
-    f_rows = loss.output_table.f
-    worst = 0.0
-    for y in loss.observations():
-        if loss.is_degenerate(y):
-            continue
-        vals = np.array([loss.value(z, y) for z in loss.outputs()])
-        approx = f_rows @ loss.u_row(y) + loss.offset
-        worst = max(worst, float(np.max(np.abs(approx - vals))))
-    return worst
+    ys = [y for y in loss.observations() if not loss.is_degenerate(y)]
+    if not ys:
+        return 0.0
+    u_rows = np.array([loss.u_row(y) for y in ys])
+    approx = loss.output_table.f @ u_rows.T + loss.offset
+    return float(np.max(np.abs(approx - loss.loss_matrix(ys))))
 
 
 def enumerated_constants(loss: DiscreteLoss) -> tuple[float, float]:
     """(max_z ||F_z||_2, max_{y,j} |U_yj|) by brute-force enumeration."""
-    f_max = max(float(np.linalg.norm(loss.f_row(z))) for z in loss.outputs())
+    f_max = max(float(np.linalg.norm(f)) for f in loss.output_table.f)
     u_max = max(float(np.max(np.abs(loss.u_row(y)))) for y in loss.observations())
     return f_max, u_max

@@ -35,10 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .decode import DEFAULT_BUDGET, topk_subset
+from .decode import DEFAULT_BUDGET, column_sums, topk_subset
 from .estimator import fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
-from .losses import DiscreteLoss, Hamming, PrecAtK, make_loss, subsets
+from .losses import DiscreteLoss, Hamming, PrecAtK, as_label, make_loss, subsets
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,8 @@ def conditional_risk(loss: DiscreteLoss, z, q_x: np.ndarray) -> float:
         return float(np.mean(z + (1.0 - 2.0 * z) * q_x))
     if isinstance(loss, PrecAtK):
         return 1.0 - float(sum(q_x[j] for j in range(loss.m) if z[j])) / loss.k
-    return float(_expected_losses(loss, [z], q_x)[0])
+    index = list(loss.outputs()).index(as_label(z))
+    return float(_expected_losses(loss, q_x)[0, index])
 
 
 def bayes_conditional_risk(loss: DiscreteLoss, q_x: np.ndarray) -> float:
@@ -147,49 +148,50 @@ def bayes_conditional_risk(loss: DiscreteLoss, q_x: np.ndarray) -> float:
         return float(np.mean(np.minimum(q_x, 1.0 - q_x)))
     if isinstance(loss, PrecAtK):
         return 1.0 - float(np.sort(q_x)[::-1][: loss.k].sum()) / loss.k
-    return float(min(_expected_losses(loss, loss.outputs(), q_x)))
+    return float(_expected_losses(loss, q_x).min())
 
 
-def _expected_losses(loss: DiscreteLoss, outputs, q_x: np.ndarray) -> list:
-    """sum_y P(y | x) L(z, y) for each z in ``outputs``.
+def _expected_losses(loss: DiscreteLoss, q) -> np.ndarray:
+    """sum_y P(y | x) L(z, y), one row per row of marginals q, one column
+    per output z in canonical order.
 
     The generator draws bit tuples, so y runs over ``subsets(m)`` whatever
-    the loss's observation space (NDCG's relevance grid is larger).
+    the loss's observation space (NDCG's relevance grid is larger).  The
+    loss matrix is read first, so a space beyond its limit raises
+    SpaceTooLargeError before the 2^m probabilities are built.
     """
-    if loss.m > 12:
-        raise ValueError("generic exact risk limited to m <= 12")
-    ys = list(subsets(loss.m))
-    probs = np.empty(len(ys))
-    for i, y in enumerate(ys):
-        y_arr = np.asarray(y, dtype=float)
-        probs[i] = float(np.prod(q_x * y_arr + (1.0 - q_x) * (1.0 - y_arr)))
-    return [sum(p * loss.value(z, y) for p, y in zip(probs, ys)) for z in outputs]
+    matrix = loss.loss_matrix(subsets(loss.m))
+    q = np.atleast_2d(q)
+    probs = np.ones((len(q), 1))
+    for j in range(loss.m):  # bit j of the canonical subset rank, most significant first
+        p = q[:, j, None]
+        probs = np.stack([probs * (1.0 - p), probs * p], axis=2).reshape(len(q), -1)
+    return column_sums(matrix, probs)
 
 
 def excess_risk_exact(predictions, gen: MultilabelGenerator, x_probe, loss) -> float:
     """Average exact excess ell(f(x), x) - ell(f*(x), x) over probe points."""
     q = gen.q(x_probe)
-    total = 0.0
-    for z, q_x in zip(predictions, q):
-        total += conditional_risk(loss, z, q_x) - bayes_conditional_risk(loss, q_x)
-    return total / len(predictions)
+    if isinstance(loss, (Hamming, PrecAtK)):
+        total = 0.0
+        for z, q_x in zip(predictions, q):
+            total += conditional_risk(loss, z, q_x) - bayes_conditional_risk(loss, q_x)
+        return total / len(predictions)
+    risks = _expected_losses(loss, q)
+    index = {z: i for i, z in enumerate(loss.outputs())}
+    chosen = risks[np.arange(len(q)), [index[as_label(z)] for z in predictions]]
+    return float(np.mean(chosen - risks.min(axis=1)))
 
 
 def bayes_predictions(gen: MultilabelGenerator, x_probe, loss) -> list:
     """Exact Bayes predictor at each probe point."""
-    preds = []
-    outs = None
-    for q_x in gen.q(x_probe):
-        if isinstance(loss, Hamming):
-            preds.append(tuple(1 if p > 0.5 else 0 for p in q_x))
-            continue
-        if isinstance(loss, PrecAtK):
-            preds.append(topk_subset(q_x, loss.k, loss.m))
-            continue
-        if outs is None:
-            outs = list(loss.outputs())
-        preds.append(outs[int(np.argmin(np.asarray(_expected_losses(loss, outs, q_x))))])
-    return preds
+    q = gen.q(x_probe)
+    if isinstance(loss, Hamming):
+        return [tuple(1 if p > 0.5 else 0 for p in q_x) for q_x in q]
+    if isinstance(loss, PrecAtK):
+        return [topk_subset(q_x, loss.k, loss.m) for q_x in q]
+    outs = list(loss.outputs())
+    return [outs[i] for i in np.argmin(_expected_losses(loss, q), axis=1)]
 
 
 # ---------------------------------------------------------------------------

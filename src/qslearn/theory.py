@@ -22,7 +22,7 @@ import numpy as np
 
 from .decode import DEFAULT_BUDGET, DecodeBudget, decode
 from .losses import DiscreteLoss
-from .losses.base import Label, SpaceTooLargeError
+from .losses.base import Label, SpaceTooLargeError, as_label
 
 _ENUM_LIMIT = 600_000  # |Z| x |Y| cells of the cached loss matrix
 
@@ -55,10 +55,8 @@ class FiniteProblem:
         self.conditionals = conditionals
         self.observations = list(loss.observations())
         self.outputs = list(loss.outputs())
-        # loss matrix rows: outputs in canonical order
-        self.loss_matrix = np.array(
-            [[loss.value(z, y) for y in self.observations] for z in self.outputs]
-        )
+        # rows: outputs in canonical order; problems on one loss share its columns
+        self.loss_matrix = loss.loss_matrix(self.observations)
         self.u_matrix = np.array([loss.u_row(y) for y in self.observations])
         self._output_index = {z: i for i, z in enumerate(self.outputs)}
 
@@ -77,8 +75,9 @@ def conditional_risks(problem: FiniteProblem, state: int) -> np.ndarray:
 
 def bayes_risk(problem: FiniteProblem, z: Label, state: int) -> float:
     """ell(z, x) = sum_y Pi(x)_y L(z, y)."""
-    pi = problem.conditionals[state]
-    return float(sum(p * problem.loss.value(z, y) for p, y in zip(pi, problem.observations) if p))
+    z = as_label(z)
+    problem.loss.check_output(z)
+    return float(conditional_risks(problem, state)[problem._output_index[z]])
 
 
 def bayes_predictor(problem: FiniteProblem, state: int) -> Label:

@@ -159,7 +159,8 @@ def test_predict_overflowing_row_is_usage_error(tmp_path, capsys):
     huge = tmp_path / "huge.libsvm"
     huge.write_text("0 1:1.7e308 2:-1.7e308 3:1.7e308\n")
     assert run(["predict", "--model", str(model), "--data", str(huge)]) == cli.USAGE_ERROR
-    assert "not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not finite" in err and len(err.splitlines()) == 1
 
 
 def test_one_class_subset_model_writes_item_zero(tmp_path):

@@ -33,7 +33,7 @@ from qslearn.losses import (
 )
 from qslearn.losses.base import DiscreteLoss, LabelSpace
 
-from conftest import loss_ids, random_instance, random_partition, small_losses
+from conftest import loss_ids, popcount_partition, random_instance, random_partition, small_losses
 
 ALL_SMALL = small_losses()
 
@@ -71,6 +71,44 @@ def test_bruteforce_guards():
         decode_bruteforce(Hamming(3), [1.0], [(1, 1, 1), (0, 0, 0)])
     with pytest.raises(SpaceTooLargeError):
         decode_bruteforce(ZeroOne(22), np.ones(4), [(0,) * 22] * 4)
+
+
+def test_bruteforce_equal_loss_rows_go_to_canonical_first(rng):
+    # every output in a popcount block has the same loss row, so each
+    # instance ties the whole winning block
+    loss = BlockZeroOne(4, popcount_partition(4))
+    outputs = list(loss.outputs())
+    for _ in range(8):
+        weights, ys, _ = random_instance(loss, rng, n=2000)
+        got = decode_bruteforce(loss, weights, ys)
+        assert got == next(z for z in outputs if sum(z) == sum(got))
+        objective = [sum(w * loss.value(z, y) for w, y in zip(weights, ys)) for z in outputs]
+        assert got == outputs[int(np.argmin(objective))]
+
+
+class _TwinLossRows(DiscreteLoss):
+    """Toy loss with 9 outputs whose last two, (2, 1) and (2, 2), share one
+    loss row of pseudo-random values about half the others'."""
+
+    name = "twin_loss_rows"
+    m = 2
+    output_space = LabelSpace.grid(2, 2)
+    observation_space = LabelSpace.grid(5, 2)
+
+    def value(self, z, y):
+        z = min(z, (2, 1))
+        u = np.random.default_rng([*z, *y]).uniform()
+        return 0.5 * u if z == (2, 1) else u
+
+
+def test_bruteforce_equal_rows_tie_whatever_the_rounding(rng):
+    # a BLAS product can round the two copies of a row apart (on one
+    # OpenBLAS build it scored (2, 2) lower in 11 of 100 such instances)
+    loss = _TwinLossRows()
+    observations = list(loss.observations())
+    for _ in range(30):
+        ys = [observations[i] for i in rng.integers(len(observations), size=2000)]
+        assert decode_bruteforce(loss, rng.uniform(size=len(ys)), ys) == (2, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -5,7 +5,7 @@ import pytest
 
 import qslearn.estimator as estimator
 from qslearn.data import standardize
-from qslearn.decode import decode_bruteforce
+from qslearn.decode import argmin_untied, decode_bruteforce
 from qslearn.estimator import (
     alpha_weights,
     empirical_risk,
@@ -325,3 +325,35 @@ def test_load_rejects_corrupt_model(name, tmp_path, rng):
     np.savez(path, **arrays)
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_alpha_path_reads_no_decomposition(rng, monkeypatch):
+    loss = Hamming(4)
+    x = rng.normal(size=(300, 2))
+    model = fit(loss, GAUSS, 1e-2, x, [random_observation(loss, rng) for _ in range(300)])
+    x_test = rng.normal(size=(12, 2))
+    alphas = alpha_weights(model, x_test)
+    fast = predict_batch(model, x_test)
+    f_rows, thetas = loss.output_table.f, surrogate_values(model, x_test)
+    outputs = list(loss.outputs())
+    # the per-pair objective of the loss-trick estimator, one value call per (z, y_i)
+    reference = np.array([[loss.value(z, y) for y in model.y_train] for z in outputs])
+
+    def refuse(*args):
+        raise AssertionError("the alpha path read F, U or the output table")
+
+    monkeypatch.setattr(Hamming, "f_row", refuse)
+    monkeypatch.setattr(Hamming, "u_row", refuse)
+    monkeypatch.setattr(Hamming, "output_table", property(refuse))
+    calls = []
+    value = Hamming.value
+    monkeypatch.setattr(Hamming, "value", lambda self, z, y: calls.append(1) or value(self, z, y))
+    got = predict_batch(model, x_test[:6], path="alpha")
+    first_batch = len(calls)
+    got += predict_batch(model, x_test[6:], path="alpha")
+    assert 0 < first_batch and len(calls) <= loss.n_outputs() * len(set(model.y_train))
+    for label, alpha, theta, want in zip(got, alphas, thetas, fast):
+        assert argmin_untied(reference, alpha)
+        assert label == outputs[int(np.argmin(reference @ alpha))]
+        if argmin_untied(f_rows, theta):
+            assert label == want

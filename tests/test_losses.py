@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+
+import qslearn.losses.base as base
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +113,41 @@ def test_decomposition_identity_upper_size_bounds():
     assert decomposition_check(PairwiseDisagreement(7)) <= 1e-12
     with pytest.raises(SpaceTooLargeError, match="sampled"):
         decomposition_check(ZeroOne(11))
+
+
+def test_loss_matrix_is_value_built_once_per_column(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("loss_matrix read the decomposition")
+
+    for loss in small_losses():
+        cls = type(loss)
+        ys = list(loss.observations())
+        want = np.array([[loss.value(z, y) for y in ys] for z in loss.outputs()])
+        calls = []
+        value = cls.value
+        monkeypatch.setattr(cls, "value", lambda self, z, y: calls.append(1) or value(self, z, y))
+        monkeypatch.setattr(cls, "f_row", refuse)
+        monkeypatch.setattr(cls, "u_row", refuse)
+        monkeypatch.setattr(cls, "output_table", property(refuse))
+        assert np.array_equal(loss.loss_matrix(ys[::2]), want[:, ::2])
+        assert np.array_equal(loss.loss_matrix(ys + ys[:1]), np.hstack([want, want[:, :1]]))
+        assert loss.loss_matrix([]).shape == (loss.n_outputs(), 0)
+        assert len(calls) == loss.n_outputs() * len(ys)
+        monkeypatch.undo()
+
+
+def test_loss_matrix_cells_are_capped(monkeypatch):
+    monkeypatch.setattr(base, "TABLE_CELLS", 64)
+    loss = Hamming(4)  # 16 outputs: at most 4 columns, asked for or kept
+    ys = list(loss.observations())
+    assert loss.loss_matrix(ys[:4]).shape == (16, 4)
+    with pytest.raises(SpaceTooLargeError):
+        loss.loss_matrix(ys[4:5])
+    with pytest.raises(SpaceTooLargeError):
+        Hamming(4).loss_matrix(ys[:1] * 5)
+    monkeypatch.undo()
+    with pytest.raises(SpaceTooLargeError):
+        ZeroOne(30).loss_matrix(iter(ys))  # refused before Z is enumerated
 
 
 @pytest.mark.parametrize(

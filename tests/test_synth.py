@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qslearn.losses import Hamming, PrecAtK, make_loss
+from qslearn.losses import Hamming, PrecAtK, SpaceTooLargeError, ZeroOne, make_loss
 from qslearn.synth import (
     SyntheticSpec,
     bayes_conditional_risk,
@@ -197,3 +197,26 @@ def test_generic_exact_risk_sums_over_bit_tuples(name):
         assert bayes_conditional_risk(loss, q) == pytest.approx(min(direct), abs=1e-12)
         [pred] = bayes_predictions(gen, x_row[None, :], loss)
         assert pred == outs[int(np.argmin(direct))]
+
+
+@pytest.mark.parametrize("name", ["fscore", "pd", "zero_one"])
+def test_generic_excess_and_bayes_match_a_per_point_sum(name):
+    loss = make_loss(name, 3)
+    gen = gen_multilabel(SyntheticSpec(m=3, seed=5))
+    rng = np.random.default_rng(1)
+    x = rng.uniform(size=(25, gen.spec.d))
+    outs = list(loss.outputs())
+    preds = [outs[i] for i in rng.integers(len(outs), size=len(x))]
+    risks = [
+        [sum(np.prod([qj if b else 1.0 - qj for qj, b in zip(q, y)]) * loss.value(z, y)
+             for y in itertools.product((0, 1), repeat=3)) for z in outs]
+        for q in gen.q(x)
+    ]
+    want = np.mean([r[outs.index(z)] - min(r) for z, r in zip(preds, risks)])
+    assert excess_risk_exact(preds, gen, x, loss) == pytest.approx(want, abs=1e-12)
+    assert bayes_predictions(gen, x, loss) == [outs[int(np.argmin(r))] for r in risks]
+
+
+def test_generic_exact_risk_refuses_large_spaces():
+    with pytest.raises(SpaceTooLargeError):
+        bayes_conditional_risk(ZeroOne(13), np.full(13, 0.3))
