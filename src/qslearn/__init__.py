@@ -9,7 +9,7 @@ sharp-constant calculators, and low-noise calibration diagnostics.
 
 from .decode import DecodeBudget, decode, decode_bruteforce, greedy_arcset, qap_local_search
 from .estimator import QSModel, empirical_risk, fit, load_model, predict, predict_batch, save_model
-from .kernels import GramMatrix, KernelSpec, RidgeSolution, build_gram, eval_kernel, median_heuristic, solve_ridge, weights_at
+from .kernels import GramMatrix, KernelSpec, RidgeSolution, build_gram, median_heuristic, solve_ridge, weights_at
 from .losses import (
     DiscreteLoss,
     SharpConstant,
@@ -55,7 +55,6 @@ __all__ = [
     "decode_bruteforce",
     "decomposition_check",
     "empirical_risk",
-    "eval_kernel",
     "fit",
     "gamma_p_norm",
     "greedy_arcset",

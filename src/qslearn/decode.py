@@ -105,31 +105,39 @@ def column_sums(matrix: np.ndarray, weights) -> np.ndarray:
     return out
 
 
-def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label:
-    """Exact argmin_z sum_i w_i L(z, y_i) by enumeration of Z.
+def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list[Label]:
+    """Exact argmin_z sum_i w_i L(z, y_i) by enumeration of Z; for a 2-D
+    ``weights``, one label per row.
 
     This is the decomposition-free inference path: it touches only the raw
     evaluator, through the cached ``loss_matrix``, never F or U, and serves
-    as the oracle for every fast decoder.  The weights of repeated
-    observations are added up first, so a row costs one loss-matrix column
-    per distinct observation.
+    as the oracle for every fast decoder.  The observations are mapped to
+    their distinct values once per call, and each row adds up the weights
+    of repeated observations first, so it costs one loss-matrix column per
+    distinct observation.
     """
     weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(observations):
+    if weights.ndim not in (1, 2) or weights.shape[-1] != len(observations):
         raise ValueError("weights and observations must have equal length")
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
     seen: dict = {}
-    inverse = [seen.setdefault(tuple(y), len(seen)) for y in observations]
+    inverse = np.array([seen.setdefault(tuple(y), len(seen)) for y in observations],
+                       dtype=np.intp)
     n_z = loss.n_outputs()
     if n_z * max(len(seen), 1) > _BRUTE_FORCE_LIMIT:
         raise SpaceTooLargeError(
             f"{loss.name}: {n_z} outputs x {len(seen)} distinct observations "
             "is beyond the brute-force budget"
         )
-    totals = np.bincount(np.array(inverse, dtype=np.intp), weights, minlength=len(seen))
-    best = int(np.argmin(column_sums(loss.loss_matrix(seen), totals)))
-    return next(itertools.islice(loss.outputs(), best, None))
+    matrix = loss.loss_matrix(seen)
+
+    def label(row):
+        totals = np.bincount(inverse, row, minlength=len(seen))
+        best = int(np.argmin(column_sums(matrix, totals)))
+        return next(itertools.islice(loss.outputs(), best, None))
+
+    return [label(row) for row in weights] if weights.ndim == 2 else label(weights)
 
 
 def argmin_untied(f_rows: np.ndarray, theta: np.ndarray, gap: float = 1e-9) -> bool:

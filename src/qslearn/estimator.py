@@ -180,7 +180,7 @@ def predict_models(
         for model in models:
             if model.lam not in alphas:
                 alphas[model.lam] = weights_at(_factored(model), k_x)
-        return [[decode_bruteforce(model.loss, a, model.y_train) for a in alphas[model.lam]]
+        return [decode_bruteforce(model.loss, alphas[model.lam], model.y_train)
                 for model in models]
     raise ValueError(f"unknown prediction path {path!r}")
 

@@ -289,6 +289,19 @@ def test_eval_builds_one_gram_and_one_factor_per_lambda(tmp_path, monkeypatch):
     assert counts == {"build_gram": 1, "ridge_factor": len(GRID), "median_heuristic": 1}
 
 
+def test_train_grid_builds_two_grams_and_one_validation_kernel(tmp_path, monkeypatch):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data)
+    counts = {}
+    for module, name in [(cli, "median_heuristic"), (estimator, "build_gram"),
+                         (estimator, "cross_kernel")]:
+        _count_calls(monkeypatch, module, name, counts)
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming", "--lambda-grid",
+                ",".join(map(str, GRID)), "--out", str(tmp_path / "m.npz")]) == 0
+    # one Gram for the selection split and one for the refit on all rows
+    assert counts == {"median_heuristic": 1, "build_gram": 2, "cross_kernel": 1}
+
+
 def test_decompose_free_eval_solves_alpha_once_per_lambda(tmp_path, monkeypatch):
     data = tmp_path / "noisy.libsvm"
     make_noisy_dataset(data)

@@ -73,6 +73,15 @@ def test_bruteforce_guards():
         decode_bruteforce(ZeroOne(22), np.ones(4), [(0,) * 22] * 4)
 
 
+def test_bruteforce_weight_rows_equal_single_rows(rng):
+    loss = Hamming(4)
+    weights, ys, _ = random_instance(loss, rng, n=50)
+    rows = np.vstack([weights, rng.normal(size=(5, 50))])
+    assert decode_bruteforce(loss, rows, ys) == [decode_bruteforce(loss, w, ys) for w in rows]
+    with pytest.raises(ValueError):
+        decode_bruteforce(loss, np.ones((2, 3)), ys)
+
+
 def test_bruteforce_equal_loss_rows_go_to_canonical_first(rng):
     # every output in a popcount block has the same loss row, so each
     # instance ties the whole winning block

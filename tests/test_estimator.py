@@ -18,7 +18,7 @@ from qslearn.estimator import (
     save_model,
     surrogate_values,
 )
-from qslearn.kernels import KernelSpec
+from qslearn.kernels import GEMM_MIN_ROWS, KernelSpec, median_heuristic
 from qslearn.losses import (FScore, Hamming, InvalidLabelError, NDCGType, PairwiseDisagreement,
                             PrecAtK, ZeroOne)
 
@@ -69,6 +69,24 @@ def test_fast_path_equals_alpha_path(loss, rng):
     assert predict_batch(model, x_test, path="fast") == predict_batch(
         model, x_test, path="alpha"
     )
+
+
+@pytest.mark.parametrize("loss", [Hamming(4), FScore(4), PairwiseDisagreement(4)],
+                         ids=["hamming", "fscore", "pd"])
+def test_batch_labels_equal_per_row_labels(loss, rng):
+    # a batch above GEMM_MIN_ROWS takes the product path of the cross-kernel,
+    # each single row the per-pair path: labels agree wherever rounding
+    # cannot decide the argmin
+    x = rng.normal(size=(60, 3))
+    model = fit(loss, KernelSpec("gaussian", median_heuristic(x)), 0.01, x,
+                [random_observation(loss, rng) for _ in range(60)])
+    x_new = rng.normal(size=(3 * GEMM_MIN_ROWS, 3))
+    batch = predict_batch(model, x_new)
+    untied = [argmin_untied(loss.output_table.f, t) for t in surrogate_values(model, x_new)]
+    assert sum(untied) >= len(x_new) // 2
+    for row, label, ok in zip(x_new, batch, untied):
+        if ok:
+            assert predict(model, row) == label
 
 
 def test_hamming_predict_matches_eq8_oracle(rng):

@@ -1,16 +1,18 @@
 """Kernel evaluation, Gram assembly, and ridge solve contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from qslearn.kernels import (
+    GEMM_MIN_ROWS,
     GramMatrix,
     KernelSpec,
     build_gram,
     cross_kernel,
-    eval_kernel,
     median_heuristic,
     solve_ridge,
     weights_at,
@@ -22,22 +24,27 @@ LINEAR = KernelSpec("linear")
 
 def test_gaussian_identical_inputs_is_one():
     x = np.array([0.3, -1.2, 4.0])
-    assert eval_kernel(GAUSS, x, x) == 1.0
+    gram = build_gram(GAUSS, [x, x + 1e4, -x, x])
+    assert np.all(np.diag(gram.entries) == 1.0)
+    assert gram.entries[0, 3] == 1.0
 
 
 def test_linear_dot_product():
-    assert eval_kernel(LINEAR, [1.0, 2.0], [3.0, 4.0]) == 11.0
+    assert cross_kernel(LINEAR, [1.0, 2.0], [[3.0, 4.0]]).tolist() == [[11.0]]
 
 
 def test_gaussian_half_at_analytic_distance():
     # exp(-d^2/2) = 1/2 at d = sqrt(2 ln 2)
     d = math.sqrt(2.0 * math.log(2.0))
-    assert eval_kernel(GAUSS, [0.0], [d]) == pytest.approx(0.5, abs=1e-15)
+    assert cross_kernel(GAUSS, [0.0], [[d]])[0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert build_gram(GAUSS, [[0.0], [d]]).entries[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_eval_kernel_dimension_mismatch():
+def test_kernel_dimension_mismatch():
     with pytest.raises(ValueError):
-        eval_kernel(GAUSS, [1.0], [1.0, 2.0])
+        cross_kernel(GAUSS, [1.0], [[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        cross_kernel(GAUSS, np.ones((GEMM_MIN_ROWS, 1)), [[1.0, 2.0]])
 
 
 def test_bad_kernel_spec():
@@ -58,7 +65,11 @@ def test_gram_matches_pairwise_eval(rng):
     x = rng.normal(size=(3, 4))
     for spec in (GAUSS, LINEAR, KernelSpec("gaussian", 0.7)):
         gram = build_gram(spec, x)
-        manual = [[eval_kernel(spec, a, b) for b in x] for a in x]
+        if spec.kind == "linear":
+            manual = [[float(a @ b) for b in x] for a in x]
+        else:
+            manual = [[math.exp(-float(np.sum((a - b) ** 2)) / (2.0 * spec.bandwidth**2))
+                       for b in x] for a in x]
         assert np.allclose(gram.entries, manual, atol=1e-12)
 
 
@@ -146,3 +157,97 @@ def test_median_heuristic_degenerate():
 def test_cross_kernel_dimension_mismatch(rng):
     with pytest.raises(ValueError):
         cross_kernel(GAUSS, rng.normal(size=(2, 3)), rng.normal(size=(4, 2)))
+
+
+# scipy's per-pair distances: the reference the product-based kernels are
+# held to, within 1e-12 relative on every entry
+def _scipy_gram(x, bandwidth):
+    return np.exp(-squareform(pdist(x, "sqeuclidean")) / (2.0 * bandwidth**2))
+
+
+def _scipy_cross(x_test, x_train, bandwidth):
+    return np.exp(-cdist(x_test, x_train, "sqeuclidean") / (2.0 * bandwidth**2))
+
+
+def _scipy_median(x):
+    med = float(np.median(pdist(x)))
+    return med if med > 0 else 1.0
+
+
+def _agreement_rows(name):
+    """(training rows, test rows) for one agreement case."""
+    rng = np.random.default_rng([17, len(name)])
+    if name == "scene":  # the shape of scene data: smooth features of a 3-d latent, noisy
+        z = rng.normal(size=(500, 3))
+        phase = rng.uniform(0.0, 2.0 * math.pi, size=294)
+        x = 0.5 + 0.5 * np.cos(z @ rng.normal(scale=1.2, size=(3, 294)) + phase)
+        x += rng.normal(scale=0.1, size=x.shape)
+    elif name == "d3":
+        x = rng.normal(size=(500, 3))
+    elif name == "offset":
+        x = rng.normal(size=(500, 20)) + 1e4
+    else:  # duplicates: every training row repeated, test rows copying training rows
+        base = rng.normal(size=(60, 5))
+        x = np.vstack([base, base[:40], base[:40], base + 1.0, base[:20] + 1.0])
+        return x, np.vstack([base[:10], base[:10] + 1.0, rng.normal(size=(10, 5))])
+    return x[:400], x[400:]
+
+
+@pytest.mark.parametrize("name", ["scene", "d3", "offset", "duplicates"])
+def test_kernels_agree_with_scipy(name):
+    x, x_test = _agreement_rows(name)
+    bw = _scipy_median(x)
+    assert median_heuristic(x) == pytest.approx(bw, rel=1e-12)
+    spec = KernelSpec("gaussian", bw)
+    gram = build_gram(spec, x).entries
+    np.testing.assert_allclose(gram, _scipy_gram(x, bw), rtol=1e-12, atol=0)
+    assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
+    assert len(x_test) > GEMM_MIN_ROWS
+    for rows in (x_test[:1], x_test):  # the per-pair path and the product path
+        np.testing.assert_allclose(cross_kernel(spec, rows, x), _scipy_cross(rows, x, bw),
+                                   rtol=1e-12, atol=0)
+
+
+def test_median_heuristic_mostly_duplicate_rows():
+    # 191 of 231 pairs coincide, so the median distance is 0 and the
+    # heuristic falls back to 1.0, as it does with np.median(pdist(x)); the
+    # expansion leaves rounding noise of ~1e-16 on equal rows unless it is
+    # cleared, and the median would be that noise's square root, ~1e-8
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=5) + 3.0, rng.normal(size=5)
+    x = np.vstack([np.tile(a, (20, 1)), np.tile(b, (2, 1))])
+    assert _scipy_median(x) == 1.0
+    assert median_heuristic(x) == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 41])
+def test_median_heuristic_equals_numpy_median(n):
+    # n(n-1)/2 pairs: odd at n = 2, 3, 10, 41 and even at n = 4, 5, 9; rows
+    # from n = 9 on go through the product path
+    x = np.random.default_rng(n).normal(size=(n, 4))
+    assert median_heuristic(x) == pytest.approx(float(np.median(pdist(x))), rel=1e-12)
+
+
+def test_median_heuristic_peak_memory():
+    # np.median(pdist(x)) holds two condensed float64 vectors at its peak;
+    # an n x n distance matrix alone would hold four
+    n = 1500
+    x = np.random.default_rng(3).normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        median_heuristic(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (n * (n - 1) // 2) * 8
+
+
+def test_overflowing_rows_take_the_per_pair_path(rng):
+    # the expansion would give inf - inf = NaN for a finite row whose norm
+    # overflows; the per-pair loop gives an infinite distance, kernel value 0
+    x = rng.normal(size=(30, 3))
+    rows = rng.normal(size=(GEMM_MIN_ROWS, 3))
+    rows[0] = [1.5e308, -1.5e308, 1.5e308]
+    k = cross_kernel(GAUSS, rows, x)
+    assert np.all(k[0] == 0.0)
+    np.testing.assert_allclose(k, _scipy_cross(rows, x, 1.0), rtol=1e-12, atol=0)
