@@ -19,7 +19,6 @@ from .losses import (
 )
 from .theory import (
     FiniteProblem,
-    MarginProfile,
     bayes_predictor,
     bayes_risk,
     calibration_H,
@@ -28,7 +27,6 @@ from .theory import (
     gamma_p_norm,
     margin,
     margin_moment,
-    margin_profile,
     surrogate_excess,
     tsybakov_check,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "DecodeBudget",
     "DiscreteLoss",
     "FiniteProblem",
-    "MarginProfile",
     "GramMatrix",
     "KernelSpec",
     "QSModel",
@@ -63,7 +60,6 @@ __all__ = [
     "make_loss",
     "margin",
     "margin_moment",
-    "margin_profile",
     "median_heuristic",
     "predict",
     "predict_batch",

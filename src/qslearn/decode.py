@@ -19,8 +19,9 @@ table, so the oracle stays independent of the decomposition it checks.
 The two NP-hard inference problems fall back to heuristics beyond the
 budget's exact limits: pairwise disagreement to a greedy feedback-arc-set
 ordering, MAP to a 2-swap local search on its quadratic-assignment form.
-Those heuristics and ``topk_subset`` live with the losses that use them and
-are re-exported here.
+Both live with the losses that use them.  They are re-exported here because
+the benchmark's tracer (``benchmarks/tracer.py``) names them as
+``qslearn.decode`` attributes when it wraps the decode layer.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ import numpy as np
 
 from .losses import DiscreteLoss, SpaceTooLargeError
 from .losses.base import Label
-from .losses.multilabel import topk_subset  # noqa: F401
-from .losses.ranking import (  # noqa: F401
-    arcset_objective,
-    greedy_arcset,
-    qap_local_search,
-    qap_trace_objective,
-)
+from .losses.ranking import greedy_arcset, qap_local_search  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -220,12 +220,6 @@ def select_lambda(
     return best
 
 
-def evaluate(
-    model: QSModel, x_test, y_test, budget: DecodeBudget = DEFAULT_BUDGET
-) -> float:
-    return empirical_risk(predict_batch(model, x_test, budget), model.loss, y_test)
-
-
 def save_model(model: QSModel, path: str) -> None:
     """Versioned .npz dump: loss config (JSON), kernel spec, lambda, X, C, Y,
     and the training scaler's mean and scale when the model has one."""

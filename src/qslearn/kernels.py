@@ -141,8 +141,10 @@ def build_gram(spec: KernelSpec, x) -> GramMatrix:
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("X must be a nonempty n x d array")
     if spec.kind == "linear":
+        # on a contiguous x the product is numpy's SYRK, mirrored, so the Gram
+        # is bitwise symmetric; a strided view would take a general product
+        x = np.ascontiguousarray(x)
         k = x @ x.T
-        k = (k + k.T) / 2.0
     else:
         k = _sq_distances(x)
         k /= -2.0 * spec.bandwidth**2

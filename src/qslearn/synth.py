@@ -35,10 +35,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .decode import DEFAULT_BUDGET, column_sums, topk_subset
+from .decode import DEFAULT_BUDGET, column_sums
 from .estimator import fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
 from .losses import DiscreteLoss, Hamming, PrecAtK, as_label, make_loss, subsets
+from .losses.multilabel import topk_subset
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ them for p > 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,16 +23,16 @@ import numpy as np
 
 from .decode import DEFAULT_BUDGET, DecodeBudget, decode
 from .losses import DiscreteLoss
-from .losses.base import Label, SpaceTooLargeError, as_label
-
-_ENUM_LIMIT = 600_000  # |Z| x |Y| cells of the cached loss matrix
+from .losses.base import InvalidLabelError, Label, as_label
 
 
 class FiniteProblem:
     """Finite-X synthetic distribution: masses over states, Pi(x) per state.
 
     ``conditionals`` rows are aligned with the loss's canonical observation
-    enumeration.
+    enumeration.  The risk table and what is read from it (``risks``,
+    ``bayes_index``, ``margins``) are built on first use from
+    ``loss_matrix`` and ``conditionals``, then kept on the problem.
     """
 
     def __init__(self, loss: DiscreteLoss, masses, conditionals):
@@ -48,15 +49,15 @@ class FiniteProblem:
             )
         if np.any(conditionals < 0) or np.any(np.abs(conditionals.sum(axis=1) - 1.0) > 1e-12):
             raise ValueError("each conditional row must be a probability vector")
-        if loss.n_outputs() * n_y > _ENUM_LIMIT:
-            raise SpaceTooLargeError("problem spaces too large for exact computation")
         self.loss = loss
         self.masses = masses
         self.conditionals = conditionals
         self.observations = list(loss.observations())
-        self.outputs = list(loss.outputs())
-        # rows: outputs in canonical order; problems on one loss share its columns
+        # rows: outputs in canonical order; problems on one loss share its
+        # columns.  Read before Z is enumerated, so a problem beyond the loss
+        # matrix's TABLE_CELLS cap is refused before any loss value is computed.
         self.loss_matrix = loss.loss_matrix(self.observations)
+        self.outputs = list(loss.outputs())
         self.u_matrix = np.array([loss.u_row(y) for y in self.observations])
         self._output_index = {z: i for i, z in enumerate(self.outputs)}
 
@@ -67,74 +68,63 @@ class FiniteProblem:
     def states(self) -> range:
         return range(self.n_states)
 
+    @functools.cached_property
+    def risks(self) -> np.ndarray:
+        """ell(z, x) = sum_y Pi(x)_y L(z, y): one row per state, one column
+        per output in canonical order."""
+        risks = self.conditionals @ self.loss_matrix.T
+        risks.flags.writeable = False  # ``conditional_risks`` hands out its rows
+        return risks
+
+    @functools.cached_property
+    def bayes_index(self) -> np.ndarray:
+        """Per state, the first output of least risk."""
+        return np.argmin(self.risks, axis=1)
+
+    @functools.cached_property
+    def margins(self) -> np.ndarray:
+        """Per state, the gap between the two smallest risks; zero iff the optimum ties."""
+        if self.risks.shape[1] < 2:
+            raise ValueError("margin needs at least two candidate outputs")
+        two = np.partition(self.risks, 1, axis=1)
+        return two[:, 1] - two[:, 0]
+
 
 def conditional_risks(problem: FiniteProblem, state: int) -> np.ndarray:
     """ell(z, x) for every output z, exactly."""
-    return problem.loss_matrix @ problem.conditionals[state]
+    return problem.risks[state]
 
 
 def bayes_risk(problem: FiniteProblem, z: Label, state: int) -> float:
     """ell(z, x) = sum_y Pi(x)_y L(z, y)."""
     z = as_label(z)
     problem.loss.check_output(z)
-    return float(conditional_risks(problem, state)[problem._output_index[z]])
+    return float(problem.risks[state, problem._output_index[z]])
 
 
 def bayes_predictor(problem: FiniteProblem, state: int) -> Label:
-    risks = conditional_risks(problem, state)
-    return problem.outputs[int(np.argmin(risks))]
+    return problem.outputs[int(problem.bayes_index[state])]
 
 
 def margin(problem: FiniteProblem, state: int) -> float:
     """Minimum suboptimality gap at the state; zero iff the optimum ties."""
-    risks = np.sort(conditional_risks(problem, state))
-    if risks.size < 2:
-        raise ValueError("margin needs at least two candidate outputs")
-    return float(risks[1] - risks[0])
-
-
-def margins(problem: FiniteProblem) -> np.ndarray:
-    return np.array([margin(problem, s) for s in problem.states()])
+    return float(problem.margins[state])
 
 
 def margin_moment(problem: FiniteProblem, p: float) -> float:
     """Gamma_p = sum_x P(x) gamma(x)^{-p}; errors on zero margin with mass."""
     if p <= 0:
         raise ValueError("p must be positive")
-    gam = margins(problem)
-    total = 0.0
-    for s in problem.states():
-        if problem.masses[s] == 0:
-            continue
-        if gam[s] <= 0:
-            raise ValueError(f"zero margin on supported state {s}")
-        total += problem.masses[s] * gam[s] ** (-p)
-    return total
+    supported = problem.masses > 0
+    zero = np.flatnonzero(supported & (problem.margins <= 0))
+    if zero.size:
+        raise ValueError(f"zero margin on supported state {zero[0]}")
+    return float(problem.masses[supported] @ problem.margins[supported] ** (-p))
 
 
 def gamma_p_norm(problem: FiniteProblem, p: float) -> float:
     """The L_p norm of 1/gamma: (sum_x P(x) gamma(x)^{-p})^{1/p}."""
     return margin_moment(problem, p) ** (1.0 / p)
-
-
-@dataclass(frozen=True)
-class MarginProfile:
-    """Per-state margins with the derived low-noise functionals."""
-
-    gamma: np.ndarray
-    p: float
-    gamma_p: float  # L_p norm of 1/gamma
-    moment: float  # E[gamma^{-p}], the quantity the inequalities consume
-
-
-def margin_profile(problem: FiniteProblem, p: float) -> MarginProfile:
-    moment = margin_moment(problem, p)
-    return MarginProfile(margins(problem), p, moment ** (1.0 / p), moment)
-
-
-def g_star(problem: FiniteProblem, state: int) -> np.ndarray:
-    """Conditional embedding mean sum_y Pi(x)_y U_y (the surrogate optimum)."""
-    return problem.conditionals[state] @ problem.u_matrix
 
 
 def g_star_matrix(problem: FiniteProblem) -> np.ndarray:
@@ -152,6 +142,25 @@ def _checked_g(problem: FiniteProblem, g) -> np.ndarray:
     return g
 
 
+def _checked_rows(problem: FiniteProblem, predictions: Sequence[Label]) -> np.ndarray:
+    """The output index of each state's prediction; ValueError unless there is
+    one per state, InvalidLabelError naming the state of a label outside the
+    output space."""
+    if len(predictions) != problem.n_states:
+        raise ValueError(
+            f"need one prediction per state ({problem.n_states}), got {len(predictions)}"
+        )
+    rows = np.empty(problem.n_states, dtype=np.intp)
+    for s, z in enumerate(predictions):
+        z = as_label(z)
+        try:
+            problem.loss.check_output(z)
+        except InvalidLabelError as exc:
+            raise InvalidLabelError(f"state {s}: {exc}") from exc
+        rows[s] = problem._output_index[z]
+    return rows
+
+
 def surrogate_excess(problem: FiniteProblem, g) -> float:
     """sum_x P(x) ||g(x) - g*(x)||_2^2, the exact surrogate excess risk."""
     diff = _checked_g(problem, g) - g_star_matrix(problem)
@@ -160,12 +169,9 @@ def surrogate_excess(problem: FiniteProblem, g) -> float:
 
 def true_excess(problem: FiniteProblem, predictions: Sequence[Label]) -> float:
     """E(f) - E(f*) for a per-state predictor, exactly."""
-    total = 0.0
-    for s in problem.states():
-        risks = conditional_risks(problem, s)
-        z_idx = problem._output_index[tuple(predictions[s])]
-        total += problem.masses[s] * (risks[z_idx] - risks.min())
-    return float(total)
+    rows, risks = np.arange(problem.n_states), problem.risks
+    idx = _checked_rows(problem, predictions)
+    return float(problem.masses @ (risks[rows, idx] - risks[rows, problem.bayes_index]))
 
 
 def decode_states(
@@ -264,12 +270,10 @@ def tsybakov_check(
     """P_X(f != f*) <= Gamma_p^{1/(p+1)} excess^{p/(p+1)} with exact quantities."""
     moment = margin_moment(problem, p)
     excess = true_excess(problem, predictions)
-    error_mass = 0.0
-    for s in problem.states():
-        if tuple(predictions[s]) != bayes_predictor(problem, s):
-            error_mass += problem.masses[s]
+    wrong = _checked_rows(problem, predictions) != problem.bayes_index
+    error_mass = float(problem.masses[wrong].sum())
     bound = moment ** (1.0 / (p + 1.0)) * excess ** (p / (p + 1.0))
-    return TsybakovReport(float(error_mass), excess, float(bound), _leq(error_mass, bound))
+    return TsybakovReport(error_mass, excess, float(bound), _leq(error_mass, bound))
 
 
 # ---------------------------------------------------------------------------

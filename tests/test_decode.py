@@ -11,13 +11,11 @@ import pytest
 import qslearn.losses.base as base
 from qslearn.decode import (
     DecodeBudget,
-    arcset_objective,
     argmin_untied,
     decode,
     decode_bruteforce,
     greedy_arcset,
     qap_local_search,
-    qap_trace_objective,
 )
 from qslearn.losses import (
     BlockZeroOne,
@@ -32,6 +30,7 @@ from qslearn.losses import (
     decomposition_check,
 )
 from qslearn.losses.base import DiscreteLoss, LabelSpace
+from qslearn.losses.ranking import arcset_objective, qap_trace_objective
 
 from conftest import loss_ids, popcount_partition, random_instance, random_partition, small_losses
 

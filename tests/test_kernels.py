@@ -73,6 +73,18 @@ def test_gram_matches_pairwise_eval(rng):
         assert np.allclose(gram.entries, manual, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(50, 588), (300, 4)])
+def test_linear_gram_symmetric_on_any_layout(shape, rng):
+    # x @ x.T on a strided view is not bitwise symmetric by itself
+    full = rng.normal(size=shape)
+    view = full[:, ::2]
+    for x in (view.copy(), np.asfortranarray(view), view):
+        got = build_gram(LINEAR, x).entries
+        assert np.array_equal(got, got.T)
+        ref = x @ x.T
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_gram_empty_input_rejected():
     with pytest.raises(ValueError):
         build_gram(GAUSS, np.empty((0, 3)))

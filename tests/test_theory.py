@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from qslearn.losses import Hamming, PrecAtK, ZeroOne
+from qslearn.losses import (
+    BlockZeroOne,
+    Hamming,
+    InvalidLabelError,
+    PrecAtK,
+    SpaceTooLargeError,
+    ZeroOne,
+)
 from qslearn.theory import (
     FiniteProblem,
-    margin_profile,
     bayes_predictor,
     bayes_risk,
     calibration_H,
     calibration_H_p,
     comparison_check,
+    conditional_risks,
     decode_states,
-    g_star,
     g_star_matrix,
     gamma_p_norm,
     margin,
@@ -26,7 +32,7 @@ from qslearn.theory import (
     tsybakov_check,
 )
 
-from conftest import loss_ids, small_losses
+from conftest import loss_ids, popcount_partition, random_partition, small_losses
 
 ALL_SMALL = small_losses()
 
@@ -129,11 +135,12 @@ def test_gamma_p_values(rng):
 
 def test_margin_profile_fields(rng):
     prob = random_problem(Hamming(2), 4, rng)
-    prof = margin_profile(prob, 1.5)
-    assert prof.gamma.shape == (4,)
-    assert np.all(prof.gamma > 0)
-    assert prof.gamma_p == pytest.approx(gamma_p_norm(prob, 1.5), rel=1e-12)
-    assert prof.moment == pytest.approx(prof.gamma_p ** 1.5, rel=1e-12)
+    gamma = prob.margins
+    assert gamma.shape == (4,)
+    assert np.all(gamma > 0)
+    gamma_p = gamma_p_norm(prob, 1.5)
+    assert gamma_p == pytest.approx(float(prob.masses @ gamma**-1.5) ** (1 / 1.5), rel=1e-12)
+    assert margin_moment(prob, 1.5) == pytest.approx(gamma_p ** 1.5, rel=1e-12)
 
 
 def test_gamma_p_zero_margin_flags_state():
@@ -154,7 +161,7 @@ def test_surrogate_excess_values(rng):
     g2 = g0 + rng.normal(size=g0.shape)
     manual = float(
         sum(
-            m * np.sum((g2[s] - g_star(prob, s)) ** 2)
+            m * np.sum((g2[s] - prob.conditionals[s] @ prob.u_matrix) ** 2)
             for s, m in enumerate(prob.masses)
         )
     )
@@ -281,3 +288,70 @@ def test_non_finite_g_rejected(bad, rng):
     for call in (decode_states, surrogate_excess, comparison_check):
         with pytest.raises(ValueError, match="finite"):
             call(problem, g)
+
+
+@pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
+def test_risk_table_matches_per_state_reference(loss, rng):
+    prob = random_problem(loss, 6, rng)
+    outs, p = prob.outputs, 1.5
+    preds = [outs[int(rng.integers(len(outs)))] for _ in prob.states()]
+    excess = error_mass = 0.0
+    gaps = []
+    for s, mass in enumerate(prob.masses):
+        ref = np.array([
+            sum(q * loss.value(z, y) for q, y in zip(prob.conditionals[s], prob.observations))
+            for z in outs
+        ])
+        np.testing.assert_allclose(conditional_risks(prob, s), ref, rtol=0, atol=1e-12)
+        low = np.sort(ref)
+        assert margin(prob, s) == pytest.approx(low[1] - low[0], abs=1e-12)
+        best = outs[int(np.argmin(ref))]
+        assert bayes_predictor(prob, s) == best
+        excess += mass * (ref[outs.index(preds[s])] - low[0])
+        error_mass += mass * (preds[s] != best)
+        gaps.append(low[1] - low[0])
+    assert true_excess(prob, preds) == pytest.approx(excess, rel=1e-12, abs=1e-15)
+    if min(gaps) > 1e-9:
+        moment = sum(mass * gap**-p for mass, gap in zip(prob.masses, gaps))
+        assert margin_moment(prob, p) == pytest.approx(moment, rel=1e-9)
+        rep = tsybakov_check(prob, preds, p)
+        assert rep.error_mass == pytest.approx(error_mass, rel=1e-12)
+    else:  # block 0-1 ties loss-equivalent outputs
+        with pytest.raises(ValueError, match="zero margin"):
+            margin_moment(prob, p)
+
+
+def test_predictions_are_checked(rng):
+    prob = random_problem(PrecAtK(3, 2), 3, rng)
+    f_star = [bayes_predictor(prob, s) for s in prob.states()]
+    for call in (true_excess, lambda pr, preds: tsybakov_check(pr, preds, 1.0)):
+        for wrong_count in (f_star[:2], f_star + [f_star[0]]):
+            with pytest.raises(ValueError, match="one prediction per state"):
+                call(prob, wrong_count)
+        with pytest.raises(InvalidLabelError, match="state 2"):
+            call(prob, f_star[:2] + [(1, 1, 1)])
+    assert type(tsybakov_check(prob, f_star, 1.0).holds) is bool
+
+
+def test_problem_beyond_table_cap_computes_no_loss_value(monkeypatch):
+    calls = []
+    real = ZeroOne.value
+    monkeypatch.setattr(ZeroOne, "value", lambda self, z, y: calls.append(z) or real(self, z, y))
+    with pytest.raises(SpaceTooLargeError):
+        FiniteProblem(ZeroOne(13), [1.0], np.full((1, 2**13), 2.0**-13))
+    assert calls == []
+    FiniteProblem(ZeroOne(2), [1.0], np.full((1, 4), 0.25))
+    assert len(calls) == 16
+
+
+def test_block_zero_one_bayes_is_first_output_of_best_block(rng):
+    for partition in (popcount_partition(3), random_partition(3, 3, rng)):
+        loss = BlockZeroOne(3, partition)
+        prob = random_problem(loss, 20, rng)
+        for s in prob.states():
+            masses = [sum(prob.conditionals[s][prob.observations.index(y)] for y in block)
+                      for block in partition]
+            best = partition[int(np.argmax(masses))]
+            assert bayes_predictor(prob, s) == min(best)
+            if len(best) > 1:  # loss-equivalent outputs tie exactly
+                assert margin(prob, s) == 0.0
