@@ -194,8 +194,9 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     train, val, test = split(ds, seed=args.seed)
-    scaler = standardize(train.dense_features())
-    x_tr, x_va, x_te = (scaler.apply(part.dense_features()) for part in (train, val, test))
+    x_tr, x_va, x_te = (part.dense_features() for part in (train, val, test))
+    scaler = standardize(x_tr)
+    x_tr, x_va, x_te = (scaler.apply(x) for x in (x_tr, x_va, x_te))
     losses = [make_loss(name, ds.m) for name in (args.losses or "zero_one,hamming,fscore").split(",")]
     path = "alpha" if args.decompose_free else "fast"
     kernel = _kernel_from_args(args, x_tr)

@@ -5,9 +5,22 @@ Supported formats:
 - ``libsvm_multilabel``: one example per line, ``l1,l2,... i:v i:v ...``
   with 0-based label indices and 1-based feature indices; an empty label
   field (line starting with whitespace or only features) means y = {}.
+  The label field ends at the first space; feature tokens are separated by
+  any whitespace, and each is ``index:value`` split at its only colon.
+  Labels and indices are read as Python's ``int()`` reads them, values as
+  ``float()`` does (so ``+1``, ``1_0`` and non-ASCII digits are accepted,
+  ``1.0`` is not an index).  Repeated indices in a row are summed.
 - ``csv``: header row, label columns ``y0..y{m-1}`` first, then features.
 
-Paths ending in ``.gz`` are decompressed transparently.  Features are held
+Both parsers refuse non-finite feature values (``nan``, ``inf``, ``1e400``)
+with a DataFormatError naming the first such line.  The libsvm parser reads
+the file in blocks of rows and converts each block's feature tokens with two
+numpy calls; a block that this bulk step cannot vouch for is parsed again
+token by token, and that loop is the reference and the error reporter.
+``write_libsvm`` writes a row with no labels and no features as `` 1:0``, so
+that every row reads back.
+
+Paths ending in ``.gz`` are (de)compressed transparently.  Features are held
 sparse (CSR) and densified on demand; bibtex-scale dimensions fit dense
 n x d only marginally.
 """
@@ -15,7 +28,9 @@ n x d only marginally.
 from __future__ import annotations
 
 import gzip
-import io
+import itertools
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +57,7 @@ class MultilabelDataset:
         return self.features.shape[1]
 
     def dense_features(self) -> np.ndarray:
-        return np.asarray(self.features.todense(), dtype=float)
+        return self.features.toarray().astype(float, copy=False)
 
     def subset(self, idx) -> "MultilabelDataset":
         idx = np.asarray(idx, dtype=int)
@@ -51,10 +66,10 @@ class MultilabelDataset:
         )
 
 
-def _open_text(path: str):
+def _open_text(path: str, mode: str = "r"):
     if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        return gzip.open(path, mode + "t", encoding="utf-8")
+    return open(path, mode, encoding="utf-8")
 
 
 def parse_multilabel(
@@ -72,53 +87,121 @@ def parse_multilabel(
     raise ValueError(f"unknown dataset format {fmt!r}")
 
 
+# rows converted together by the bulk path; small enough that a block's
+# token lists stay a few MB, large enough that numpy's per-call cost vanishes
+_BLOCK_ROWS = 64
+# a colon that is a token's second, or that ends or starts its token; the
+# pattern begins with the literal, so the search skips to each colon at C speed
+_BAD_COLON = re.compile(r":(?:[^\s:]*+:|(?!\S)|(?<=\s:))")
+
+
 def _parse_libsvm(path: str, m: int, d: int | None, name: str) -> MultilabelDataset:
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    labels: list[tuple] = []
-    max_feat = 0
+    blocks = []
     with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            label_part, _, feat_part = raw.partition(" ") if not raw.startswith(" ") else ("", "", raw)
-            row = len(labels)
-            bits = [0] * m
-            if label_part.strip():
-                for tok in label_part.strip().split(","):
-                    try:
-                        idx = int(tok)
-                    except ValueError as exc:
-                        raise DataFormatError(f"line {lineno}: bad label token {tok!r}") from exc
-                    if not 0 <= idx < m:
-                        raise DataFormatError(f"line {lineno}: label {idx} out of range [0, {m})")
-                    bits[idx] = 1
-            labels.append(tuple(bits))
-            for tok in feat_part.split():
-                idx_s, _, val_s = tok.partition(":")
-                try:
-                    feat = int(idx_s)
-                    val = float(val_s)
-                except ValueError as exc:
-                    raise DataFormatError(f"line {lineno}: bad feature token {tok!r}") from exc
-                if feat < 1:
-                    raise DataFormatError(f"line {lineno}: feature index {feat} must be >= 1")
-                rows.append(row)
-                cols.append(feat - 1)
-                vals.append(val)
-                max_feat = max(max_feat, feat)
-    n = len(labels)
-    if n == 0:
+        lines = (
+            (lineno, raw)
+            for lineno, raw in enumerate(fh, start=1)
+            if (text := raw.strip()) and not text.startswith("#")
+        )
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            blocks.append(_libsvm_block_bulk(block, m) or _libsvm_block_loop(block, m))
+    if not blocks:
         raise DataFormatError("no examples in file")
+    labels, lengths, cols, vals, maxes = zip(*blocks)
+    labels = list(itertools.chain.from_iterable(labels))
+    max_feat = max(maxes)
     width = d if d is not None else max_feat
     if max_feat > width:
         raise DataFormatError(f"feature index {max_feat} exceeds declared dimension {width}")
+    n = len(labels)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(list(itertools.chain.from_iterable(lengths)), out=indptr[1:])
     features = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(n, width), dtype=float
+        (
+            np.concatenate([np.asarray(v, dtype=float) for v in vals]),
+            np.concatenate([np.asarray(c, dtype=np.int64) for c in cols]),
+            indptr,
+        ),
+        shape=(n, width),
     )
+    features.sum_duplicates()  # sorts each row and sums repeats, as COO -> CSR does
     return MultilabelDataset(name, features, labels, m)
+
+
+def _libsvm_labels(lineno: int, raw: str, m: int) -> tuple[tuple, str]:
+    """(label bits, feature part) of one line."""
+    label_part, _, feat_part = raw.partition(" ") if not raw.startswith(" ") else ("", "", raw)
+    bits = [0] * m
+    if label_part.strip():
+        for tok in label_part.strip().split(","):
+            try:
+                idx = int(tok)
+            except ValueError as exc:
+                raise DataFormatError(f"line {lineno}: bad label token {tok!r}") from exc
+            if not 0 <= idx < m:
+                raise DataFormatError(f"line {lineno}: label {idx} out of range [0, {m})")
+            bits[idx] = 1
+    return tuple(bits), feat_part
+
+
+def _libsvm_block_loop(block, m: int):
+    """(labels, row lengths, 0-based columns, values, largest index) of a
+    block of (line number, line) pairs, one token at a time: the reference
+    parser, and the one that reports errors."""
+    labels, lengths, cols, vals = [], [], [], []
+    max_feat = 0
+    for lineno, raw in block:
+        bits, feat_part = _libsvm_labels(lineno, raw, m)
+        labels.append(bits)
+        tokens = feat_part.split()
+        for tok in tokens:
+            idx_s, _, val_s = tok.partition(":")
+            try:
+                feat = int(idx_s)
+                val = float(val_s)
+            except ValueError as exc:
+                raise DataFormatError(f"line {lineno}: bad feature token {tok!r}") from exc
+            if feat < 1:
+                raise DataFormatError(f"line {lineno}: feature index {feat} must be >= 1")
+            if not math.isfinite(val):
+                raise DataFormatError(f"line {lineno}: non-finite feature value {tok!r}")
+            cols.append(feat - 1)
+            vals.append(val)
+            max_feat = max(max_feat, feat)
+        lengths.append(len(tokens))
+    return labels, lengths, cols, vals, max_feat
+
+
+def _libsvm_block_bulk(block, m: int):
+    """The loop's result for a block, with every feature token converted by
+    two numpy calls; None wherever the loop must decide (errors included).
+
+    When no colon is a token's second or stands at either end of its token,
+    and splitting at colons and whitespace gives two parts per colon, every
+    token is ``index:value`` with both sides nonempty.  The parts then
+    alternate index and value, and ``np.array(strings, dtype=...)``
+    converts them as ``int()`` and ``float()`` do.
+    """
+    try:
+        labels, parts = zip(*(_libsvm_labels(lineno, raw, m) for lineno, raw in block))
+    except DataFormatError:
+        return None
+    lengths = [p.count(":") for p in parts]
+    text = " " + " ".join(parts)
+    n_tokens = sum(lengths)
+    if _BAD_COLON.search(text):
+        return None
+    halves = text.replace(":", " ").split()
+    if len(halves) != 2 * n_tokens:  # a token without a colon
+        return None
+    try:
+        feats = np.array(halves[0::2], dtype=np.int64)
+        vals = np.array(halves[1::2], dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if feats.min(initial=1) < 1 or not np.isfinite(vals).all():
+        return None
+    return list(labels), lengths, feats - 1, vals, int(feats.max(initial=0))
 
 
 def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
@@ -129,7 +212,6 @@ def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
         n_cols = len(header.strip().split(","))
         if n_cols <= m:
             raise DataFormatError(f"header has {n_cols} columns, need more than m={m}")
-        d = n_cols - m
         labels = []
         dense_rows = []
         for lineno, raw in enumerate(fh, start=2):
@@ -143,10 +225,13 @@ def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
             try:
                 bits = tuple(int(float(p)) for p in parts[:m])
                 feats = [float(p) for p in parts[m:]]
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(f"line {lineno}: bad value") from exc
             if any(b not in (0, 1) for b in bits):
                 raise DataFormatError(f"line {lineno}: labels must be 0/1")
+            bad = next((p for p, v in zip(parts[m:], feats) if not math.isfinite(v)), None)
+            if bad is not None:
+                raise DataFormatError(f"line {lineno}: non-finite feature value {bad!r}")
             labels.append(bits)
             dense_rows.append(feats)
     if not labels:
@@ -156,17 +241,21 @@ def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
 
 
 def write_libsvm(dataset: MultilabelDataset, path: str) -> None:
-    """Inverse of the libsvm parser (used for round-trip checks)."""
-    coo = dataset.features.tocoo()
-    per_row: dict[int, list[tuple[int, float]]] = {}
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        per_row.setdefault(int(r), []).append((int(c), float(v)))
-    with open(path, "w", encoding="utf-8") as fh:
+    """Inverse of the libsvm parser: every row reads back with the same labels
+    and dense features.  A row with no labels and no stored entries is written
+    as `` 1:0``, since a blank line would be skipped."""
+    if dataset.d == 0 and not all(any(bits) for bits in dataset.labels):
+        raise ValueError("a row without labels cannot be written at width 0")
+    features = dataset.features.tocsr(copy=True)
+    features.sum_duplicates()
+    indptr, indices, data = features.indptr, features.indices, features.data
+    with _open_text(path, "w") as fh:
         for i, bits in enumerate(dataset.labels):
             lab = ",".join(str(j) for j, b in enumerate(bits) if b)
-            feats = " ".join(
-                f"{c + 1}:{v:.17g}" for c, v in sorted(per_row.get(i, []))
-            )
+            lo, hi = indptr[i], indptr[i + 1]
+            feats = " ".join(f"{c + 1}:{v:.17g}" for c, v in zip(indices[lo:hi], data[lo:hi]))
+            if not lab and not feats:
+                feats = "1:0"
             fh.write(f"{lab} {feats}".rstrip() + "\n")
 
 
