@@ -4,7 +4,7 @@ Supported formats:
 
 - ``libsvm_multilabel``: one example per line, ``l1,l2,... i:v i:v ...``
   with 0-based label indices and 1-based feature indices; an empty label
-  field (line starting with whitespace or only features) means y = {}.
+  field (a line starting with a space) means y = {}.
   The label field ends at the first space; feature tokens are separated by
   any whitespace, and each is ``index:value`` split at its only colon.
   Labels and indices are read as Python's ``int()`` reads them, values as
@@ -92,7 +92,7 @@ def parse_multilabel(
 _BLOCK_ROWS = 64
 # a colon that is a token's second, or that ends or starts its token; the
 # pattern begins with the literal, so the search skips to each colon at C speed
-_BAD_COLON = re.compile(r":(?:[^\s:]*+:|(?!\S)|(?<=\s:))")
+_BAD_COLON = re.compile(r":(?:[^\s:]*:|(?!\S)|(?<=\s:))")
 
 
 def _parse_libsvm(path: str, m: int, d: int | None, name: str) -> MultilabelDataset:
@@ -243,9 +243,12 @@ def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
 def write_libsvm(dataset: MultilabelDataset, path: str) -> None:
     """Inverse of the libsvm parser: every row reads back with the same labels
     and dense features.  A row with no labels and no stored entries is written
-    as `` 1:0``, since a blank line would be skipped."""
+    as `` 1:0``, since a blank line would be skipped.  Non-finite values,
+    which the parser refuses, raise ValueError before the file is opened."""
     if dataset.d == 0 and not all(any(bits) for bits in dataset.labels):
         raise ValueError("a row without labels cannot be written at width 0")
+    if not np.isfinite(dataset.features.data).all():
+        raise ValueError("non-finite feature values cannot be read back")
     features = dataset.features.tocsr(copy=True)
     features.sum_duplicates()
     indptr, indices, data = features.indptr, features.indices, features.data

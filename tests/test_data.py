@@ -170,6 +170,12 @@ def test_round_trip_keeps_empty_rows(tmp_path, rng):
     with pytest.raises(ValueError, match="width 0"):
         write_libsvm(empty, str(tmp_path / "empty.libsvm"))
     assert not (tmp_path / "empty.libsvm").exists()
+    for bad in (np.nan, np.inf, -np.inf):
+        dense[0, 0] = bad  # the parser would refuse the file, so the writer refuses the data
+        with pytest.raises(ValueError, match="non-finite"):
+            bad_ds = MultilabelDataset("bad", sp.csr_matrix(dense), labels, m)
+            write_libsvm(bad_ds, str(tmp_path / "bad.libsvm"))
+        assert not (tmp_path / "bad.libsvm").exists()
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
