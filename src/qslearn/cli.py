@@ -1,12 +1,17 @@
 """Batch command-line surface: constants | check | train | predict | eval | rates.
 
-Exit codes: 0 success, 1 check failure, 2 usage error (bad flags, missing
-files, malformed config).  All commands are deterministic given --seed.
+Exit codes: 0 success, 1 check failure, 2 usage error: a flag the command
+does not declare (each command takes only the flags it reads, matched whole),
+a missing file, or malformed data, model or config.  Every command is
+deterministic: check, train and eval given --seed, rates given its spec's
+seed or --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -19,12 +24,7 @@ from .decode import DEFAULT_BUDGET, argmin_untied, decode, decode_bruteforce
 from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_models,
                         save_model, select_lambda)
 from .kernels import KernelSpec, cross_kernel, median_heuristic
-from .losses import (
-    DiscreteLoss,
-    LossConfigError,
-    decomposition_check,
-    make_loss,
-)
+from .losses import LOSS_NAMES, DiscreteLoss, LossConfigError, decomposition_check, make_loss
 from .synth import SyntheticSpec, rate_experiment, rate_rows_csv
 
 USAGE_ERROR = 2
@@ -34,7 +34,7 @@ _CHECK_DRAWS = 100  # draws per check instance before a tied one is kept
 
 def _loss_from_args(args) -> DiscreteLoss:
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     name = args.loss or cfg.get("name")
@@ -42,10 +42,8 @@ def _loss_from_args(args) -> DiscreteLoss:
     if name is None or m is None:
         raise LossConfigError("loss name and m are required (flags or config)")
     params = {k: v for k, v in cfg.items() if k not in ("name", "m")}
-    for key in ("k", "R", "side"):
-        val = getattr(args, key if key != "R" else "relevance", None)
-        if val is not None:
-            params[key] = val
+    flags = {"k": args.k, "R": args.relevance, "side": args.side}
+    params.update((key, val) for key, val in flags.items() if val is not None)
     return make_loss(name, int(m), **params)
 
 
@@ -75,9 +73,9 @@ def cmd_constants(args) -> int:
     if args.format == "json":
         _emit(json.dumps(record, indent=2) + "\n", args.out)
     else:
-        header = ",".join(record)
-        values = ",".join(str(record[k]) for k in record)
-        _emit(header + "\n" + values + "\n", args.out)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([record, map(str, record.values())])
+        _emit(buf.getvalue(), args.out)
     return 0
 
 
@@ -210,10 +208,11 @@ def cmd_eval(args) -> int:
         records.append(
             {"loss": loss.name, "lambda": model.lam, "val_risk": val_risk, "test_risk": test_risk}
         )
-        print(f"{loss.name}: lambda={model.lam:.6g} val={val_risk:.4f} test={test_risk:.4f}")
+        print(f"{loss.name}: lambda={model.lam:.6g} val={val_risk:.4f} test={test_risk:.4f}",
+              file=sys.stderr)
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.out)
-    elif args.out:
+    else:
         lines = ["loss,lambda,val_risk,test_risk"] + [
             f"{r['loss']},{r['lambda']:.6g},{r['val_risk']:.6g},{r['test_risk']:.6g}"
             for r in records
@@ -257,75 +256,73 @@ def cmd_rates(args) -> int:
     return 0
 
 
-def _add_loss_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--loss", help="loss name (zero_one, hamming, prec_at_k, fscore, ndcg, eru, pd, map, block_zero_one)")
-    p.add_argument("--m", type=int, help="number of classes")
-    p.add_argument("--k", type=int, help="Prec@k cutoff")
-    p.add_argument("--relevance", "--R", type=int, dest="relevance", help="top relevance score for ndcg/eru")
-    p.add_argument("--side", choices=["p", "a"], help="F-score decomposition side")
-    p.add_argument("--config", help="JSON loss config; flags override")
+# Every flag a command may declare, as (names, add_argument keywords).
+_FLAGS = {
+    "loss": (["--loss"], {"help": f"loss name ({', '.join(LOSS_NAMES)})"}),
+    "m": (["--m"], {"type": int, "help": "number of classes"}),
+    "k": (["--k"], {"type": int, "help": "Prec@k cutoff"}),
+    "relevance": (["--relevance", "--R"], {"type": int,
+                                          "help": "top relevance score for ndcg/eru"}),
+    "side": (["--side"], {"choices": ["p", "a"], "help": "F-score decomposition side"}),
+    "config": (["--config"], {"help": "JSON loss config; flags override"}),
+    "kernel": (["--kernel"], {"choices": ["gaussian", "linear"], "default": "gaussian"}),
+    "bandwidth": (["--bandwidth"], {"type": float,
+                                    "help": "gaussian bandwidth (default: median heuristic)"}),
+    "lambda": (["--lambda"], {"dest": "lam", "type": float, "help": "ridge regularization"}),
+    "lambda-grid": (["--lambda-grid"], {"help": "comma-separated; default 10^k n^-1/2, k=-3..1"}),
+    "data": (["--data"], {"required": True, "help": "dataset path (.gz ok)"}),
+    "data-format": (["--data-format"], {"choices": ["libsvm_multilabel", "csv"],
+                                        "default": "libsvm_multilabel"}),
+    "d": (["--d"], {"type": int, "help": "feature dimension override for libsvm parsing"}),
+    "standardize": (["--standardize"], {"action": "store_true", "help": "scale features: "
+                                        "train fits and saves the scaler, predict applies it"}),
+    "model": (["--model"], {"required": True}),
+    "decompose-free": (["--decompose-free"], {"action": "store_true",
+                                              "help": "use the weight-based inference path"}),
+    "losses": (["--losses"], {"help": "comma-separated metric losses "
+                                      "(default zero_one,hamming,fscore)"}),
+    "instances": (["--instances"], {"type": int, "default": 50}),
+    "spec": (["--spec"], {"required": True}),
+    "out-dir": (["--out-dir"], {}),
+    "spec-seed": (["--seed"], {"type": int, "help": "replaces the spec's seed"}),
+    "threads": (["--threads"], {"type": int, "default": os.cpu_count() or 1}),
+    "seed": (["--seed"], {"type": int, "default": 0}),
+    "format": (["--format"], {"choices": ["csv", "json"], "default": "csv"}),
+    "out": (["--out"], {"help": "output file (default stdout)"}),
+}
+_LOSS_FLAGS = ("loss", "m", "k", "relevance", "side", "config")
+_KERNEL_FLAGS = ("kernel", "bandwidth", "lambda", "lambda-grid")
+_DATA_FLAGS = ("data", "data-format")
 
-
-def _add_kernel_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", choices=["gaussian", "linear"], default="gaussian")
-    p.add_argument("--bandwidth", type=float, help="gaussian bandwidth (default: median heuristic)")
-    p.add_argument("--lambda", dest="lam", type=float, help="ridge regularization")
-    p.add_argument("--lambda-grid", help="comma-separated grid; default 10^k n^-1/2, k=-3..1")
-    p.add_argument("--standardize", action="store_true", help="standardize; train saves the scaler")
-
-
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="dataset path (.gz ok)")
-    p.add_argument("--data-format", choices=["libsvm_multilabel", "csv"], default="libsvm_multilabel")
-    p.add_argument("--d", type=int, help="feature dimension override for libsvm parsing")
+# Each command declares exactly the flags its cmd_* reads, so any other flag
+# is an argparse usage error instead of a silent no-op.
+_COMMANDS = {
+    "constants": (cmd_constants, "sharp constant table for a loss",
+                  (*_LOSS_FLAGS, "format", "out")),
+    "check": (cmd_check, "decomposition + decoder/oracle verification",
+              (*_LOSS_FLAGS, "instances", "seed")),
+    "train": (cmd_train, "fit a surrogate model on a dataset",
+              (*_LOSS_FLAGS, *_KERNEL_FLAGS, *_DATA_FLAGS, "d", "standardize", "seed", "out")),
+    "predict": (cmd_predict, "predict labels with a saved model",
+                ("model", *_DATA_FLAGS, "decompose-free", "standardize", "out")),
+    "eval": (cmd_eval, "split, validate lambda, report test metrics",
+             ("m", *_KERNEL_FLAGS, *_DATA_FLAGS, "d", "losses", "decompose-free", "seed",
+              "format", "out")),
+    "rates": (cmd_rates, "learning-rate experiment from a JSON spec",
+              ("spec", "out-dir", "spec-seed", "threads")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
-    common.add_argument("--out", help="output file (default stdout)")
-
-    parser = argparse.ArgumentParser(prog="qsl", description=__doc__, parents=[common])
+    parser = argparse.ArgumentParser(prog="qsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", parents=[common], help="sharp constant table for a loss")
-    _add_loss_flags(p)
-    p.set_defaults(func=cmd_constants)
-
-    p = sub.add_parser("check", parents=[common], help="decomposition + decoder/oracle verification")
-    _add_loss_flags(p)
-    p.add_argument("--instances", type=int, default=50)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("train", parents=[common], help="fit a surrogate model on a dataset")
-    _add_loss_flags(p)
-    _add_kernel_flags(p)
-    _add_data_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", parents=[common], help="predict labels with a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--decompose-free", action="store_true", help="use the weight-based inference path")
-    p.add_argument("--standardize", action="store_true",
-                   help="scale features with the scaler saved by train --standardize")
-    _add_data_flags(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("eval", parents=[common], help="split, validate lambda, report test metrics")
-    _add_loss_flags(p)
-    _add_kernel_flags(p)
-    _add_data_flags(p)
-    p.add_argument("--losses", help="comma-separated metric losses (default zero_one,hamming,fscore)")
-    p.add_argument("--decompose-free", action="store_true")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("rates", parents=[common], help="learning-rate experiment from a JSON spec")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_rates)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        # whole flags only: an abbreviation would let rates' --out reach --out-dir
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            names, kwargs = _FLAGS[flag]
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -223,12 +223,12 @@ def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
                     f"line {lineno}: {len(parts)} columns, expected {n_cols}"
                 )
             try:
-                bits = tuple(int(float(p)) for p in parts[:m])
-                feats = [float(p) for p in parts[m:]]
-            except (ValueError, OverflowError) as exc:
+                values = [float(p) for p in parts]
+            except ValueError as exc:
                 raise DataFormatError(f"line {lineno}: bad value") from exc
-            if any(b not in (0, 1) for b in bits):
+            if any(v not in (0.0, 1.0) for v in values[:m]):
                 raise DataFormatError(f"line {lineno}: labels must be 0/1")
+            bits, feats = tuple(int(v) for v in values[:m]), values[m:]
             bad = next((p for p, v in zip(parts[m:], feats) if not math.isfinite(v)), None)
             if bad is not None:
                 raise DataFormatError(f"line {lineno}: non-finite feature value {bad!r}")

@@ -68,6 +68,8 @@ DEFAULT_BUDGET = DecodeBudget()
 # may read (16 MB), each built once from ``loss.value`` and then kept on the
 # loss, independent of F and U
 _BRUTE_FORCE_LIMIT = 2_000_000
+# scores closer than this to the minimum count as tied for argmin_untied
+_TIE_GAP = 1e-9
 
 
 def decode(
@@ -135,7 +137,7 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
     return [label(row) for row in weights] if weights.ndim == 2 else label(weights)
 
 
-def argmin_untied(f_rows: np.ndarray, theta: np.ndarray, gap: float = 1e-9) -> bool:
+def argmin_untied(f_rows: np.ndarray, theta: np.ndarray) -> bool:
     """True when the argmin of F . theta is unambiguous across computation orders.
 
     ``f_rows`` holds F_z for every output in canonical order.  Exact ties
@@ -151,4 +153,4 @@ def argmin_untied(f_rows: np.ndarray, theta: np.ndarray, gap: float = 1e-9) -> b
         if not np.array_equal(f_rows[i], f_rows[tied[0]]):
             return False
     above = scores[scores > smin]
-    return not above.size or float(above.min() - smin) > gap
+    return not above.size or float(above.min() - smin) > _TIE_GAP

@@ -46,6 +46,8 @@ GEMM_MIN_ROWS = 8
 # rows per block of in-place updates and of the median's condensed distances
 # are chosen so that a block holds about this many cells (2 MB)
 _BLOCK_CELLS = 1 << 18
+# GramMatrix.validate adds this times the mean diagonal before its Cholesky
+_JITTER_SCALE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,14 @@ class GramMatrix:
     entries: np.ndarray
     n: int
 
-    def validate(self, jitter_scale: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check symmetry to 1e-12 relative and PSD via a jittered Cholesky."""
         k = self.entries
         scale = max(float(np.max(np.abs(k))), 1.0)
         asym = float(np.max(np.abs(k - k.T)))
         if asym > 1e-12 * scale:
             raise ValueError(f"Gram matrix asymmetric: max deviation {asym:.3e}")
-        eps = jitter_scale * float(np.trace(k)) / self.n
+        eps = _JITTER_SCALE * float(np.trace(k)) / self.n
         np.linalg.cholesky(k + eps * np.eye(self.n))
 
 

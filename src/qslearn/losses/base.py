@@ -179,6 +179,8 @@ class SharpConstant:
 
 # largest |Z| * r of an OutputTable, and |Z| * columns of a loss matrix: 128 MiB
 TABLE_CELLS = 2 ** 24
+# most (z, y) pairs that decomposition_check enumerates
+_CHECK_PAIRS = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -352,17 +354,17 @@ class DiscreteLoss:
         return f"{type(self).__name__}(m={self.m}, r={self.r})"
 
 
-def decomposition_check(loss: DiscreteLoss, limit: int = 1_500_000) -> float:
+def decomposition_check(loss: DiscreteLoss) -> float:
     """Max over all (z, y) of |F_z . U_y + c - L(z, y)|.
 
     Exhaustive over both spaces, against the cached ``loss_matrix``; raises
-    SpaceTooLargeError beyond ``limit`` pairs.  Degenerate observations
+    SpaceTooLargeError beyond ``_CHECK_PAIRS`` pairs.  Degenerate observations
     (U_y = 0 by convention) are skipped, see ``DiscreteLoss.is_degenerate``.
     """
     n_pairs = loss.n_outputs() * loss.n_observations()
-    if n_pairs > limit:
+    if n_pairs > _CHECK_PAIRS:
         raise SpaceTooLargeError(
-            f"{loss.name}: {n_pairs} (z, y) pairs exceed limit {limit}; "
+            f"{loss.name}: {n_pairs} (z, y) pairs exceed limit {_CHECK_PAIRS}; "
             "use a sampled check instead"
         )
     ys = [y for y in loss.observations() if not loss.is_degenerate(y)]

@@ -277,18 +277,14 @@ def tsybakov_check(
 
 
 # ---------------------------------------------------------------------------
-# random problem generation (shared by tests and the CLI check command)
+# random problem generation (for tests of the exact quantities above)
 # ---------------------------------------------------------------------------
 
-def random_problem(
-    loss: DiscreteLoss,
-    n_states: int,
-    rng: np.random.Generator,
-    concentration: float = 1.0,
-) -> FiniteProblem:
+_CONCENTRATION = 1.0  # Dirichlet parameter of random_problem: uniform on the simplex
+
+
+def random_problem(loss: DiscreteLoss, n_states: int, rng: np.random.Generator) -> FiniteProblem:
     """Dirichlet-random masses and conditionals over the loss's spaces."""
-    masses = rng.dirichlet(np.full(n_states, max(concentration, 1e-3)))
-    cond = rng.dirichlet(
-        np.full(loss.n_observations(), max(concentration, 1e-3)), size=n_states
-    )
+    masses = rng.dirichlet(np.full(n_states, _CONCENTRATION))
+    cond = rng.dirichlet(np.full(loss.n_observations(), _CONCENTRATION), size=n_states)
     return FiniteProblem(loss, masses, cond)

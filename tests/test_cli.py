@@ -1,5 +1,7 @@
 """CLI commands: constants, check, train/predict/eval, rates; exit codes."""
 
+import argparse
+import csv
 import json
 import math
 import re
@@ -104,6 +106,10 @@ def test_constants_reports_class_decoder(name, tmp_path, capsys):
     assert run(["constants", "--config", str(cfg), "--format", "json"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["decoder"] == type(make_loss(name, 3, **params.get(name, {}))).decoder
+    # the CSV row holds the same fields, quoted where they have commas (F-score's note)
+    assert run(["constants", "--config", str(cfg)]) == 0
+    header, row = csv.reader(capsys.readouterr().out.splitlines())
+    assert header == list(rec) and row == [str(v) for v in rec.values()]
 
 
 def test_train_eval_workflow(tmp_path, capsys):
@@ -187,14 +193,14 @@ def test_rates_command(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
     out_dir = tmp_path / "out"
-    assert run(["--seed", "5", "rates", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 0
+    assert run(["rates", "--spec", str(spec_path), "--seed", "5", "--out-dir", str(out_dir)]) == 0
     csv_text = (out_dir / "rates.csv").read_text()
     assert csv_text.startswith("loss,noise_mode,n,replication")
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary[0]["noise_mode"] == "smooth_crossing"
     # reproducibility: running again yields identical artifacts
     out2 = tmp_path / "out2"
-    assert run(["--seed", "5", "rates", "--spec", str(spec_path), "--out-dir", str(out2)]) == 0
+    assert run(["rates", "--spec", str(spec_path), "--seed", "5", "--out-dir", str(out2)]) == 0
     assert (out2 / "rates.csv").read_text() == csv_text
 
 
@@ -212,10 +218,103 @@ def test_threads_do_not_change_output(tmp_path):
     outs = []
     for threads, tag in ((1, "a"), (4, "b")):
         out_dir = tmp_path / tag
-        assert run(["--threads", str(threads), "rates", "--spec", str(spec_path),
+        assert run(["rates", "--spec", str(spec_path), "--threads", str(threads),
                     "--out-dir", str(out_dir)]) == 0
         outs.append((out_dir / "rates.csv").read_text())
     assert outs[0] == outs[1]
+
+
+def _rates_csv(tmp_path, tag, spec, *flags):
+    spec_path = tmp_path / f"{tag}.json"
+    spec_path.write_text(json.dumps(spec))
+    out_dir = tmp_path / tag
+    assert run(["rates", "--spec", str(spec_path), *flags, "--out-dir", str(out_dir)]) == 0
+    return list(csv.DictReader((out_dir / "rates.csv").open()))
+
+
+def test_rates_seed_comes_from_spec_unless_flag_given(tmp_path):
+    spec = {"d": 2, "m": 2, "n_grid": [24, 48], "n_test": 40, "replications": 1}
+    seven = _rates_csv(tmp_path, "seven", {**spec, "seed": 7})
+    zero = _rates_csv(tmp_path, "zero", {**spec, "seed": 0})
+    five = _rates_csv(tmp_path, "five", {**spec, "seed": 7}, "--seed", "5")
+    assert {row["seed"] for row in seven} == {"7"}
+    assert {row["seed"] for row in zero} == {"0"}
+    assert {row["seed"] for row in five} == {"5"}
+    excess = [[row["excess_test"] for row in rows] for rows in (seven, zero)]
+    assert excess[0] != excess[1]
+
+
+# the flags each command declares, by argparse dest
+OPTIONS = {
+    "constants": {"loss", "m", "k", "relevance", "side", "config", "format", "out"},
+    "check": {"loss", "m", "k", "relevance", "side", "config", "seed", "instances"},
+    "train": {"loss", "m", "k", "relevance", "side", "config", "kernel", "bandwidth", "lam",
+              "lambda_grid", "data", "data_format", "d", "standardize", "seed", "out"},
+    "predict": {"model", "data", "data_format", "decompose_free", "standardize", "out"},
+    "eval": {"m", "kernel", "bandwidth", "lam", "lambda_grid", "data", "data_format", "d",
+             "losses", "decompose_free", "seed", "format", "out"},
+    "rates": {"spec", "out_dir", "seed", "threads"},
+}
+
+
+def _declared(parser):
+    return {a.dest for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert _declared(parser) == set()
+    assert {name: _declared(p) for name, p in sub.choices.items()} == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 55
+
+
+# argv each command accepts, and (command, flag) pairs it refuses; None is the top level
+BASE_ARGV = {
+    "constants": ["constants", "--loss", "hamming", "--m", "3"],
+    "check": ["check", "--loss", "hamming", "--m", "3"],
+    "train": ["train", "--data", "x.svm", "--m", "2", "--loss", "hamming", "--out", "m.npz"],
+    "predict": ["predict", "--model", "m.npz", "--data", "x.svm"],
+    "eval": ["eval", "--data", "x.svm", "--m", "2"],
+    "rates": ["rates", "--spec", "spec.json"],
+}
+FLAG_VALUES = {"--seed": "1", "--threads": "1", "--format": "json", "--out": "o.txt",
+               "--d": "3", "--loss": "hamming", "--k": "2", "--relevance": "2", "--side": "p",
+               "--config": "c.json", "--standardize": None}
+REMOVED = (
+    [(None, flag) for flag in ("--seed", "--threads", "--format", "--out")]
+    + [("constants", flag) for flag in ("--seed", "--threads")]
+    + [("check", flag) for flag in ("--threads", "--format", "--out")]
+    + [("train", flag) for flag in ("--threads", "--format")]
+    + [("predict", flag) for flag in ("--d", "--seed", "--threads", "--format")]
+    + [("eval", flag) for flag in ("--threads", "--loss", "--k", "--relevance", "--side",
+                                   "--config", "--standardize")]
+    + [("rates", flag) for flag in ("--format", "--out")]
+)
+
+
+@pytest.mark.parametrize("command,flag", REMOVED)
+def test_removed_flag_is_usage_error(command, flag, capsys):
+    base = BASE_ARGV[command or "rates"]
+    cli.build_parser().parse_args(base)
+    given = [flag] + ([] if FLAG_VALUES[flag] is None else [FLAG_VALUES[flag]])
+    argv = given + base if command is None else base + given
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == cli.USAGE_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
+def test_eval_json_on_stdout_parses(tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=40, seed=3)
+    assert run(["eval", "--data", str(data), "--m", "2", "--losses", "hamming,zero_one",
+                "--lambda", "0.01", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    records = json.loads(captured.out)
+    assert [r["loss"] for r in records] == ["hamming", "zero_one"]
+    assert captured.err.startswith("hamming: lambda=")
 
 
 def make_noisy_dataset(path, n=90, d=3, m=3, seed=1):

@@ -97,6 +97,16 @@ def test_csv_format(tmp_path):
         parse_multilabel(str(bad), m=2, fmt="csv")
 
 
+@pytest.mark.parametrize("label", ["1.5", "0.7", "2"])
+def test_csv_label_not_zero_or_one_refused(tmp_path, label):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"y0,y1,f0\n1.0,0,0.5\n{label},0,0.7\n")
+    with pytest.raises(DataFormatError, match="line 3: labels must be 0/1"):
+        parse_multilabel(str(path), m=2, fmt="csv")
+    path.write_text("y0,y1,f0\n1.0,0,0.5\n")
+    assert parse_multilabel(str(path), m=2, fmt="csv").labels == [(1, 0)]
+
+
 def _toy_dataset(n=10, d=3, m=2, seed=0):
     import scipy.sparse as sp
 
