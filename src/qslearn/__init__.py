@@ -7,7 +7,7 @@ exact affine decompositions, fast decoders verified against brute force,
 sharp-constant calculators, and low-noise calibration diagnostics.
 """
 
-from .decode import DecodeBudget, decode, decode_bruteforce, greedy_arcset, qap_local_search
+from .decode import decode, decode_bruteforce, greedy_arcset, qap_local_search
 from .estimator import QSModel, empirical_risk, fit, load_model, predict, predict_batch, save_model
 from .kernels import GramMatrix, KernelSpec, RidgeSolution, build_gram, median_heuristic, solve_ridge, weights_at
 from .losses import (
@@ -34,7 +34,6 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DecodeBudget",
     "DiscreteLoss",
     "FiniteProblem",
     "GramMatrix",

@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .data import DataFormatError, MultilabelDataset, parse_multilabel, split, standardize
-from .decode import DEFAULT_BUDGET, argmin_untied, decode, decode_bruteforce
+from .data import DataFormatError, parse_multilabel, split, standardize
+from .decode import argmin_untied, decode, decode_bruteforce
 from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_models,
                         save_model, select_lambda)
 from .kernels import KernelSpec, cross_kernel, median_heuristic
@@ -114,6 +114,14 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _check_kernel_flags(args) -> None:
+    """Refuse flag pairs where one flag would silently override the other."""
+    if args.lam is not None and args.lambda_grid is not None:
+        raise ValueError("--lambda and --lambda-grid exclude each other; give one")
+    if args.kernel == "linear" and args.bandwidth is not None:
+        raise ValueError("--bandwidth sets the gaussian kernel; --kernel linear has none")
+
+
 def _kernel_from_args(args, x_train) -> KernelSpec:
     if args.kernel == "linear":
         return KernelSpec("linear")
@@ -129,18 +137,13 @@ def _lambda_grid(args, n: int) -> list[float]:
     return [10.0**k * n**-0.5 for k in range(-3, 2)]
 
 
-def _load_dataset(args) -> MultilabelDataset:
-    if args.m is None:
-        raise LossConfigError("--m is required to parse multilabel data")
-    return parse_multilabel(args.data, args.m, fmt=args.data_format, d=args.d)
-
-
 def cmd_train(args) -> int:
     if not args.out:
         print("--out is required for train", file=sys.stderr)
         return USAGE_ERROR
-    ds = _load_dataset(args)
+    _check_kernel_flags(args)
     loss = _loss_from_args(args)
+    ds = parse_multilabel(args.data, loss.m, fmt=args.data_format, d=args.d)
     x = ds.dense_features()
     scaler = None
     if args.standardize:
@@ -184,13 +187,16 @@ def cmd_predict(args) -> int:
     if args.standardize:
         x = model.scaler.apply(x)
     path = "alpha" if args.decompose_free else "fast"
-    preds = predict_batch(model, x, DEFAULT_BUDGET, path=path)
+    preds = predict_batch(model, x, path=path)
     _emit("\n".join(_format_label(model.loss, z) for z in preds) + "\n", args.out)
     return 0
 
 
 def cmd_eval(args) -> int:
-    ds = _load_dataset(args)
+    _check_kernel_flags(args)
+    if args.m is None:
+        raise LossConfigError("--m is required to parse multilabel data")
+    ds = parse_multilabel(args.data, args.m, fmt=args.data_format, d=args.d)
     train, val, test = split(ds, seed=args.seed)
     x_tr, x_va, x_te = (part.dense_features() for part in (train, val, test))
     scaler = standardize(x_tr)

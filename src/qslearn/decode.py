@@ -17,52 +17,32 @@ loss instance and observation and never derived from F, U or the output
 table, so the oracle stays independent of the decomposition it checks.
 
 The two NP-hard inference problems fall back to heuristics beyond the
-budget's exact limits: pairwise disagreement to a greedy feedback-arc-set
-ordering, MAP to a 2-swap local search on its quadratic-assignment form.
-Both live with the losses that use them.  They are re-exported here because
-the benchmark's tracer (``benchmarks/tracer.py``) names them as
-``qslearn.decode`` attributes when it wraps the decode layer.
+class constants ``PairwiseDisagreement.exact_limit`` (m = 8) and
+``MeanAveragePrecision.exact_limit`` (m = 6): pairwise disagreement to a
+greedy feedback-arc-set ordering, MAP to a 2-swap local search on its
+quadratic-assignment form.  Both live with the losses that use them.  They
+are re-exported here because the benchmark's tracer
+(``benchmarks/tracer.py``) names them as ``qslearn.decode`` attributes when
+it wraps the decode layer.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .losses import DiscreteLoss, SpaceTooLargeError
+from .losses import DiscreteLoss, MeanAveragePrecision, PairwiseDisagreement, SpaceTooLargeError
 from .losses.base import Label
 from .losses.ranking import greedy_arcset, qap_local_search  # noqa: F401
 
-
-@dataclass(frozen=True)
-class DecodeBudget:
-    """Limits for exact enumeration of the NP-hard decoders.
-
-    PD enumerates S_m up to ``exact_limit`` items, MAP up to
-    ``exact_limit_map``.  Beyond the limit the registered heuristic runs
-    with ``restarts`` deterministic restarts.
-
-    Exact enumeration scores the loss's ``output_table``, m! rows of r
-    floats built once per loss instance: PD m=8 is 40320 x 28 (about
-    9 MB), MAP m=6 720 x 21 (0.1 MB), PD m=9 362880 x 36 (105 MB).
-    Tables beyond 2^24 cells (128 MiB) are refused with
-    ``SpaceTooLargeError`` before anything is allocated: PD and MAP fit up
-    to m=9, so a limit of 10 or more makes the larger decodes fail.
-    """
-
-    exact_limit: int = 8
-    exact_limit_map: int = 6
-    restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.exact_limit < 2 or self.exact_limit_map < 2:
-            raise ValueError("exact limits must be >= 2")
-
-
-DEFAULT_BUDGET = DecodeBudget()
+# A read-only record of the two exact-decode limits under the names
+# ``benchmarks/tracer.py`` reads to label each decode call's path; it goes
+# when the library traces its own decoder paths (ROADMAP item 3).
+DEFAULT_BUDGET = namedtuple("ExactLimits", "exact_limit exact_limit_map")(
+    PairwiseDisagreement.exact_limit, MeanAveragePrecision.exact_limit
+)
 
 # |Z| x distinct observations: the loss-matrix cells one brute-force decode
 # may read (16 MB), each built once from ``loss.value`` and then kept on the
@@ -72,9 +52,7 @@ _BRUTE_FORCE_LIMIT = 2_000_000
 _TIE_GAP = 1e-9
 
 
-def decode(
-    loss: DiscreteLoss, theta: np.ndarray, budget: DecodeBudget = DEFAULT_BUDGET
-) -> Label:
+def decode(loss: DiscreteLoss, theta: np.ndarray) -> Label:
     """Minimize F_z . theta over the loss's output space.
 
     ``theta`` is the surrogate prediction g(x) in R^r (equivalently
@@ -83,7 +61,7 @@ def decode(
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (loss.r,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({loss.r},)")
-    return loss.decode(theta, budget)
+    return loss.decode(theta)
 
 
 def column_sums(matrix: np.ndarray, weights) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Standardizer
-from .decode import DEFAULT_BUDGET, DecodeBudget, decode, decode_bruteforce
+from .decode import decode, decode_bruteforce
 from .kernels import (
     KernelSpec,
     RidgeSolution,
@@ -128,35 +128,20 @@ def alpha_weights(model: QSModel, x) -> np.ndarray:
     return weights_at(_factored(model), k_x)
 
 
-def predict(
-    model: QSModel,
-    x,
-    budget: DecodeBudget = DEFAULT_BUDGET,
-    path: str = "fast",
-) -> Label:
+def predict(model: QSModel, x, path: str = "fast") -> Label:
     """Predict a single label; ``path`` selects fast (F/U) or alpha inference."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    out = predict_batch(model, np.atleast_2d(x), budget=budget, path=path)
+    out = predict_batch(model, np.atleast_2d(x), path=path)
     return out[0] if single else out
 
 
-def predict_batch(
-    model: QSModel,
-    x,
-    budget: DecodeBudget = DEFAULT_BUDGET,
-    path: str = "fast",
-) -> list:
+def predict_batch(model: QSModel, x, path: str = "fast") -> list:
     k_x = cross_kernel(model.kernel, _features(x), model.x_train)
-    return predict_models([model], k_x, budget, path)[0]
+    return predict_models([model], k_x, path)[0]
 
 
-def predict_models(
-    models,
-    k_x: np.ndarray,
-    budget: DecodeBudget = DEFAULT_BUDGET,
-    path: str = "fast",
-) -> list:
+def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
     """Decode the rows of a precomputed cross-kernel k(x, x_train), one
     list of labels per model.
 
@@ -173,7 +158,7 @@ def predict_models(
                 thetas = k_x @ model.coefficients
             if not np.isfinite(thetas).all():
                 raise ValueError("surrogate values are not finite; the inputs overflow the kernel")
-            out.append([decode(model.loss, t, budget) for t in thetas])
+            out.append([decode(model.loss, t) for t in thetas])
         return out
     if path == "alpha":
         alphas = {}

@@ -149,6 +149,13 @@ class LabelSpace:
         raise InvalidLabelError(f"not {what}: {y!r}")
 
 
+def config_int(what: str, value) -> int:
+    """A loss parameter that must be an integer, as read from a config."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise LossConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_label(y) -> Label:
     """Coerce lists/arrays to the canonical tuple-of-int representation."""
     if isinstance(y, tuple) and all(isinstance(b, int) for b in y):
@@ -238,10 +245,12 @@ class DiscreteLoss:
     ``observation_space``), the evaluator ``value``, the decomposition
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
     of the F rows and ``sharp``.  A loss with structure overrides ``decode``
-    with a fast decoder and describes it in ``decoder``.  ``output_table``
-    enumerates Z and F once per instance, for the default decoder and the
-    checks; ``loss_matrix`` keeps the columns of ``value`` over Z that the
-    decomposition-free paths ask for.
+    with a fast decoder and describes it in ``decoder``.  A loss with
+    constructor parameters beyond m returns them from ``config``, keyed by
+    their constructor names, so ``make_loss(name, m, **loss.config())``
+    rebuilds it.  ``output_table`` enumerates Z and F once per instance, for
+    the default decoder and the checks; ``loss_matrix`` keeps the columns of
+    ``value`` over Z that the decomposition-free paths ask for.
     """
 
     name: str
@@ -253,6 +262,10 @@ class DiscreteLoss:
     output_space: LabelSpace
     observation_space: LabelSpace
     decoder: str = "O(|Z|) enumeration"
+
+    def config(self) -> dict:
+        """JSON-serializable constructor parameters other than m."""
+        return {}
 
     # -- spaces ------------------------------------------------------------
     def outputs(self) -> Iterator[Label]:
@@ -329,12 +342,8 @@ class DiscreteLoss:
             matrix[:, j] = columns[y]
         return matrix
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
-        """argmin_z F_z . theta over the output table, canonical tie-break.
-
-        ``budget`` is a ``qslearn.decode.DecodeBudget``; the exact
-        enumeration ignores it.
-        """
+    def decode(self, theta: np.ndarray) -> Label:
+        """argmin_z F_z . theta over the output table, canonical tie-break."""
         return self.output_table.argmin(theta)
 
     def u_row(self, y: Label) -> np.ndarray:

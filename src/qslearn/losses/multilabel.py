@@ -13,6 +13,7 @@ from .base import (
     LabelSpace,
     LossConfigError,
     SharpConstant,
+    config_int,
     subset_from_rank,
     subset_rank,
 )
@@ -53,7 +54,7 @@ class ZeroOne(DiscreteLoss):
         row[subset_rank(z)] = -1.0
         return row
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
+    def decode(self, theta: np.ndarray) -> Label:
         return subset_from_rank(int(np.argmax(theta)), self.m)
 
     def u_row(self, y: Label) -> np.ndarray:
@@ -103,6 +104,9 @@ class BlockZeroOne(DiscreteLoss):
         self.offset = 1.0
         self.f_norm = 1.0
 
+    def config(self) -> dict:
+        return {"partition": [[list(z) for z in block] for block in self.partition]}
+
     def value(self, z: Label, y: Label) -> float:
         return 0.0 if self._block_of[z] == self._block_of[y] else 1.0
 
@@ -111,7 +115,7 @@ class BlockZeroOne(DiscreteLoss):
         row[self._block_of[z]] = -1.0
         return row
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
+    def decode(self, theta: np.ndarray) -> Label:
         best = float(np.max(theta))
         return min(self._block_min[j] for j in range(self.b) if theta[j] == best)
 
@@ -150,7 +154,7 @@ class Hamming(DiscreteLoss):
     def f_row(self, z: Label) -> np.ndarray:
         return -(2.0 * np.asarray(z, dtype=float) - 1.0) / (2.0 * self.m)
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
+    def decode(self, theta: np.ndarray) -> Label:
         # maximize sum_j s_j(z) theta_j coordinate-wise; theta_j == 0 keeps bit 0
         return tuple(1 if t > 0.0 else 0 for t in theta)
 
@@ -171,6 +175,7 @@ class PrecAtK(DiscreteLoss):
     decoder = "O(m log k) top-k"
 
     def __init__(self, m: int, k: int):
+        k = config_int("prec_at_k: k", k)
         if not 1 <= k <= m:
             raise LossConfigError(f"prec_at_k: need 1 <= k <= m, got k={k}, m={m}")
         self.m = m
@@ -181,13 +186,16 @@ class PrecAtK(DiscreteLoss):
         self.offset = 1.0
         self.f_norm = 1.0 / math.sqrt(k)
 
+    def config(self) -> dict:
+        return {"k": self.k}
+
     def value(self, z: Label, y: Label) -> float:
         return 1.0 - sum(a & b for a, b in zip(z, y)) / self.k
 
     def f_row(self, z: Label) -> np.ndarray:
         return -np.asarray(z, dtype=float) / self.k
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
+    def decode(self, theta: np.ndarray) -> Label:
         return topk_subset(theta, self.k, self.m)
 
     def u_row(self, y: Label) -> np.ndarray:
@@ -229,6 +237,9 @@ class FScore(DiscreteLoss):
         self.offset = 1.0
         self.f_norm = 1.0 if side == "p" else math.sqrt(m)
 
+    def config(self) -> dict:
+        return {"side": self.side}
+
     def value(self, z: Label, y: Label) -> float:
         sy = sum(y)
         if sy == 0:
@@ -258,7 +269,7 @@ class FScore(DiscreteLoss):
                     row[base + j] = -1.0
         return row
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
+    def decode(self, theta: np.ndarray) -> Label:
         m = self.m
         grid = theta[: m * m].reshape(m, m)  # [ell-1, j]
         if self.side == "p":

@@ -2,8 +2,9 @@
 
 Permutations are one-line tuples with sigma[j] = rank of item j (rank 1 is
 the top position).  NDCG-type losses observe relevance vectors in {0..R}^m;
-PD and MAP observe binary relevance, i.e. subsets.  Beyond the decode
-budget, PD decodes by ``greedy_arcset`` and MAP by ``qap_local_search``,
+PD and MAP observe binary relevance, i.e. subsets.  Each enumerates S_m
+exactly up to its class constant ``exact_limit`` (PD m = 8, MAP m = 6);
+beyond it PD decodes by ``greedy_arcset`` and MAP by ``qap_local_search``,
 both at the end of this module.
 """
 
@@ -21,6 +22,7 @@ from .base import (
     LabelSpace,
     LossConfigError,
     SharpConstant,
+    config_int,
 )
 
 
@@ -49,8 +51,8 @@ class NDCGType(DiscreteLoss):
     argmin exactly.  Relevance vectors whose gains are all zero have N = 0
     and are degenerate: they contribute L = 0 and U = 0.
 
-    Presets: ``ndcg`` uses G(t) = 2^t - 1 and D_j = 1/log2(j+1); ``eru``
-    uses G(t) = max(t - neutral, 0) and D_j = 2^(1-j).
+    ``R`` is the top relevance score.  By default G(t) = 2^t - 1 and
+    D_j = 1/log2(j+1); ``ExpectedRankUtility`` is the ``eru`` preset.
     """
 
     name = "ndcg"
@@ -59,27 +61,26 @@ class NDCGType(DiscreteLoss):
     def __init__(
         self,
         m: int,
-        top_relevance: int,
+        R: int = 3,
         gain: Callable[[int], float] | Sequence[float] | None = None,
         discount: Sequence[float] | None = None,
-        name: str = "ndcg",
     ):
+        R = config_int("ndcg: R", R)
         if m < 1:
             raise LossConfigError("ndcg: m must be >= 1")
-        if top_relevance < 1:
+        if R < 1:
             raise LossConfigError("ndcg: top relevance R must be >= 1")
-        self.name = name
         self.m = m
-        self.top_relevance = top_relevance
+        self.top_relevance = R
         self.output_space = LabelSpace.permutations(m)
-        self.observation_space = LabelSpace.grid(m, top_relevance)
+        self.observation_space = LabelSpace.grid(m, R)
         if gain is None:
             gain = lambda t: 2.0 ** t - 1.0
         if callable(gain):
-            self._gain = np.array([float(gain(t)) for t in range(top_relevance + 1)])
+            self._gain = np.array([float(gain(t)) for t in range(R + 1)])
         else:
             self._gain = np.asarray(gain, dtype=float)
-            if self._gain.shape != (top_relevance + 1,):
+            if self._gain.shape != (R + 1,):
                 raise LossConfigError("ndcg: gain table must have R+1 entries")
         if np.any(np.diff(self._gain) < 0):
             raise LossConfigError("ndcg: gain must be non-decreasing")
@@ -98,20 +99,10 @@ class NDCGType(DiscreteLoss):
         self.offset = 1.0
         self.f_norm = float(np.linalg.norm(self._discount))
 
-    @classmethod
-    def eru(cls, m: int, top_relevance: int, neutral: int | None = None) -> "NDCGType":
-        """Expected-rank-utility preset: half-life discount, shifted linear gain."""
-        if neutral is None:
-            neutral = top_relevance // 2
-        if neutral >= top_relevance:
-            raise LossConfigError("eru: neutral score must be below the top relevance")
-        return cls(
-            m,
-            top_relevance,
-            gain=lambda t: float(max(t - neutral, 0)),
-            discount=[2.0 ** (-j) for j in range(m)],
-            name="eru",
-        )
+    def config(self) -> dict:
+        # the gain and discount tables carry any preset
+        return {"R": self.top_relevance, "gain": self._gain.tolist(),
+                "discount": self._discount.tolist()}
 
     @property
     def discount(self) -> np.ndarray:
@@ -138,7 +129,7 @@ class NDCGType(DiscreteLoss):
     def f_row(self, z: Label) -> np.ndarray:
         return -self._discount[np.asarray(z, dtype=int) - 1]
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
+    def decode(self, theta: np.ndarray) -> Label:
         return _rank_by_scores(theta, self.m)
 
     def u_row(self, y: Label) -> np.ndarray:
@@ -173,6 +164,27 @@ class NDCGType(DiscreteLoss):
         )
 
 
+class ExpectedRankUtility(NDCGType):
+    """The ``eru`` preset: G(t) = max(t - neutral, 0) and D_j = 2^(1-j).
+
+    ``neutral`` defaults to R // 2 and must lie below R.
+    """
+
+    name = "eru"
+
+    def __init__(self, m: int, R: int = 3, neutral: int | None = None):
+        R = config_int("eru: R", R)
+        neutral = R // 2 if neutral is None else config_int("eru: neutral", neutral)
+        if neutral >= R:
+            raise LossConfigError("eru: neutral score must be below the top relevance")
+        self.neutral = neutral
+        super().__init__(m, R, gain=lambda t: float(max(t - neutral, 0)),
+                         discount=[2.0 ** (-j) for j in range(m)])
+
+    def config(self) -> dict:
+        return {"R": self.top_relevance, "neutral": self.neutral}
+
+
 def pair_index(m: int) -> list[tuple[int, int]]:
     """Canonical ordering of unordered item pairs (j, l) with l < j."""
     return [(j, l) for j in range(m) for l in range(j)]
@@ -190,11 +202,13 @@ class PairwiseDisagreement(DiscreteLoss):
     F_sigma = q(sigma)/4 and U_y = 2 t(y)/N(y), c = 1/2, r = m(m-1)/2.
     Observations with |y| in {0, m} have no comparable pairs and are
     degenerate.  Exact inference is a minimum-weight feedback-arc-set
-    problem, NP-hard in general.
+    problem, NP-hard in general: the output table is scored up to m =
+    ``exact_limit``, the greedy arc-set heuristic beyond.
     """
 
     name = "pd"
-    decoder = "NP-hard (MWFAS); exact <= budget, else greedy arcset"
+    exact_limit = 8  # the table is 40320 x 28 (9 MB); m = 9 would be 105 MB
+    decoder = f"NP-hard (MWFAS); exact for m <= {exact_limit}, else greedy arcset"
 
     def __init__(self, m: int):
         if m < 2:
@@ -228,9 +242,9 @@ class PairwiseDisagreement(DiscreteLoss):
             [float(np.sign(z[l] - z[j])) for j, l in self.pairs]
         )
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
-        if self.m <= budget.exact_limit:
-            return super().decode(theta, budget)
+    def decode(self, theta: np.ndarray) -> Label:
+        if self.m <= self.exact_limit:
+            return super().decode(theta)
         m = self.m
         gamma = np.zeros((m, m))
         for idx, (j, l) in enumerate(self.pairs):
@@ -263,11 +277,14 @@ class MeanAveragePrecision(DiscreteLoss):
 
     so r = m(m+1)/2.  Every F row is a permutation of the same multiset, and
     ||F_z||_2^2 = H_m (harmonic number) exactly.  |y| = 0 is degenerate.
-    Exact inference is a quadratic assignment problem, NP-hard in general.
+    Exact inference is a quadratic assignment problem, NP-hard in general:
+    the output table is scored up to m = ``exact_limit``, a 2-swap local
+    search beyond.
     """
 
     name = "map"
-    decoder = "NP-hard (QAP); exact <= budget, else 2-swap local search"
+    exact_limit = 6  # the table is 720 x 21 (0.1 MB)
+    decoder = f"NP-hard (QAP); exact for m <= {exact_limit}, else 2-swap local search"
 
     def __init__(self, m: int):
         if m < 1:
@@ -298,9 +315,9 @@ class MeanAveragePrecision(DiscreteLoss):
     def f_row(self, z: Label) -> np.ndarray:
         return np.array([1.0 / max(z[j], z[l]) for j, l in self.pairs])
 
-    def decode(self, theta: np.ndarray, budget) -> Label:
-        if self.m <= budget.exact_limit_map:
-            return super().decode(theta, budget)
+    def decode(self, theta: np.ndarray) -> Label:
+        if self.m <= self.exact_limit:
+            return super().decode(theta)
         m = self.m
         w = np.zeros((m, m))
         for idx, (j, l) in enumerate(self.pairs):
@@ -310,7 +327,7 @@ class MeanAveragePrecision(DiscreteLoss):
                 w[j, l] = w[l, j] = -theta[idx] / 2.0
         pos = np.arange(1, m + 1, dtype=float)
         d = 1.0 / np.maximum(pos[:, None], pos[None, :])
-        return qap_local_search(w, d, restarts=budget.restarts, seed=budget.seed)
+        return qap_local_search(w, d)
 
     def u_row(self, y: Label) -> np.ndarray:
         s = sum(y)

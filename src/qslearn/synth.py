@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decode import DEFAULT_BUDGET, column_sums
+from .decode import column_sums
 from .estimator import fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
 from .losses import DiscreteLoss, Hamming, PrecAtK, as_label, make_loss, subsets
@@ -122,10 +122,6 @@ class MultilabelGenerator:
     def sample(self, n: int, rng: np.random.Generator):
         x = self.sample_inputs(n, rng)
         return x, self.sample_labels(x, rng)
-
-
-def gen_multilabel(spec: SyntheticSpec) -> MultilabelGenerator:
-    return MultilabelGenerator(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +292,7 @@ def rate_experiment(spec: SyntheticSpec) -> RateReport:
                 else KernelSpec("linear")
             )
             model = fit(loss, kernel, n**-0.5, x_tr, y_tr)
-            preds = predict_batch(model, x_probe, DEFAULT_BUDGET)
+            preds = predict_batch(model, x_probe)
             exact = max(excess_risk_exact(preds, gen, x_probe, loss), EXCESS_FLOOR)
             test_risk = float(np.mean([loss.value(z, y) for z, y in zip(preds, y_probe)]))
             rows.append(

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decode import DEFAULT_BUDGET, DecodeBudget, decode
+from .decode import decode
 from .losses import DiscreteLoss
 from .losses.base import InvalidLabelError, Label, as_label
 
@@ -174,11 +174,9 @@ def true_excess(problem: FiniteProblem, predictions: Sequence[Label]) -> float:
     return float(problem.masses @ (risks[rows, idx] - risks[rows, problem.bayes_index]))
 
 
-def decode_states(
-    problem: FiniteProblem, g, budget: DecodeBudget = DEFAULT_BUDGET
-) -> list:
+def decode_states(problem: FiniteProblem, g) -> list:
     g = _checked_g(problem, g)
-    return [decode(problem.loss, g[s], budget) for s in problem.states()]
+    return [decode(problem.loss, g[s]) for s in problem.states()]
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +200,7 @@ def _leq(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + _SLACK * max(1.0, abs(rhs))
 
 
-def comparison_check(
-    problem: FiniteProblem,
-    g,
-    p: float | None = None,
-    budget: DecodeBudget = DEFAULT_BUDGET,
-) -> ComparisonReport:
+def comparison_check(problem: FiniteProblem, g, p: float | None = None) -> ComparisonReport:
     """Check both comparison inequalities for the surrogate g.
 
     Basic: excess(d o g) <= 2 ||F||_inf sqrt(surrogate excess).
@@ -215,7 +208,7 @@ def comparison_check(
         excess(d o g) <= Gamma_p^{1/(p+2)} (16 ||F||_inf^2 surr)^{(p+1)/(p+2)}.
     """
     f_inf = problem.loss.f_norm
-    lhs = true_excess(problem, decode_states(problem, g, budget))
+    lhs = true_excess(problem, decode_states(problem, g))
     surr = surrogate_excess(problem, g)
     rhs_basic = 2.0 * f_inf * math.sqrt(surr)
     rhs_improved = None

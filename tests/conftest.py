@@ -9,6 +9,7 @@ from qslearn.decode import argmin_untied
 from qslearn.losses import (
     BlockZeroOne,
     DiscreteLoss,
+    ExpectedRankUtility,
     FScore,
     Hamming,
     MeanAveragePrecision,
@@ -50,8 +51,8 @@ def small_losses(m_subset: int = 3, m_perm: int = 3) -> list:
         PrecAtK(max(m_subset, 2), max(m_subset // 2, 1)),
         FScore(m_subset, side="p"),
         FScore(m_subset, side="a"),
-        NDCGType(m_perm, top_relevance=2),
-        NDCGType.eru(m_perm, top_relevance=2),
+        NDCGType(m_perm, R=2),
+        ExpectedRankUtility(m_perm, R=2),
         PairwiseDisagreement(max(m_perm, 2)),
         MeanAveragePrecision(m_perm),
     ]

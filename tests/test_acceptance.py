@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from qslearn.data import parse_multilabel, split, standardize
-from qslearn.decode import DecodeBudget, decode, decode_bruteforce
+from qslearn.decode import decode, decode_bruteforce
 from qslearn.estimator import empirical_risk, fit, predict_batch, surrogate_values
 from qslearn.kernels import KernelSpec, median_heuristic
 from qslearn.losses import (
     BlockZeroOne,
+    ExpectedRankUtility,
     FScore,
     Hamming,
     MeanAveragePrecision,
@@ -66,8 +67,8 @@ def test_criterion_1_decomposition_identity():
         FScore(6, side="p"),
         FScore(6, side="a"),
         PrecAtK(6, 3),
-        NDCGType(4, top_relevance=3),
-        NDCGType.eru(4, top_relevance=3),
+        NDCGType(4, R=3),
+        ExpectedRankUtility(4, R=3),
         PairwiseDisagreement(5),
         MeanAveragePrecision(5),
     ]
@@ -109,7 +110,7 @@ def test_criterion_2_sharp_constants():
         assert sharp.a <= math.sqrt(2.0) * m + 1e-9
     # NDCG: A equals the enumerated sqrt(r) ||F|| U_max at m <= 4
     for m in (2, 3, 4):
-        for loss in (NDCGType(m, top_relevance=3), NDCGType.eru(m, top_relevance=3)):
+        for loss in (NDCGType(m, R=3), ExpectedRankUtility(m, R=3)):
             f_max, u_max = enumerated_constants(loss)
             assert loss.sharp().a == pytest.approx(
                 math.sqrt(loss.r) * f_max * u_max, abs=1e-9
@@ -124,7 +125,6 @@ def test_criterion_2_sharp_constants():
 def test_criterion_3_decoder_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    budget = DecodeBudget()
     total = 0
     for m in range(2, 9):  # subset losses
         losses = [
@@ -138,18 +138,18 @@ def test_criterion_3_decoder_oracle_equivalence():
         for loss in losses:
             for _ in range(100):
                 weights, ys, theta = random_instance(loss, rng, n=8)
-                assert decode(loss, theta, budget) == decode_bruteforce(loss, weights, ys)
+                assert decode(loss, theta) == decode_bruteforce(loss, weights, ys)
                 total += 1
     for m in range(2, 7):  # permutation losses
         losses = [
-            NDCGType(m, top_relevance=3),
+            NDCGType(m, R=3),
             PairwiseDisagreement(m),
             MeanAveragePrecision(m),
         ]
         for loss in losses:
             for _ in range(100):
                 weights, ys, theta = random_instance(loss, rng, n=8)
-                assert decode(loss, theta, budget) == decode_bruteforce(loss, weights, ys)
+                assert decode(loss, theta) == decode_bruteforce(loss, weights, ys)
                 total += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

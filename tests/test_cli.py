@@ -52,7 +52,7 @@ def test_constants_prec_at_k(capsys):
 def test_constants_ndcg_matches_enumeration(capsys):
     assert run(["constants", "--loss", "ndcg", "--m", "3", "--R", "3", "--format", "json"]) == 0
     rec = json.loads(capsys.readouterr().out)
-    loss = NDCGType(3, top_relevance=3)
+    loss = NDCGType(3, R=3)
     f_max, u_max = enumerated_constants(loss)
     assert rec["a"] == pytest.approx(math.sqrt(loss.r) * f_max * u_max, rel=1e-9)
 
@@ -71,6 +71,15 @@ def test_block_partition_via_config(tmp_path, capsys):
 
 def test_constants_requires_loss():
     assert run(["constants", "--m", "4"]) == cli.USAGE_ERROR
+
+
+def test_parameter_the_loss_does_not_take_is_usage_error(tmp_path, capsys):
+    assert run(["constants", "--loss", "hamming", "--m", "4", "--k", "2"]) == cli.USAGE_ERROR
+    assert "'k'" in capsys.readouterr().err
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"name": "fscore", "m": 3, "k": 7, "bogus": 1}))
+    assert run(["check", "--config", str(cfg)]) == cli.USAGE_ERROR
+    assert "unexpected keyword argument" in capsys.readouterr().err
 
 
 def test_check_passes(capsys):
@@ -93,7 +102,7 @@ def test_check_redraws_tied_instances(capsys):
 
 
 def test_check_detects_wrong_decoder(monkeypatch, capsys):
-    monkeypatch.setattr(Hamming, "decode", lambda self, theta, budget: (0,) * self.m)
+    monkeypatch.setattr(Hamming, "decode", lambda self, theta: (0,) * self.m)
     assert run(["check", "--loss", "hamming", "--m", "3"]) == cli.CHECK_FAILURE
     assert "decoder mismatches" in capsys.readouterr().err
 
@@ -142,6 +151,39 @@ def test_train_eval_workflow(tmp_path, capsys):
     assert by_loss["hamming"]["test_risk"] <= 0.05
     assert by_loss["zero_one"]["test_risk"] <= 0.10
     assert by_loss["fscore"]["test_risk"] <= 0.10
+
+
+def test_train_takes_m_from_config(tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=40)
+    cfg = tmp_path / "h.json"
+    cfg.write_text(json.dumps({"name": "hamming", "m": 3}))
+    model = tmp_path / "model.npz"
+    assert run(["train", "--data", str(data), "--config", str(cfg), "--lambda", "0.1",
+                "--out", str(model)]) == 0
+    with np.load(model) as payload:
+        assert payload["y_train"].shape == (40, 3)
+    # eval has no loss config, so --m stays required
+    assert run(["eval", "--data", str(data)]) == cli.USAGE_ERROR
+    assert "--m is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("flags, named", [
+    (["--lambda", "0.1", "--lambda-grid", "0.1,1"], ["--lambda ", "--lambda-grid"]),
+    (["--kernel", "linear", "--bandwidth", "5"], ["--bandwidth", "--kernel linear"]),
+])
+def test_flag_that_would_be_overridden_is_usage_error(command, flags, named, tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=40)
+    model = tmp_path / "model.npz"
+    argv = {"train": ["train", "--data", str(data), "--loss", "hamming", "--m", "2",
+                      "--out", str(model)],
+            "eval": ["eval", "--data", str(data), "--m", "2"]}[command]
+    assert run(argv + flags) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert all(flag in captured.err for flag in named)
+    assert not model.exists() and "selected lambda" not in captured.out
 
 
 def test_eval_decompose_free_matches_fast(tmp_path):
@@ -229,7 +271,8 @@ def _rates_csv(tmp_path, tag, spec, *flags):
     spec_path.write_text(json.dumps(spec))
     out_dir = tmp_path / tag
     assert run(["rates", "--spec", str(spec_path), *flags, "--out-dir", str(out_dir)]) == 0
-    return list(csv.DictReader((out_dir / "rates.csv").open()))
+    with open(out_dir / "rates.csv", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_rates_seed_comes_from_spec_unless_flag_given(tmp_path):

@@ -10,7 +10,6 @@ import pytest
 
 import qslearn.losses.base as base
 from qslearn.decode import (
-    DecodeBudget,
     argmin_untied,
     decode,
     decode_bruteforce,
@@ -44,7 +43,7 @@ def test_hamming_signs():
 
 def test_ndcg_sort():
     # scores (0.1, 0.9, 0.5): item 1 first, item 2 second, item 0 last
-    assert decode(NDCGType(3, top_relevance=2), np.array([0.1, 0.9, 0.5])) == (3, 1, 2)
+    assert decode(NDCGType(3, R=2), np.array([0.1, 0.9, 0.5])) == (3, 1, 2)
 
 
 def test_theta_length_checked():
@@ -156,29 +155,35 @@ def test_pd_exact_enumeration_m6(rng):
         assert decode(loss, theta) == decode_bruteforce(loss, weights, ys)
 
 
-def test_pd_and_map_heuristic_paths_run(rng):
-    budget = DecodeBudget(exact_limit=3, exact_limit_map=3, restarts=4)
+def lower_exact_limits(monkeypatch):
+    # m = 5 then runs greedy arc-set and local search instead of the table
+    monkeypatch.setattr(PairwiseDisagreement, "exact_limit", 3)
+    monkeypatch.setattr(MeanAveragePrecision, "exact_limit", 3)
+
+
+def test_pd_and_map_heuristic_paths_run(rng, monkeypatch):
+    lower_exact_limits(monkeypatch)
     pd = PairwiseDisagreement(5)
     mp = MeanAveragePrecision(5)
     for _ in range(5):
         _, _, theta = random_instance(pd, rng, n=8)
-        z = decode(pd, theta, budget)
+        z = decode(pd, theta)
         pd.check_output(z)
         _, _, theta = random_instance(mp, rng, n=8)
-        z = decode(mp, theta, budget)
+        z = decode(mp, theta)
         mp.check_output(z)
 
 
-def test_heuristics_never_beat_exact(rng):
+def test_heuristics_never_beat_exact(rng, monkeypatch):
     # on exactly solvable instances the heuristic objective cannot be better
-    budget = DecodeBudget(exact_limit=3, exact_limit_map=3, restarts=4)
+    lower_exact_limits(monkeypatch)
     for loss in (PairwiseDisagreement(5), MeanAveragePrecision(5)):
         outs = list(loss.outputs())
         for _ in range(10):
             _, _, theta = random_instance(loss, rng, n=8)
             scores = np.array([loss.f_row(z) @ theta for z in outs])
             exact = float(scores.min())
-            heur = float(loss.f_row(decode(loss, theta, budget)) @ theta)
+            heur = float(loss.f_row(decode(loss, theta)) @ theta)
             assert heur >= exact - 1e-12
 
 
@@ -291,7 +296,7 @@ def test_linear_decoders_scale(rng):
     decode(Hamming(5000), theta)
     assert time.perf_counter() - start < 0.5
     start = time.perf_counter()
-    decode(NDCGType(5000, top_relevance=2), theta)
+    decode(NDCGType(5000, R=2), theta)
     assert time.perf_counter() - start < 0.5
     start = time.perf_counter()
     decode(PrecAtK(5000, 17), theta)
@@ -392,15 +397,10 @@ def test_oversized_table_refused_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(SpaceTooLargeError, match="cells"):
-            decode(loss, np.zeros(loss.r), DecodeBudget(exact_limit=10))
+            loss.output_table
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert calls == [] and peak < 1 << 20
     for fits in (PairwiseDisagreement(9), MeanAveragePrecision(9)):
         assert fits.n_outputs() * fits.r <= base.TABLE_CELLS
-
-
-def test_budget_validation():
-    with pytest.raises(ValueError):
-        DecodeBudget(exact_limit=1)

@@ -18,8 +18,8 @@ from qslearn.estimator import (
     surrogate_values,
 )
 from qslearn.kernels import GEMM_MIN_ROWS, KernelSpec, median_heuristic
-from qslearn.losses import (FScore, Hamming, InvalidLabelError, NDCGType, PairwiseDisagreement,
-                            PrecAtK, ZeroOne)
+from qslearn.losses import (ExpectedRankUtility, FScore, Hamming, InvalidLabelError, NDCGType,
+                            PairwiseDisagreement, PrecAtK, ZeroOne)
 
 from conftest import loss_ids, random_observation, small_losses
 
@@ -100,7 +100,7 @@ def test_hamming_predict_matches_eq8_oracle(rng):
 
 
 def test_ndcg_predict_matches_direct_formula(rng):
-    loss = NDCGType(5, top_relevance=3)
+    loss = NDCGType(5, R=3)
     x = rng.uniform(size=(20, 2))
     ys = [random_observation(loss, rng) for _ in range(20)]
     model = fit(loss, KernelSpec("gaussian", 0.5), 0.1, x, ys)
@@ -158,7 +158,7 @@ def test_invalid_observation_reports_index():
 
 
 def test_serialization_round_trip(tmp_path, rng):
-    for loss in (Hamming(3), PrecAtK(4, 2), NDCGType(3, top_relevance=2)):
+    for loss in (Hamming(3), PrecAtK(4, 2), NDCGType(3, R=2)):
         x = rng.uniform(size=(10, 3))
         ys = [random_observation(loss, rng) for _ in range(10)]
         model = fit(loss, KernelSpec("gaussian", 0.7), 0.2, x, ys)
@@ -168,6 +168,19 @@ def test_serialization_round_trip(tmp_path, rng):
         assert np.allclose(restored.coefficients, model.coefficients)
         x_test = rng.uniform(size=(6, 3))
         assert predict_batch(restored, x_test) == predict_batch(model, x_test)
+
+
+def test_eru_model_reloads_as_eru(tmp_path, rng):
+    loss = ExpectedRankUtility(3, R=3, neutral=2)
+    x = rng.uniform(size=(10, 3))
+    ys = [random_observation(loss, rng) for _ in range(10)]
+    model = fit(loss, KernelSpec("gaussian", 0.7), 0.2, x, ys)
+    path = tmp_path / "eru.npz"
+    save_model(model, str(path))
+    back = load_model(str(path))
+    assert type(back.loss) is ExpectedRankUtility and back.loss.neutral == 2
+    x_test = rng.uniform(size=(6, 3))
+    assert predict_batch(back, x_test) == predict_batch(model, x_test)
 
 
 def test_serialization_block_partition(tmp_path, rng):

@@ -1,5 +1,6 @@
 """Loss evaluators, affine decompositions, sharp constants, and embeddings."""
 
+import json
 import math
 
 import numpy as np
@@ -13,9 +14,12 @@ from qslearn.decode import decode_bruteforce
 from qslearn.losses import (
     BlockZeroOne,
     SpaceTooLargeError,
+    ExpectedRankUtility,
     FScore,
     Hamming,
     InvalidLabelError,
+    LOSS_NAMES,
+    DiscreteLoss,
     LabelSpace,
     LossConfigError,
     MeanAveragePrecision,
@@ -69,7 +73,7 @@ def test_zero_one_and_block_values():
 
 
 def test_ndcg_value_perfect_ranking():
-    loss = NDCGType(3, top_relevance=3)
+    loss = NDCGType(3, R=3)
     y = (3, 1, 0)
     sigma = (1, 2, 3)  # ranks items in gain order
     assert loss.value(sigma, y) == pytest.approx(0.0, abs=1e-15)
@@ -103,7 +107,7 @@ def test_decomposition_identity_small(loss):
 
 def test_decomposition_identity_spec_sizes():
     assert decomposition_check(Hamming(5)) <= 1e-12
-    assert decomposition_check(NDCGType(4, top_relevance=3)) <= 1e-12
+    assert decomposition_check(NDCGType(4, R=3)) <= 1e-12
     assert decomposition_check(MeanAveragePrecision(4)) <= 1e-12
 
 
@@ -221,7 +225,7 @@ def test_hamming_embed_all_ones():
 
 
 def test_ndcg_embed_equal_relevance():
-    loss = NDCGType(3, top_relevance=2)
+    loss = NDCGType(3, R=2)
     u = loss.embed((2, 2, 2))
     assert np.allclose(u, u[0])
     # best ranking recovers the normalizer exactly
@@ -239,7 +243,7 @@ def test_embed_validates_labels():
     with pytest.raises(InvalidLabelError):
         Hamming(3).embed((0, 1))
     with pytest.raises(InvalidLabelError):
-        NDCGType(3, top_relevance=2).embed((0, 5, 1))
+        NDCGType(3, R=2).embed((0, 5, 1))
     with pytest.raises(InvalidLabelError):
         MeanAveragePrecision(3).embed((1, 2))
 
@@ -294,26 +298,82 @@ def test_bad_parameters_rejected():
     with pytest.raises(LossConfigError):
         BlockZeroOne(2, [[(0, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])  # overlap
     with pytest.raises(LossConfigError):
-        NDCGType(3, top_relevance=2, discount=[1.0, 0.5, 0.5])  # not strict
+        NDCGType(3, R=2, discount=[1.0, 0.5, 0.5])  # not strict
     with pytest.raises(LossConfigError):
-        NDCGType(3, top_relevance=2, discount=[0.9, 0.5, 0.4])  # D_1 != 1
+        NDCGType(3, R=2, discount=[0.9, 0.5, 0.4])  # D_1 != 1
     with pytest.raises(LossConfigError):
         FScore(3, side="q")
     with pytest.raises(LossConfigError):
         make_loss("nope", 3)
     with pytest.raises(LossConfigError):
-        NDCGType.eru(3, top_relevance=2, neutral=2)
+        ExpectedRankUtility(3, R=2, neutral=2)
 
 
 def test_loss_config_round_trip():
-    for loss in ALL_SMALL:
+    for loss in ALL_SMALL + [ExpectedRankUtility(4, R=4, neutral=3),
+                             NDCGType(3, R=2, gain=[0.0, 0.5, 2.0], discount=[1.0, 0.5, 0.2])]:
         cfg = loss_config(loss)
-        rebuilt = make_loss(cfg.pop("name"), cfg.pop("m"), **cfg)
-        assert type(rebuilt) is type(loss)
+        rebuilt = make_loss(**cfg)
+        assert type(rebuilt) is type(loss) and loss_config(rebuilt) == cfg
         assert rebuilt.r == loss.r
+        np.testing.assert_array_equal(rebuilt.output_table.f, loss.output_table.f)
         ys = list(loss.observations())
         zs = list(loss.outputs())
         assert rebuilt.value(zs[1], ys[-1]) == loss.value(zs[1], ys[-1])
+
+
+def _library_loss_classes(cls=DiscreteLoss):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("qslearn."):
+            yield sub
+        yield from _library_loss_classes(sub)
+
+
+# the parameters a loss cannot do without, at m = 3
+REQUIRED = {"prec_at_k": {"k": 2}, "block_zero_one": {"partition": popcount_partition(3)}}
+
+
+def test_every_loss_class_is_made_by_name_and_round_trips():
+    classes = set(_library_loss_classes())
+    assert sorted(cls.name for cls in classes) == sorted(LOSS_NAMES)
+    for cls in classes:
+        loss = make_loss(cls.name, 3, **REQUIRED.get(cls.name, {}))
+        assert type(loss) is cls
+        cfg = loss_config(loss)
+        assert json.loads(json.dumps(cfg)) == cfg
+        rebuilt = make_loss(**cfg)
+        assert type(rebuilt) is cls and loss_config(rebuilt) == cfg
+
+
+def test_eru_saved_as_ndcg_tables_still_loads():
+    # model files of formats 1 and 2 wrote an eru loss as ndcg plus its tables
+    eru = ExpectedRankUtility(4, R=3)
+    old = {"name": "ndcg", "m": 4, "R": 3, "gain": [0.0, 0.0, 1.0, 2.0],
+           "discount": [1.0, 0.5, 0.25, 0.125]}
+    loaded = make_loss(**old)
+    assert loss_config(loaded) == old
+    np.testing.assert_array_equal(loaded.output_table.f, eru.output_table.f)
+    for y in eru.observations():
+        np.testing.assert_array_equal(loaded.u_row(y), eru.u_row(y))
+
+
+def test_make_loss_refuses_unknown_names_and_parameters():
+    with pytest.raises(LossConfigError) as exc:
+        make_loss("f1", 3)
+    assert all(name in str(exc.value) for name in LOSS_NAMES)
+    with pytest.raises(LossConfigError, match="'k'"):
+        make_loss("hamming", 4, k=2)
+    with pytest.raises(LossConfigError, match="'bogus'"):
+        make_loss("fscore", 3, bogus=1)
+    with pytest.raises(LossConfigError, match="'k'"):
+        make_loss("prec_at_k", 3)
+    with pytest.raises(LossConfigError, match="'partition'"):
+        make_loss("block_zero_one", 2)
+    # config values that are not integers are refused, not truncated
+    for name, params in [("prec_at_k", {"k": "2"}), ("prec_at_k", {"k": 2.5}),
+                         ("ndcg", {"R": 2.0}), ("eru", {"R": "3"}), ("eru", {"neutral": 1.0})]:
+        with pytest.raises(LossConfigError, match="must be an integer"):
+            make_loss(name, 3, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 
 from qslearn.losses import Hamming, PrecAtK, SpaceTooLargeError, ZeroOne, make_loss
 from qslearn.synth import (
+    MultilabelGenerator,
     SyntheticSpec,
     bayes_conditional_risk,
     bayes_predictions,
     conditional_risk,
     excess_risk_exact,
-    gen_multilabel,
     rate_experiment,
     rate_rows_csv,
 )
@@ -33,29 +33,29 @@ def test_spec_validation():
 
 
 def test_hard_margin_by_construction(rng):
-    gen = gen_multilabel(HARD)
+    gen = MultilabelGenerator(HARD)
     x = gen.sample_inputs(500, rng)
     q = gen.q(x)
     assert np.min(np.abs(q - 0.5)) >= HARD.delta - 1e-12
 
 
 def test_smooth_crossing_has_small_margins(rng):
-    gen = gen_multilabel(SMOOTH)
+    gen = MultilabelGenerator(SMOOTH)
     x = rng.uniform(size=(4096, SMOOTH.d))
     q = gen.q(x)
     assert np.min(np.abs(q - 0.5)) < 0.01
 
 
 def test_modes_share_the_surface():
-    g_hard = gen_multilabel(HARD)
-    g_smooth = gen_multilabel(SMOOTH)
+    g_hard = MultilabelGenerator(HARD)
+    g_smooth = MultilabelGenerator(SMOOTH)
     assert np.allclose(g_hard.amp, g_smooth.amp)
     assert np.allclose(g_hard.freq, g_smooth.freq)
     assert g_hard.phase == g_smooth.phase
 
 
 def test_bayes_predictor_threshold_matches_enumeration(rng):
-    gen = gen_multilabel(SMOOTH)
+    gen = MultilabelGenerator(SMOOTH)
     x = rng.uniform(size=(20, SMOOTH.d))
     loss = Hamming(SMOOTH.m)
     thresholds = bayes_predictions(gen, x, loss)
@@ -77,7 +77,7 @@ def test_bayes_predictor_threshold_matches_enumeration(rng):
 
 def test_exact_excess_zero_at_bayes(rng):
     for spec in (HARD, SMOOTH):
-        gen = gen_multilabel(spec)
+        gen = MultilabelGenerator(spec)
         x = gen.sample_inputs(50, rng)
         loss = Hamming(spec.m)
         preds = bayes_predictions(gen, x, loss)
@@ -85,7 +85,7 @@ def test_exact_excess_zero_at_bayes(rng):
 
 
 def test_exact_excess_constant_predictor_closed_form(rng):
-    gen = gen_multilabel(SMOOTH)
+    gen = MultilabelGenerator(SMOOTH)
     x = gen.sample_inputs(40, rng)
     loss = Hamming(SMOOTH.m)
     z0 = (0,) * SMOOTH.m
@@ -109,7 +109,7 @@ def test_prec_at_k_conditional_risks(rng):
 
 def test_monte_carlo_cross_check(rng):
     # exact conditional excess agrees with a sampled-label estimate within 3 sigma
-    gen = gen_multilabel(SMOOTH)
+    gen = MultilabelGenerator(SMOOTH)
     loss = Hamming(SMOOTH.m)
     x = gen.sample_inputs(4000, rng)
     z0 = (0,) * SMOOTH.m
@@ -136,7 +136,7 @@ def test_prec_at_k_rate_smoke():
 
 def test_prec_at_k_bayes_matches_enumeration(rng):
     spec = SyntheticSpec(loss_name="prec_at_k", loss_params=(("k", 2),), seed=8)
-    gen = gen_multilabel(spec)
+    gen = MultilabelGenerator(spec)
     loss = spec.make_loss()
     x = gen.sample_inputs(15, rng)
     preds = bayes_predictions(gen, x, loss)
@@ -153,7 +153,7 @@ def test_reproducibility_bit_identical():
     b = rate_experiment(spec)
     assert a.rows == b.rows
     assert a.slopes == b.slopes
-    ga, gb = gen_multilabel(spec), gen_multilabel(spec)
+    ga, gb = MultilabelGenerator(spec), MultilabelGenerator(spec)
     ra, rb = np.random.default_rng(5), np.random.default_rng(5)
     xa, ya = ga.sample(30, ra)
     xb, yb = gb.sample(30, rb)
@@ -181,7 +181,7 @@ def test_rate_rows_csv_format():
 def test_generic_exact_risk_sums_over_bit_tuples(name):
     # the generator draws bit tuples, a strict subset of the relevance grid
     loss = make_loss(name, 3, R=3)
-    gen = gen_multilabel(SyntheticSpec(m=3, seed=3))
+    gen = MultilabelGenerator(SyntheticSpec(m=3, seed=3))
     x = np.random.default_rng(0).uniform(size=(4, gen.spec.d))
     outs = list(loss.outputs())
     for x_row, q in zip(x, gen.q(x)):
@@ -202,7 +202,7 @@ def test_generic_exact_risk_sums_over_bit_tuples(name):
 @pytest.mark.parametrize("name", ["fscore", "pd", "zero_one"])
 def test_generic_excess_and_bayes_match_a_per_point_sum(name):
     loss = make_loss(name, 3)
-    gen = gen_multilabel(SyntheticSpec(m=3, seed=5))
+    gen = MultilabelGenerator(SyntheticSpec(m=3, seed=5))
     rng = np.random.default_rng(1)
     x = rng.uniform(size=(25, gen.spec.d))
     outs = list(loss.outputs())
