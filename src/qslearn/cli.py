@@ -23,7 +23,7 @@ from .data import DataFormatError, parse_multilabel, split, standardize
 from .decode import argmin_untied, decode, decode_bruteforce
 from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_models,
                         save_model, select_lambda)
-from .kernels import KernelSpec, cross_kernel, median_heuristic
+from .kernels import KernelSpec, cross_kernel
 from .losses import LOSS_NAMES, DiscreteLoss, LossConfigError, decomposition_check, make_loss
 from .synth import SyntheticSpec, rate_experiment, rate_rows_csv
 
@@ -122,19 +122,14 @@ def _check_kernel_flags(args) -> None:
         raise ValueError("--bandwidth sets the gaussian kernel; --kernel linear has none")
 
 
-def _kernel_from_args(args, x_train) -> KernelSpec:
-    if args.kernel == "linear":
-        return KernelSpec("linear")
-    bw = args.bandwidth if args.bandwidth is not None else median_heuristic(x_train)
-    return KernelSpec("gaussian", bw)
-
-
 def _lambda_grid(args, n: int) -> list[float]:
     if args.lam is not None:
         return [args.lam]
-    if args.lambda_grid:
-        return [float(t) for t in args.lambda_grid.split(",")]
-    return [10.0**k * n**-0.5 for k in range(-3, 2)]
+    if args.lambda_grid is None:
+        return [10.0**k * n**-0.5 for k in range(-3, 2)]
+    if not all(t.strip() for t in args.lambda_grid.split(",")):
+        raise ValueError(f"--lambda-grid {args.lambda_grid!r} has an empty entry")
+    return [float(t) for t in args.lambda_grid.split(",")]
 
 
 def cmd_train(args) -> int:
@@ -150,20 +145,18 @@ def cmd_train(args) -> int:
         scaler = standardize(x)
         x = scaler.apply(x)
     grid = _lambda_grid(args, ds.n)
+    kernel, lam = KernelSpec(args.kernel, args.bandwidth), grid[0]
     if len(grid) > 1:
         rng = np.random.default_rng(args.seed)
         perm = rng.permutation(ds.n)
         n_val = max(1, int(0.25 * ds.n))
         val_idx, tr_idx = perm[:n_val], perm[n_val:]
-        # the refit keeps the bandwidth that lambda was selected under
-        kernel = _kernel_from_args(args, x[tr_idx])
         y = ds.labels
         [(risk, best)] = select_lambda([loss], kernel, grid, x[tr_idx], [y[i] for i in tr_idx],
                                        x[val_idx], [y[i] for i in val_idx])
-        lam = best.lam
+        # the refit keeps the bandwidth that lambda was selected under
+        kernel, lam = best.kernel, best.lam
         print(f"selected lambda = {lam:.6g} (validation risk {risk:.4f})")
-    else:
-        kernel, lam = _kernel_from_args(args, x), grid[0]
     model = fit(loss, kernel, lam, x, ds.labels)
     model.scaler = scaler
     save_model(model, args.out)
@@ -203,10 +196,10 @@ def cmd_eval(args) -> int:
     x_tr, x_va, x_te = (scaler.apply(x) for x in (x_tr, x_va, x_te))
     losses = [make_loss(name, ds.m) for name in (args.losses or "zero_one,hamming,fscore").split(",")]
     path = "alpha" if args.decompose_free else "fast"
-    kernel = _kernel_from_args(args, x_tr)
-    picks = select_lambda(losses, kernel, _lambda_grid(args, train.n), x_tr, train.labels,
-                          x_va, val.labels, path)
-    k_te = cross_kernel(kernel, x_te, x_tr)
+    picks = select_lambda(losses, KernelSpec(args.kernel, args.bandwidth),
+                          _lambda_grid(args, train.n), x_tr, train.labels, x_va, val.labels, path)
+    # every pick carries the kernel its split's Gram was built with
+    k_te = cross_kernel(picks[0][1].kernel, x_te, x_tr)
     preds = predict_models([model for _, model in picks], k_te, path=path)
     records = []
     for (val_risk, model), loss, pred in zip(picks, losses, preds):

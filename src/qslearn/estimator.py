@@ -76,7 +76,8 @@ def fit_path(losses, kernel: KernelSpec, grid, x, y):
     Yields ``(lam, models)`` in grid order, one model per loss.  The losses'
     embeddings are stacked column-wise, so each lambda costs one Cholesky
     factorization of K + lambda n I and one solve; each model's coefficients
-    are its column slice of C, and all of them share that factor.
+    are its column slice of C, and all of them share that factor and carry
+    the Gram's kernel spec, with the bandwidth the Gram chose if any.
     """
     x = _features(x)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -91,7 +92,7 @@ def fit_path(losses, kernel: KernelSpec, grid, x, y):
     for lam in grid:
         ridge = solve_ridge(gram, psi, lam)
         yield lam, [
-            QSModel(loss, kernel, lam, x, ys,
+            QSModel(loss, gram.spec, lam, x, ys,
                     RidgeSolution(ridge.coefficients[:, a:b], lam, ridge.factor))
             for loss, ys, a, b in zip(losses, labels, edges[:-1], edges[1:])
         ]
@@ -192,9 +193,11 @@ def select_lambda(
     current lambda's factor is alive; on the alpha path they keep it for
     test-time prediction, one shared factor per distinct selected lambda.
     """
-    k_val = cross_kernel(kernel, x_val, x_tr)
     best = [(np.inf, None)] * len(losses)
+    k_val = None
     for lam, models in fit_path(losses, kernel, grid, x_tr, y_tr):
+        if k_val is None:
+            k_val = cross_kernel(models[0].kernel, x_val, x_tr)
         preds = predict_models(models, k_val, path=path)
         for j, (model, pred) in enumerate(zip(models, preds)):
             risk = empirical_risk(pred, model.loss, y_val)
@@ -265,8 +268,9 @@ def load_model(path: str) -> QSModel:
     require(y_arr.shape == (n, loss.m), f"y_train has shape {y_arr.shape}, expected {(n, loss.m)}")
     require(np.all(np.isfinite(x_train)) and np.all(np.isfinite(coef)),
             "x_train or coefficients have non-finite entries")
-    require(np.isfinite(lam) and lam > 0 and np.isfinite(bw),
-            f"lambda {lam} and bandwidth {bw} must be finite, lambda positive")
+    require(np.isfinite(lam) and lam > 0 and np.isfinite(bw)
+            and (kernel.kind == "linear" or kernel.bandwidth is not None),
+            f"lambda {lam} and bandwidth {bw} must be finite, lambda positive, bandwidth set if gaussian")
     if scaler is not None:
         require(scaler.mean.shape == scaler.scale.shape == (d,)
                 and np.all(np.isfinite(scaler.mean)) and np.all(np.isfinite(scaler.scale)),

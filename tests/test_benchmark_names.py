@@ -3,17 +3,23 @@
 ``benchmarks/tracer.py`` wraps the functions listed in ``SPANNED`` by
 module and attribute, and the workloads and their checks call a few more
 by name; a rename or an API trim would only show as a failing
-``benchmarks/run.py --trace 1``.  The tracer module is read, never
-installed.
+``benchmarks/run.py --trace 1``.  The tracer module is read here, and
+installed only in a subprocess, so its wrappers cannot reach other tests.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # called by name from workloads.py, checks.py, selftest.py, inputs.py and run.py
 CALLED = [
@@ -56,3 +62,45 @@ def test_benchmark_name_resolves(module_name, attr):
     else:
         getattr(owner, attr)
 
+
+
+# installs the tracer, runs the CLI commands given as JSON argument lists,
+# and prints the tracer's counters
+TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tr = tracer.Tracer()
+tracer.install(tr)
+tr.enabled = True
+from qslearn import cli
+for argv in json.loads(sys.argv[2]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(tr.counters))
+"""
+
+
+def test_tracer_hooks_count_factorizations_rows_and_model_bytes(tmp_path):
+    n, grid = 40, [0.01, 0.1, 1.0]
+    x = np.random.default_rng(0).normal(size=(n, 2))
+    data = tmp_path / "toy.libsvm"
+    data.write_text("".join(f"{int(a > 0)} 1:{a:.6f} 2:{b:.6f}\n" for a, b in x))
+    model = tmp_path / "m.npz"
+    commands = [
+        ["train", "--data", str(data), "--m", "2", "--loss", "hamming",
+         "--lambda-grid", ",".join(map(str, grid)), "--out", str(model)],
+        ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.txt")],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(BENCHMARKS / "tracer.py"), json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    counters = json.loads(proc.stdout.splitlines()[-1])
+    # train selects lambda on 3/4 of the rows, one factorization per lambda,
+    # then refits on all rows; the fast-path predict factors nothing
+    n_tr = n - n // 4
+    assert counters["kernels.factor_flops"] == len(grid) * n_tr**3 / 3.0 + n**3 / 3.0
+    assert counters["data.parse_rows"] == 2 * n
+    assert counters["estimator.model_bytes"] == model.stat().st_size

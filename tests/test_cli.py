@@ -186,6 +186,21 @@ def test_flag_that_would_be_overridden_is_usage_error(command, flags, named, tmp
     assert not model.exists() and "selected lambda" not in captured.out
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("grid", ["", " ", "1,,2"], ids=["empty", "blank", "gap"])
+def test_empty_lambda_grid_entry_is_usage_error(command, grid, tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=40)
+    model = tmp_path / "model.npz"
+    argv = {"train": ["train", "--data", str(data), "--loss", "hamming", "--m", "2",
+                      "--out", str(model)],
+            "eval": ["eval", "--data", str(data), "--m", "2"]}[command]
+    assert run(argv + ["--lambda-grid", grid]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "--lambda-grid" in captured.err
+    assert not model.exists() and "selected lambda" not in captured.out
+
+
 def test_eval_decompose_free_matches_fast(tmp_path):
     data = tmp_path / "toy.libsvm"
     make_toy_dataset(data, n=40, seed=3)
@@ -424,24 +439,26 @@ def test_eval_builds_one_gram_and_one_factor_per_lambda(tmp_path, monkeypatch):
     make_noisy_dataset(data)
     counts = {}
     for module, name in [(estimator, "build_gram"), (kernels, "ridge_factor"),
-                         (estimator, "ridge_factor"), (cli, "median_heuristic")]:
+                         (estimator, "ridge_factor"), (kernels, "median_heuristic")]:
         _count_calls(monkeypatch, module, name, counts)
     assert run(["eval", "--data", str(data), "--m", "3", "--lambda-grid",
                 ",".join(map(str, GRID)), "--out", str(tmp_path / "e.csv")]) == 0
-    assert counts == {"build_gram": 1, "ridge_factor": len(GRID), "median_heuristic": 1}
+    # the Gram reads the bandwidth from its own distances: no median_heuristic call
+    assert counts == {"build_gram": 1, "ridge_factor": len(GRID)}
 
 
 def test_train_grid_builds_two_grams_and_one_validation_kernel(tmp_path, monkeypatch):
     data = tmp_path / "noisy.libsvm"
     make_noisy_dataset(data)
     counts = {}
-    for module, name in [(cli, "median_heuristic"), (estimator, "build_gram"),
+    for module, name in [(kernels, "median_heuristic"), (estimator, "build_gram"),
                          (estimator, "cross_kernel")]:
         _count_calls(monkeypatch, module, name, counts)
     assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming", "--lambda-grid",
                 ",".join(map(str, GRID)), "--out", str(tmp_path / "m.npz")]) == 0
-    # one Gram for the selection split and one for the refit on all rows
-    assert counts == {"median_heuristic": 1, "build_gram": 2, "cross_kernel": 1}
+    # one Gram for the selection split, which chooses the bandwidth, and one
+    # for the refit on all rows; no median_heuristic call
+    assert counts == {"build_gram": 2, "cross_kernel": 1}
 
 
 def test_decompose_free_eval_solves_alpha_once_per_lambda(tmp_path, monkeypatch):
@@ -516,3 +533,18 @@ def test_corrupt_model_is_usage_error(tmp_path, capsys):
     save_model(model, str(model_path))
     assert run(["predict", "--model", str(model_path), "--data", str(data)]) == cli.USAGE_ERROR
     assert "coefficients" in capsys.readouterr().err
+
+
+def test_gaussian_model_without_bandwidth_is_usage_error(tmp_path, capsys):
+    # save_model writes -1 for a missing bandwidth; a gaussian model must not
+    # load with it, since cross_kernel has no Gram to choose one from
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data, n=20)
+    model_path = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming",
+                "--lambda", "0.01", "--out", str(model_path)]) == 0
+    with np.load(model_path) as payload:
+        arrays = {key: payload[key] for key in payload.files}
+    np.savez(model_path, **{**arrays, "bandwidth": np.array(-1.0)})
+    assert run(["predict", "--model", str(model_path), "--data", str(data)]) == cli.USAGE_ERROR
+    assert "bandwidth" in capsys.readouterr().err

@@ -340,6 +340,7 @@ CORRUPTIONS = {
     "x_train_nan": _nan_at("x_train"),
     "coefficients_inf": lambda a: a["coefficients"].__setitem__((2, 1), np.inf),
     "lam_nan": lambda a: a.update(lam=np.array(np.nan)),
+    "bandwidth_missing": lambda a: a.update(bandwidth=np.array(-1.0)),
     "scaler_d": lambda a: a.update(scaler_mean=a["scaler_mean"][:-1]),
     "missing_key": lambda a: a.pop("coefficients"),
     "version": lambda a: a.update(format_version=np.array(3)),

@@ -14,6 +14,7 @@ from qslearn.kernels import (
     build_gram,
     cross_kernel,
     median_heuristic,
+    ridge_factor,
     solve_ridge,
     weights_at,
 )
@@ -93,12 +94,16 @@ def test_gram_empty_input_rejected():
 def test_gram_invariants_random(rng):
     for _ in range(5):
         x = rng.normal(size=(rng.integers(2, 30), 3))
-        build_gram(GAUSS, x).validate()
-        build_gram(LINEAR, x).validate()
+        for spec in (GAUSS, LINEAR):
+            k = build_gram(spec, x).entries
+            assert np.array_equal(k, k.T)
+            # positive semi-definite: a Cholesky with a jitter of 1e-10 times
+            # the mean diagonal succeeds
+            np.linalg.cholesky(k + 1e-10 * np.trace(k) / len(k) * np.eye(len(k)))
 
 
 def test_solve_ridge_scalar():
-    gram = GramMatrix(np.array([[1.0]]), 1)
+    gram = GramMatrix(np.array([[1.0]]), 1, GAUSS)
     for u, lam in [(2.5, 0.3), (-1.0, 1.0)]:
         sol = solve_ridge(gram, np.array([[u]]), lam)
         assert sol.coefficients[0, 0] == pytest.approx(u / (1 + lam), rel=1e-14)
@@ -122,6 +127,27 @@ def test_solve_ridge_residual(n, rng):
     assert resid < 1e-8
 
 
+def test_ridge_factor_allocates_one_copy_of_k():
+    # K + lambda n I is built in one n x n copy of K and factored in place;
+    # the rest is scipy's finiteness check (an n x n bool mask, 1/8 of K)
+    n = 1500
+    gram = build_gram(GAUSS, np.random.default_rng(5).normal(size=(n, 3)))
+    tracemalloc.start()
+    try:
+        ridge_factor(gram, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * n * n * 8
+
+
+def test_ridge_factor_failure_reports_smallest_eigenvalue():
+    # K + lambda n I = [[0.2, 1], [1, 0.2]] has eigenvalues 1.2 and -0.8
+    gram = GramMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 2, LINEAR)
+    with pytest.raises(np.linalg.LinAlgError, match="smallest eigenvalue -8.000e-01"):
+        ridge_factor(gram, 0.1)
+
+
 def test_solve_ridge_rejects_bad_inputs(rng):
     gram = build_gram(GAUSS, rng.normal(size=(4, 2)))
     with pytest.raises(ValueError):
@@ -131,7 +157,7 @@ def test_solve_ridge_rejects_bad_inputs(rng):
 
 
 def test_weights_single_point():
-    gram = GramMatrix(np.array([[1.0]]), 1)
+    gram = GramMatrix(np.array([[1.0]]), 1, GAUSS)
     sol = solve_ridge(gram, np.array([[1.0]]), 0.25)
     alpha = weights_at(sol, np.array([1.0]))
     assert alpha[0] == pytest.approx(1.0 / 1.25, rel=1e-14)
@@ -164,6 +190,11 @@ def test_two_path_consistency(rng):
 def test_median_heuristic_degenerate():
     assert median_heuristic(np.zeros((5, 2))) == 1.0
     assert median_heuristic(np.zeros((1, 2))) == 1.0
+
+
+def test_cross_kernel_needs_a_bandwidth():
+    with pytest.raises(ValueError, match="bandwidth"):
+        cross_kernel(KernelSpec("gaussian"), [[0.0, 1.0]], [[1.0, 2.0]])
 
 
 def test_cross_kernel_dimension_mismatch(rng):
@@ -218,6 +249,22 @@ def test_kernels_agree_with_scipy(name):
     for rows in (x_test[:1], x_test):  # the per-pair path and the product path
         np.testing.assert_allclose(cross_kernel(spec, rows, x), _scipy_cross(rows, x, bw),
                                    rtol=1e-12, atol=0)
+
+
+def _bandwidth_rows(name):
+    if name.startswith("n="):  # n = 2, 9, 41 and 1100 rows, the last in several row blocks
+        n = int(name[2:])
+        return np.random.default_rng(n).normal(size=(n, 3 if n > 41 else 4))
+    return _agreement_rows(name)[0]
+
+
+@pytest.mark.parametrize("name", ["n=2", "n=9", "n=41", "n=1100", "duplicates", "offset"])
+def test_gram_chooses_median_bandwidth(name):
+    x = _bandwidth_rows(name)
+    bw = median_heuristic(x)
+    gram = build_gram(KernelSpec("gaussian"), x)
+    assert gram.spec == KernelSpec("gaussian", bw)
+    assert np.array_equal(gram.entries, build_gram(KernelSpec("gaussian", bw), x).entries)
 
 
 def test_median_heuristic_mostly_duplicate_rows():
