@@ -7,7 +7,7 @@ exact affine decompositions, fast decoders verified against brute force,
 sharp-constant calculators, and low-noise calibration diagnostics.
 """
 
-from .decode import decode, decode_bruteforce, greedy_arcset, qap_local_search
+from .decode import decode, decode_batch, decode_bruteforce, greedy_arcset, qap_local_search
 from .estimator import QSModel, empirical_risk, fit, load_model, predict, predict_batch, save_model
 from .kernels import GramMatrix, KernelSpec, RidgeSolution, build_gram, median_heuristic, solve_ridge, weights_at
 from .losses import (
@@ -48,6 +48,7 @@ __all__ = [
     "calibration_H_p",
     "comparison_check",
     "decode",
+    "decode_batch",
     "decode_bruteforce",
     "decomposition_check",
     "empirical_risk",

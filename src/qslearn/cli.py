@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .data import DataFormatError, parse_multilabel, split, standardize
-from .decode import argmin_untied, decode, decode_bruteforce
+from .decode import argmin_untied, decode_batch, decode_bruteforce
 from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_models,
                         save_model, select_lambda)
 from .kernels import KernelSpec, cross_kernel
@@ -89,7 +89,7 @@ def cmd_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     observations = list(loss.observations())
     f_rows = loss.output_table.f
-    mismatches = redrawn = 0
+    thetas, draws, redrawn = [], [], 0
     for _ in range(args.instances):
         # ties between distinct outputs fall to rounding, outside the decoder contract
         for _ in range(_CHECK_DRAWS):
@@ -100,8 +100,11 @@ def cmd_check(args) -> int:
             if argmin_untied(f_rows, theta):
                 break
             redrawn += 1
-        if decode(loss, theta) != decode_bruteforce(loss, weights, ys):
-            mismatches += 1
+        thetas.append(theta)
+        draws.append((weights, ys))
+    labels = decode_batch(loss, np.reshape(thetas, (-1, loss.r)))
+    mismatches = sum(z != decode_bruteforce(loss, weights, ys)
+                     for z, (weights, ys) in zip(labels, draws))
     print(f"tied instances redrawn: {redrawn}")
     print(f"decoder vs brute force: {mismatches} mismatches in {args.instances} instances")
     if mismatches:

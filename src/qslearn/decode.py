@@ -1,14 +1,16 @@
 """Inference: argmin_z F_z . theta through each loss's decoder, plus a brute-force oracle.
 
 Each loss class owns its decoder as ``DiscreteLoss.decode``, next to the
-``f_row`` it inverts; the base class scores the loss's cached output table
-(every z with its F row) with one matrix-vector product.  ``decode`` checks the
-shape of theta and calls that method.  Every decoder reproduces the
-canonical tie-break of exhaustive enumeration (lexicographically smallest
-label among exact-score ties), so ``decode`` and ``decode_bruteforce`` are
-interchangeable on enumerable spaces.  Score comparisons are exact double
-comparisons; ties are broken only on exact equality, and ``argmin_untied``
-tells which instances that contract covers.
+``f_row`` it inverts, and decodes a batch of rows with ``decode_batch``.  The
+base class scores the loss's cached output table (every z with its F row)
+with one matrix-vector product per row.  ``decode`` and ``decode_batch``
+check the shape and finiteness of theta once and call those methods.  Every
+decoder reproduces the canonical tie-break of exhaustive enumeration
+(lexicographically smallest label among exact-score ties), so ``decode`` and
+``decode_bruteforce`` are interchangeable on enumerable spaces, and a row's
+label never depends on the other rows of its batch.  Score comparisons are
+exact double comparisons; ties are broken only on exact equality, and
+``argmin_untied`` tells which instances that contract covers.
 
 ``decode_bruteforce`` is the decomposition-free oracle.  It adds up the
 weights of each distinct observation and scores them against the loss's
@@ -16,14 +18,17 @@ cached ``loss_matrix``: columns of ``loss.value`` over Z, built once per
 loss instance and observation and never derived from F, U or the output
 table, so the oracle stays independent of the decomposition it checks.
 
-The two NP-hard inference problems fall back to heuristics beyond the
-class constants ``PairwiseDisagreement.exact_limit`` (m = 8) and
-``MeanAveragePrecision.exact_limit`` (m = 6): pairwise disagreement to a
-greedy feedback-arc-set ordering, MAP to a 2-swap local search on its
-quadratic-assignment form.  Both live with the losses that use them.  They
-are re-exported here because the benchmark's tracer
-(``benchmarks/tracer.py``) names them as ``qslearn.decode`` attributes when
-it wraps the decode layer.
+Pairwise disagreement and MAP are NP-hard to decode for general weights,
+but their F_z . theta adds up a cost per item that depends only on the set
+of items ranked above it.  Both decode exactly by a dynamic programme over
+subsets, batched over rows, up to the class constants
+``PairwiseDisagreement.exact_limit`` (m = 8) and
+``MeanAveragePrecision.exact_limit`` (m = 16).  Beyond them pairwise
+disagreement falls back to a greedy feedback-arc-set ordering and MAP to a
+2-swap local search on its quadratic-assignment form.  All three live with
+the losses that use them.  The two heuristics are re-exported here because
+the benchmark's tracer (``benchmarks/tracer.py``) names them as
+``qslearn.decode`` attributes when it wraps the decode layer.
 """
 
 from __future__ import annotations
@@ -34,20 +39,16 @@ from collections import namedtuple
 import numpy as np
 
 from .losses import DiscreteLoss, MeanAveragePrecision, PairwiseDisagreement, SpaceTooLargeError
-from .losses.base import Label
+from .losses.base import BLOCK_CELLS, Label
 from .losses.ranking import greedy_arcset, qap_local_search  # noqa: F401
 
 # A read-only record of the two exact-decode limits under the names
 # ``benchmarks/tracer.py`` reads to label each decode call's path; it goes
-# when the library traces its own decoder paths (ROADMAP item 3).
+# when the library traces its own decoder paths (ROADMAP item 1).
 DEFAULT_BUDGET = namedtuple("ExactLimits", "exact_limit exact_limit_map")(
     PairwiseDisagreement.exact_limit, MeanAveragePrecision.exact_limit
 )
 
-# |Z| x distinct observations: the loss-matrix cells one brute-force decode
-# may read (16 MB), each built once from ``loss.value`` and then kept on the
-# loss, independent of F and U
-_BRUTE_FORCE_LIMIT = 2_000_000
 # scores closer than this to the minimum count as tied for argmin_untied
 _TIE_GAP = 1e-9
 
@@ -61,7 +62,20 @@ def decode(loss: DiscreteLoss, theta: np.ndarray) -> Label:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (loss.r,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({loss.r},)")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta has non-finite entries")
     return loss.decode(theta)
+
+
+def decode_batch(loss: DiscreteLoss, thetas) -> list:
+    """``decode`` for every row of an n x r array, in one call to the loss's
+    ``decode_batch``; each label is the one ``decode`` gives its row."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != loss.r:
+        raise ValueError(f"thetas have shape {thetas.shape}, expected (n, {loss.r})")
+    if not np.isfinite(thetas).all():
+        raise ValueError("thetas have non-finite entries")
+    return loss.decode_batch(thetas)
 
 
 def column_sums(matrix: np.ndarray, weights) -> np.ndarray:
@@ -100,7 +114,7 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
     inverse = np.array([seen.setdefault(tuple(y), len(seen)) for y in observations],
                        dtype=np.intp)
     n_z = loss.n_outputs()
-    if n_z * max(len(seen), 1) > _BRUTE_FORCE_LIMIT:
+    if n_z * max(len(seen), 1) > BLOCK_CELLS:
         raise SpaceTooLargeError(
             f"{loss.name}: {n_z} outputs x {len(seen)} distinct observations "
             "is beyond the brute-force budget"

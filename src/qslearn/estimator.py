@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Standardizer
-from .decode import decode, decode_bruteforce
+from .decode import decode_batch, decode_bruteforce
 from .kernels import (
     KernelSpec,
     RidgeSolution,
@@ -159,7 +159,7 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
                 thetas = k_x @ model.coefficients
             if not np.isfinite(thetas).all():
                 raise ValueError("surrogate values are not finite; the inputs overflow the kernel")
-            out.append([decode(model.loss, t) for t in thetas])
+            out.append(decode_batch(model.loss, thetas))
         return out
     if path == "alpha":
         alphas = {}
@@ -243,8 +243,7 @@ def load_model(path: str) -> QSModel:
                 raise ValueError(f"unsupported model format version {version}")
             cfg = json.loads(str(payload["loss_json"]))
             loss = make_loss(cfg.pop("name"), cfg.pop("m"), **cfg)
-            bw = float(payload["bandwidth"])
-            kernel = KernelSpec(str(payload["kernel_kind"]), None if bw < 0 else bw)
+            kind, bw = str(payload["kernel_kind"]), float(payload["bandwidth"])
             lam = float(payload["lam"])
             x_train = np.asarray(payload["x_train"], dtype=float)
             coef = np.asarray(payload["coefficients"], dtype=float)
@@ -268,9 +267,9 @@ def load_model(path: str) -> QSModel:
     require(y_arr.shape == (n, loss.m), f"y_train has shape {y_arr.shape}, expected {(n, loss.m)}")
     require(np.all(np.isfinite(x_train)) and np.all(np.isfinite(coef)),
             "x_train or coefficients have non-finite entries")
-    require(np.isfinite(lam) and lam > 0 and np.isfinite(bw)
-            and (kernel.kind == "linear" or kernel.bandwidth is not None),
+    require(np.isfinite(lam) and lam > 0 and np.isfinite(bw) and (kind == "linear" or bw > 0),
             f"lambda {lam} and bandwidth {bw} must be finite, lambda positive, bandwidth set if gaussian")
+    kernel = KernelSpec(kind, None if bw < 0 else bw)
     if scaler is not None:
         require(scaler.mean.shape == scaler.scale.shape == (d,)
                 and np.all(np.isfinite(scaler.mean)) and np.all(np.isfinite(scaler.scale)),

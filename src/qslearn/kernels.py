@@ -59,8 +59,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("gaussian kernel needs bandwidth > 0")
+        bw = self.bandwidth
+        if self.kind == "gaussian" and bw is not None and not 0 < bw < math.inf:  # NaN too
+            raise ValueError(f"gaussian kernel needs a finite bandwidth > 0, got {bw}")
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,9 @@ class SharpConstant:
 
 # largest |Z| * r of an OutputTable, and |Z| * columns of a loss matrix: 128 MiB
 TABLE_CELLS = 2 ** 24
+# largest working block (16 MB of float64): the loss-matrix cells one
+# brute-force decode reads, and the subset-DP cost cells of one row block
+BLOCK_CELLS = 2_000_000
 # most (z, y) pairs that decomposition_check enumerates
 _CHECK_PAIRS = 1_500_000
 
@@ -229,9 +232,7 @@ class OutputTable:
         return cls(labels, f, first)
 
     def argmin(self, theta: np.ndarray) -> Label:
-        """argmin_z F_z . theta with the canonical tie-break."""
-        if not np.isfinite(theta).all():
-            raise ValueError("theta has non-finite entries")
+        """argmin_z F_z . theta with the canonical tie-break, for a finite theta."""
         i = int(np.argmin(self.f @ theta))
         if self.first is not None:
             i = int(self.first[i])
@@ -245,7 +246,8 @@ class DiscreteLoss:
     ``observation_space``), the evaluator ``value``, the decomposition
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
     of the F rows and ``sharp``.  A loss with structure overrides ``decode``
-    with a fast decoder and describes it in ``decoder``.  A loss with
+    with a fast decoder, and ``decode_batch`` where rows decode faster
+    together, and describes it in ``decoder``.  A loss with
     constructor parameters beyond m returns them from ``config``, keyed by
     their constructor names, so ``make_loss(name, m, **loss.config())``
     rebuilds it.  ``output_table`` enumerates Z and F once per instance, for
@@ -345,6 +347,10 @@ class DiscreteLoss:
     def decode(self, theta: np.ndarray) -> Label:
         """argmin_z F_z . theta over the output table, canonical tie-break."""
         return self.output_table.argmin(theta)
+
+    def decode_batch(self, thetas: np.ndarray) -> list:
+        """``decode`` of every row of an n x r array."""
+        return [self.decode(theta) for theta in thetas]
 
     def u_row(self, y: Label) -> np.ndarray:
         raise NotImplementedError

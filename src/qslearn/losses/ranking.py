@@ -2,21 +2,27 @@
 
 Permutations are one-line tuples with sigma[j] = rank of item j (rank 1 is
 the top position).  NDCG-type losses observe relevance vectors in {0..R}^m;
-PD and MAP observe binary relevance, i.e. subsets.  Each enumerates S_m
-exactly up to its class constant ``exact_limit`` (PD m = 8, MAP m = 6);
-beyond it PD decodes by ``greedy_arcset`` and MAP by ``qap_local_search``,
-both at the end of this module.
+PD and MAP observe binary relevance, i.e. subsets.  Their F_sigma . theta
+depends on sigma only through the set of items ranked above each item, so
+both decode exactly by ``subset_dp``, a shortest path over the 2^m subsets
+of placed items (Held & Karp, 1962), up to their class constant
+``exact_limit`` (PD m = 8, MAP m = 16).  Beyond it PD decodes by
+``greedy_arcset`` and MAP by ``qap_local_search``.  The DP and both
+heuristics are at the end of this module.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .base import (
+    BLOCK_CELLS,
     DiscreteLoss,
     Label,
     LabelSpace,
@@ -190,7 +196,53 @@ def pair_index(m: int) -> list[tuple[int, int]]:
     return [(j, l) for j in range(m) for l in range(j)]
 
 
-class PairwiseDisagreement(DiscreteLoss):
+class PlacedRanking:
+    """Decoders for a ranking loss whose F_sigma . theta adds up, over the
+    items j, a cost of placing j directly below the set of items ranked
+    above it; mixed in ahead of ``DiscreteLoss``.
+
+    ``decode_batch`` minimizes such an objective exactly by ``subset_dp`` up
+    to m = ``exact_limit``, in row blocks of at most ``BLOCK_CELLS`` cost
+    cells, and runs the subclass's ``search`` heuristic on each row beyond
+    it.  Subclasses give ``placement_costs`` and ``search``.
+    """
+
+    m: int
+    pairs: list
+    exact_limit: int
+
+    @functools.cached_property
+    def _pair_at(self) -> np.ndarray:
+        """m x m: entries [j, l] and [l, j] hold the theta coordinate of the
+        pair (j, l); entries off the pairs hold 0."""
+        index = np.zeros((self.m, self.m), dtype=np.intp)
+        for p, (j, l) in enumerate(self.pairs):
+            index[j, l] = index[l, j] = p
+        return index
+
+    def placement_costs(self, thetas: np.ndarray) -> np.ndarray:
+        """2^m x m x rows: cell [S, j] is the cost of placing item j directly
+        below the item set S (bit l of S is item l), for each row of thetas."""
+        raise NotImplementedError
+
+    def search(self, theta: np.ndarray) -> Label:
+        raise NotImplementedError
+
+    def decode(self, theta: np.ndarray) -> Label:
+        return self.decode_batch(np.asarray(theta, dtype=float)[None])[0]
+
+    def decode_batch(self, thetas: np.ndarray) -> list:
+        if self.m > self.exact_limit:
+            return [self.search(theta) for theta in thetas]
+        step = max(1, BLOCK_CELLS // (self.m << self.m))
+        labels = []
+        for lo in range(0, len(thetas), step):
+            sigma = subset_dp(self.placement_costs(thetas[lo:lo + step]))
+            labels.extend(map(tuple, sigma.tolist()))
+        return labels
+
+
+class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
     """Fraction of discordant pairs: less relevant item ranked above more relevant.
 
     With t_{jl}(y) = sign(y_l - y_j) and q_{jl}(sigma) = sign(sigma_l - sigma_j)
@@ -202,13 +254,17 @@ class PairwiseDisagreement(DiscreteLoss):
     F_sigma = q(sigma)/4 and U_y = 2 t(y)/N(y), c = 1/2, r = m(m-1)/2.
     Observations with |y| in {0, m} have no comparable pairs and are
     degenerate.  Exact inference is a minimum-weight feedback-arc-set
-    problem, NP-hard in general: the output table is scored up to m =
-    ``exact_limit``, the greedy arc-set heuristic beyond.
+    (linear ordering) problem, NP-hard in general: each pair costs
+    -theta_{jl}/4 when l is ranked above j and +theta_{jl}/4 otherwise, so
+    ``subset_dp`` solves it exactly up to m = ``exact_limit``, the greedy
+    arc-set heuristic beyond.
     """
 
     name = "pd"
-    exact_limit = 8  # the table is 40320 x 28 (9 MB); m = 9 would be 105 MB
-    decoder = f"NP-hard (MWFAS); exact for m <= {exact_limit}, else greedy arcset"
+    # beyond m = 8 the greedy heuristic runs, though one DP row would fit a
+    # block up to m = 17
+    exact_limit = 8
+    decoder = f"NP-hard (MWFAS); O(2^m m) subset DP for m <= {exact_limit}, else greedy arcset"
 
     def __init__(self, m: int):
         if m < 2:
@@ -242,9 +298,15 @@ class PairwiseDisagreement(DiscreteLoss):
             [float(np.sign(z[l] - z[j])) for j, l in self.pairs]
         )
 
-    def decode(self, theta: np.ndarray) -> Label:
-        if self.m <= self.exact_limit:
-            return super().decode(theta)
+    def placement_costs(self, thetas: np.ndarray) -> np.ndarray:
+        # [j, l]: the cost of item l ranked above item j, -theta_{jl}/4 for
+        # l < j and +theta_{lj}/4 for l > j
+        order = np.arange(self.m)
+        sign = 0.25 * np.sign(order - order[:, None])
+        above = thetas.T[self._pair_at] * sign[..., None]
+        return subset_sums(np.zeros((self.m, len(thetas))), above)
+
+    def search(self, theta: np.ndarray) -> Label:
         m = self.m
         gamma = np.zeros((m, m))
         for idx, (j, l) in enumerate(self.pairs):
@@ -267,7 +329,7 @@ class PairwiseDisagreement(DiscreteLoss):
         return SharpConstant(self.r, self.f_norm, 2.0 / (self.m - 1), self.m / 4.0)
 
 
-class MeanAveragePrecision(DiscreteLoss):
+class MeanAveragePrecision(PlacedRanking, DiscreteLoss):
     """One minus mean average precision over the relevant items of y.
 
     Rewriting AP over unordered relevant pairs gives coordinates indexed by
@@ -277,14 +339,18 @@ class MeanAveragePrecision(DiscreteLoss):
 
     so r = m(m+1)/2.  Every F row is a permutation of the same multiset, and
     ||F_z||_2^2 = H_m (harmonic number) exactly.  |y| = 0 is degenerate.
-    Exact inference is a quadratic assignment problem, NP-hard in general:
-    the output table is scored up to m = ``exact_limit``, a 2-swap local
-    search beyond.
+    Exact inference is a quadratic assignment problem, NP-hard in general.
+    Here max(sigma_j, sigma_l) = sigma_j for every l ranked above j, so
+    placing j below a set S of k items costs
+    (theta_jj + sum_{l in S} theta_jl) / (k + 1), and ``subset_dp`` solves it
+    exactly up to m = ``exact_limit``, a 2-swap local search beyond.
     """
 
     name = "map"
-    exact_limit = 6  # the table is 720 x 21 (0.1 MB)
-    decoder = f"NP-hard (QAP); exact for m <= {exact_limit}, else 2-swap local search"
+    # the largest m whose DP fits one row in a block of BLOCK_CELLS; the DP
+    # beats the local search at every m up to it
+    exact_limit = 16
+    decoder = f"NP-hard (QAP); O(2^m m) subset DP for m <= {exact_limit}, else 2-swap local search"
 
     def __init__(self, m: int):
         if m < 1:
@@ -315,9 +381,13 @@ class MeanAveragePrecision(DiscreteLoss):
     def f_row(self, z: Label) -> np.ndarray:
         return np.array([1.0 / max(z[j], z[l]) for j, l in self.pairs])
 
-    def decode(self, theta: np.ndarray) -> Label:
-        if self.m <= self.exact_limit:
-            return super().decode(theta)
+    def placement_costs(self, thetas: np.ndarray) -> np.ndarray:
+        pair = thetas.T[self._pair_at]
+        cost = subset_sums(np.diagonal(pair).T, pair)
+        cost /= _lattice(self.m).next_rank
+        return cost
+
+    def search(self, theta: np.ndarray) -> Label:
         m = self.m
         w = np.zeros((m, m))
         for idx, (j, l) in enumerate(self.pairs):
@@ -349,6 +419,116 @@ class MeanAveragePrecision(DiscreteLoss):
                 "and U_max = 1"
             ),
         )
+
+
+# ---------------------------------------------------------------------------
+# exact decoding of placement costs by dynamic programming over subsets
+# ---------------------------------------------------------------------------
+
+_Lattice = namedtuple("_Lattice", "levels next_rank weights")
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(m: int) -> _Lattice:
+    """The subsets of m items, level by level, as index arrays for ``subset_dp``.
+
+    ``levels[k - 1]`` lists the k-item sets S in increasing bitmask order as
+    three C(m, k) x k arrays over the items j of S, ascending: ``pred``, the
+    position of S minus j in level k - 1; ``cell``, the flat index
+    (S minus j) * m + j of the cost of placing j below the rest of S; and
+    ``item``, j itself.  ``next_rank[S]`` = |S| + 1 is the rank of an item
+    placed directly below S, and ``weights[j]`` = m^(m-1-j) turns ranks into
+    a lexicographic key.
+    """
+    masks = np.arange(1 << m)
+    bits = (masks[:, None] >> np.arange(m)) & 1
+    placed = bits.sum(axis=1)
+    position = np.empty(1 << m, dtype=np.intp)
+    for k in range(m + 1):
+        position[placed == k] = np.arange(math.comb(m, k))
+    levels = []
+    for k in range(1, m + 1):
+        sets = masks[placed == k]
+        item = np.nonzero(bits[sets])[1].reshape(len(sets), k)
+        rest = sets[:, None] ^ (1 << item)
+        levels.append((position[rest], rest * m + item, item))
+    weights = np.array([m ** (m - 1 - j) for j in range(m)], dtype=np.uint64)
+    return _Lattice(levels, (placed + 1.0)[:, None, None], weights)
+
+
+def subset_sums(base: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """2^m x m x rows: cell [S, j] = base[j] + sum over the items l of S of
+    pair[j, l], for every row (the last axis of ``base`` and ``pair``).
+
+    Built by doubling over the highest bit of S, so every cell adds its
+    terms in ascending l, elementwise along the row axis: a row's sums do not
+    depend on the other rows.  Cells with j in S are filled but never read.
+    """
+    m, rows = base.shape
+    cost = np.empty((1 << m, m, rows))
+    cost[0] = base
+    for b in range(m):
+        np.add(cost[: 1 << b], pair[:, b], out=cost[1 << b : 2 << b])
+    return cost
+
+
+def _walk(levels, choices, position):
+    """(rank, item) from rank k down to 1 for the k-item sets at ``position``
+    (sets x rows, or rows) of level k = len(choices) + 1, following each
+    set's chosen last item; level 1 holds item j at position j."""
+    column = np.arange(position.shape[-1])
+    for k in range(len(choices) + 1, 1, -1):
+        pred, _, item = levels[k - 1]
+        choice = choices[k - 2][position, column]
+        yield k, item[position, choice]
+        position = pred[position, choice]
+    yield 1, position
+
+
+def _rank_keys(lattice: _Lattice, choices: list, rows: int) -> np.ndarray:
+    """sets x rows: for each set of level len(choices) + 1, the sum of
+    (rank - 1) * weights[j] over its items j on its chosen path."""
+    n = len(lattice.levels[len(choices)][0])
+    keys = np.zeros((n, rows), dtype=np.uint64)
+    position = np.broadcast_to(np.arange(n)[:, None], (n, rows))
+    for rank, placed in _walk(lattice.levels, choices, position):
+        keys += np.uint64(rank - 1) * lattice.weights[placed]
+    return keys
+
+
+def subset_dp(cost: np.ndarray) -> np.ndarray:
+    """The ranking sigma minimizing sum_j cost[S_j, j] for every row of
+    ``cost`` (2^m x m x rows), where S_j is the set of items ranked above
+    item j.
+
+    The best order of a set S of items ends with the item j that minimizes
+    the best value of S minus j plus cost[S minus j, j].  The values are
+    computed one set size at a time (a Held-Karp recursion, O(2^m m) per
+    row), and every operation is elementwise along the row axis, so a row's
+    ranking does not depend on the other rows.  Exact ties go to the
+    lexicographically smallest sigma, as in enumeration: on a level with a
+    tie, the candidates are compared by a base-m key of the ranks they give
+    the items placed so far.  Returns sigma as rows x m ranks 1..m.
+    """
+    _, m, rows = cost.shape
+    flat = cost.reshape(-1, rows)
+    lattice = _lattice(m)
+    value = cost[0]  # level 1: item j alone, at position j
+    choices = []
+    for k, (pred, cell, item) in enumerate(lattice.levels[1:], 2):
+        candidates = value[pred] + flat[cell]  # C(m, k) x k x rows
+        value = candidates.min(axis=1)
+        best = candidates == value[:, None]
+        if np.count_nonzero(best) > value.size:
+            keys = _rank_keys(lattice, choices, rows)[pred]
+            keys += np.uint64(k - 1) * lattice.weights[item][..., None]
+            choices.append(np.where(best, keys, np.iinfo(np.uint64).max).argmin(axis=1))
+        else:
+            choices.append(candidates.argmin(axis=1))
+    sigma = np.empty((rows, m), dtype=np.intp)
+    for rank, placed in _walk(lattice.levels, choices, np.zeros(rows, dtype=np.intp)):
+        sigma[np.arange(rows), placed] = rank
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decode import decode
+from .decode import decode_batch
 from .losses import DiscreteLoss
 from .losses.base import InvalidLabelError, Label, as_label
 
@@ -175,8 +175,7 @@ def true_excess(problem: FiniteProblem, predictions: Sequence[Label]) -> float:
 
 
 def decode_states(problem: FiniteProblem, g) -> list:
-    g = _checked_g(problem, g)
-    return [decode(problem.loss, g[s]) for s in problem.states()]
+    return decode_batch(problem.loss, _checked_g(problem, g))
 
 
 # ---------------------------------------------------------------------------

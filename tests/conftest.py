@@ -29,6 +29,10 @@ def popcount_partition(m: int) -> list:
     return [blocks[s] for s in sorted(blocks)]
 
 
+# the parameters a loss cannot do without, at m = 3
+REQUIRED = {"prec_at_k": {"k": 2}, "block_zero_one": {"partition": popcount_partition(3)}}
+
+
 def random_partition(m: int, b: int, rng: np.random.Generator) -> list:
     """Random b-block partition covering all subsets (every block nonempty)."""
     zs = list(subsets(m))

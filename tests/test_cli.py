@@ -186,6 +186,18 @@ def test_flag_that_would_be_overridden_is_usage_error(command, flags, named, tmp
     assert not model.exists() and "selected lambda" not in captured.out
 
 
+@pytest.mark.parametrize("bandwidth", ["inf", "nan", "0"])
+def test_non_finite_bandwidth_is_usage_error(bandwidth, tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=40)
+    model = tmp_path / "model.npz"
+    argv = ["train", "--data", str(data), "--loss", "hamming", "--m", "2", "--lambda", "0.1",
+            "--bandwidth", bandwidth, "--out", str(model)]
+    assert run(argv) == cli.USAGE_ERROR
+    assert "finite bandwidth" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("grid", ["", " ", "1,,2"], ids=["empty", "blank", "gap"])
 def test_empty_lambda_grid_entry_is_usage_error(command, grid, tmp_path, capsys):

@@ -9,14 +9,19 @@ import numpy as np
 import pytest
 
 import qslearn.losses.base as base
+import qslearn.losses.ranking as ranking
 from qslearn.decode import (
     argmin_untied,
     decode,
+    decode_batch,
     decode_bruteforce,
     greedy_arcset,
     qap_local_search,
 )
+from qslearn.estimator import fit, predict_batch, surrogate_values
+from qslearn.kernels import KernelSpec
 from qslearn.losses import (
+    LOSS_NAMES,
     BlockZeroOne,
     FScore,
     Hamming,
@@ -27,11 +32,19 @@ from qslearn.losses import (
     SpaceTooLargeError,
     ZeroOne,
     decomposition_check,
+    make_loss,
 )
 from qslearn.losses.base import DiscreteLoss, LabelSpace
 from qslearn.losses.ranking import arcset_objective, qap_trace_objective
 
-from conftest import loss_ids, popcount_partition, random_instance, random_partition, small_losses
+from conftest import (
+    REQUIRED,
+    loss_ids,
+    popcount_partition,
+    random_instance,
+    random_partition,
+    small_losses,
+)
 
 ALL_SMALL = small_losses()
 
@@ -49,6 +62,29 @@ def test_ndcg_sort():
 def test_theta_length_checked():
     with pytest.raises(ValueError):
         decode(Hamming(3), np.zeros(4))
+    for bad in (np.zeros(3), np.zeros((2, 4)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            decode_batch(Hamming(3), bad)
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_decoder_refuses_non_finite_theta(name, bad):
+    loss = make_loss(name, 3, **REQUIRED.get(name, {}))
+    theta = np.zeros(loss.r)
+    theta[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        decode(loss, theta)
+    with pytest.raises(ValueError, match="finite"):
+        decode_batch(loss, np.vstack([np.zeros(loss.r), theta]))
+
+
+@pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
+def test_decode_batch_equals_decode_per_row(loss, rng):
+    thetas = rng.normal(size=(12, loss.r))
+    thetas[6:] = np.round(thetas[6:])  # integer rows tie often
+    assert decode_batch(loss, thetas) == [decode(loss, t) for t in thetas]
+    assert decode_batch(loss, np.zeros((0, loss.r))) == []
 
 
 def test_bruteforce_mass_on_single_observation():
@@ -163,6 +199,11 @@ def lower_exact_limits(monkeypatch):
 
 def test_pd_and_map_heuristic_paths_run(rng, monkeypatch):
     lower_exact_limits(monkeypatch)
+    calls = []
+    for name in ("greedy_arcset", "qap_local_search"):
+        heuristic = getattr(ranking, name)
+        monkeypatch.setattr(ranking, name,
+                            lambda *a, _h=heuristic, _n=name: calls.append(_n) or _h(*a))
     pd = PairwiseDisagreement(5)
     mp = MeanAveragePrecision(5)
     for _ in range(5):
@@ -172,6 +213,7 @@ def test_pd_and_map_heuristic_paths_run(rng, monkeypatch):
         _, _, theta = random_instance(mp, rng, n=8)
         z = decode(mp, theta)
         mp.check_output(z)
+    assert calls == ["greedy_arcset", "qap_local_search"] * 5
 
 
 def test_heuristics_never_beat_exact(rng, monkeypatch):
@@ -284,6 +326,95 @@ def test_qap_deterministic_given_seed(rng):
     a = qap_local_search(w, d, restarts=6, seed=11)
     b = qap_local_search(w, d, restarts=6, seed=11)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# exact subset DP for PD and MAP
+# ---------------------------------------------------------------------------
+
+def _thetas(loss, rng, rows=120):
+    """Gaussian rows, the same rounded to one decimal, and small integers."""
+    plain = rng.normal(size=(rows, loss.r))
+    return np.vstack([plain, np.round(plain, 1),
+                      rng.integers(-2, 3, size=(rows, loss.r)).astype(float)])
+
+
+DP_CASES = ([PairwiseDisagreement(m) for m in range(2, 9)]
+            + [MeanAveragePrecision(m) for m in range(1, 9)])
+
+
+@pytest.mark.parametrize("loss", DP_CASES, ids=loss_ids(DP_CASES))
+def test_dp_equals_table_on_untied_rows(loss):
+    rng = np.random.default_rng([loss.m, loss.r])
+    table = loss.output_table
+    thetas = _thetas(loss, rng)
+    compared = 0
+    for label, theta in zip(decode_batch(loss, thetas), thetas):
+        if argmin_untied(table.f, theta):
+            assert label == table.argmin(theta)
+            compared += 1
+    assert compared >= len(thetas) // 4
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_pd_dp_breaks_exact_ties_like_the_table(m):
+    loss = PairwiseDisagreement(m)
+    table = loss.output_table
+    thetas = np.random.default_rng(m).integers(-2, 3, size=(150, loss.r)).astype(float)
+    tied = [not argmin_untied(table.f, theta) for theta in thetas]
+    assert sum(tied) >= 20
+    assert decode_batch(loss, thetas) == [table.argmin(theta) for theta in thetas]
+    assert decode(loss, np.zeros(loss.r)) == tuple(range(1, m + 1))
+
+
+@pytest.mark.parametrize("loss", [PairwiseDisagreement(6), MeanAveragePrecision(6)],
+                         ids=["pd", "map"])
+def test_dp_labels_do_not_depend_on_the_batch(loss, monkeypatch):
+    rng = np.random.default_rng(5)
+    thetas = _thetas(loss, rng, rows=20)
+    whole = decode_batch(loss, thetas)
+    for rows in range(1, 18):  # rows per block
+        monkeypatch.setattr(ranking, "BLOCK_CELLS", rows * (loss.m << loss.m))
+        assert decode_batch(loss, thetas) == whole
+    order = rng.permutation(len(thetas))
+    assert decode_batch(loss, thetas[order]) == [whole[i] for i in order]
+
+
+def test_pd_dp_builds_no_output_table():
+    loss = PairwiseDisagreement(8)
+    decode_batch(loss, np.random.default_rng(0).normal(size=(3, loss.r)))
+    decode(loss, np.zeros(loss.r))
+    assert "output_table" not in vars(loss)
+
+
+@pytest.mark.parametrize("m", [7, 8, 9])
+def test_map_predict_runs_no_local_search_and_never_loses_to_it(m, monkeypatch):
+    loss = MeanAveragePrecision(m)
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(80, 2))
+    y = [tuple(int(v) for v in rng.integers(0, 2, size=m)) for _ in range(80)]
+    model = fit(loss, KernelSpec("gaussian", 1.0), 1e-2, x, y)
+    x_new = rng.normal(size=(12, 2))
+    calls = []
+    monkeypatch.setattr(ranking, "qap_local_search", lambda *a, **k: calls.append(a))
+    labels = predict_batch(model, x_new)
+    assert calls == []
+    monkeypatch.undo()
+    for label, theta in zip(labels, surrogate_values(model, x_new)):
+        loss.check_output(label)
+        searched = loss.f_row(loss.search(theta)) @ theta
+        assert loss.f_row(label) @ theta <= searched + 1e-12
+
+
+def test_map_dp_at_its_limit_ranks_the_relevant_items_first():
+    m = MeanAveragePrecision.exact_limit
+    assert m << m <= base.BLOCK_CELLS  # one row fits a block
+    loss = MeanAveragePrecision(m)
+    y = tuple(int(j % 3 == 1) for j in range(m))
+    # F . U_y + c = L(., y): every order of the relevant items on top ties
+    label = decode(loss, loss.u_row(y))
+    assert label == ranking._sigma_from_order(sorted(range(m), key=lambda j: (-y[j], j)))
+    assert decode(loss, np.zeros(loss.r)) == tuple(range(1, m + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,9 @@ def test_kernel_dimension_mismatch():
 def test_bad_kernel_spec():
     with pytest.raises(ValueError):
         KernelSpec("gaussian", 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite bandwidth"):
+            KernelSpec("gaussian", bad)
     with pytest.raises(ValueError):
         KernelSpec("sigmoid", 1.0)
 

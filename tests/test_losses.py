@@ -33,7 +33,7 @@ from qslearn.losses import (
     make_loss,
 )
 
-from conftest import loss_ids, popcount_partition, random_instance, small_losses
+from conftest import REQUIRED, loss_ids, popcount_partition, random_instance, small_losses
 
 ALL_SMALL = small_losses()
 
@@ -327,10 +327,6 @@ def _library_loss_classes(cls=DiscreteLoss):
         if sub.__module__.startswith("qslearn."):
             yield sub
         yield from _library_loss_classes(sub)
-
-
-# the parameters a loss cannot do without, at m = 3
-REQUIRED = {"prec_at_k": {"k": 2}, "block_zero_one": {"partition": popcount_partition(3)}}
 
 
 def test_every_loss_class_is_made_by_name_and_round_trips():
