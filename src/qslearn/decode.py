@@ -1,16 +1,16 @@
 """Inference: argmin_z F_z . theta through each loss's decoder, plus a brute-force oracle.
 
-Each loss class owns its decoder as ``DiscreteLoss.decode``, next to the
-``f_row`` it inverts, and decodes a batch of rows with ``decode_batch``.  The
-base class scores the loss's cached output table (every z with its F row)
-with one matrix-vector product per row.  ``decode`` and ``decode_batch``
-check the shape and finiteness of theta once and call those methods.  Every
-decoder reproduces the canonical tie-break of exhaustive enumeration
-(lexicographically smallest label among exact-score ties), so ``decode`` and
-``decode_bruteforce`` are interchangeable on enumerable spaces, and a row's
-label never depends on the other rows of its batch.  Score comparisons are
-exact double comparisons; ties are broken only on exact equality, and
-``argmin_untied`` tells which instances that contract covers.
+Each loss class owns its decoder as ``DiscreteLoss.decode_batch``, next to
+the ``f_row`` it inverts, and decodes a whole batch at once; ``decode`` is
+its one-row case, and a loss without a decoder of its own scores its cached
+output table row by row.  ``decode`` and ``decode_batch`` check the shape
+and finiteness of theta once and call the loss.  Every decoder reproduces
+the canonical tie-break of exhaustive enumeration (lexicographically
+smallest label among exact-score ties), so ``decode`` and
+``decode_bruteforce`` are interchangeable on enumerable spaces, and works
+elementwise or within a row, so a row's label never depends on its batch.
+Ties are broken only on exact equality of doubles, and ``argmin_untied``
+tells which instances that contract covers.
 
 ``decode_bruteforce`` is the decomposition-free oracle.  It adds up the
 weights of each distinct observation and scores them against the loss's
@@ -18,17 +18,12 @@ cached ``loss_matrix``: columns of ``loss.value`` over Z, built once per
 loss instance and observation and never derived from F, U or the output
 table, so the oracle stays independent of the decomposition it checks.
 
-Pairwise disagreement and MAP are NP-hard to decode for general weights,
-but their F_z . theta adds up a cost per item that depends only on the set
-of items ranked above it.  Both decode exactly by a dynamic programme over
-subsets, batched over rows, up to the class constants
-``PairwiseDisagreement.exact_limit`` (m = 8) and
-``MeanAveragePrecision.exact_limit`` (m = 16).  Beyond them pairwise
-disagreement falls back to a greedy feedback-arc-set ordering and MAP to a
-2-swap local search on its quadratic-assignment form.  All three live with
-the losses that use them.  The two heuristics are re-exported here because
-the benchmark's tracer (``benchmarks/tracer.py``) names them as
-``qslearn.decode`` attributes when it wraps the decode layer.
+Pairwise disagreement and MAP, NP-hard for general weights, decode exactly
+by a dynamic programme over subsets up to their class constant
+``exact_limit`` and by a heuristic beyond it (see ``losses.ranking``).  The
+two heuristics are re-exported here because the benchmark's tracer
+(``benchmarks/tracer.py``) names them as ``qslearn.decode`` attributes when
+it wraps the decode layer.
 """
 
 from __future__ import annotations

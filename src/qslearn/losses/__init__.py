@@ -19,7 +19,6 @@ from .base import (  # noqa: F401
     ksubsets,
     permutations,
     relevance_grid,
-    subset_from_rank,
     subset_rank,
     subsets,
 )

@@ -73,11 +73,6 @@ def relevance_grid(m: int, top: int) -> Iterator[Label]:
     return itertools.product(range(top + 1), repeat=m)
 
 
-def subset_from_rank(rank: int, m: int) -> Label:
-    """Inverse of canonical subset enumeration: rank 0 -> (0,...,0)."""
-    return tuple((rank >> (m - 1 - j)) & 1 for j in range(m))
-
-
 def subset_rank(z: Sequence[int]) -> int:
     rank = 0
     for bit in z:
@@ -154,6 +149,11 @@ def config_int(what: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise LossConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def label_rows(rows: np.ndarray) -> list:
+    """Each row of an int or bool array as a label, a tuple of Python ints."""
+    return list(zip(*rows.T.astype(int).tolist()))  # from the columns: no list per row
 
 
 def as_label(y) -> Label:
@@ -245,9 +245,9 @@ class DiscreteLoss:
     Subclasses set the spaces Z and Y (``output_space``,
     ``observation_space``), the evaluator ``value``, the decomposition
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
-    of the F rows and ``sharp``.  A loss with structure overrides ``decode``
-    with a fast decoder, and ``decode_batch`` where rows decode faster
-    together, and describes it in ``decoder``.  A loss with
+    of the F rows and ``sharp``.  A loss with structure overrides
+    ``decode_batch`` with a fast decoder over the whole batch, and describes
+    it in ``decoder``; ``decode`` is its one-row case.  A loss with
     constructor parameters beyond m returns them from ``config``, keyed by
     their constructor names, so ``make_loss(name, m, **loss.config())``
     rebuilds it.  ``output_table`` enumerates Z and F once per instance, for
@@ -345,12 +345,13 @@ class DiscreteLoss:
         return matrix
 
     def decode(self, theta: np.ndarray) -> Label:
-        """argmin_z F_z . theta over the output table, canonical tie-break."""
-        return self.output_table.argmin(theta)
+        """argmin_z F_z . theta, canonical tie-break: ``decode_batch`` of one row."""
+        return self.decode_batch(np.asarray(theta, dtype=float)[None])[0]
 
     def decode_batch(self, thetas: np.ndarray) -> list:
-        """``decode`` of every row of an n x r array."""
-        return [self.decode(theta) for theta in thetas]
+        """argmin_z F_z . theta, canonical tie-break, for each row of an n x r array."""
+        table = self.output_table
+        return [table.argmin(theta) for theta in thetas]
 
     def u_row(self, y: Label) -> np.ndarray:
         raise NotImplementedError

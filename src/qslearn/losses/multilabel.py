@@ -14,17 +14,18 @@ from .base import (
     LossConfigError,
     SharpConstant,
     config_int,
-    subset_from_rank,
+    label_rows,
     subset_rank,
 )
 
 
-def topk_subset(scores: np.ndarray, k: int, m: int) -> Label:
-    """k-subset maximizing the score sum; ties resolved to the canonical
-    (lexicographically smallest) bit tuple, i.e. later indices win ties."""
-    order = sorted(range(m), key=lambda j: (-scores[j], -j))
-    chosen = set(order[:k])
-    return tuple(1 if j in chosen else 0 for j in range(m))
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """rows x m bools marking the k largest scores of each row, ties to the
+    later index: the canonical (smallest) k-subset of largest score sum."""
+    order = np.argsort(-scores[:, ::-1], axis=1, kind="stable")[:, :k]
+    chosen = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(chosen, scores.shape[1] - 1 - order, True, axis=1)
+    return chosen
 
 
 class ZeroOne(DiscreteLoss):
@@ -54,8 +55,9 @@ class ZeroOne(DiscreteLoss):
         row[subset_rank(z)] = -1.0
         return row
 
-    def decode(self, theta: np.ndarray) -> Label:
-        return subset_from_rank(int(np.argmax(theta)), self.m)
+    def decode_batch(self, thetas: np.ndarray) -> list:
+        rank = np.argmax(thetas, axis=1)  # the first maximum, canonical on ties
+        return label_rows((rank[:, None] >> np.arange(self.m - 1, -1, -1)) & 1)
 
     def u_row(self, y: Label) -> np.ndarray:
         row = np.zeros(self.r)
@@ -98,7 +100,9 @@ class BlockZeroOne(DiscreteLoss):
             )
         self.partition = blocks
         self._block_of = seen
-        self._block_min = [min(block) for block in blocks]  # canonical representative
+        # blocks by their canonical (smallest) members: decoding takes the first tied one
+        self._by_min = sorted(range(len(blocks)), key=lambda j: min(blocks[j]))
+        self._block_min = np.array([min(blocks[j]) for j in self._by_min])
         self.b = len(blocks)
         self.r = self.b
         self.offset = 1.0
@@ -115,9 +119,10 @@ class BlockZeroOne(DiscreteLoss):
         row[self._block_of[z]] = -1.0
         return row
 
-    def decode(self, theta: np.ndarray) -> Label:
-        best = float(np.max(theta))
-        return min(self._block_min[j] for j in range(self.b) if theta[j] == best)
+    def decode_batch(self, thetas: np.ndarray) -> list:
+        scores = thetas[:, self._by_min]
+        first = np.argmax(scores == scores.max(axis=1, keepdims=True), axis=1)
+        return label_rows(self._block_min[first])
 
     def u_row(self, y: Label) -> np.ndarray:
         row = np.zeros(self.r)
@@ -154,9 +159,9 @@ class Hamming(DiscreteLoss):
     def f_row(self, z: Label) -> np.ndarray:
         return -(2.0 * np.asarray(z, dtype=float) - 1.0) / (2.0 * self.m)
 
-    def decode(self, theta: np.ndarray) -> Label:
+    def decode_batch(self, thetas: np.ndarray) -> list:
         # maximize sum_j s_j(z) theta_j coordinate-wise; theta_j == 0 keeps bit 0
-        return tuple(1 if t > 0.0 else 0 for t in theta)
+        return label_rows(thetas > 0.0)
 
     def u_row(self, y: Label) -> np.ndarray:
         return 2.0 * np.asarray(y, dtype=float) - 1.0
@@ -172,7 +177,7 @@ class PrecAtK(DiscreteLoss):
     """
 
     name = "prec_at_k"
-    decoder = "O(m log k) top-k"
+    decoder = "O(m log m) top-k by stable sort"
 
     def __init__(self, m: int, k: int):
         k = config_int("prec_at_k: k", k)
@@ -195,8 +200,8 @@ class PrecAtK(DiscreteLoss):
     def f_row(self, z: Label) -> np.ndarray:
         return -np.asarray(z, dtype=float) / self.k
 
-    def decode(self, theta: np.ndarray) -> Label:
-        return topk_subset(theta, self.k, self.m)
+    def decode_batch(self, thetas: np.ndarray) -> list:
+        return label_rows(top_k(thetas, self.k))
 
     def u_row(self, y: Label) -> np.ndarray:
         return np.asarray(y, dtype=float)
@@ -215,7 +220,7 @@ class FScore(DiscreteLoss):
     - side="p": coordinates index (item j, observed cardinality); decoding
       needs an O(m^3) conversion before the per-cardinality maximizations.
     - side="a": coordinates index (item j, predicted cardinality); decoding
-      is O(m^2) directly.
+      maximizes over them directly, a top-k sort per cardinality k.
 
     Both sides place a factor 2 on the U rows so the identity
     F_z . U_y + c = L(z, y) is exact.  sup ||F_z||_2 is 1 for the p-side
@@ -223,7 +228,7 @@ class FScore(DiscreteLoss):
     """
 
     name = "fscore"
-    decoder = "O(m^2) after O(m^3) side conversion"
+    decoder = "O(m^2 log m) per-cardinality top-k, after O(m^3) conversion on side p"
 
     def __init__(self, m: int, side: str = "p"):
         if m < 1:
@@ -269,24 +274,27 @@ class FScore(DiscreteLoss):
                     row[base + j] = -1.0
         return row
 
-    def decode(self, theta: np.ndarray) -> Label:
+    def decode_batch(self, thetas: np.ndarray) -> list:
         m = self.m
-        grid = theta[: m * m].reshape(m, m)  # [ell-1, j]
-        if self.side == "p":
+        # [row, j, k-1]: the score of item j at cardinality k
+        per_card = thetas[:, : m * m].reshape(-1, m, m).transpose(0, 2, 1)
+        if self.side == "p":  # per_card[:, j, ell-1] is item j at observed cardinality ell
             pos = np.arange(1, m + 1, dtype=float)
             conv = 1.0 / (pos[:, None] + pos[None, :])  # conv[l-1, k-1] = 1/(l+k)
-            per_card = grid.T @ conv  # per_card[j, k-1]: score of item j at card k
-        else:
-            per_card = grid.T
-        best_z = (0,) * m
-        best_score = float(theta[m * m])  # z = 0 scores the empty-set coordinate
+            # summed over l in a fixed order, so a row's sums ignore the batch
+            per_card = sum(per_card[:, :, ell, None] * conv[ell] for ell in range(m))
+        best_z = np.zeros((len(thetas), m), dtype=bool)
+        best_score = thetas[:, m * m]  # z = 0 scores the empty-set coordinate
         for k in range(1, m + 1):
-            col = per_card[:, k - 1]
-            z = topk_subset(col, k, m)
-            score = float(sum(col[j] for j in range(m) if z[j]))
-            if score > best_score or (score == best_score and z < best_z):
-                best_score, best_z = score, z
-        return best_z
+            col = per_card[:, :, k - 1]
+            z = top_k(col, k)
+            score = sum(np.where(z[:, j], col[:, j], 0.0) for j in range(m))  # in index order
+            # z < best_z if best_z has the 1 where they first differ; taking an equal z is a no-op
+            smaller = best_z[np.arange(len(z)), np.argmax(z != best_z, axis=1)]
+            better = (score > best_score) | ((score == best_score) & smaller)
+            best_score = np.where(better, score, best_score)
+            best_z = np.where(better[:, None], z, best_z)
+        return label_rows(best_z)
 
     def u_row(self, y: Label) -> np.ndarray:
         m = self.m

@@ -29,6 +29,7 @@ from .base import (
     LossConfigError,
     SharpConstant,
     config_int,
+    label_rows,
 )
 
 
@@ -38,11 +39,6 @@ def _sigma_from_order(order) -> Label:
     for pos, item in enumerate(order):
         sigma[item] = pos + 1
     return tuple(sigma)
-
-
-def _rank_by_scores(scores: np.ndarray, m: int) -> Label:
-    """Permutation assigning rank 1 to the largest score; ties by item index."""
-    return _sigma_from_order(sorted(range(m), key=lambda j: (-scores[j], j)))
 
 
 class NDCGType(DiscreteLoss):
@@ -135,8 +131,12 @@ class NDCGType(DiscreteLoss):
     def f_row(self, z: Label) -> np.ndarray:
         return -self._discount[np.asarray(z, dtype=int) - 1]
 
-    def decode(self, theta: np.ndarray) -> Label:
-        return _rank_by_scores(theta, self.m)
+    def decode_batch(self, thetas: np.ndarray) -> list:
+        # rank 1 to the largest score, ties to the smaller item index
+        order = np.argsort(-thetas, axis=1, kind="stable")
+        sigma = np.empty_like(order)
+        np.put_along_axis(sigma, order, np.arange(1, self.m + 1), axis=1)
+        return label_rows(sigma)
 
     def u_row(self, y: Label) -> np.ndarray:
         g = self.gains(y)
@@ -228,18 +228,12 @@ class PlacedRanking:
     def search(self, theta: np.ndarray) -> Label:
         raise NotImplementedError
 
-    def decode(self, theta: np.ndarray) -> Label:
-        return self.decode_batch(np.asarray(theta, dtype=float)[None])[0]
-
     def decode_batch(self, thetas: np.ndarray) -> list:
         if self.m > self.exact_limit:
             return [self.search(theta) for theta in thetas]
         step = max(1, BLOCK_CELLS // (self.m << self.m))
-        labels = []
-        for lo in range(0, len(thetas), step):
-            sigma = subset_dp(self.placement_costs(thetas[lo:lo + step]))
-            labels.extend(map(tuple, sigma.tolist()))
-        return labels
+        return [z for lo in range(0, len(thetas), step)
+                for z in label_rows(subset_dp(self.placement_costs(thetas[lo:lo + step])))]
 
 
 class PairwiseDisagreement(PlacedRanking, DiscreteLoss):

@@ -39,7 +39,6 @@ from .decode import column_sums
 from .estimator import fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
 from .losses import DiscreteLoss, Hamming, PrecAtK, as_label, make_loss, subsets
-from .losses.multilabel import topk_subset
 
 
 @dataclass(frozen=True)
@@ -183,10 +182,11 @@ def excess_risk_exact(predictions, gen: MultilabelGenerator, x_probe, loss) -> f
 def bayes_predictions(gen: MultilabelGenerator, x_probe, loss) -> list:
     """Exact Bayes predictor at each probe point."""
     q = gen.q(x_probe)
+    # the decoders at theta = E[U_y | x], which is 2q - 1 for Hamming and q for Prec@k
     if isinstance(loss, Hamming):
-        return [tuple(1 if p > 0.5 else 0 for p in q_x) for q_x in q]
+        return loss.decode_batch(2.0 * q - 1.0)
     if isinstance(loss, PrecAtK):
-        return [topk_subset(q_x, loss.k, loss.m) for q_x in q]
+        return loss.decode_batch(q)
     outs = list(loss.outputs())
     return [outs[i] for i in np.argmin(_expected_losses(loss, q), axis=1)]
 

@@ -102,7 +102,7 @@ def test_check_redraws_tied_instances(capsys):
 
 
 def test_check_detects_wrong_decoder(monkeypatch, capsys):
-    monkeypatch.setattr(Hamming, "decode", lambda self, theta: (0,) * self.m)
+    monkeypatch.setattr(Hamming, "decode_batch", lambda self, thetas: [(0,) * self.m] * len(thetas))
     assert run(["check", "--loss", "hamming", "--m", "3"]) == cli.CHECK_FAILURE
     assert "decoder mismatches" in capsys.readouterr().err
 

@@ -79,12 +79,30 @@ def test_every_decoder_refuses_non_finite_theta(name, bad):
         decode_batch(loss, np.vstack([np.zeros(loss.r), theta]))
 
 
-@pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
+LINEAR_M8 = [ZeroOne(8), Hamming(8), PrecAtK(8, 3), FScore(8, side="p"), FScore(8, side="a"),
+             NDCGType(8, R=3)]
+BATCH_CASES = ALL_SMALL + LINEAR_M8
+
+
+@pytest.mark.parametrize("loss", BATCH_CASES, ids=loss_ids(BATCH_CASES))
 def test_decode_batch_equals_decode_per_row(loss, rng):
-    thetas = rng.normal(size=(12, loss.r))
-    thetas[6:] = np.round(thetas[6:])  # integer rows tie often
-    assert decode_batch(loss, thetas) == [decode(loss, t) for t in thetas]
+    thetas = rng.normal(size=(40, loss.r))
+    thetas[20:] = np.round(thetas[20:])  # integer rows tie often
+    whole = decode_batch(loss, thetas)
+    assert whole == [decode(loss, t) for t in thetas]
+    for size in range(1, 18):
+        blocks = [decode_batch(loss, thetas[lo:lo + size]) for lo in range(0, len(thetas), size)]
+        assert sum(blocks, []) == whole
+    order = rng.permutation(len(thetas))
+    assert decode_batch(loss, thetas[order]) == [whole[i] for i in order]
     assert decode_batch(loss, np.zeros((0, loss.r))) == []
+
+
+def test_each_loss_has_one_batch_decoder():
+    for name in LOSS_NAMES:
+        cls = type(make_loss(name, 3, **REQUIRED.get(name, {})))
+        assert cls.decode_batch is not DiscreteLoss.decode_batch, name
+        assert [c for c in cls.__mro__ if "decode" in vars(c)] == [DiscreteLoss], name
 
 
 def test_bruteforce_mass_on_single_observation():
@@ -337,6 +355,92 @@ def _thetas(loss, rng, rows=120):
     plain = rng.normal(size=(rows, loss.r))
     return np.vstack([plain, np.round(plain, 1),
                       rng.integers(-2, 3, size=(rows, loss.r)).astype(float)])
+
+
+# ---------------------------------------------------------------------------
+# the per-row decoders that the batched linear decoders replaced, kept as
+# their reference
+# ---------------------------------------------------------------------------
+
+def _reference_top_k(scores, k, m):
+    order = sorted(range(m), key=lambda j: (-scores[j], -j))
+    chosen = set(order[:k])
+    return tuple(1 if j in chosen else 0 for j in range(m))
+
+
+def _reference_fscore(loss, theta):
+    m = loss.m
+    grid = theta[: m * m].reshape(m, m)  # [ell-1, j]
+    if loss.side == "p":
+        pos = np.arange(1, m + 1, dtype=float)
+        conv = 1.0 / (pos[:, None] + pos[None, :])  # conv[l-1, k-1] = 1/(l+k)
+        per_card = grid.T @ conv  # per_card[j, k-1]: score of item j at card k
+    else:
+        per_card = grid.T
+    best_z = (0,) * m
+    best_score = float(theta[m * m])  # z = 0 scores the empty-set coordinate
+    for k in range(1, m + 1):
+        col = per_card[:, k - 1]
+        z = _reference_top_k(col, k, m)
+        score = float(sum(col[j] for j in range(m) if z[j]))
+        if score > best_score or (score == best_score and z < best_z):
+            best_score, best_z = score, z
+    return best_z
+
+
+def _reference_zero_one(loss, theta):
+    rank, m = int(np.argmax(theta)), loss.m
+    return tuple((rank >> (m - 1 - j)) & 1 for j in range(m))
+
+
+def _reference_block_zero_one(loss, theta):
+    best = float(np.max(theta))
+    block_min = [min(block) for block in loss.partition]
+    return min(block_min[j] for j in range(loss.b) if theta[j] == best)
+
+
+def _reference_ranking(loss, theta):
+    order = sorted(range(loss.m), key=lambda j: (-theta[j], j))
+    return ranking._sigma_from_order(order)
+
+
+REFERENCE = {
+    "zero_one": _reference_zero_one,
+    "block_zero_one": _reference_block_zero_one,
+    "hamming": lambda loss, theta: tuple(1 if t > 0.0 else 0 for t in theta),
+    "prec_at_k": lambda loss, theta: _reference_top_k(theta, loss.k, loss.m),
+    "fscore": _reference_fscore,
+    "ndcg": _reference_ranking,
+    "eru": _reference_ranking,
+}
+LINEAR_CASES = [loss for loss in small_losses(3, 3) + small_losses(6, 6) + LINEAR_M8
+                if loss.name in REFERENCE]
+LINEAR_CASES += [BlockZeroOne(4, random_partition(4, b, np.random.default_rng(b)))
+                 for b in (2, 5, 9)] + [PrecAtK(8, k) for k in (1, 5, 7)]
+
+
+@pytest.mark.parametrize("loss", LINEAR_CASES, ids=[
+    tag + (f"-k{loss.k}" if loss.name == "prec_at_k" else "")
+    + (f"-b{loss.b}" if loss.name == "block_zero_one" else "")
+    for tag, loss in zip(loss_ids(LINEAR_CASES), LINEAR_CASES)])
+def test_linear_decoders_equal_the_per_row_reference_and_the_table(loss):
+    rng = np.random.default_rng([loss.m, loss.r])
+    # integer mixes of a few U rows: items in the same observations tie
+    observations = list(itertools.islice(loss.observations(), 4096))
+    mixes = [sum(int(w) * loss.u_row(observations[i])
+                 for w, i in zip(rng.integers(-2, 3, size=3), rng.integers(len(observations), size=3)))
+             for _ in range(120)]
+    thetas = np.vstack([_thetas(loss, rng), np.round(rng.normal(size=(120, loss.r)) * 4) / 4,
+                        mixes, np.zeros((1, loss.r))])
+    table = loss.output_table
+    tied = 0
+    for label, theta in zip(decode_batch(loss, thetas), thetas):
+        assert label == REFERENCE[loss.name](loss, theta)
+        if argmin_untied(table.f, theta):
+            assert label == table.argmin(theta)
+        else:
+            tied += 1
+    assert tied >= 20
 
 
 DP_CASES = ([PairwiseDisagreement(m) for m in range(2, 9)]

@@ -147,6 +147,30 @@ def test_prec_at_k_bayes_matches_enumeration(rng):
         )
 
 
+class _FixedMarginals:
+    """A generator stand-in whose conditionals q(x) are given outright."""
+
+    def __init__(self, q):
+        self.q = lambda x: q
+
+
+def test_closed_form_bayes_predictions_equal_the_thresholds_and_top_k(rng):
+    m = 6
+    q = rng.uniform(size=(300, m))
+    q[:100] = np.round(q[:100] * 4) / 4  # 0.5 exactly, and tied marginals
+    q[100:150] = 0.5
+    gen = _FixedMarginals(q)
+    assert bayes_predictions(gen, None, Hamming(m)) == [
+        tuple(1 if p > 0.5 else 0 for p in q_x) for q_x in q
+    ]
+    for k in (1, 3, m):
+        # the k largest marginals, ties to the later index
+        top = [sorted(range(m), key=lambda j: (-q_x[j], -j))[:k] for q_x in q]
+        assert bayes_predictions(gen, None, PrecAtK(m, k)) == [
+            tuple(int(j in chosen) for j in range(m)) for chosen in top
+        ]
+
+
 def test_reproducibility_bit_identical():
     spec = SyntheticSpec(n_grid=(24, 48), n_test=60, replications=2, seed=9)
     a = rate_experiment(spec)
