@@ -1,16 +1,16 @@
 """Inference: argmin_z F_z . theta through each loss's decoder, plus a brute-force oracle.
 
 Each loss class owns its decoder as ``DiscreteLoss.decode_batch``, next to
-the ``f_row`` it inverts, and decodes a whole batch at once; ``decode`` is
-its one-row case, and a loss without a decoder of its own scores its cached
-output table row by row.  ``decode`` and ``decode_batch`` check the shape
-and finiteness of theta once and call the loss.  Every decoder reproduces
-the canonical tie-break of exhaustive enumeration (lexicographically
-smallest label among exact-score ties), so ``decode`` and
-``decode_bruteforce`` are interchangeable on enumerable spaces, and works
-elementwise or within a row, so a row's label never depends on its batch.
-Ties are broken only on exact equality of doubles, and ``argmin_untied``
-tells which instances that contract covers.
+the ``f_row`` it inverts, and decodes a whole batch at once; a loss without
+a decoder of its own scores its cached output table by ``column_sums``, in a
+fixed column order.  ``decode_batch`` checks the shape and finiteness of
+theta once and calls the loss, and ``decode`` is its one-row case.  Every
+decoder reproduces the canonical tie-break of exhaustive enumeration
+(lexicographically smallest label among exact-score ties), so ``decode``
+and ``decode_bruteforce`` are interchangeable on enumerable spaces, and
+works elementwise or within a row, so a row's label never depends on its
+batch.  Ties are broken only on exact equality of doubles, and
+``argmin_untied`` tells which instances that contract covers.
 
 ``decode_bruteforce`` is the decomposition-free oracle.  It adds up the
 weights of each distinct observation and scores them against the loss's
@@ -34,7 +34,7 @@ from collections import namedtuple
 import numpy as np
 
 from .losses import DiscreteLoss, MeanAveragePrecision, PairwiseDisagreement, SpaceTooLargeError
-from .losses.base import BLOCK_CELLS, Label
+from .losses.base import BLOCK_CELLS, Label, column_sums
 from .losses.ranking import greedy_arcset, qap_local_search  # noqa: F401
 
 # A read-only record of the two exact-decode limits under the names
@@ -52,41 +52,23 @@ def decode(loss: DiscreteLoss, theta: np.ndarray) -> Label:
     """Minimize F_z . theta over the loss's output space.
 
     ``theta`` is the surrogate prediction g(x) in R^r (equivalently
-    sum_i alpha_i U_{y_i}).  Calls the loss's own decoder.
+    sum_i alpha_i U_{y_i}).  ``decode_batch`` of the one row.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (loss.r,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({loss.r},)")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta has non-finite entries")
-    return loss.decode(theta)
+    return decode_batch(loss, theta[None])[0]
 
 
 def decode_batch(loss: DiscreteLoss, thetas) -> list:
     """``decode`` for every row of an n x r array, in one call to the loss's
-    ``decode_batch``; each label is the one ``decode`` gives its row."""
+    ``decode_batch``; a row's label does not depend on the other rows."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != loss.r:
         raise ValueError(f"thetas have shape {thetas.shape}, expected (n, {loss.r})")
     if not np.isfinite(thetas).all():
         raise ValueError("thetas have non-finite entries")
     return loss.decode_batch(thetas)
-
-
-def column_sums(matrix: np.ndarray, weights) -> np.ndarray:
-    """sum_j weights[..., j] matrix[:, j] for every row of ``matrix``, in the
-    last axis.
-
-    The columns are accumulated one at a time, so every row sees the same
-    sequence of roundings: equal rows get bitwise-equal sums, and the first
-    argmin among them is the canonical one, which a BLAS product does not
-    promise.
-    """
-    weights = np.asarray(weights, dtype=float)
-    out = np.zeros(weights.shape[:-1] + (matrix.shape[0],))
-    for j in range(matrix.shape[1]):
-        out += weights[..., j, None] * matrix[:, j]
-    return out
 
 
 def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list[Label]:

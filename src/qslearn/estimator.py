@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Standardizer
-from .decode import decode_batch, decode_bruteforce
+from .decode import decode_bruteforce
 from .kernels import (
     KernelSpec,
     RidgeSolution,
@@ -159,7 +159,7 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
                 thetas = k_x @ model.coefficients
             if not np.isfinite(thetas).all():
                 raise ValueError("surrogate values are not finite; the inputs overflow the kernel")
-            out.append(decode_batch(model.loss, thetas))
+            out.append(model.loss.decode_batch(thetas))
         return out
     if path == "alpha":
         alphas = {}

@@ -8,7 +8,6 @@ from typing import Any
 from .base import (  # noqa: F401
     DiscreteLoss,
     InvalidLabelError,
-    Label,
     LabelSpace,
     LossConfigError,
     SharpConstant,
@@ -16,11 +15,6 @@ from .base import (  # noqa: F401
     as_label,
     decomposition_check,
     enumerated_constants,
-    ksubsets,
-    permutations,
-    relevance_grid,
-    subset_rank,
-    subsets,
 )
 from .multilabel import BlockZeroOne, FScore, Hamming, PrecAtK, ZeroOne  # noqa: F401
 from .ranking import (  # noqa: F401
@@ -28,7 +22,6 @@ from .ranking import (  # noqa: F401
     MeanAveragePrecision,
     NDCGType,
     PairwiseDisagreement,
-    pair_index,
 )
 
 # name -> constructor, called as constructor(m, **params); adding a loss

@@ -19,7 +19,7 @@ Label conventions
   ranks 1..m; canonical order is lexicographic on one-line notation.
 - relevance vectors: tuples of m ints in {0..R}; lexicographic order.
 
-All enumeration helpers yield labels in canonical order, and every decoder
+Every ``LabelSpace`` yields its labels in canonical order, and every decoder
 and brute-force argmin in this package breaks ties by canonical order, so
 fast and exhaustive inference are exactly interchangeable.
 """
@@ -50,28 +50,8 @@ class SpaceTooLargeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# label space helpers
+# label spaces
 # ---------------------------------------------------------------------------
-
-def subsets(m: int) -> Iterator[Label]:
-    """All bit tuples of length m in canonical (lexicographic) order."""
-    return itertools.product((0, 1), repeat=m)
-
-
-def ksubsets(m: int, k: int) -> Iterator[Label]:
-    """Bit tuples of length m with exactly k set bits, canonical order."""
-    return (z for z in subsets(m) if sum(z) == k)
-
-
-def permutations(m: int) -> Iterator[Label]:
-    """Permutations in one-line notation (sigma[j] = rank of item j), lex order."""
-    return itertools.permutations(range(1, m + 1))
-
-
-def relevance_grid(m: int, top: int) -> Iterator[Label]:
-    """All relevance vectors in {0..top}^m, lexicographic order."""
-    return itertools.product(range(top + 1), repeat=m)
-
 
 def subset_rank(z: Sequence[int]) -> int:
     rank = 0
@@ -108,10 +88,11 @@ class LabelSpace:
 
     def __iter__(self) -> Iterator[Label]:
         if self.kind == "perm":
-            return permutations(self.m)
+            return itertools.permutations(range(1, self.m + 1))
+        grid = itertools.product(range(self.top + 1), repeat=self.m)
         if self.kind == "ksubset":
-            return ksubsets(self.m, self.k)
-        return relevance_grid(self.m, self.top)
+            return (z for z in grid if sum(z) == self.k)
+        return grid
 
     @property
     def size(self) -> int:
@@ -193,20 +174,29 @@ BLOCK_CELLS = 2_000_000
 _CHECK_PAIRS = 1_500_000
 
 
+def column_sums(matrix: np.ndarray, weights) -> np.ndarray:
+    """sum_j weights[..., j] matrix[:, j] for every row of ``matrix``, in the
+    last axis.
+
+    The columns are accumulated one at a time, so every row sees the same
+    sequence of roundings: equal rows get bitwise-equal sums, and the first
+    argmin among them is the canonical one, which a BLAS product does not
+    promise.
+    """
+    weights = np.asarray(weights, dtype=float)
+    out = np.zeros(weights.shape[:-1] + (matrix.shape[0],))
+    for j in range(matrix.shape[1]):
+        out += weights[..., j, None] * matrix[:, j]
+    return out
+
+
 @dataclass(frozen=True)
 class OutputTable:
-    """Every output z in canonical order next to its F row.
-
-    ``labels[i]`` is the i-th output of ``outputs()`` (int16) and ``f[i]``
-    is its ``f_row``.  ``first[i]`` is the first row equal to row i, or
-    ``first`` is None when all rows differ; decoding maps its argmin through
-    it, so an exact tie between identical rows goes to the canonical first
-    output even when the matrix product rounds the copies differently.
-    """
+    """Every output z in canonical order next to its F row: ``labels[i]`` is
+    the i-th output of ``outputs()`` (int16) and ``f[i]`` is its ``f_row``."""
 
     labels: np.ndarray
     f: np.ndarray
-    first: np.ndarray | None
 
     @classmethod
     def build(cls, loss: "DiscreteLoss") -> "OutputTable":
@@ -217,26 +207,10 @@ class OutputTable:
             )
         labels = np.empty((n, loss.m), dtype=np.int16)
         f = np.empty((n, r))
-        hashes = np.empty(n, dtype=np.int64)
         for i, z in enumerate(loss.outputs()):
             labels[i] = z
             f[i] = loss.f_row(z)
-            hashes[i] = hash((f[i] + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
-        _, start, inverse = np.unique(hashes, return_index=True, return_inverse=True)
-        if len(start) == n:
-            return cls(labels, f, None)
-        first = start[inverse.ravel()]
-        for i in np.flatnonzero(first != np.arange(n)):
-            if not np.array_equal(f[i], f[first[i]]):  # hash collision of distinct rows
-                first[i] = next(j for j in range(i + 1) if np.array_equal(f[j], f[i]))
-        return cls(labels, f, first)
-
-    def argmin(self, theta: np.ndarray) -> Label:
-        """argmin_z F_z . theta with the canonical tie-break, for a finite theta."""
-        i = int(np.argmin(self.f @ theta))
-        if self.first is not None:
-            i = int(self.first[i])
-        return tuple(self.labels[i].tolist())
+        return cls(labels, f)
 
 
 class DiscreteLoss:
@@ -247,7 +221,7 @@ class DiscreteLoss:
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
     of the F rows and ``sharp``.  A loss with structure overrides
     ``decode_batch`` with a fast decoder over the whole batch, and describes
-    it in ``decoder``; ``decode`` is its one-row case.  A loss with
+    it in ``decoder``; the default scores the output table.  A loss with
     constructor parameters beyond m returns them from ``config``, keyed by
     their constructor names, so ``make_loss(name, m, **loss.config())``
     rebuilds it.  ``output_table`` enumerates Z and F once per instance, for
@@ -344,14 +318,16 @@ class DiscreteLoss:
             matrix[:, j] = columns[y]
         return matrix
 
-    def decode(self, theta: np.ndarray) -> Label:
-        """argmin_z F_z . theta, canonical tie-break: ``decode_batch`` of one row."""
-        return self.decode_batch(np.asarray(theta, dtype=float)[None])[0]
-
     def decode_batch(self, thetas: np.ndarray) -> list:
-        """argmin_z F_z . theta, canonical tie-break, for each row of an n x r array."""
+        """argmin_z F_z . theta, canonical tie-break, for each finite row of an
+        n x r array.
+
+        This default scores every output of the table by ``column_sums``, one
+        row at a time: identical F rows get bitwise-equal scores, so the
+        first argmin is the canonical output.
+        """
         table = self.output_table
-        return [table.argmin(theta) for theta in thetas]
+        return label_rows(table.labels[[np.argmin(column_sums(table.f, t)) for t in thetas]])
 
     def u_row(self, y: Label) -> np.ndarray:
         raise NotImplementedError

@@ -256,7 +256,7 @@ class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
 
     name = "pd"
     # beyond m = 8 the greedy heuristic runs, though one DP row would fit a
-    # block up to m = 17
+    # block up to m = 16
     exact_limit = 8
     decoder = f"NP-hard (MWFAS); O(2^m m) subset DP for m <= {exact_limit}, else greedy arcset"
 
@@ -292,22 +292,20 @@ class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
             [float(np.sign(z[l] - z[j])) for j, l in self.pairs]
         )
 
-    def placement_costs(self, thetas: np.ndarray) -> np.ndarray:
-        # [j, l]: the cost of item l ranked above item j, -theta_{jl}/4 for
-        # l < j and +theta_{lj}/4 for l > j
+    @functools.cached_property
+    def _sign(self) -> np.ndarray:
+        """m x m: theta[_pair_at] * _sign is the cost of item l ranked above
+        item j, -theta_{jl}/4 for l < j and +theta_{lj}/4 for l > j."""
         order = np.arange(self.m)
-        sign = 0.25 * np.sign(order - order[:, None])
-        above = thetas.T[self._pair_at] * sign[..., None]
+        return 0.25 * np.sign(order - order[:, None])
+
+    def placement_costs(self, thetas: np.ndarray) -> np.ndarray:
+        above = thetas.T[self._pair_at] * self._sign[..., None]
         return subset_sums(np.zeros((self.m, len(thetas))), above)
 
     def search(self, theta: np.ndarray) -> Label:
-        m = self.m
-        gamma = np.zeros((m, m))
-        for idx, (j, l) in enumerate(self.pairs):
-            t = float(theta[idx])
-            # gamma[a, b] = cost of ranking a below b; per-pair shift keeps it >= 0
-            gamma[j, l] = max(-t, 0.0) / 2.0
-            gamma[l, j] = max(t, 0.0) / 2.0
+        # gamma[a, b] = cost of ranking a below b; per-pair shift keeps it >= 0
+        gamma = 2.0 * np.maximum(theta[self._pair_at] * self._sign, 0.0)
         return greedy_arcset(gamma)
 
     def u_row(self, y: Label) -> np.ndarray:
@@ -382,16 +380,11 @@ class MeanAveragePrecision(PlacedRanking, DiscreteLoss):
         return cost
 
     def search(self, theta: np.ndarray) -> Label:
-        m = self.m
-        w = np.zeros((m, m))
-        for idx, (j, l) in enumerate(self.pairs):
-            if j == l:
-                w[j, j] = -theta[idx]
-            else:  # split unordered pair mass across the symmetric entries
-                w[j, l] = w[l, j] = -theta[idx] / 2.0
-        pos = np.arange(1, m + 1, dtype=float)
+        # unordered pair mass split across the symmetric entries
+        half = np.where(np.eye(self.m, dtype=bool), 1.0, 0.5)
+        pos = np.arange(1, self.m + 1, dtype=float)
         d = 1.0 / np.maximum(pos[:, None], pos[None, :])
-        return qap_local_search(w, d)
+        return qap_local_search(-theta[self._pair_at] * half, d)
 
     def u_row(self, y: Label) -> np.ndarray:
         s = sum(y)

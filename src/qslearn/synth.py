@@ -35,10 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .decode import column_sums
 from .estimator import fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
-from .losses import DiscreteLoss, Hamming, PrecAtK, as_label, make_loss, subsets
+from .losses import DiscreteLoss, Hamming, LabelSpace, PrecAtK, as_label, make_loss
+from .losses.base import column_sums
 
 
 @dataclass(frozen=True)
@@ -151,12 +151,12 @@ def _expected_losses(loss: DiscreteLoss, q) -> np.ndarray:
     """sum_y P(y | x) L(z, y), one row per row of marginals q, one column
     per output z in canonical order.
 
-    The generator draws bit tuples, so y runs over ``subsets(m)`` whatever
-    the loss's observation space (NDCG's relevance grid is larger).  The
-    loss matrix is read first, so a space beyond its limit raises
-    SpaceTooLargeError before the 2^m probabilities are built.
+    The generator draws bit tuples, so y runs over ``LabelSpace.grid(m)``
+    whatever the loss's observation space (NDCG's relevance grid is
+    larger).  The loss matrix is read first, so a space beyond its limit
+    raises SpaceTooLargeError before the 2^m probabilities are built.
     """
-    matrix = loss.loss_matrix(subsets(loss.m))
+    matrix = loss.loss_matrix(LabelSpace.grid(loss.m))
     q = np.atleast_2d(q)
     probs = np.ones((len(q), 1))
     for j in range(loss.m):  # bit j of the canonical subset rank, most significant first

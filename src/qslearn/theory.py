@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .decode import decode_batch
 from .losses import DiscreteLoss
 from .losses.base import InvalidLabelError, Label, as_label
 
@@ -175,7 +174,7 @@ def true_excess(problem: FiniteProblem, predictions: Sequence[Label]) -> float:
 
 
 def decode_states(problem: FiniteProblem, g) -> list:
-    return decode_batch(problem.loss, _checked_g(problem, g))
+    return problem.loss.decode_batch(_checked_g(problem, g))
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,19 @@ from qslearn.losses import (
     ExpectedRankUtility,
     FScore,
     Hamming,
+    LabelSpace,
     MeanAveragePrecision,
     NDCGType,
     PairwiseDisagreement,
     PrecAtK,
     ZeroOne,
-    subsets,
 )
 
 
 def popcount_partition(m: int) -> list:
     """Canonical nontrivial partition of {0,1}^m: blocks by popcount."""
     blocks: dict[int, list] = {}
-    for z in subsets(m):
+    for z in LabelSpace.grid(m):
         blocks.setdefault(sum(z), []).append(z)
     return [blocks[s] for s in sorted(blocks)]
 
@@ -35,7 +35,7 @@ REQUIRED = {"prec_at_k": {"k": 2}, "block_zero_one": {"partition": popcount_part
 
 def random_partition(m: int, b: int, rng: np.random.Generator) -> list:
     """Random b-block partition covering all subsets (every block nonempty)."""
-    zs = list(subsets(m))
+    zs = list(LabelSpace.grid(m))
     while True:
         assign = rng.integers(b, size=len(zs))
         if len(set(assign.tolist())) == b:
