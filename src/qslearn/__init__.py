@@ -9,7 +9,7 @@ sharp-constant calculators, and low-noise calibration diagnostics.
 
 from .decode import decode, decode_batch, decode_bruteforce, greedy_arcset, qap_local_search
 from .estimator import QSModel, empirical_risk, fit, load_model, predict, predict_batch, save_model
-from .kernels import GramMatrix, KernelSpec, RidgeSolution, build_gram, median_heuristic, solve_ridge, weights_at
+from .kernels import GramMatrix, KernelSpec, build_gram, median_heuristic, solve_ridge, weights_at
 from .losses import (
     DiscreteLoss,
     SharpConstant,
@@ -39,7 +39,6 @@ __all__ = [
     "GramMatrix",
     "KernelSpec",
     "QSModel",
-    "RidgeSolution",
     "SharpConstant",
     "bayes_predictor",
     "bayes_risk",

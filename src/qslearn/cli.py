@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -80,6 +81,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     loss = _loss_from_args(args)
     failures = []
     err = decomposition_check(loss)
@@ -190,6 +193,9 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     _check_kernel_flags(args)
+    names = "zero_one,hamming,fscore" if args.losses is None else args.losses
+    if not all(t.strip() for t in names.split(",")):
+        raise ValueError(f"--losses {names!r} has an empty entry")
     if args.m is None:
         raise LossConfigError("--m is required to parse multilabel data")
     ds = parse_multilabel(args.data, args.m, fmt=args.data_format, d=args.d)
@@ -197,7 +203,7 @@ def cmd_eval(args) -> int:
     x_tr, x_va, x_te = (part.dense_features() for part in (train, val, test))
     scaler = standardize(x_tr)
     x_tr, x_va, x_te = (scaler.apply(x) for x in (x_tr, x_va, x_te))
-    losses = [make_loss(name, ds.m) for name in (args.losses or "zero_one,hamming,fscore").split(",")]
+    losses = [make_loss(name, ds.m) for name in names.split(",")]
     path = "alpha" if args.decompose_free else "fast"
     picks = select_lambda(losses, KernelSpec(args.kernel, args.bandwidth),
                           _lambda_grid(args, train.n), x_tr, train.labels, x_va, val.labels, path)
@@ -223,20 +229,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# the keys a rates spec may hold: SyntheticSpec's fields, and noise_modes for
+# one experiment per mode
+_SPEC_KEYS = {field.name for field in dataclasses.fields(SyntheticSpec)} | {"noise_modes"}
+
+
 def cmd_rates(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad rates spec {args.spec}: {exc}") from exc
-    modes = cfg.pop("noise_modes", None) or [cfg.pop("noise_mode", "smooth_crossing")]
+    if not isinstance(cfg, dict):
+        raise ValueError(f"rates spec {args.spec} must be a JSON object, not {type(cfg).__name__}")
+    unknown = sorted(set(cfg) - _SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"rates spec {args.spec} has unknown key(s) {', '.join(unknown)}")
+    if "noise_modes" in cfg:
+        modes = cfg.pop("noise_modes")
+        if not isinstance(modes, list) or not modes or "noise_mode" in cfg:
+            raise ValueError("rates spec noise_modes must be a nonempty list, without noise_mode")
+    else:
+        modes = [cfg.pop("noise_mode", "smooth_crossing")]
+    if not isinstance(cfg.get("n_grid", []), list):
+        raise ValueError("rates spec n_grid must be a list")
     if "loss_params" in cfg:
         cfg["loss_params"] = tuple(tuple(p) for p in cfg["loss_params"])
     if "n_grid" in cfg:
         cfg["n_grid"] = tuple(cfg["n_grid"])
-    if not cfg.get("n_grid", (1,)):
-        print("empty n_grid", file=sys.stderr)
-        return USAGE_ERROR
     if args.seed is not None:
         cfg["seed"] = args.seed
     specs = [SyntheticSpec(noise_mode=mode, **cfg) for mode in modes]

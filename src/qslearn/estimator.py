@@ -9,6 +9,10 @@ Two equivalent prediction paths are kept:
 They compute the same minimizer (the fit is linear in the embeddings), so
 the alpha path doubles as an oracle for the fast one and works even when no
 decomposition is available.
+
+A fitted ``QSModel`` is one flat record.  Its Cholesky factor, which only
+the alpha path reads, is ``None`` on a loaded model and on a model kept by
+``select_lambda`` on the fast path; the alpha path builds it on first use.
 """
 
 from __future__ import annotations
@@ -20,15 +24,7 @@ import numpy as np
 
 from .data import Standardizer
 from .decode import decode_bruteforce
-from .kernels import (
-    KernelSpec,
-    RidgeSolution,
-    build_gram,
-    cross_kernel,
-    ridge_factor,
-    solve_ridge,
-    weights_at,
-)
+from .kernels import KernelSpec, build_gram, cross_kernel, ridge_factor, solve_ridge, weights_at
 from .losses import DiscreteLoss, InvalidLabelError, as_label, loss_config, make_loss
 from .losses.base import Label
 
@@ -37,17 +33,20 @@ MODEL_FORMAT_VERSION = 2  # 2 adds the optional training scaler; 1 still loads
 
 @dataclass
 class QSModel:
+    """A fitted surrogate: coefficients C solving (K + lambda n I) C = Psi, and
+    ``factor``, the Cholesky factor of K + lambda n I that only the alpha path
+    reads.  ``fit`` keeps the factor it solved with; ``factor`` is ``None`` on
+    a loaded model and on one ``select_lambda`` keeps on the fast path, until
+    the alpha path builds it from the training inputs."""
+
     loss: DiscreteLoss
     kernel: KernelSpec
     lam: float
     x_train: np.ndarray
     y_train: list
-    ridge: RidgeSolution
+    coefficients: np.ndarray  # n x r
+    factor: tuple | None = None  # scipy cho_factor handle of K + lambda n I
     scaler: Standardizer | None = None  # maps raw features to x_train's scale
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.ridge.coefficients
 
 
 def _features(x) -> np.ndarray:
@@ -90,10 +89,9 @@ def fit_path(losses, kernel: KernelSpec, grid, x, y):
     psi = np.hstack([[loss.u_row(yi) for yi in ys] for loss, ys in zip(losses, labels)])
     gram = build_gram(kernel, x)
     for lam in grid:
-        ridge = solve_ridge(gram, psi, lam)
+        coef, factor = solve_ridge(gram, psi, lam)
         yield lam, [
-            QSModel(loss, gram.spec, lam, x, ys,
-                    RidgeSolution(ridge.coefficients[:, a:b], lam, ridge.factor))
+            QSModel(loss, gram.spec, lam, x, ys, coef[:, a:b], factor)
             for loss, ys, a, b in zip(losses, labels, edges[:-1], edges[1:])
         ]
 
@@ -114,13 +112,12 @@ def surrogate_values(model: QSModel, x) -> np.ndarray:
     return k_x @ model.coefficients
 
 
-def _factored(model: QSModel) -> RidgeSolution:
-    """The model's ridge solution with its Cholesky factor, which is built
-    from the training inputs on first use and kept on the model."""
-    if model.ridge.factor is None:
-        factor = ridge_factor(build_gram(model.kernel, model.x_train), model.lam)
-        model.ridge = RidgeSolution(model.coefficients, model.lam, factor)
-    return model.ridge
+def _factored(model: QSModel) -> tuple:
+    """The model's Cholesky factor, built from the training inputs on first
+    use and kept on the model."""
+    if model.factor is None:
+        model.factor = ridge_factor(build_gram(model.kernel, model.x_train), model.lam)
+    return model.factor
 
 
 def alpha_weights(model: QSModel, x) -> np.ndarray:
@@ -203,7 +200,7 @@ def select_lambda(
             risk = empirical_risk(pred, model.loss, y_val)
             if risk < best[j][0]:
                 if path != "alpha":
-                    model.ridge = RidgeSolution(model.coefficients, lam)
+                    model.factor = None
                 best[j] = (risk, model)
     return best
 
@@ -277,4 +274,4 @@ def load_model(path: str) -> QSModel:
     y_train = [tuple(row) for row in y_arr.tolist()]
     for y in set(y_train):
         loss.check_observation(y)
-    return QSModel(loss, kernel, lam, x_train, y_train, RidgeSolution(coef, lam), scaler)
+    return QSModel(loss, kernel, lam, x_train, y_train, coef, scaler=scaler)

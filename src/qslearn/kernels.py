@@ -7,6 +7,9 @@ time for the decomposition-free weight path alpha(x) = (K + n lambda I)^{-1} K_x
 The Gram matrix does not depend on lambda and the factor does not depend on
 the loss, so a lambda grid over several losses needs one Gram and one
 factorization per lambda, with the losses' embeddings as stacked columns.
+``solve_ridge`` returns the coefficients together with the factor it solved
+with; a caller holding only coefficients (a loaded model) has no factor
+until it calls ``ridge_factor`` for the weight path.
 One Cholesky per lambda is cheaper than one eigendecomposition for the whole
 grid at the sizes used here (n ~ 1000, grids of five).
 
@@ -66,24 +69,12 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    entries: np.ndarray
-    n: int
+    entries: np.ndarray  # n x n
     spec: KernelSpec  # the spec the entries were built with, bandwidth chosen
 
-
-@dataclass(frozen=True)
-class RidgeSolution:
-    """Coefficients C solving (K + lambda n I) C = Psi, and the Cholesky
-    factor for the weight path when it has been built.
-
-    ``solve_ridge`` keeps the factor it solved with.  A solution read back
-    from coefficients alone has ``factor=None``; the estimator builds the
-    factor on the weight path's first call.
-    """
-
-    coefficients: np.ndarray  # n x r
-    lam: float
-    factor: tuple | None = None  # scipy cho_factor handle of K + lambda n I
+    @property
+    def n(self) -> int:
+        return len(self.entries)
 
 
 def _sq_distances(x_train: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -160,7 +151,7 @@ def build_gram(spec: KernelSpec, x) -> GramMatrix:
         # on a contiguous x the product is numpy's SYRK, mirrored, so the Gram
         # is bitwise symmetric; a strided view would take a general product
         x = np.ascontiguousarray(x)
-        return GramMatrix(x @ x.T, len(x), spec)
+        return GramMatrix(x @ x.T, spec)
     n = len(x)
     k = np.empty((n, n))
     for i, block in _upper_rows(x):
@@ -175,7 +166,7 @@ def build_gram(spec: KernelSpec, x) -> GramMatrix:
         spec = KernelSpec("gaussian", _median_distance([k], n))
     k /= -2.0 * spec.bandwidth**2
     np.exp(k, out=k)
-    return GramMatrix(k, n, spec)
+    return GramMatrix(k, spec)
 
 
 def cross_kernel(spec: KernelSpec, x_test, x_train) -> np.ndarray:
@@ -200,8 +191,8 @@ def cross_kernel(spec: KernelSpec, x_test, x_train) -> np.ndarray:
 
 def ridge_factor(gram: GramMatrix, lam: float) -> tuple:
     """Cholesky factor of K + lambda n I, shifted and factored in one copy of K."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:  # NaN too
+        raise ValueError("lambda must be positive and finite")
     shifted = gram.entries.copy()
     shifted.flat[::gram.n + 1] += lam * gram.n
     try:
@@ -215,24 +206,23 @@ def ridge_factor(gram: GramMatrix, lam: float) -> tuple:
         ) from exc
 
 
-def solve_ridge(gram: GramMatrix, psi, lam: float) -> RidgeSolution:
-    """Solve (K + lambda n I) C = Psi for the n x r coefficient matrix C."""
+def solve_ridge(gram: GramMatrix, psi, lam: float) -> tuple[np.ndarray, tuple]:
+    """Solve (K + lambda n I) C = Psi for the n x r coefficient matrix C;
+    returns ``(C, factor)``, the factor C was solved with, never ``None``."""
     psi = np.asarray(psi, dtype=float)
     if psi.ndim == 1:
         psi = psi[:, None]
     if psi.shape[0] != gram.n:
         raise ValueError(f"Psi has {psi.shape[0]} rows, expected {gram.n}")
     factor = ridge_factor(gram, lam)
-    coef = cho_solve(factor, psi)
-    return RidgeSolution(coef, lam, factor)
+    return cho_solve(factor, psi), factor
 
 
-def weights_at(solution: RidgeSolution, k_x) -> np.ndarray:
-    """alpha(x) = (K + n lambda I)^{-1} K_x; accepts a vector or a batch."""
-    if solution.factor is None:
-        raise ValueError("ridge solution carries no factor")
+def weights_at(factor: tuple, k_x) -> np.ndarray:
+    """alpha(x) = (K + n lambda I)^{-1} K_x for a vector or a batch, from the
+    ``ridge_factor`` factor: a model whose factor is ``None`` builds it first."""
     k_x = np.asarray(k_x, dtype=float)
-    return cho_solve(solution.factor, k_x.T).T
+    return cho_solve(factor, k_x.T).T
 
 
 def median_heuristic(x) -> float:

@@ -139,7 +139,8 @@ def label_rows(rows: np.ndarray) -> list:
 
 def as_label(y) -> Label:
     """Coerce lists/arrays to the canonical tuple-of-int representation."""
-    if isinstance(y, tuple) and all(isinstance(b, int) for b in y):
+    # isinstance mapped in C; a generator of isinstance calls takes twice as long
+    if isinstance(y, tuple) and all(map(int.__instancecheck__, y)):
         return y
     return tuple(int(b) for b in y)
 

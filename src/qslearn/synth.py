@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import fit, predict_batch
+from .estimator import empirical_risk, fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
 from .losses import DiscreteLoss, Hamming, LabelSpace, PrecAtK, as_label, make_loss
 from .losses.base import column_sums
@@ -62,6 +62,11 @@ class SyntheticSpec:
             raise ValueError("hard_margin delta must lie in (0, 1/2)")
         if len(self.n_grid) == 0 or list(self.n_grid) != sorted(set(self.n_grid)):
             raise ValueError("n_grid must be nonempty and strictly increasing")
+        if self.n_grid[0] < 1:
+            raise ValueError(f"n_grid entries must be at least 1, got {self.n_grid[0]}")
+        for name in ("d", "n_test", "replications"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def make_loss(self) -> DiscreteLoss:
         return make_loss(self.loss_name, self.m, **dict(self.loss_params))
@@ -282,7 +287,7 @@ def rate_experiment(spec: SyntheticSpec) -> RateReport:
         x_probe = gen.sample_inputs(spec.n_test, rng_probe)
         y_probe = gen.sample_labels(x_probe, rng_probe)
         f_star = bayes_predictions(gen, x_probe, loss)
-        bayes_test = float(np.mean([loss.value(z, y) for z, y in zip(f_star, y_probe)]))
+        bayes_test = empirical_risk(f_star, loss, y_probe)
         per_n = []
         for n in spec.n_grid:
             x_tr, y_tr = x_pool[:n], y_pool[:n]
@@ -294,7 +299,7 @@ def rate_experiment(spec: SyntheticSpec) -> RateReport:
             model = fit(loss, kernel, n**-0.5, x_tr, y_tr)
             preds = predict_batch(model, x_probe)
             exact = max(excess_risk_exact(preds, gen, x_probe, loss), EXCESS_FLOOR)
-            test_risk = float(np.mean([loss.value(z, y) for z, y in zip(preds, y_probe)]))
+            test_risk = empirical_risk(preds, loss, y_probe)
             rows.append(
                 RateRow(
                     loss.name, spec.noise_mode, n, rep, exact,

@@ -350,3 +350,12 @@ def test_criterion_10_two_path_equivalence():
             done += 1
             total += 1
     report(10, f"{total} instances, fast and weight paths agree everywhere")
+
+
+def test_every_exported_name_resolves():
+    # the star import raises AttributeError on a name the package lacks
+    import qslearn
+
+    namespace = {}
+    exec("from qslearn import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(qslearn.__all__)

@@ -101,6 +101,14 @@ def test_check_redraws_tied_instances(capsys):
     assert re.search(r"^tied instances redrawn: [1-9]\d*$", out, re.M)
 
 
+@pytest.mark.parametrize("instances", ["0", "-2"])
+def test_check_needs_one_instance(instances, capsys):
+    assert run(["check", "--loss", "hamming", "--m", "3", "--instances", instances]) == \
+        cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "--instances" in captured.err and "ok" not in captured.out
+
+
 def test_check_detects_wrong_decoder(monkeypatch, capsys):
     monkeypatch.setattr(Hamming, "decode_batch", lambda self, thetas: [(0,) * self.m] * len(thetas))
     assert run(["check", "--loss", "hamming", "--m", "3"]) == cli.CHECK_FAILURE
@@ -213,6 +221,31 @@ def test_empty_lambda_grid_entry_is_usage_error(command, grid, tmp_path, capsys)
     assert not model.exists() and "selected lambda" not in captured.out
 
 
+@pytest.mark.parametrize("losses", ["", " ", "hamming,"], ids=["empty", "blank", "trailing"])
+def test_empty_losses_entry_is_usage_error(losses, tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=40)
+    out = tmp_path / "e.json"
+    assert run(["eval", "--data", str(data), "--m", "2", "--losses", losses,
+                "--out", str(out)]) == cli.USAGE_ERROR
+    assert "--losses" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_lambda_is_usage_error(command, lam, tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=40)
+    model = tmp_path / "model.npz"
+    argv = {"train": ["train", "--data", str(data), "--loss", "hamming", "--m", "2",
+                      "--out", str(model)],
+            "eval": ["eval", "--data", str(data), "--m", "2"]}[command]
+    assert run(argv + ["--lambda", lam]) == cli.USAGE_ERROR
+    assert "lambda must be positive and finite" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_eval_decompose_free_matches_fast(tmp_path):
     data = tmp_path / "toy.libsvm"
     make_toy_dataset(data, n=40, seed=3)
@@ -277,6 +310,30 @@ def test_rates_empty_grid_usage_error(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"n_grid": []}))
     assert run(["rates", "--spec", str(spec_path)]) == cli.USAGE_ERROR
+
+
+RATES_SPEC = {"d": 2, "m": 2, "n_grid": [24, 48], "n_test": 40, "replications": 1}
+
+
+@pytest.mark.parametrize("spec, named", [
+    ([RATES_SPEC], "JSON object"),
+    ({**RATES_SPEC, "extra": 3}, "extra"),
+    ({**RATES_SPEC, "n_test": 0}, "n_test"),
+    ({**RATES_SPEC, "n_grid": [0, 24]}, "n_grid"),
+    ({**RATES_SPEC, "n_grid": 24}, "n_grid"),
+    ({**RATES_SPEC, "replications": 0}, "replications"),
+    ({**RATES_SPEC, "d": 0}, "d must"),
+    ({**RATES_SPEC, "noise_modes": []}, "noise_modes"),
+    ({**RATES_SPEC, "noise_modes": ["hard_margin"], "noise_mode": "hard_margin"}, "noise_modes"),
+], ids=["array", "unknown_key", "n_test", "n_grid_entry", "n_grid_scalar", "replications", "d",
+        "no_modes", "both_mode_keys"])
+def test_malformed_rates_spec_is_usage_error(spec, named, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    assert run(["rates", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == cli.USAGE_ERROR
+    assert named in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_threads_do_not_change_output(tmp_path):
@@ -541,7 +598,7 @@ def test_corrupt_model_is_usage_error(tmp_path, capsys):
     assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming",
                 "--lambda", "0.01", "--out", str(model_path)]) == 0
     model = load_model(str(model_path))
-    model.ridge = kernels.RidgeSolution(model.coefficients[:, :-1], model.lam)
+    model.coefficients = model.coefficients[:, :-1]
     save_model(model, str(model_path))
     assert run(["predict", "--model", str(model_path), "--data", str(data)]) == cli.USAGE_ERROR
     assert "coefficients" in capsys.readouterr().err

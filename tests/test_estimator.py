@@ -233,7 +233,7 @@ def test_fit_path_slices_match_standalone_fit(rng):
     seen = []
     for lam, models in fit_path(losses, GAUSS, grid, x, ys):
         seen.append(lam)
-        assert len({id(m.ridge.factor) for m in models}) == 1
+        assert len({id(m.factor) for m in models}) == 1
         for loss, model in zip(losses, models):
             ref = fit(loss, GAUSS, lam, x, ys).coefficients
             assert model.coefficients.shape == ref.shape == (25, loss.r)
@@ -280,7 +280,7 @@ def test_load_builds_no_gram_and_alpha_path_matches(tmp_path, rng, monkeypatch):
     build = estimator.build_gram
     monkeypatch.setattr(estimator, "build_gram", lambda *a: calls.append(1) or build(*a))
     restored = load_model(path)
-    assert calls == [] and restored.ridge.factor is None
+    assert calls == [] and restored.factor is None
     assert predict_batch(restored, x_test) == predict_batch(model, x_test)
     assert calls == []
     assert np.allclose(alpha_weights(restored, x_test), want_alpha, rtol=0, atol=1e-10)

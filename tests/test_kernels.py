@@ -106,16 +106,16 @@ def test_gram_invariants_random(rng):
 
 
 def test_solve_ridge_scalar():
-    gram = GramMatrix(np.array([[1.0]]), 1, GAUSS)
+    gram = GramMatrix(np.array([[1.0]]), GAUSS)
     for u, lam in [(2.5, 0.3), (-1.0, 1.0)]:
-        sol = solve_ridge(gram, np.array([[u]]), lam)
-        assert sol.coefficients[0, 0] == pytest.approx(u / (1 + lam), rel=1e-14)
+        coef, _ = solve_ridge(gram, np.array([[u]]), lam)
+        assert coef[0, 0] == pytest.approx(u / (1 + lam), rel=1e-14)
 
 
 def test_solve_ridge_zero_rhs(rng):
     x = rng.normal(size=(6, 2))
-    sol = solve_ridge(build_gram(GAUSS, x), np.zeros((6, 3)), 0.5)
-    assert np.all(sol.coefficients == 0.0)
+    coef, _ = solve_ridge(build_gram(GAUSS, x), np.zeros((6, 3)), 0.5)
+    assert np.all(coef == 0.0)
 
 
 @pytest.mark.parametrize("n", [5, 50, 200])
@@ -124,8 +124,8 @@ def test_solve_ridge_residual(n, rng):
     gram = build_gram(GAUSS, x)
     psi = rng.normal(size=(n, 4))
     lam = 0.1
-    sol = solve_ridge(gram, psi, lam)
-    lhs = (gram.entries + lam * n * np.eye(n)) @ sol.coefficients
+    coef, _ = solve_ridge(gram, psi, lam)
+    lhs = (gram.entries + lam * n * np.eye(n)) @ coef
     resid = np.linalg.norm(lhs - psi) / np.linalg.norm(psi)
     assert resid < 1e-8
 
@@ -146,7 +146,7 @@ def test_ridge_factor_allocates_one_copy_of_k():
 
 def test_ridge_factor_failure_reports_smallest_eigenvalue():
     # K + lambda n I = [[0.2, 1], [1, 0.2]] has eigenvalues 1.2 and -0.8
-    gram = GramMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 2, LINEAR)
+    gram = GramMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LINEAR)
     with pytest.raises(np.linalg.LinAlgError, match="smallest eigenvalue -8.000e-01"):
         ridge_factor(gram, 0.1)
 
@@ -159,10 +159,17 @@ def test_solve_ridge_rejects_bad_inputs(rng):
         solve_ridge(gram, np.zeros((4, 2)), 0.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_ridge_factor_refuses_non_finite_lambda(lam, rng):
+    gram = build_gram(GAUSS, rng.normal(size=(4, 2)))
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        ridge_factor(gram, lam)
+
+
 def test_weights_single_point():
-    gram = GramMatrix(np.array([[1.0]]), 1, GAUSS)
-    sol = solve_ridge(gram, np.array([[1.0]]), 0.25)
-    alpha = weights_at(sol, np.array([1.0]))
+    gram = GramMatrix(np.array([[1.0]]), GAUSS)
+    _, factor = solve_ridge(gram, np.array([[1.0]]), 0.25)
+    alpha = weights_at(factor, np.array([1.0]))
     assert alpha[0] == pytest.approx(1.0 / 1.25, rel=1e-14)
 
 
@@ -170,9 +177,9 @@ def test_weights_interpolation_limit(rng):
     x = rng.uniform(size=(8, 2)) * 4.0  # well-separated under bw=0.3
     spec = KernelSpec("gaussian", 0.3)
     gram = build_gram(spec, x)
-    sol = solve_ridge(gram, np.eye(8), 1e-12)
+    _, factor = solve_ridge(gram, np.eye(8), 1e-12)
     for i in range(8):
-        alpha = weights_at(sol, gram.entries[i])
+        alpha = weights_at(factor, gram.entries[i])
         assert np.max(np.abs(alpha - np.eye(8)[i])) < 1e-4
 
 
@@ -181,12 +188,12 @@ def test_two_path_consistency(rng):
     x = rng.normal(size=(20, 3))
     psi = rng.normal(size=(20, 5))
     gram = build_gram(GAUSS, x)
-    sol = solve_ridge(gram, psi, 0.05)
+    coef, factor = solve_ridge(gram, psi, 0.05)
     for _ in range(10):
         pt = rng.normal(size=3)
         k_x = cross_kernel(GAUSS, pt, x)[0]
-        g_c = sol.coefficients.T @ k_x
-        g_alpha = psi.T @ weights_at(sol, k_x)
+        g_c = coef.T @ k_x
+        g_alpha = psi.T @ weights_at(factor, k_x)
         assert np.max(np.abs(g_c - g_alpha)) < 1e-8
 
 

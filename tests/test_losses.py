@@ -415,3 +415,11 @@ def test_embed_bounded_by_enumerated_umax(m, data):
     bits = st.tuples(*[st.integers(0, 1)] * m)
     y = data.draw(bits)
     assert np.max(np.abs(loss.u_row(y))) <= 2.0 / (m - 1) + 1e-12
+
+
+def test_as_label_keeps_int_tuples_and_converts_the_rest():
+    ints = (1, 0, True, 3)
+    assert base.as_label(ints) is ints
+    for raw in ([1, 0, 1], np.array([1, 0, 1]), (np.int64(1), 0, 1), (1.0, 0, 1)):
+        label = base.as_label(raw)
+        assert label == (1, 0, 1) and all(type(b) is int for b in label)

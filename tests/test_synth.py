@@ -30,6 +30,10 @@ def test_spec_validation():
         SyntheticSpec(n_grid=(64, 64))
     with pytest.raises(ValueError):
         SyntheticSpec(n_grid=())
+    for field, kwargs in [("d", {"d": 0}), ("n_test", {"n_test": 0}),
+                          ("replications", {"replications": 0}), ("n_grid", {"n_grid": (0, 8)})]:
+        with pytest.raises(ValueError, match=f"^{field}.* at least 1"):
+            SyntheticSpec(**kwargs)
 
 
 def test_hard_margin_by_construction(rng):
