@@ -7,8 +7,9 @@ depends on sigma only through the set of items ranked above each item, so
 both decode exactly by ``subset_dp``, a shortest path over the 2^m subsets
 of placed items (Held & Karp, 1962), up to their class constant
 ``exact_limit`` (PD m = 8, MAP m = 16).  Beyond it PD decodes by
-``greedy_arcset`` and MAP by ``qap_local_search``.  The DP and both
-heuristics are at the end of this module.
+``greedy_arcset``, which, like the DP, runs a whole block of rows at once,
+elementwise along the row axis; MAP decodes by ``qap_local_search``, one
+row at a time.  The DP and both heuristics are at the end of this module.
 """
 
 from __future__ import annotations
@@ -31,14 +32,6 @@ from .base import (
     config_int,
     label_rows,
 )
-
-
-def _sigma_from_order(order) -> Label:
-    """One-line permutation giving rank pos + 1 to the item at order[pos]."""
-    sigma = [0] * len(order)
-    for pos, item in enumerate(order):
-        sigma[item] = pos + 1
-    return tuple(sigma)
 
 
 class NDCGType(DiscreteLoss):
@@ -201,10 +194,11 @@ class PlacedRanking:
     items j, a cost of placing j directly below the set of items ranked
     above it; mixed in ahead of ``DiscreteLoss``.
 
-    ``decode_batch`` minimizes such an objective exactly by ``subset_dp`` up
-    to m = ``exact_limit``, in row blocks of at most ``BLOCK_CELLS`` cost
-    cells, and runs the subclass's ``search`` heuristic on each row beyond
-    it.  Subclasses give ``placement_costs`` and ``search``.
+    ``decode_batch`` cuts the rows into blocks of at most ``BLOCK_CELLS``
+    cost cells: 2^m x m a row for ``subset_dp``, which minimizes such an
+    objective exactly up to m = ``exact_limit``, and m x m a row for the
+    subclass's ``search`` heuristic beyond it, called once per block.
+    Subclasses give ``placement_costs`` and ``search``.
     """
 
     m: int
@@ -225,15 +219,17 @@ class PlacedRanking:
         below the item set S (bit l of S is item l), for each row of thetas."""
         raise NotImplementedError
 
-    def search(self, theta: np.ndarray) -> Label:
+    def search(self, thetas: np.ndarray) -> list:
         raise NotImplementedError
 
     def decode_batch(self, thetas: np.ndarray) -> list:
-        if self.m > self.exact_limit:
-            return [self.search(theta) for theta in thetas]
-        step = max(1, BLOCK_CELLS // (self.m << self.m))
-        return [z for lo in range(0, len(thetas), step)
-                for z in label_rows(subset_dp(self.placement_costs(thetas[lo:lo + step])))]
+        exact = self.m <= self.exact_limit
+        step = max(1, BLOCK_CELLS // ((self.m << self.m) if exact else self.m ** 2))
+        labels = []
+        for lo in range(0, len(thetas), step):
+            block = thetas[lo:lo + step]
+            labels += label_rows(subset_dp(self.placement_costs(block))) if exact else self.search(block)
+        return labels
 
 
 class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
@@ -250,8 +246,8 @@ class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
     degenerate.  Exact inference is a minimum-weight feedback-arc-set
     (linear ordering) problem, NP-hard in general: each pair costs
     -theta_{jl}/4 when l is ranked above j and +theta_{jl}/4 otherwise, so
-    ``subset_dp`` solves it exactly up to m = ``exact_limit``, the greedy
-    arc-set heuristic beyond.
+    ``subset_dp`` solves it exactly up to m = ``exact_limit``, and
+    ``greedy_arcset`` orders a block of rows' clipped pair costs beyond.
     """
 
     name = "pd"
@@ -303,9 +299,12 @@ class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
         above = thetas.T[self._pair_at] * self._sign[..., None]
         return subset_sums(np.zeros((self.m, len(thetas))), above)
 
-    def search(self, theta: np.ndarray) -> Label:
-        # gamma[a, b] = cost of ranking a below b; per-pair shift keeps it >= 0
-        gamma = 2.0 * np.maximum(theta[self._pair_at] * self._sign, 0.0)
+    def search(self, thetas: np.ndarray) -> list:
+        # gamma[:, a, b] = cost of ranking a below b; per-pair shift keeps it >= 0
+        gamma = np.take(thetas, self._pair_at, axis=1)  # C order, unlike thetas[:, _pair_at]
+        gamma *= self._sign
+        np.maximum(gamma, 0.0, out=gamma)
+        gamma *= 2.0
         return greedy_arcset(gamma)
 
     def u_row(self, y: Label) -> np.ndarray:
@@ -379,12 +378,12 @@ class MeanAveragePrecision(PlacedRanking, DiscreteLoss):
         cost /= _lattice(self.m).next_rank
         return cost
 
-    def search(self, theta: np.ndarray) -> Label:
+    def search(self, thetas: np.ndarray) -> list:
         # unordered pair mass split across the symmetric entries
         half = np.where(np.eye(self.m, dtype=bool), 1.0, 0.5)
         pos = np.arange(1, self.m + 1, dtype=float)
         d = 1.0 / np.maximum(pos[:, None], pos[None, :])
-        return qap_local_search(-theta[self._pair_at] * half, d)
+        return [qap_local_search(-theta[self._pair_at] * half, d) for theta in thetas]
 
     def u_row(self, y: Label) -> np.ndarray:
         s = sum(y)
@@ -522,30 +521,48 @@ def subset_dp(cost: np.ndarray) -> np.ndarray:
 # heuristics for the two NP-hard decoders
 # ---------------------------------------------------------------------------
 
-def greedy_arcset(gamma) -> Label:
-    """Greedy ordering for the weighted feedback-arc-set objective.
+def greedy_arcset(gamma) -> Label | list:
+    """Greedy ordering for the weighted feedback-arc-set objective, for an
+    m x m cost matrix or for each matrix of a rows x m x m stack.
 
     ``gamma[a, b]`` is the cost incurred when item a is ranked below item b;
     the objective is sum over ordered pairs of gamma[a, b] 1(rank_a > rank_b).
-    Items are ordered by descending (out-mass - in-mass), then improved by
-    adjacent swaps until no strict improvement remains.  Deterministic; on a
-    consistent total order the result has objective zero.
+    Items are ordered by descending (out-mass - in-mass), ties to the smaller
+    index, then improved by passes of adjacent swaps, each strictly cheaper,
+    until a pass swaps nothing.  A pass is m - 1 steps over the rows still
+    swapping, elementwise along the row axis, so a row's label does not
+    depend on the other rows.  On a consistent total order the result has
+    objective zero.  Returns a label, or a list of labels for a stack.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    m = gamma.shape[0]
-    if gamma.shape != (m, m):
+    # C order: each matrix's sums then add in the order of a one-matrix call
+    gamma = np.ascontiguousarray(gamma, dtype=float)
+    m = gamma.shape[-1]
+    if gamma.ndim not in (2, 3) or gamma.shape[-2] != m:
         raise ValueError("gamma must be square")
-    score = gamma.sum(axis=1) - gamma.sum(axis=0)
-    order = sorted(range(m), key=lambda j: (-score[j], j))  # top of ranking first
-    improved = True
-    while improved:
-        improved = False
+    block = gamma.reshape(-1, m, m)
+    score = block.sum(axis=2) - block.sum(axis=1)
+    # ranked[pos, i]: the item at position pos (0 = top) of row i's ranking
+    ranked = np.argsort(-score, axis=1, kind="stable").T.copy()
+    # below[i*m*m + a*m + b]: in row i, ranking a below b is strictly cheaper
+    below = (block < block.transpose(0, 2, 1)).reshape(-1)
+    order, rows = np.empty_like(ranked), np.arange(len(block))
+    while rows.size:
+        start = rows * (m * m)
+        swapped = np.zeros(rows.size, dtype=bool)
         for pos in range(m - 1):
-            a, b = order[pos], order[pos + 1]  # a currently above b
-            if gamma[a, b] < gamma[b, a]:  # strictly cheaper with a below b
-                order[pos], order[pos + 1] = b, a
-                improved = True
-    return _sigma_from_order(order)
+            a, b = ranked[pos], ranked[pos + 1]  # views; a currently above b
+            swap = below[start + a * m + b]
+            step = (b - a) * swap  # exchanges a and b in place where swap holds
+            a += step
+            b -= step
+            swapped |= swap
+        # a row whose pass swapped nothing is a fixed point
+        order[:, rows[~swapped]] = ranked[:, ~swapped]
+        rows, ranked = rows[swapped], ranked[:, swapped]
+    sigma = np.empty_like(order)
+    np.put_along_axis(sigma, order, np.arange(1, m + 1)[:, None], axis=0)
+    labels = label_rows(sigma.T)
+    return labels if gamma.ndim == 3 else labels[0]
 
 
 def arcset_objective(gamma, sigma: Label) -> float:

@@ -56,6 +56,17 @@ class SyntheticSpec:
     kernel: str = "gaussian"
 
     def __post_init__(self):
+        # a JSON spec reaches here unchecked; True is an int, so refuse bools too
+        ints = [(name, getattr(self, name)) for name in ("d", "m", "seed", "n_test", "replications")]
+        for name, value in ints + [("n_grid entry", n) for n in self.n_grid]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
+            raise ValueError(f"delta must be a number, got {self.delta!r}")
+        if not isinstance(self.loss_name, str):
+            raise ValueError(f"loss_name must be a string, got {self.loss_name!r}")
+        if self.kernel not in ("gaussian", "linear"):
+            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.noise_mode not in ("smooth_crossing", "hard_margin"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if self.noise_mode == "hard_margin" and not 0.0 < self.delta < 0.5:

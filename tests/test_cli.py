@@ -325,8 +325,17 @@ RATES_SPEC = {"d": 2, "m": 2, "n_grid": [24, 48], "n_test": 40, "replications": 
     ({**RATES_SPEC, "d": 0}, "d must"),
     ({**RATES_SPEC, "noise_modes": []}, "noise_modes"),
     ({**RATES_SPEC, "noise_modes": ["hard_margin"], "noise_mode": "hard_margin"}, "noise_modes"),
+    ({**RATES_SPEC, "d": "2"}, "d must be an integer"),
+    ({**RATES_SPEC, "n_grid": ["48"]}, "n_grid entry must be an integer"),
+    ({**RATES_SPEC, "replications": True}, "replications must be an integer"),
+    ({**RATES_SPEC, "n_grid": [24, True]}, "n_grid entry must be an integer"),
+    ({**RATES_SPEC, "delta": "0.2"}, "delta must be a number"),
+    ({**RATES_SPEC, "loss_name": 3}, "loss_name must be a string"),
+    ({**RATES_SPEC, "loss_params": 5}, "loss_params"),
+    ({**RATES_SPEC, "kernel": "rbf"}, "unknown kernel"),
 ], ids=["array", "unknown_key", "n_test", "n_grid_entry", "n_grid_scalar", "replications", "d",
-        "no_modes", "both_mode_keys"])
+        "no_modes", "both_mode_keys", "d_string", "n_grid_string", "replications_bool",
+        "n_grid_bool", "delta_string", "loss_name_int", "loss_params_scalar", "kernel"])
 def test_malformed_rates_spec_is_usage_error(spec, named, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))

@@ -222,16 +222,12 @@ def test_pd_and_map_heuristic_paths_run(rng, monkeypatch):
         heuristic = getattr(ranking, name)
         monkeypatch.setattr(ranking, name,
                             lambda *a, _h=heuristic, _n=name: calls.append(_n) or _h(*a))
-    pd = PairwiseDisagreement(5)
-    mp = MeanAveragePrecision(5)
-    for _ in range(5):
-        _, _, theta = random_instance(pd, rng, n=8)
-        z = decode(pd, theta)
-        pd.check_output(z)
-        _, _, theta = random_instance(mp, rng, n=8)
-        z = decode(mp, theta)
-        mp.check_output(z)
-    assert calls == ["greedy_arcset", "qap_local_search"] * 5
+    for loss in (PairwiseDisagreement(5), MeanAveragePrecision(5)):
+        thetas = np.vstack([random_instance(loss, rng, n=8)[2] for _ in range(5)])
+        for z in decode_batch(loss, thetas):
+            loss.check_output(z)
+    # PD's five rows form one block and one greedy call; MAP searches row by row
+    assert calls == ["greedy_arcset"] + ["qap_local_search"] * 5
 
 
 def test_heuristics_never_beat_exact(rng, monkeypatch):
@@ -277,13 +273,20 @@ def _reference_w(loss, theta):
 def test_heuristic_matrices_equal_the_per_pair_reference(loss, monkeypatch):
     pd = loss.name == "pd"
     seen = []
-    monkeypatch.setattr(ranking, "greedy_arcset" if pd else "qap_local_search",
-                        lambda matrix, *rest: seen.append(matrix) or (1,) * loss.m)
+
+    def record(matrix, *rest):
+        seen.append(matrix)
+        return [(1,) * loss.m] * len(matrix) if pd else (1,) * loss.m
+
+    monkeypatch.setattr(ranking, "greedy_arcset" if pd else "qap_local_search", record)
     reference = _reference_gamma if pd else _reference_w
     thetas = np.vstack([_thetas(loss, np.random.default_rng([loss.m, loss.r]), 20),
                         np.zeros((1, loss.r))])
-    for theta in thetas:
-        loss.search(theta)
+    assert len(loss.search(thetas)) == len(thetas)
+    if pd:  # one stack for the whole block
+        (stack,) = seen
+        assert stack.shape == (len(thetas), loss.m, loss.m) and stack.flags.c_contiguous
+        seen = list(stack)
     assert len(seen) == len(thetas)
     for matrix, theta in zip(seen, thetas):
         want = reference(loss, theta)
@@ -295,13 +298,116 @@ def test_heuristic_matrices_equal_the_per_pair_reference(loss, monkeypatch):
         assert matrix.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m", [9, 10])
+# the per-row greedy arc-set loop that the batched ``greedy_arcset``
+# replaced, kept as its reference; it also counts its passes
+
+def _sigma_from_order(order):
+    """One-line permutation giving rank pos + 1 to the item at order[pos]."""
+    sigma = [0] * len(order)
+    for pos, item in enumerate(order):
+        sigma[item] = pos + 1
+    return tuple(sigma)
+
+
+def _reference_greedy(gamma):
+    gamma = np.asarray(gamma, dtype=float)
+    m = gamma.shape[0]
+    score = gamma.sum(axis=1) - gamma.sum(axis=0)
+    order = sorted(range(m), key=lambda j: (-score[j], j))  # top of ranking first
+    improved, passes = True, 0
+    while improved:
+        improved, passes = False, passes + 1
+        for pos in range(m - 1):
+            a, b = order[pos], order[pos + 1]  # a currently above b
+            if gamma[a, b] < gamma[b, a]:  # strictly cheaper with a below b
+                order[pos], order[pos + 1] = b, a
+                improved = True
+    return _sigma_from_order(order), passes
+
+
+def _bubble_gamma(m):
+    """A chain 0 > 1 > ... > m-2 held by large costs, and item m-1 preferred
+    above every chain item by a small one: the score sort puts m-1 in the
+    middle of the chain, and it climbs one position a pass."""
+    gamma = np.zeros((m, m))
+    for i in range(m - 1):
+        gamma[i, i + 1:m - 1] = 10.0
+    gamma[m - 1, :m - 1] = 0.5
+    return gamma
+
+
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
 def test_pd_beyond_the_dp_decodes_the_reference_gamma(m):
     loss = PairwiseDisagreement(m)
     assert m > loss.exact_limit
-    thetas = np.vstack([_thetas(loss, np.random.default_rng(m), 200), np.zeros((1, loss.r))])
-    labels = decode_batch(loss, thetas)
-    assert labels == [greedy_arcset(_reference_gamma(loss, theta)) for theta in thetas]
+    rng = np.random.default_rng(m)
+    # gaussian, rounded and integer rows; integers tie in the score sort and
+    # in the swap comparisons
+    thetas = np.vstack([_thetas(loss, rng, 200), np.zeros((2, loss.r))])
+    gammas = [_reference_gamma(loss, theta) for theta in thetas]
+    scores = [gamma.sum(axis=1) - gamma.sum(axis=0) for gamma in gammas[400:600]]
+    assert sum(len(set(score)) < m for score in scores) >= 20
+    labels = [_reference_greedy(gamma)[0] for gamma in gammas]
+    assert decode_batch(loss, thetas) == labels
+    # a stack in another memory order: its sums still add like one matrix's
+    assert greedy_arcset(np.asfortranarray(gammas)) == labels
+
+
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
+def test_greedy_stack_equals_the_per_row_greedy_over_many_passes(m):
+    rng = np.random.default_rng([m, 1])
+    bubble = _bubble_gamma(m)
+    shuffled = [bubble[np.ix_(p, p)] for p in (rng.permutation(m) for _ in range(20))]
+    gammas = np.concatenate([bubble[None], shuffled,
+                             rng.integers(0, 4, size=(200, m, m)).astype(float),
+                             rng.uniform(size=(200, m, m))])
+    reference = [_reference_greedy(gamma) for gamma in gammas]
+    assert min(passes for _, passes in reference[:21]) >= m // 2
+    assert max(passes for _, passes in reference[21:]) >= 4
+    assert greedy_arcset(gammas) == [label for label, _ in reference]
+
+
+def test_pd_greedy_labels_do_not_depend_on_the_batch(monkeypatch):
+    loss = PairwiseDisagreement(9)
+    rng = np.random.default_rng(9)
+    thetas = _thetas(loss, rng, rows=40)
+    whole = decode_batch(loss, thetas)
+    for size in (1, 7):
+        assert [z for lo in range(0, len(thetas), size)
+                for z in decode_batch(loss, thetas[lo:lo + size])] == whole
+    order = rng.permutation(len(thetas))
+    assert decode_batch(loss, thetas[order]) == [whole[i] for i in order]
+    # 120 rows in blocks of 50: three blocks
+    monkeypatch.setattr(ranking, "BLOCK_CELLS", 50 * loss.m ** 2)
+    assert decode_batch(loss, thetas) == whole
+    assert decode_batch(loss, thetas[order]) == [whole[i] for i in order]
+
+
+@pytest.mark.parametrize("rows_per_block, calls", [(None, [120]), (120, [120]),
+                                                   (50, [50, 50, 20]), (1, [1] * 120)])
+def test_pd_greedy_runs_once_per_row_block(rows_per_block, calls, monkeypatch):
+    loss = PairwiseDisagreement(9)
+    thetas = np.random.default_rng(3).normal(size=(120, loss.r))
+    seen = []
+    greedy = ranking.greedy_arcset
+    monkeypatch.setattr(ranking, "greedy_arcset",
+                        lambda gamma: seen.append(len(gamma)) or greedy(gamma))
+    if rows_per_block:
+        monkeypatch.setattr(ranking, "BLOCK_CELLS", rows_per_block * loss.m ** 2)
+    assert len(decode_batch(loss, thetas)) == len(thetas)
+    assert seen == calls
+
+
+def test_greedy_arcset_takes_one_matrix_or_a_stack():
+    gamma = np.random.default_rng(4).uniform(size=(6, 6))
+    label = greedy_arcset(gamma)
+    assert type(label) is tuple and label == _reference_greedy(gamma)[0]
+    assert greedy_arcset(gamma.tolist()) == label
+    assert greedy_arcset(gamma[None]) == [label]
+    assert greedy_arcset(np.zeros((0, 4, 4))) == []
+    for bad in (np.zeros((3, 4)), np.zeros((2, 3, 4)), np.zeros(4), np.zeros((1, 2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            greedy_arcset(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +564,7 @@ def _reference_block_zero_one(loss, theta):
 
 def _reference_ranking(loss, theta):
     order = sorted(range(loss.m), key=lambda j: (-theta[j], j))
-    return ranking._sigma_from_order(order)
+    return _sigma_from_order(order)
 
 
 REFERENCE = {
@@ -565,7 +671,7 @@ def test_map_predict_runs_no_local_search_and_never_loses_to_it(m, monkeypatch):
     monkeypatch.undo()
     for label, theta in zip(labels, surrogate_values(model, x_new)):
         loss.check_output(label)
-        searched = loss.f_row(loss.search(theta)) @ theta
+        searched = loss.f_row(loss.search(theta[None])[0]) @ theta
         assert loss.f_row(label) @ theta <= searched + 1e-12
 
 
@@ -576,7 +682,7 @@ def test_map_dp_at_its_limit_ranks_the_relevant_items_first():
     y = tuple(int(j % 3 == 1) for j in range(m))
     # F . U_y + c = L(., y): every order of the relevant items on top ties
     label = decode(loss, loss.u_row(y))
-    assert label == ranking._sigma_from_order(sorted(range(m), key=lambda j: (-y[j], j)))
+    assert label == _sigma_from_order(sorted(range(m), key=lambda j: (-y[j], j)))
     assert decode(loss, np.zeros(loss.r)) == tuple(range(1, m + 1))
 
 
