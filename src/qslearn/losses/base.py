@@ -166,7 +166,8 @@ class SharpConstant:
     note: str = ""
 
 
-# largest |Z| * r of an OutputTable, and |Z| * columns of a loss matrix: 128 MiB
+# largest |Z| * r of an OutputTable, |Z| * columns of a loss matrix and 2^m * r
+# of the U table behind an expected embedding: 128 MiB
 TABLE_CELLS = 2 ** 24
 # largest working block (16 MB of float64): the loss-matrix cells one
 # brute-force decode reads, and the subset-DP cost cells of one row block
@@ -222,7 +223,8 @@ class DiscreteLoss:
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
     of the F rows and ``sharp``.  A loss with structure overrides
     ``decode_batch`` with a fast decoder over the whole batch, and describes
-    it in ``decoder``; the default scores the output table.  A loss with
+    it in ``decoder``; the default scores the output table.  It may also
+    override ``expected_embedding`` with a closed form.  A loss with
     constructor parameters beyond m returns them from ``config``, keyed by
     their constructor names, so ``make_loss(name, m, **loss.config())``
     rebuilds it.  ``output_table`` enumerates Z and F once per instance, for
@@ -332,6 +334,29 @@ class DiscreteLoss:
 
     def u_row(self, y: Label) -> np.ndarray:
         raise NotImplementedError
+
+    def expected_embedding(self, q) -> np.ndarray:
+        """E[U_y] for independent bits P([y]_j = 1) = q_j, a row per row of the
+        n x m array q.  With U_y = 0 = L(., y) on degenerate y, E[L(z, y)] =
+        F_z . E[U_y] + c (1 - P(y degenerate)), so ``decode_batch`` of E[U_y]
+        is the Bayes output.  This default sums U_y over ``LabelSpace.grid(m)``
+        in row blocks of at most ``BLOCK_CELLS`` probabilities, and refuses
+        (SpaceTooLargeError) a 2^m x r table over ``TABLE_CELLS`` up front.
+        """
+        n_y = 2 ** self.m
+        if n_y * self.r > TABLE_CELLS:
+            raise SpaceTooLargeError(f"{self.name}: {n_y} x {self.r} U table over {TABLE_CELLS} cells")
+        q = np.atleast_2d(np.asarray(q, dtype=float))
+        u = np.fromiter(map(self.u_row, LabelSpace.grid(self.m)), np.dtype((float, self.r)), n_y)
+        out = np.empty((len(q), self.r))
+        step = max(1, BLOCK_CELLS // n_y)
+        for start in range(0, len(q), step):
+            block = q[start : start + step]
+            probs = np.ones((len(block), 1))
+            for p in block.T[:, :, None]:  # one bit per column, most significant first
+                probs = np.stack([probs * (1.0 - p), probs * p], axis=2).reshape(len(block), -1)
+            out[start : start + step] = column_sums(u.T, probs)
+        return out
 
     def sharp(self) -> SharpConstant:
         raise NotImplementedError

@@ -166,6 +166,9 @@ class Hamming(DiscreteLoss):
     def u_row(self, y: Label) -> np.ndarray:
         return 2.0 * np.asarray(y, dtype=float) - 1.0
 
+    def expected_embedding(self, q) -> np.ndarray:
+        return 2.0 * np.atleast_2d(np.asarray(q, dtype=float)) - 1.0
+
     def sharp(self) -> SharpConstant:
         return SharpConstant(self.r, self.f_norm, 1.0, 0.5)
 
@@ -205,6 +208,9 @@ class PrecAtK(DiscreteLoss):
 
     def u_row(self, y: Label) -> np.ndarray:
         return np.asarray(y, dtype=float)
+
+    def expected_embedding(self, q) -> np.ndarray:
+        return np.atleast_2d(np.asarray(q, dtype=float))
 
     def sharp(self) -> SharpConstant:
         return SharpConstant(self.r, self.f_norm, 1.0, math.sqrt(self.m / self.k))

@@ -22,6 +22,12 @@ Two noise regimes:
   clipping the conditionals) keeps the regression target smooth on the
   support, which is what makes the fast regime reachable by the kernel fit.
 
+Exact risks use E[L(z, y) | x] = F_z . E[U_y | x] + c (1 - P(y degenerate | x)):
+the Bayes labels decode E[U_y | x] (``DiscreteLoss.expected_embedding``), and an
+excess is (F_f(x) - F_f*(x)) . E[U_y | x].  Hamming and Prec@k have E[U_y | x] in
+closed form; other losses sum over the 2^m bit tuples while 2^m x r fits
+``TABLE_CELLS`` (F-score to m = 15, 0-1 to m = 12).
+
 The learning-rate experiment fits at lambda = n^{-1/2} across a sample-size
 grid and reports per-replication log-log slopes of the exact excess risk.
 """
@@ -37,8 +43,7 @@ import numpy as np
 
 from .estimator import empirical_risk, fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
-from .losses import DiscreteLoss, Hamming, LabelSpace, PrecAtK, as_label, make_loss
-from .losses.base import column_sums
+from .losses import DiscreteLoss, as_label, make_loss
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,11 @@ class MultilabelGenerator:
         direction /= np.linalg.norm(direction)
         self.freq = direction * rng.uniform(1.0, 1.4)
         self.phase = rng.uniform(0.0, 2.0 * math.pi)
+        # |wave| <= 1, so min_j |q_j(x) - 1/2| stays below this margin: sampling could not end
+        margin = 1.0 / (1.0 + math.exp(-float(np.min(np.abs(self.amp))))) - 0.5
+        if spec.noise_mode == "hard_margin" and spec.delta >= margin:
+            raise ValueError(f"hard_margin delta {spec.delta} is unattainable: the margin "
+                             f"min_j |q_j - 1/2| of this surface stays below {margin:.4f}")
 
     def _raw_q(self, x: np.ndarray) -> np.ndarray:
         wave = np.sin(2.0 * math.pi * (x @ self.freq) + self.phase)
@@ -143,68 +153,25 @@ class MultilabelGenerator:
 # exact conditional risks under independent-coordinate conditionals
 # ---------------------------------------------------------------------------
 
-def conditional_risk(loss: DiscreteLoss, z, q_x: np.ndarray) -> float:
-    """ell(z, x) given the marginals q(x), exactly."""
-    if isinstance(loss, Hamming):
-        z = np.asarray(z, dtype=float)
-        return float(np.mean(z + (1.0 - 2.0 * z) * q_x))
-    if isinstance(loss, PrecAtK):
-        return 1.0 - float(sum(q_x[j] for j in range(loss.m) if z[j])) / loss.k
-    index = list(loss.outputs()).index(as_label(z))
-    return float(_expected_losses(loss, q_x)[0, index])
-
-
-def bayes_conditional_risk(loss: DiscreteLoss, q_x: np.ndarray) -> float:
-    """min_z ell(z, x) given the marginals, exactly."""
-    if isinstance(loss, Hamming):
-        return float(np.mean(np.minimum(q_x, 1.0 - q_x)))
-    if isinstance(loss, PrecAtK):
-        return 1.0 - float(np.sort(q_x)[::-1][: loss.k].sum()) / loss.k
-    return float(_expected_losses(loss, q_x).min())
-
-
-def _expected_losses(loss: DiscreteLoss, q) -> np.ndarray:
-    """sum_y P(y | x) L(z, y), one row per row of marginals q, one column
-    per output z in canonical order.
-
-    The generator draws bit tuples, so y runs over ``LabelSpace.grid(m)``
-    whatever the loss's observation space (NDCG's relevance grid is
-    larger).  The loss matrix is read first, so a space beyond its limit
-    raises SpaceTooLargeError before the 2^m probabilities are built.
-    """
-    matrix = loss.loss_matrix(LabelSpace.grid(loss.m))
-    q = np.atleast_2d(q)
-    probs = np.ones((len(q), 1))
-    for j in range(loss.m):  # bit j of the canonical subset rank, most significant first
-        p = q[:, j, None]
-        probs = np.stack([probs * (1.0 - p), probs * p], axis=2).reshape(len(q), -1)
-    return column_sums(matrix, probs)
-
-
-def excess_risk_exact(predictions, gen: MultilabelGenerator, x_probe, loss) -> float:
-    """Average exact excess ell(f(x), x) - ell(f*(x), x) over probe points."""
-    q = gen.q(x_probe)
-    if isinstance(loss, (Hamming, PrecAtK)):
-        total = 0.0
-        for z, q_x in zip(predictions, q):
-            total += conditional_risk(loss, z, q_x) - bayes_conditional_risk(loss, q_x)
-        return total / len(predictions)
-    risks = _expected_losses(loss, q)
-    index = {z: i for i, z in enumerate(loss.outputs())}
-    chosen = risks[np.arange(len(q)), [index[as_label(z)] for z in predictions]]
-    return float(np.mean(chosen - risks.min(axis=1)))
-
-
 def bayes_predictions(gen: MultilabelGenerator, x_probe, loss) -> list:
-    """Exact Bayes predictor at each probe point."""
-    q = gen.q(x_probe)
-    # the decoders at theta = E[U_y | x], which is 2q - 1 for Hamming and q for Prec@k
-    if isinstance(loss, Hamming):
-        return loss.decode_batch(2.0 * q - 1.0)
-    if isinstance(loss, PrecAtK):
-        return loss.decode_batch(q)
-    outs = list(loss.outputs())
-    return [outs[i] for i in np.argmin(_expected_losses(loss, q), axis=1)]
+    """Exact Bayes predictor at each probe point: the decoder at E[U_y | x]."""
+    return loss.decode_batch(loss.expected_embedding(gen.q(x_probe)))
+
+
+def excess_risk_exact(predictions, bayes, expected, loss) -> float:
+    """Average exact excess ell(f(x), x) - ell(f*(x), x) over probe points, given
+    the Bayes labels ``bayes`` and the rows ``expected`` = E[U_y | x] there.  A
+    point's excess is (F_f(x) - F_f*(x)) . E[U_y | x], with c (1 - P(y degenerate
+    | x)) cancelled; it is 0 where f(x) = f*(x)."""
+    labels = zip(map(as_label, predictions), bayes)
+    pairs = [(i, z, b) for i, (z, b) in enumerate(labels) if z != b]
+    excess = np.zeros(len(predictions))
+    if pairs:
+        rows, chosen, best = map(list, zip(*pairs))
+        f = {z: loss.f_row(z) for z in {*chosen, *best}}
+        gap = np.array([f[z] - f[b] for z, b in zip(chosen, best)])
+        excess[rows] = np.sum(gap * expected[rows], axis=1)
+    return float(np.mean(excess))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +265,7 @@ def rate_experiment(spec: SyntheticSpec) -> RateReport:
         x_probe = gen.sample_inputs(spec.n_test, rng_probe)
         y_probe = gen.sample_labels(x_probe, rng_probe)
         f_star = bayes_predictions(gen, x_probe, loss)
+        expected = loss.expected_embedding(gen.q(x_probe))  # for every n's excess
         bayes_test = empirical_risk(f_star, loss, y_probe)
         per_n = []
         for n in spec.n_grid:
@@ -309,7 +277,7 @@ def rate_experiment(spec: SyntheticSpec) -> RateReport:
             )
             model = fit(loss, kernel, n**-0.5, x_tr, y_tr)
             preds = predict_batch(model, x_probe)
-            exact = max(excess_risk_exact(preds, gen, x_probe, loss), EXCESS_FLOOR)
+            exact = max(excess_risk_exact(preds, f_star, expected, loss), EXCESS_FLOOR)
             test_risk = empirical_risk(preds, loss, y_probe)
             rows.append(
                 RateRow(

@@ -16,6 +16,7 @@ from qslearn.data import parse_multilabel, split, standardize
 from qslearn.estimator import empirical_risk, fit, load_model, predict_batch, save_model
 from qslearn.kernels import KernelSpec, median_heuristic
 from qslearn.losses import LOSS_NAMES, Hamming, NDCGType, enumerated_constants, make_loss
+from qslearn.synth import MultilabelGenerator, SyntheticSpec
 
 from conftest import popcount_partition
 
@@ -342,6 +343,19 @@ def test_malformed_rates_spec_is_usage_error(spec, named, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert run(["rates", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == cli.USAGE_ERROR
     assert named in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_unattainable_hard_margin_delta_is_usage_error(tmp_path, capsys):
+    spec = {**RATES_SPEC, "m": 4, "noise_mode": "hard_margin", "delta": 0.45, "seed": 0}
+    # checked first: a generator that took this delta would sample forever below
+    with pytest.raises(ValueError, match="unattainable"):
+        MultilabelGenerator(SyntheticSpec(**{**spec, "n_grid": tuple(spec["n_grid"])}))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "out"
+    assert run(["rates", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == cli.USAGE_ERROR
+    assert "delta 0.45 is unattainable" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -33,7 +33,14 @@ from qslearn.losses import (
     make_loss,
 )
 
-from conftest import REQUIRED, loss_ids, popcount_partition, random_instance, small_losses
+from conftest import (
+    REQUIRED,
+    loss_ids,
+    popcount_partition,
+    random_instance,
+    random_partition,
+    small_losses,
+)
 
 ALL_SMALL = small_losses()
 
@@ -246,6 +253,39 @@ def test_embed_validates_labels():
         NDCGType(3, R=2).embed((0, 5, 1))
     with pytest.raises(InvalidLabelError):
         MeanAveragePrecision(3).embed((1, 2))
+
+
+EXPECTED_CASES = [
+    make_loss(name, 4, **{"prec_at_k": {"k": 3},
+                          "block_zero_one": {"partition": popcount_partition(4)}}.get(name, {}))
+    for name in LOSS_NAMES
+] + [PrecAtK(5, 2), FScore(5, side="a"),
+     BlockZeroOne(5, random_partition(5, 6, np.random.default_rng(0)))]
+
+
+@pytest.mark.parametrize("loss", EXPECTED_CASES, ids=loss_ids(EXPECTED_CASES))
+def test_expected_embedding_gives_the_expected_loss(loss):
+    # E[L(z, y)] = F_z . E[U_y] + c (1 - P(y degenerate)) for independent bits y
+    m = loss.m
+    qs = np.array([np.random.default_rng(m).uniform(size=m), np.zeros(m), np.ones(m),
+                   np.full(m, 0.5)])
+    ys = list(LabelSpace.grid(m))
+    for q, expected in zip(qs, loss.expected_embedding(qs)):
+        probs = [np.prod([qj if b else 1.0 - qj for qj, b in zip(q, y)]) for y in ys]
+        p_degenerate = sum(p for p, y in zip(probs, ys) if loss.is_degenerate(y))
+        for z in loss.outputs():
+            direct = sum(p * loss.value(z, y) for p, y in zip(probs, ys))
+            got = loss.f_row(z) @ expected + loss.offset * (1.0 - p_degenerate)
+            assert got == pytest.approx(direct, abs=1e-13)
+    if type(loss).expected_embedding is DiscreteLoss.expected_embedding:
+        return
+    # a closed form equals the enumeration it replaces
+    for m in range(loss.config().get("k", 1), 11):
+        big = make_loss(loss.name, m, **loss.config())
+        qs = np.array([np.random.default_rng(m).uniform(size=m), np.zeros(m), np.ones(m),
+                       np.full(m, 0.5)])
+        want = DiscreteLoss.expected_embedding(big, qs)
+        assert np.allclose(big.expected_embedding(qs), want, rtol=0.0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

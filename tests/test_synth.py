@@ -1,6 +1,7 @@
 """Synthetic generators: margin regimes, exact excess, reproducibility, slopes."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from qslearn.losses import Hamming, PrecAtK, SpaceTooLargeError, ZeroOne, make_l
 from qslearn.synth import (
     MultilabelGenerator,
     SyntheticSpec,
-    bayes_conditional_risk,
     bayes_predictions,
-    conditional_risk,
     excess_risk_exact,
     rate_experiment,
     rate_rows_csv,
@@ -19,6 +18,13 @@ from qslearn.synth import (
 
 HARD = SyntheticSpec(noise_mode="hard_margin", delta=0.2, seed=3)
 SMOOTH = SyntheticSpec(noise_mode="smooth_crossing", seed=3)
+
+
+class _FixedMarginals:
+    """A generator stand-in whose conditionals q(x) are given outright."""
+
+    def __init__(self, q):
+        self.q = lambda x: q
 
 
 def test_spec_validation():
@@ -85,7 +91,8 @@ def test_exact_excess_zero_at_bayes(rng):
         x = gen.sample_inputs(50, rng)
         loss = Hamming(spec.m)
         preds = bayes_predictions(gen, x, loss)
-        assert excess_risk_exact(preds, gen, x, loss) == pytest.approx(0.0, abs=1e-12)
+        expected = loss.expected_embedding(gen.q(x))
+        assert excess_risk_exact(preds, preds, expected, loss) == 0.0
 
 
 def test_exact_excess_constant_predictor_closed_form(rng):
@@ -97,18 +104,20 @@ def test_exact_excess_constant_predictor_closed_form(rng):
     manual = float(np.mean(
         np.mean(q, axis=1) - np.mean(np.minimum(q, 1 - q), axis=1)
     ))
-    got = excess_risk_exact([z0] * len(x), gen, x, loss)
+    bayes = bayes_predictions(gen, x, loss)
+    got = excess_risk_exact([z0] * len(x), bayes, loss.expected_embedding(q), loss)
     assert got == pytest.approx(manual, rel=1e-12)
 
 
 def test_prec_at_k_conditional_risks(rng):
     loss = PrecAtK(4, 2)
     q = rng.uniform(size=4)
+    gen = _FixedMarginals(q[None, :])
     z = (1, 0, 1, 0)
-    assert conditional_risk(loss, z, q) == pytest.approx(1 - (q[0] + q[2]) / 2)
-    assert bayes_conditional_risk(loss, q) == pytest.approx(
-        1 - np.sort(q)[::-1][:2].sum() / 2
-    )
+    bayes = bayes_predictions(gen, None, loss)
+    got = excess_risk_exact([z], bayes, loss.expected_embedding(q[None, :]), loss)
+    # ell(z, x) = 1 - (q_0 + q_2)/2 and ell(f*(x), x) = 1 - (sum of the top two q_j)/2
+    assert got == pytest.approx((np.sort(q)[::-1][:2].sum() - q[0] - q[2]) / 2, abs=1e-15)
 
 
 def test_monte_carlo_cross_check(rng):
@@ -117,9 +126,9 @@ def test_monte_carlo_cross_check(rng):
     loss = Hamming(SMOOTH.m)
     x = gen.sample_inputs(4000, rng)
     z0 = (0,) * SMOOTH.m
-    exact = excess_risk_exact([z0] * len(x), gen, x, loss)
-    ys = gen.sample_labels(x, rng)
     f_star = bayes_predictions(gen, x, loss)
+    exact = excess_risk_exact([z0] * len(x), f_star, loss.expected_embedding(gen.q(x)), loss)
+    ys = gen.sample_labels(x, rng)
     sampled = float(
         np.mean([loss.value(z0, y) for y in ys])
         - np.mean([loss.value(z, y) for z, y in zip(f_star, ys)])
@@ -144,18 +153,15 @@ def test_prec_at_k_bayes_matches_enumeration(rng):
     loss = spec.make_loss()
     x = gen.sample_inputs(15, rng)
     preds = bayes_predictions(gen, x, loss)
+    obs = list(loss.observations())
     for xi, z in zip(x, preds):
         q = gen.q(xi)[0]
-        assert conditional_risk(loss, z, q) == pytest.approx(
-            bayes_conditional_risk(loss, q), abs=1e-12
-        )
-
-
-class _FixedMarginals:
-    """A generator stand-in whose conditionals q(x) are given outright."""
-
-    def __init__(self, q):
-        self.q = lambda x: q
+        risks = {
+            out: sum(np.prod([qj if b else 1 - qj for qj, b in zip(q, y)]) * loss.value(out, y)
+                     for y in obs)
+            for out in loss.outputs()
+        }
+        assert risks[z] == pytest.approx(min(risks.values()), abs=1e-12)
 
 
 def test_closed_form_bayes_predictions_equal_the_thresholds_and_top_k(rng):
@@ -220,11 +226,11 @@ def test_generic_exact_risk_sums_over_bit_tuples(name):
             )
             for z in outs
         ]
-        for z, risk in zip(outs, direct):
-            assert conditional_risk(loss, z, q) == pytest.approx(risk, abs=1e-12)
-        assert bayes_conditional_risk(loss, q) == pytest.approx(min(direct), abs=1e-12)
         [pred] = bayes_predictions(gen, x_row[None, :], loss)
         assert pred == outs[int(np.argmin(direct))]
+        for z, risk in zip(outs, direct):  # every output's risk, less the Bayes risk
+            got = excess_risk_exact([z], [pred], loss.expected_embedding(q[None, :]), loss)
+            assert got == pytest.approx(risk - min(direct), abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["fscore", "pd", "zero_one"])
@@ -241,10 +247,37 @@ def test_generic_excess_and_bayes_match_a_per_point_sum(name):
         for q in gen.q(x)
     ]
     want = np.mean([r[outs.index(z)] - min(r) for z, r in zip(preds, risks)])
-    assert excess_risk_exact(preds, gen, x, loss) == pytest.approx(want, abs=1e-12)
-    assert bayes_predictions(gen, x, loss) == [outs[int(np.argmin(r))] for r in risks]
+    bayes = bayes_predictions(gen, x, loss)
+    assert bayes == [outs[int(np.argmin(r))] for r in risks]
+    expected = loss.expected_embedding(gen.q(x))
+    assert excess_risk_exact(preds, bayes, expected, loss) == pytest.approx(want, abs=1e-12)
 
 
 def test_generic_exact_risk_refuses_large_spaces():
+    # 2^13 bit tuples x r = 2^13 embedding coordinates is over the table limit
     with pytest.raises(SpaceTooLargeError):
-        bayes_conditional_risk(ZeroOne(13), np.full(13, 0.3))
+        bayes_predictions(_FixedMarginals(np.full((1, 13), 0.3)), None, ZeroOne(13))
+
+
+def test_fscore_rates_run_at_m13():
+    # E[U_y] has 2^13 x 170 cells; the 2^13 x 2^13 loss matrix it replaces was refused
+    spec = SyntheticSpec(loss_name="fscore", m=13, n_grid=(16, 32), n_test=20,
+                         replications=1, seed=1)
+    report = rate_experiment(spec)
+    assert [r.n for r in report.rows] == [16, 32]
+    assert all(r.excess_exact >= 0 for r in report.rows)
+
+
+def test_unattainable_hard_margin_is_refused():
+    spec = SyntheticSpec(noise_mode="hard_margin", delta=0.45, m=4, seed=0)
+    # min_j |q_j - 1/2| never exceeds sigmoid(min_j |a_j|) - 1/2 = 0.4224 here
+    with pytest.raises(ValueError, match=r"delta 0\.45 .* below 0\.4224"):
+        MultilabelGenerator(spec)
+    gen = MultilabelGenerator(SMOOTH)
+    bound = 1.0 / (1.0 + math.exp(-float(np.min(np.abs(gen.amp))))) - 0.5
+    below = SyntheticSpec(noise_mode="hard_margin", delta=bound - 0.01, seed=SMOOTH.seed)
+    x = MultilabelGenerator(below).sample_inputs(10, np.random.default_rng(0))
+    assert len(x) == 10
+    with pytest.raises(ValueError, match="unattainable"):
+        MultilabelGenerator(SyntheticSpec(noise_mode="hard_margin", delta=bound,
+                                          seed=SMOOTH.seed))
