@@ -26,7 +26,8 @@ Exact risks use E[L(z, y) | x] = F_z . E[U_y | x] + c (1 - P(y degenerate | x)):
 the Bayes labels decode E[U_y | x] (``DiscreteLoss.expected_embedding``), and an
 excess is (F_f(x) - F_f*(x)) . E[U_y | x].  Hamming and Prec@k have E[U_y | x] in
 closed form; other losses sum over the 2^m bit tuples while 2^m x r fits
-``TABLE_CELLS`` (F-score to m = 15, 0-1 to m = 12).
+``TABLE_CELLS`` (F-score to m = 15, 0-1 to m = 12).  A loss is refused beyond
+its ``exact_limit``, where its decoder is a heuristic (PD past m = 8).
 
 The learning-rate experiment fits at lambda = n^{-1/2} across a sample-size
 grid and reports per-replication log-log slopes of the exact excess risk.
@@ -34,6 +35,7 @@ grid and reports per-replication log-log slopes of the exact excess risk.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +45,7 @@ import numpy as np
 
 from .estimator import empirical_risk, fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
-from .losses import DiscreteLoss, as_label, make_loss
+from .losses import DiscreteLoss, SpaceTooLargeError, as_label, make_loss
 
 
 @dataclass(frozen=True)
@@ -153,25 +155,23 @@ class MultilabelGenerator:
 # exact conditional risks under independent-coordinate conditionals
 # ---------------------------------------------------------------------------
 
-def bayes_predictions(gen: MultilabelGenerator, x_probe, loss) -> list:
-    """Exact Bayes predictor at each probe point: the decoder at E[U_y | x]."""
-    return loss.decode_batch(loss.expected_embedding(gen.q(x_probe)))
+def bayes_predictions(loss, expected) -> list:
+    """Exact Bayes labels: the decoder at the rows ``expected`` = E[U_y | x], refused
+    past ``exact_limit`` (PD above m = 8), where a heuristic label need not be f*."""
+    if loss.m > getattr(loss, "exact_limit", loss.m):
+        raise SpaceTooLargeError(f"{loss.name}: m = {loss.m} is beyond the exact decoder's "
+                                 f"limit {loss.exact_limit}, so f* is not known exactly")
+    return loss.decode_batch(expected)
 
 
 def excess_risk_exact(predictions, bayes, expected, loss) -> float:
     """Average exact excess ell(f(x), x) - ell(f*(x), x) over probe points, given
     the Bayes labels ``bayes`` and the rows ``expected`` = E[U_y | x] there.  A
     point's excess is (F_f(x) - F_f*(x)) . E[U_y | x], with c (1 - P(y degenerate
-    | x)) cancelled; it is 0 where f(x) = f*(x)."""
-    labels = zip(map(as_label, predictions), bayes)
-    pairs = [(i, z, b) for i, (z, b) in enumerate(labels) if z != b]
-    excess = np.zeros(len(predictions))
-    if pairs:
-        rows, chosen, best = map(list, zip(*pairs))
-        f = {z: loss.f_row(z) for z in {*chosen, *best}}
-        gap = np.array([f[z] - f[b] for z, b in zip(chosen, best)])
-        excess[rows] = np.sum(gap * expected[rows], axis=1)
-    return float(np.mean(excess))
+    | x)) cancelled."""
+    f_row = functools.cache(loss.f_row)  # a few distinct labels; f_row per probe row is slow
+    gap = np.array([f_row(as_label(z)) - f_row(b) for z, b in zip(predictions, bayes)])
+    return float(np.mean(np.sum(gap * expected, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +264,8 @@ def rate_experiment(spec: SyntheticSpec) -> RateReport:
         x_pool, y_pool = gen.sample(n_max, rng_train)
         x_probe = gen.sample_inputs(spec.n_test, rng_probe)
         y_probe = gen.sample_labels(x_probe, rng_probe)
-        f_star = bayes_predictions(gen, x_probe, loss)
-        expected = loss.expected_embedding(gen.q(x_probe))  # for every n's excess
+        expected = loss.expected_embedding(gen.q(x_probe))
+        f_star = bayes_predictions(loss, expected)
         bayes_test = empirical_risk(f_star, loss, y_probe)
         per_n = []
         for n in spec.n_grid:

@@ -359,6 +359,15 @@ def test_unattainable_hard_margin_delta_is_usage_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_pd_rates_beyond_the_exact_decoder_is_usage_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**RATES_SPEC, "loss_name": "pd", "m": 9}))
+    out_dir = tmp_path / "out"
+    assert run(["rates", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == cli.USAGE_ERROR
+    assert "exact decoder" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_threads_do_not_change_output(tmp_path):
     spec = {"d": 2, "m": 2, "n_grid": [24, 48], "n_test": 40, "replications": 1,
             "noise_modes": ["smooth_crossing", "hard_margin"], "delta": 0.2}

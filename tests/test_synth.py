@@ -20,13 +20,6 @@ HARD = SyntheticSpec(noise_mode="hard_margin", delta=0.2, seed=3)
 SMOOTH = SyntheticSpec(noise_mode="smooth_crossing", seed=3)
 
 
-class _FixedMarginals:
-    """A generator stand-in whose conditionals q(x) are given outright."""
-
-    def __init__(self, q):
-        self.q = lambda x: q
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(noise_mode="both")
@@ -68,7 +61,7 @@ def test_bayes_predictor_threshold_matches_enumeration(rng):
     gen = MultilabelGenerator(SMOOTH)
     x = rng.uniform(size=(20, SMOOTH.d))
     loss = Hamming(SMOOTH.m)
-    thresholds = bayes_predictions(gen, x, loss)
+    thresholds = bayes_predictions(loss, loss.expected_embedding(gen.q(x)))
     # generic enumeration oracle over the product conditional
     obs = list(loss.observations())
     for xi, z_thresh in zip(x, thresholds):
@@ -90,9 +83,12 @@ def test_exact_excess_zero_at_bayes(rng):
         gen = MultilabelGenerator(spec)
         x = gen.sample_inputs(50, rng)
         loss = Hamming(spec.m)
-        preds = bayes_predictions(gen, x, loss)
-        expected = loss.expected_embedding(gen.q(x))
-        assert excess_risk_exact(preds, preds, expected, loss) == 0.0
+        q = gen.q(x)
+        expected = loss.expected_embedding(q)
+        bayes = bayes_predictions(loss, expected)
+        # the coordinatewise threshold, an independent Bayes label for Hamming
+        preds = [tuple(int(p > 0.5) for p in q_x) for q_x in q]
+        assert excess_risk_exact(preds, bayes, expected, loss) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_exact_excess_constant_predictor_closed_form(rng):
@@ -104,18 +100,17 @@ def test_exact_excess_constant_predictor_closed_form(rng):
     manual = float(np.mean(
         np.mean(q, axis=1) - np.mean(np.minimum(q, 1 - q), axis=1)
     ))
-    bayes = bayes_predictions(gen, x, loss)
-    got = excess_risk_exact([z0] * len(x), bayes, loss.expected_embedding(q), loss)
+    expected = loss.expected_embedding(q)
+    got = excess_risk_exact([z0] * len(x), bayes_predictions(loss, expected), expected, loss)
     assert got == pytest.approx(manual, rel=1e-12)
 
 
 def test_prec_at_k_conditional_risks(rng):
     loss = PrecAtK(4, 2)
     q = rng.uniform(size=4)
-    gen = _FixedMarginals(q[None, :])
     z = (1, 0, 1, 0)
-    bayes = bayes_predictions(gen, None, loss)
-    got = excess_risk_exact([z], bayes, loss.expected_embedding(q[None, :]), loss)
+    expected = loss.expected_embedding(q[None, :])
+    got = excess_risk_exact([z], bayes_predictions(loss, expected), expected, loss)
     # ell(z, x) = 1 - (q_0 + q_2)/2 and ell(f*(x), x) = 1 - (sum of the top two q_j)/2
     assert got == pytest.approx((np.sort(q)[::-1][:2].sum() - q[0] - q[2]) / 2, abs=1e-15)
 
@@ -126,8 +121,9 @@ def test_monte_carlo_cross_check(rng):
     loss = Hamming(SMOOTH.m)
     x = gen.sample_inputs(4000, rng)
     z0 = (0,) * SMOOTH.m
-    f_star = bayes_predictions(gen, x, loss)
-    exact = excess_risk_exact([z0] * len(x), f_star, loss.expected_embedding(gen.q(x)), loss)
+    expected = loss.expected_embedding(gen.q(x))
+    f_star = bayes_predictions(loss, expected)
+    exact = excess_risk_exact([z0] * len(x), f_star, expected, loss)
     ys = gen.sample_labels(x, rng)
     sampled = float(
         np.mean([loss.value(z0, y) for y in ys])
@@ -152,7 +148,7 @@ def test_prec_at_k_bayes_matches_enumeration(rng):
     gen = MultilabelGenerator(spec)
     loss = spec.make_loss()
     x = gen.sample_inputs(15, rng)
-    preds = bayes_predictions(gen, x, loss)
+    preds = bayes_predictions(loss, loss.expected_embedding(gen.q(x)))
     obs = list(loss.observations())
     for xi, z in zip(x, preds):
         q = gen.q(xi)[0]
@@ -169,14 +165,15 @@ def test_closed_form_bayes_predictions_equal_the_thresholds_and_top_k(rng):
     q = rng.uniform(size=(300, m))
     q[:100] = np.round(q[:100] * 4) / 4  # 0.5 exactly, and tied marginals
     q[100:150] = 0.5
-    gen = _FixedMarginals(q)
-    assert bayes_predictions(gen, None, Hamming(m)) == [
+    hamming = Hamming(m)
+    assert bayes_predictions(hamming, hamming.expected_embedding(q)) == [
         tuple(1 if p > 0.5 else 0 for p in q_x) for q_x in q
     ]
     for k in (1, 3, m):
         # the k largest marginals, ties to the later index
         top = [sorted(range(m), key=lambda j: (-q_x[j], -j))[:k] for q_x in q]
-        assert bayes_predictions(gen, None, PrecAtK(m, k)) == [
+        prec = PrecAtK(m, k)
+        assert bayes_predictions(prec, prec.expected_embedding(q)) == [
             tuple(int(j in chosen) for j in range(m)) for chosen in top
         ]
 
@@ -226,10 +223,11 @@ def test_generic_exact_risk_sums_over_bit_tuples(name):
             )
             for z in outs
         ]
-        [pred] = bayes_predictions(gen, x_row[None, :], loss)
+        expected = loss.expected_embedding(q[None, :])
+        [pred] = bayes_predictions(loss, expected)
         assert pred == outs[int(np.argmin(direct))]
         for z, risk in zip(outs, direct):  # every output's risk, less the Bayes risk
-            got = excess_risk_exact([z], [pred], loss.expected_embedding(q[None, :]), loss)
+            got = excess_risk_exact([z], [pred], expected, loss)
             assert got == pytest.approx(risk - min(direct), abs=1e-12)
 
 
@@ -247,16 +245,32 @@ def test_generic_excess_and_bayes_match_a_per_point_sum(name):
         for q in gen.q(x)
     ]
     want = np.mean([r[outs.index(z)] - min(r) for z, r in zip(preds, risks)])
-    bayes = bayes_predictions(gen, x, loss)
-    assert bayes == [outs[int(np.argmin(r))] for r in risks]
     expected = loss.expected_embedding(gen.q(x))
+    bayes = bayes_predictions(loss, expected)
+    assert bayes == [outs[int(np.argmin(r))] for r in risks]
     assert excess_risk_exact(preds, bayes, expected, loss) == pytest.approx(want, abs=1e-12)
 
 
 def test_generic_exact_risk_refuses_large_spaces():
     # 2^13 bit tuples x r = 2^13 embedding coordinates is over the table limit
     with pytest.raises(SpaceTooLargeError):
-        bayes_predictions(_FixedMarginals(np.full((1, 13), 0.3)), None, ZeroOne(13))
+        ZeroOne(13).expected_embedding(np.full((1, 13), 0.3))
+    with pytest.raises(SpaceTooLargeError):
+        rate_experiment(SyntheticSpec(loss_name="zero_one", m=13, n_grid=(16,), n_test=5,
+                                      replications=1))
+
+
+def test_pd_refused_beyond_its_exact_decoder():
+    # E[U_y] fits at m = 9, but the greedy arc-set label there need not be f*
+    loss = make_loss("pd", 9)
+    expected = loss.expected_embedding(np.full((1, 9), 0.3))
+    with pytest.raises(SpaceTooLargeError, match="exact decoder"):
+        bayes_predictions(loss, expected)
+    with pytest.raises(SpaceTooLargeError, match="exact decoder"):
+        rate_experiment(SyntheticSpec(loss_name="pd", m=9, n_grid=(16,), n_test=5,
+                                      replications=1))
+    pd8 = make_loss("pd", 8)
+    assert len(bayes_predictions(pd8, pd8.expected_embedding(np.full((2, 8), 0.3)))) == 2
 
 
 def test_fscore_rates_run_at_m13():
