@@ -38,6 +38,8 @@ def _loss_from_args(args) -> DiscreteLoss:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise LossConfigError(f"loss config {args.config} must be a JSON object")
     name = args.loss or cfg.get("name")
     m = args.m if args.m is not None else cfg.get("m")
     if name is None or m is None:
@@ -45,7 +47,7 @@ def _loss_from_args(args) -> DiscreteLoss:
     params = {k: v for k, v in cfg.items() if k not in ("name", "m")}
     flags = {"k": args.k, "R": args.relevance, "side": args.side}
     params.update((key, val) for key, val in flags.items() if val is not None)
-    return make_loss(name, int(m), **params)
+    return make_loss(name, m, **params)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -98,16 +100,16 @@ def cmd_check(args) -> int:
         for _ in range(_CHECK_DRAWS):
             n = int(rng.integers(5, 15))
             weights = rng.normal(size=n)
-            ys = [observations[i] for i in rng.integers(len(observations), size=n)]
-            theta = np.sum([w * loss.u_row(y) for w, y in zip(weights, ys)], axis=0)
+            drawn = rng.integers(len(observations), size=n)
+            theta = np.sum([w * loss.u_row(observations[i]) for w, i in zip(weights, drawn)], 0)
             if argmin_untied(f_rows, theta):
                 break
             redrawn += 1
         thetas.append(theta)
-        draws.append((weights, ys))
+        draws.append(np.bincount(drawn, weights, minlength=len(observations)))
     labels = decode_batch(loss, np.reshape(thetas, (-1, loss.r)))
-    mismatches = sum(z != decode_bruteforce(loss, weights, ys)
-                     for z, (weights, ys) in zip(labels, draws))
+    oracle = decode_bruteforce(loss, np.reshape(draws, (-1, len(observations))), observations)
+    mismatches = sum(z != o for z, o in zip(labels, oracle))
     print(f"tied instances redrawn: {redrawn}")
     print(f"decoder vs brute force: {mismatches} mismatches in {args.instances} instances")
     if mismatches:

@@ -12,11 +12,11 @@ works elementwise or within a row, so a row's label never depends on its
 batch.  Ties are broken only on exact equality of doubles, and
 ``argmin_untied`` tells which instances that contract covers.
 
-``decode_bruteforce`` is the decomposition-free oracle.  It adds up the
-weights of each distinct observation and scores them against the loss's
-cached ``loss_matrix``: columns of ``loss.value`` over Z, built once per
-loss instance and observation and never derived from F, U or the output
-table, so the oracle stays independent of the decomposition it checks.
+``decode_bruteforce`` is the decomposition-free oracle.  It scores a batch
+in row blocks, adding up each row's weights per distinct observation, against
+the loss's cached ``loss_matrix``: columns of ``loss.value`` over Z, built
+once per loss instance and observation and never derived from F, U or the
+output table, so the oracle stays independent of the decomposition it checks.
 
 Pairwise disagreement and MAP, NP-hard for general weights, decode exactly
 by a dynamic programme over subsets up to their class constant
@@ -77,33 +77,35 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
 
     This is the decomposition-free inference path: it touches only the raw
     evaluator, through the cached ``loss_matrix``, never F or U, and serves
-    as the oracle for every fast decoder.  The observations are mapped to
-    their distinct values once per call, and each row adds up the weights
-    of repeated observations first, so it costs one loss-matrix column per
-    distinct observation.
+    as the oracle for every fast decoder.  The observations are checked and
+    mapped to their distinct labels once per call, one loss-matrix column
+    each.  Rows of ``BLOCK_CELLS // |Z|`` at a time add up their weights per
+    label in observation order and are scored by ``column_sums``, so a
+    row's label does not depend on the other rows.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (1, 2) or weights.shape[-1] != len(observations):
         raise ValueError("weights and observations must have equal length")
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
-    seen: dict = {}
-    inverse = np.array([seen.setdefault(tuple(y), len(seen)) for y in observations],
-                       dtype=np.intp)
+    labels, inverse = loss.observation_space.distinct(observations, "observation")
     n_z = loss.n_outputs()
-    if n_z * max(len(seen), 1) > BLOCK_CELLS:
+    if n_z * max(len(labels), 1) > BLOCK_CELLS:
         raise SpaceTooLargeError(
-            f"{loss.name}: {n_z} outputs x {len(seen)} distinct observations "
+            f"{loss.name}: {n_z} outputs x {len(labels)} distinct observations "
             "is beyond the brute-force budget"
         )
-    matrix = loss.loss_matrix(seen)
-
-    def label(row):
-        totals = np.bincount(inverse, row, minlength=len(seen))
-        best = int(np.argmin(column_sums(matrix, totals)))
-        return next(itertools.islice(loss.outputs(), best, None))
-
-    return [label(row) for row in weights] if weights.ndim == 2 else label(weights)
+    matrix = loss.loss_matrix(labels)
+    rows = np.atleast_2d(weights)
+    best = np.empty(len(rows), dtype=np.intp)
+    step = BLOCK_CELLS // n_z
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        totals = np.zeros((len(block), len(labels)))
+        np.add.at(totals, (slice(None), inverse), block)  # in observation order, as bincount
+        best[start : start + step] = np.argmin(column_sums(matrix, totals), axis=1)
+    outputs = list(itertools.islice(loss.outputs(), int(best.max(initial=0)) + 1))
+    return [outputs[i] for i in best] if weights.ndim == 2 else outputs[best[0]]
 
 
 def argmin_untied(f_rows: np.ndarray, theta: np.ndarray) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 from .data import Standardizer
 from .decode import decode_bruteforce
 from .kernels import KernelSpec, build_gram, cross_kernel, ridge_factor, solve_ridge, weights_at
-from .losses import DiscreteLoss, InvalidLabelError, as_label, loss_config, make_loss
+from .losses import DiscreteLoss, LossConfigError, loss_config, make_loss
 from .losses.base import Label
 
 MODEL_FORMAT_VERSION = 2  # 2 adds the optional training scaler; 1 still loads
@@ -56,19 +56,6 @@ def _features(x) -> np.ndarray:
     return x
 
 
-def _labels(loss: DiscreteLoss, y) -> list:
-    """y as canonical labels, each checked against the loss's observations."""
-    labels = []
-    for i, yi in enumerate(y):
-        yi = as_label(yi)
-        try:
-            loss.check_observation(yi)
-        except InvalidLabelError as exc:
-            raise InvalidLabelError(f"observation {i}: {exc}") from exc
-        labels.append(yi)
-    return labels
-
-
 def fit_path(losses, kernel: KernelSpec, grid, x, y):
     """Fit every loss at every lambda of ``grid`` on one Gram matrix.
 
@@ -82,17 +69,19 @@ def fit_path(losses, kernel: KernelSpec, grid, x, y):
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("X must be a nonempty n x d array")
     y = list(y)
-    labels = [_labels(loss, y) for loss in losses]
-    if any(len(ys) != x.shape[0] for ys in labels):
+    if len(y) != x.shape[0]:
         raise ValueError("X and Y must have equal length")
+    labels = [loss.observation_space.distinct(y, "observation") for loss in losses]
     edges = np.cumsum([0] + [loss.r for loss in losses])
-    psi = np.hstack([[loss.u_row(yi) for yi in ys] for loss, ys in zip(losses, labels)])
+    psi = np.hstack([np.array([loss.u_row(u) for u in ys])[at]
+                     for loss, (ys, at) in zip(losses, labels)])
+    y_train = [[ys[i] for i in at.tolist()] for ys, at in labels]
     gram = build_gram(kernel, x)
     for lam in grid:
         coef, factor = solve_ridge(gram, psi, lam)
         yield lam, [
             QSModel(loss, gram.spec, lam, x, ys, coef[:, a:b], factor)
-            for loss, ys, a, b in zip(losses, labels, edges[:-1], edges[1:])
+            for loss, ys, a, b in zip(losses, y_train, edges[:-1], edges[1:])
         ]
 
 
@@ -169,13 +158,14 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
 
 
 def empirical_risk(predictions, loss: DiscreteLoss, y_true) -> float:
-    """Mean loss of a list of predicted labels against observations."""
-    y_true = [as_label(yi) for yi in y_true]
-    if len(predictions) != len(y_true) or not y_true:
+    """Mean loss of predicted labels against observations, by one ``loss.value`` per distinct pair."""
+    if len(predictions) != len(y_true) or len(y_true) == 0:
         raise ValueError("need equally many (and at least one) predictions and labels")
-    return float(
-        np.mean([loss.value(as_label(z), yi) for z, yi in zip(predictions, y_true)])
-    )
+    zs, z_at = loss.output_space.distinct(predictions, "prediction")
+    ys, y_at = loss.observation_space.distinct(y_true, "observation")
+    pairs, inverse = np.unique(z_at * len(ys) + y_at, return_inverse=True)
+    values = np.array([loss.value(zs[p // len(ys)], ys[p % len(ys)]) for p in pairs.tolist()])
+    return float(np.mean(values[inverse]))
 
 
 def select_lambda(
@@ -239,6 +229,8 @@ def load_model(path: str) -> QSModel:
             if version not in (1, MODEL_FORMAT_VERSION):
                 raise ValueError(f"unsupported model format version {version}")
             cfg = json.loads(str(payload["loss_json"]))
+            if not isinstance(cfg, dict):
+                raise LossConfigError(f"{path}: loss_json must be a JSON object")
             loss = make_loss(cfg.pop("name"), cfg.pop("m"), **cfg)
             kind, bw = str(payload["kernel_kind"]), float(payload["bandwidth"])
             lam = float(payload["lam"])
@@ -271,7 +263,6 @@ def load_model(path: str) -> QSModel:
         require(scaler.mean.shape == scaler.scale.shape == (d,)
                 and np.all(np.isfinite(scaler.mean)) and np.all(np.isfinite(scaler.scale)),
                 f"scaler must hold {d} finite means and scales")
-    y_train = [tuple(row) for row in y_arr.tolist()]
-    for y in set(y_train):
-        loss.check_observation(y)
+    ys, inverse = loss.observation_space.distinct(y_arr.tolist(), f"{path}: y_train row")
+    y_train = [ys[i] for i in inverse.tolist()]
     return QSModel(loss, kernel, lam, x_train, y_train, coef, scaler=scaler)

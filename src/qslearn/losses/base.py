@@ -111,9 +111,10 @@ class LabelSpace:
             return False
         return self.kind == "grid" or sum(y) == self.k
 
-    def check(self, y) -> None:
+    def check(self, y) -> Label:
+        """y itself if it is a label of the space; InvalidLabelError otherwise."""
         if y in self:
-            return
+            return y
         if self.kind == "perm":
             what = f"a permutation of 1..{self.m} in one-line form"
         elif self.kind == "ksubset":
@@ -123,6 +124,29 @@ class LabelSpace:
         else:
             what = f"a relevance vector in {{0..{self.top}}}^{self.m}"
         raise InvalidLabelError(f"not {what}: {y!r}")
+
+    def distinct(self, labels: Sequence, what: str) -> tuple[list, np.ndarray]:
+        """The distinct labels of a sequence as canonical tuples, in order of
+        first appearance, and each element's position among them.  Each
+        element is hashed once, and each distinct label converted by
+        ``as_label`` and checked once; InvalidLabelError names ``what`` and
+        the index of the first bad element."""
+        seen: dict = {}
+        try:
+            inverse = [seen.setdefault(tuple(y), len(seen)) for y in labels]
+        except TypeError:  # an element is no sequence of hashable entries
+            for i, y in enumerate(labels):
+                try:
+                    self.check(as_label(y)), hash(tuple(y))
+                except (InvalidLabelError, TypeError) as exc:
+                    raise InvalidLabelError(f"{what} {i}: {exc}") from None
+        out = []
+        for pos, y in enumerate(seen):
+            try:
+                out.append(self.check(as_label(y)))
+            except InvalidLabelError as exc:
+                raise InvalidLabelError(f"{what} {inverse.index(pos)}: {exc}") from None
+        return out, np.array(inverse, dtype=np.intp)
 
 
 def config_int(what: str, value) -> int:
@@ -138,11 +162,17 @@ def label_rows(rows: np.ndarray) -> list:
 
 
 def as_label(y) -> Label:
-    """Coerce lists/arrays to the canonical tuple-of-int representation."""
+    """Coerce lists/arrays to the canonical tuple-of-int representation;
+    InvalidLabelError for an entry that is not an integer (1.0 is, 1.5 not)."""
     # isinstance mapped in C; a generator of isinstance calls takes twice as long
     if isinstance(y, tuple) and all(map(int.__instancecheck__, y)):
         return y
-    return tuple(int(b) for b in y)
+    try:
+        if (label := tuple(map(int, y))) == tuple(y):
+            return label
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidLabelError(f"not a tuple of integers: {y!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +289,6 @@ class DiscreteLoss:
     def n_observations(self) -> int:
         return self.observation_space.size
 
-    def check_output(self, z: Label) -> None:
-        self.output_space.check(z)
-
-    def check_observation(self, y: Label) -> None:
-        self.observation_space.check(y)
-
     def is_degenerate(self, y: Label) -> bool:
         """True for observations that carry no preference information.
 
@@ -316,10 +340,7 @@ class DiscreteLoss:
             outputs = list(self.outputs())
             for y in missing:
                 columns[y] = np.fromiter((self.value(z, y) for z in outputs), float, n_z)
-        matrix = np.empty((n_z, len(observations)))
-        for j, y in enumerate(observations):
-            matrix[:, j] = columns[y]
-        return matrix
+        return np.array([columns[y] for y in observations]).reshape(-1, n_z).T.copy()
 
     def decode_batch(self, thetas: np.ndarray) -> list:
         """argmin_z F_z . theta, canonical tie-break, for each finite row of an
@@ -364,9 +385,7 @@ class DiscreteLoss:
     # -- generic helpers -----------------------------------------------------
     def embed(self, y) -> np.ndarray:
         """U_y for a validated observation (the surrogate regression target)."""
-        y = as_label(y)
-        self.check_observation(y)
-        return self.u_row(y)
+        return self.u_row(self.observation_space.check(as_label(y)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(m={self.m}, r={self.r})"

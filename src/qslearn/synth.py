@@ -35,7 +35,6 @@ grid and reports per-replication log-log slopes of the exact excess risk.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ import numpy as np
 
 from .estimator import empirical_risk, fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
-from .losses import DiscreteLoss, SpaceTooLargeError, as_label, make_loss
+from .losses import DiscreteLoss, SpaceTooLargeError, config_int, make_loss
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,10 @@ class SyntheticSpec:
     kernel: str = "gaussian"
 
     def __post_init__(self):
-        # a JSON spec reaches here unchecked; True is an int, so refuse bools too
+        # a JSON spec reaches here unchecked
         ints = [(name, getattr(self, name)) for name in ("d", "m", "seed", "n_test", "replications")]
         for name, value in ints + [("n_grid entry", n) for n in self.n_grid]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            config_int(name, value)
         if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
             raise ValueError(f"delta must be a number, got {self.delta!r}")
         if not isinstance(self.loss_name, str):
@@ -169,8 +167,9 @@ def excess_risk_exact(predictions, bayes, expected, loss) -> float:
     the Bayes labels ``bayes`` and the rows ``expected`` = E[U_y | x] there.  A
     point's excess is (F_f(x) - F_f*(x)) . E[U_y | x], with c (1 - P(y degenerate
     | x)) cancelled."""
-    f_row = functools.cache(loss.f_row)  # a few distinct labels; f_row per probe row is slow
-    gap = np.array([f_row(as_label(z)) - f_row(b) for z, b in zip(predictions, bayes)])
+    labels, inverse = loss.output_space.distinct([*predictions, *bayes], "prediction")
+    f = np.array([loss.f_row(z) for z in labels])[inverse]
+    gap = f[: len(predictions)] - f[len(predictions) :]
     return float(np.mean(np.sum(gap * expected, axis=1)))
 
 

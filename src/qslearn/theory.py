@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .losses import DiscreteLoss
-from .losses.base import InvalidLabelError, Label, as_label
+from .losses.base import Label, as_label
 
 
 class FiniteProblem:
@@ -96,8 +96,7 @@ def conditional_risks(problem: FiniteProblem, state: int) -> np.ndarray:
 
 def bayes_risk(problem: FiniteProblem, z: Label, state: int) -> float:
     """ell(z, x) = sum_y Pi(x)_y L(z, y)."""
-    z = as_label(z)
-    problem.loss.check_output(z)
+    z = problem.loss.output_space.check(as_label(z))
     return float(problem.risks[state, problem._output_index[z]])
 
 
@@ -149,15 +148,8 @@ def _checked_rows(problem: FiniteProblem, predictions: Sequence[Label]) -> np.nd
         raise ValueError(
             f"need one prediction per state ({problem.n_states}), got {len(predictions)}"
         )
-    rows = np.empty(problem.n_states, dtype=np.intp)
-    for s, z in enumerate(predictions):
-        z = as_label(z)
-        try:
-            problem.loss.check_output(z)
-        except InvalidLabelError as exc:
-            raise InvalidLabelError(f"state {s}: {exc}") from exc
-        rows[s] = problem._output_index[z]
-    return rows
+    labels, inverse = problem.loss.output_space.distinct(predictions, "state")
+    return np.array([problem._output_index[z] for z in labels], dtype=np.intp)[inverse]
 
 
 def surrogate_excess(problem: FiniteProblem, g) -> float:

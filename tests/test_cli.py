@@ -649,3 +649,62 @@ def test_gaussian_model_without_bandwidth_is_usage_error(tmp_path, capsys):
     np.savez(model_path, **{**arrays, "bandwidth": np.array(-1.0)})
     assert run(["predict", "--model", str(model_path), "--data", str(data)]) == cli.USAGE_ERROR
     assert "bandwidth" in capsys.readouterr().err
+
+
+def _model_file(tmp_path, **arrays):
+    """A saved Hamming(3) model, with the given arrays replaced."""
+    path = tmp_path / "model.npz"
+    save_model(fit(Hamming(3), KernelSpec("gaussian", 1.0), 0.1, np.zeros((2, 2)),
+                   [(0, 1, 1), (1, 0, 0)]), str(path))
+    with np.load(path) as payload:
+        np.savez(path, **{**{key: payload[key] for key in payload.files}, **arrays})
+    return path
+
+
+def _loss_json(cfg):
+    return {"loss_json": np.array(json.dumps(cfg))}
+
+
+# (file written, its content, command line with {file} and {out}); every
+# case is malformed input, which must exit 2 with one error line and no output
+MALFORMED = {
+    "config_list": ("cfg.json", [{"name": "hamming", "m": 3}],
+                    ["constants", "--config", "{file}", "--out", "{out}"]),
+    "config_m_float": ("cfg.json", {"name": "hamming", "m": 3.5},
+                       ["constants", "--config", "{file}", "--out", "{out}"]),
+    "config_m_bool": ("cfg.json", {"name": "hamming", "m": True},
+                      ["constants", "--config", "{file}", "--out", "{out}"]),
+    "config_m_string": ("cfg.json", {"name": "hamming", "m": "3"},
+                        ["check", "--config", "{file}", "--instances", "2"]),
+    "config_name_list": ("cfg.json", {"name": ["hamming"], "m": 3},
+                         ["constants", "--config", "{file}", "--out", "{out}"]),
+    "model_loss_json_list": ("model.npz", _loss_json([{"name": "hamming", "m": 3}]),
+                             ["predict", "--model", "{file}", "--data", "{data}", "--out", "{out}"]),
+    "model_m_float": ("model.npz", _loss_json({"name": "hamming", "m": 3.0}),
+                      ["predict", "--model", "{file}", "--data", "{data}", "--out", "{out}"]),
+    "model_m_string": ("model.npz", _loss_json({"name": "hamming", "m": "3"}),
+                       ["predict", "--model", "{file}", "--data", "{data}", "--out", "{out}"]),
+    "model_y_train_entry": ("model.npz", {"y_train": np.array([[0, 1, 1], [1, 0, 2]])},
+                            ["predict", "--model", "{file}", "--data", "{data}", "--out", "{out}"]),
+    "rates_m_float": ("spec.json", {**RATES_SPEC, "m": 3.5},
+                      ["rates", "--spec", "{file}", "--out-dir", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
+    name, content, argv = MALFORMED[case]
+    path = tmp_path / name
+    if name.endswith(".npz"):
+        path = _model_file(tmp_path, **content)
+    else:
+        path.write_text(json.dumps(content))
+    data = tmp_path / "x.libsvm"
+    data.write_text("0 1:0.5 2:0.1\n")
+    out = tmp_path / "out"
+    argv = [a.format(file=path, out=out, data=data) for a in argv]
+    assert run(argv) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """Fast decoders against the brute-force oracle, plus the two heuristics."""
 
+import importlib
 import itertools
 import time
 import tracemalloc
@@ -44,6 +45,9 @@ from conftest import (
     random_partition,
     small_losses,
 )
+
+# the module, which the package's ``decode`` function shadows as an attribute
+decode_module = importlib.import_module("qslearn.decode")
 
 ALL_SMALL = small_losses()
 
@@ -125,13 +129,20 @@ def test_bruteforce_guards():
         decode_bruteforce(ZeroOne(22), np.ones(4), [(0,) * 22] * 4)
 
 
-def test_bruteforce_weight_rows_equal_single_rows(rng):
+def test_bruteforce_weight_rows_equal_single_rows(rng, monkeypatch):
     loss = Hamming(4)
     weights, ys, _ = random_instance(loss, rng, n=50)
     rows = np.vstack([weights, rng.normal(size=(5, 50))])
     assert decode_bruteforce(loss, rows, ys) == [decode_bruteforce(loss, w, ys) for w in rows]
     with pytest.raises(ValueError):
         decode_bruteforce(loss, np.ones((2, 3)), ys)
+    # blocks of 16 x 16 cells: 16 rows a block, the last one short, with
+    # repeated rows across blocks
+    monkeypatch.setattr(decode_module, "BLOCK_CELLS", loss.n_outputs() * len(set(ys)))
+    rows = np.vstack([rows, rng.normal(size=(40, 50)), rows[::-1]])
+    assert decode_module.BLOCK_CELLS // loss.n_outputs() < len(rows) / 3
+    assert decode_bruteforce(loss, rows, ys) == [decode_bruteforce(loss, w, ys) for w in rows]
+    assert decode_bruteforce(loss, rows[:0], ys) == []
 
 
 def test_bruteforce_equal_loss_rows_go_to_canonical_first(rng):
@@ -225,7 +236,7 @@ def test_pd_and_map_heuristic_paths_run(rng, monkeypatch):
     for loss in (PairwiseDisagreement(5), MeanAveragePrecision(5)):
         thetas = np.vstack([random_instance(loss, rng, n=8)[2] for _ in range(5)])
         for z in decode_batch(loss, thetas):
-            loss.check_output(z)
+            loss.output_space.check(z)
     # PD's five rows form one block and one greedy call; MAP searches row by row
     assert calls == ["greedy_arcset"] + ["qap_local_search"] * 5
 
@@ -670,7 +681,7 @@ def test_map_predict_runs_no_local_search_and_never_loses_to_it(m, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     for label, theta in zip(labels, surrogate_values(model, x_new)):
-        loss.check_output(label)
+        loss.output_space.check(label)
         searched = loss.f_row(loss.search(theta[None])[0]) @ theta
         assert loss.f_row(label) @ theta <= searched + 1e-12
 

@@ -1,5 +1,7 @@
 """Surrogate pipeline: fit, both prediction paths, risks, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,13 @@ from qslearn.estimator import (
     predict,
     predict_batch,
     save_model,
+    select_lambda,
     surrogate_values,
 )
-from qslearn.kernels import GEMM_MIN_ROWS, KernelSpec, median_heuristic
+from qslearn.kernels import GEMM_MIN_ROWS, KernelSpec, build_gram, median_heuristic, solve_ridge
 from qslearn.losses import (ExpectedRankUtility, FScore, Hamming, InvalidLabelError, NDCGType,
                             PairwiseDisagreement, PrecAtK, ZeroOne)
+from qslearn.theory import random_problem, true_excess, tsybakov_check
 
 from conftest import loss_ids, random_observation, small_losses
 
@@ -128,6 +132,14 @@ def test_empirical_risk_values(rng):
     truth = [random_observation(loss, rng) for _ in range(9)]
     manual = sum(loss.value(z, y) for z, y in zip(preds, truth)) / 9
     assert empirical_risk(preds, loss, truth) == pytest.approx(manual, rel=1e-12)
+    # one value call per distinct pair, yet bitwise the mean over every pair
+    for loss in (FScore(4), PairwiseDisagreement(4), NDCGType(3, R=2)):
+        outputs, observations = list(loss.outputs())[:5], list(loss.observations())[:6]
+        preds = [outputs[i] for i in rng.integers(len(outputs), size=300)]
+        truth = [observations[i] for i in rng.integers(len(observations), size=300)]
+        want = float(np.mean([loss.value(z, y) for z, y in zip(preds, truth)]))
+        assert empirical_risk(preds, loss, truth) == want
+        assert empirical_risk([list(z) for z in preds], loss, np.array(truth)) == want
 
 
 def test_empirical_risk_requires_data():
@@ -155,6 +167,65 @@ def test_scale_and_offset_invariance_of_argmin(rng):
 def test_invalid_observation_reports_index():
     with pytest.raises(InvalidLabelError, match="observation 1"):
         fit(Hamming(3), GAUSS, 0.1, np.zeros((2, 2)), [(0, 1, 0), (0, 1)])
+
+
+GOOD_LABELS = [(0, 1, 1), (1, 0, 0), (1, 1, 0), (0, 0, 1)]
+BAD_LABELS = {"wrong_length": (1, 0), "out_of_range": (1, 0, 5), "non_integral": (1.5, 0, 1),
+              "not_a_sequence": 3}
+
+
+def _label_entry_points(tmp_path):
+    """Per caller-label entry point, the ``what`` its errors name and a call
+    feeding it a four-label sequence, all on Hamming(3)."""
+    loss, rng = Hamming(3), np.random.default_rng(5)
+    x = rng.normal(size=(4, 2))
+    model = fit(loss, GAUSS, 0.1, x, GOOD_LABELS)
+    problem = random_problem(loss, 4, rng)
+    path = str(tmp_path / "m.npz")
+
+    def load(labels):
+        save_model(model, path)
+        np.savez(path, **{**_arrays(path), "y_train": np.array(labels)})
+        return load_model(path)
+
+    return {
+        "fit": ("observation", lambda ys: fit(loss, GAUSS, 0.1, x, ys)),
+        "risk_predictions": ("prediction", lambda ys: empirical_risk(ys, loss, GOOD_LABELS)),
+        "risk_observations": ("observation", lambda ys: empirical_risk(GOOD_LABELS, loss, ys)),
+        "select_lambda": ("observation",
+                          lambda ys: select_lambda([loss], GAUSS, [0.1], x, GOOD_LABELS, x, ys)),
+        "decode_bruteforce": ("observation", lambda ys: decode_bruteforce(loss, np.ones(4), ys)),
+        "true_excess": ("state", lambda ys: true_excess(problem, ys)),
+        "tsybakov_check": ("state", lambda ys: tsybakov_check(problem, ys, 1.0)),
+        "load_model": ("y_train row", load),
+    }
+
+
+LABEL_ENTRY_POINTS = ["fit", "risk_predictions", "risk_observations", "select_lambda",
+                      "decode_bruteforce", "true_excess", "tsybakov_check", "load_model"]
+
+
+# an (n, m) y_train array holds neither a short row nor a scalar; its shape check refuses those
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in LABEL_ENTRY_POINTS for bad in sorted(BAD_LABELS)
+    if entry != "load_model" or bad in ("out_of_range", "non_integral")])
+def test_every_label_entry_point_names_the_first_bad_label(entry, bad, tmp_path):
+    what, call = _label_entry_points(tmp_path)[entry]
+    # element 2 is the first bad one; element 3 is bad too
+    with pytest.raises(InvalidLabelError, match=re.escape(f"{what} 2: ")):
+        call(GOOD_LABELS[:2] + [BAD_LABELS[bad], (9, 9, 9)])
+    call(GOOD_LABELS)
+
+
+def test_fit_gathers_the_rows_of_a_per_row_psi(rng):
+    x = rng.normal(size=(40, 3))
+    for loss in (Hamming(3), FScore(3), PairwiseDisagreement(3)):
+        ys = [random_observation(loss, rng) for _ in range(40)]
+        psi = np.array([loss.u_row(y) for y in ys])
+        want, _ = solve_ridge(build_gram(GAUSS, x), psi, 0.05)
+        model = fit(loss, GAUSS, 0.05, x, [list(y) for y in ys])
+        assert np.array_equal(model.coefficients, want)
+        assert model.y_train == ys and all(type(b) is int for y in model.y_train for b in y)
 
 
 def test_serialization_round_trip(tmp_path, rng):

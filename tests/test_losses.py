@@ -295,8 +295,8 @@ def test_expected_embedding_gives_the_expected_loss(loss):
 @pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
 def test_label_space_contract(loss):
     spaces = [
-        (list(loss.outputs()), loss.n_outputs(), loss.check_output),
-        (list(loss.observations()), loss.n_observations(), loss.check_observation),
+        (list(loss.outputs()), loss.n_outputs(), loss.output_space.check),
+        (list(loss.observations()), loss.n_observations(), loss.observation_space.check),
     ]
     for members, size, check in spaces:
         assert all(a < b for a, b in zip(members, members[1:]))  # canonical = lexicographic
@@ -345,6 +345,12 @@ def test_bad_parameters_rejected():
         FScore(3, side="q")
     with pytest.raises(LossConfigError):
         make_loss("nope", 3)
+    with pytest.raises(LossConfigError, match="unknown loss"):
+        make_loss(["hamming"], 3)
+    for m in (3.5, 3.0, True, "3", None):
+        with pytest.raises(LossConfigError, match="hamming: m must be an integer"):
+            make_loss("hamming", m)
+    assert type(make_loss("hamming", np.int64(3)).m) is int
     with pytest.raises(LossConfigError):
         ExpectedRankUtility(3, R=2, neutral=2)
 
@@ -460,6 +466,35 @@ def test_embed_bounded_by_enumerated_umax(m, data):
 def test_as_label_keeps_int_tuples_and_converts_the_rest():
     ints = (1, 0, True, 3)
     assert base.as_label(ints) is ints
-    for raw in ([1, 0, 1], np.array([1, 0, 1]), (np.int64(1), 0, 1), (1.0, 0, 1)):
+    for raw in ([1, 0, 1], np.array([1, 0, 1]), (np.int64(1), 0, 1), (1.0, 0, 1),
+                np.array([1.0, 0.0, 1.0])):
         label = base.as_label(raw)
         assert label == (1, 0, 1) and all(type(b) is int for b in label)
+    # an entry that is not an integer is refused, not truncated
+    for raw in ((1.5, 0, 1), [0.9, 0.2, 1], np.array([1.5, 0, 1]), (np.nan, 0, 1),
+                (np.inf, 0, 1), ("1", 0, 1), "101", 3, [[1], 0, 1]):
+        with pytest.raises(InvalidLabelError, match="not a tuple of integers"):
+            base.as_label(raw)
+
+
+def test_distinct_converts_and_checks_each_distinct_label_once(monkeypatch):
+    space = LabelSpace.grid(3)
+    labels = [[1, 0, 1], (0, 0, 0), np.array([1, 0, 1]), (1.0, 0, 1), (0, 0, 0), (0, 1, 1)]
+    calls = []
+    as_label = base.as_label
+    monkeypatch.setattr(base, "as_label", lambda y: calls.append(y) or as_label(y))
+    distinct, inverse = space.distinct(labels, "observation")
+    assert distinct == [(1, 0, 1), (0, 0, 0), (0, 1, 1)]
+    assert all(type(b) is int for z in distinct for b in z)
+    assert inverse.tolist() == [0, 1, 0, 0, 1, 2] and inverse.dtype == np.intp
+    assert len(calls) == 3
+    assert space.distinct([], "observation")[0] == []
+    with pytest.raises(InvalidLabelError, match="^observation 4: not a length-3 bit tuple"):
+        space.distinct(labels[:4] + [(0, 2, 0), [1.5, 0, 0]], "observation")
+    # the first bad element, also when a later one cannot be hashed
+    with pytest.raises(InvalidLabelError, match="^state 1: not a length-3"):
+        space.distinct([(0, 0, 0), (0, 0), 7, [[1], 0, 0]], "state")
+    with pytest.raises(InvalidLabelError, match="^state 2: not a tuple of integers"):
+        space.distinct([(0, 0, 0), (0, 1, 0), 7, (0, 0)], "state")
+    with pytest.raises(InvalidLabelError, match="^z 1: not a permutation of 1..3"):
+        LabelSpace.permutations(3).distinct([(3, 1, 2), (1, 1, 2)], "z")
