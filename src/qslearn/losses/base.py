@@ -134,7 +134,7 @@ class LabelSpace:
         seen: dict = {}
         try:
             inverse = [seen.setdefault(tuple(y), len(seen)) for y in labels]
-        except TypeError:  # an element is no sequence of hashable entries
+        except TypeError:  # some element is no sequence of hashables: find the first bad one
             for i, y in enumerate(labels):
                 try:
                     self.check(as_label(y)), hash(tuple(y))
