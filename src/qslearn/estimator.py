@@ -24,9 +24,10 @@ import numpy as np
 
 from .data import Standardizer
 from .decode import decode_bruteforce
-from .kernels import KernelSpec, build_gram, cross_kernel, ridge_factor, solve_ridge, weights_at
+from .kernels import (GEMM_MIN_ROWS, KernelSpec, build_gram, cross_kernel, ridge_factor,
+                      solve_ridge, weights_at)
 from .losses import DiscreteLoss, LossConfigError, loss_config, make_loss
-from .losses.base import Label
+from .losses.base import BLOCK_CELLS, Label
 
 MODEL_FORMAT_VERSION = 2  # 2 adds the optional training scaler; 1 still loads
 
@@ -124,8 +125,17 @@ def predict(model: QSModel, x, path: str = "fast") -> Label:
 
 
 def predict_batch(model: QSModel, x, path: str = "fast") -> list:
-    k_x = cross_kernel(model.kernel, _features(x), model.x_train)
-    return predict_models([model], k_x, path)[0]
+    """Labels for the rows of x (a 1-D x is one row), in equal row blocks
+    whose cross-kernels hold at most ``BLOCK_CELLS`` cells, none of fewer
+    than ``GEMM_MIN_ROWS`` rows unless the batch is; so no batch builds its
+    whole rows x n_train kernel."""
+    x = np.atleast_2d(_features(x))
+    cap = max(1, BLOCK_CELLS // len(model.x_train))
+    blocks = max(1, min(-(-len(x) // cap), len(x) // GEMM_MIN_ROWS))
+    out = []
+    for rows in np.array_split(x, blocks):
+        out += predict_models([model], cross_kernel(model.kernel, rows, model.x_train), path)[0]
+    return out
 
 
 def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:

@@ -22,11 +22,16 @@ for features far from the origin (offset by 1e4, the relative error grows
 to ~1e-6), so both row sets are centred on the training rows' mean first,
 which brings it back to ~1e-15.  The centre is never a test batch's mean,
 so a test row's kernel values do not depend on the rest of its batch.
-Test blocks of fewer than ``GEMM_MIN_ROWS`` rows keep scipy's per-pair
-``cdist``, as centring cannot pay off there (at 1926 x 294, one row takes
-0.4 ms per pair and 1.8 ms by product; they break even near six rows).
-The paths agree to rounding, so a row's kernel values may differ in the
-last bits between a one-row call and a batch.
+A block takes scipy's per-pair ``cdist`` instead when it has fewer than
+``GEMM_MIN_ROWS`` rows, as centring cannot pay off there (at 1926 x 294,
+one row takes 0.4 ms per pair and 1.8 ms by product; they break even near
+six rows), or at most ``CDIST_MAX_FEATURES`` features, where a pair costs
+too little for the product to win: on one BLAS thread, a gaussian
+cross-kernel by ``cdist`` takes 0.5-0.8 of the product path's time at every
+d <= 8 (8000 x 300, 16384 x 300 and 481 x 1926 rows), 0.9 at d = 9 and
+1.2-1.9 from d = 16 on.  The paths agree to rounding, so above that
+dimension a row's kernel values may differ in the last bits between a
+one-row call and a batch.
 
 The gaussian Gram mirrors the row blocks of its upper triangle that the
 median heuristic reads too, so without a bandwidth it takes the median from
@@ -47,6 +52,10 @@ from scipy.spatial.distance import cdist
 
 # test blocks with fewer rows take the per-pair path (see the module docstring)
 GEMM_MIN_ROWS = 8
+# blocks with at most this many features take the per-pair path too: on one
+# BLAS thread, cdist is 1.2-2.0x faster than the product at every d <= 8,
+# 1.1x at d = 9, and 0.5-0.8x as fast from d = 16 on (the crossover)
+CDIST_MAX_FEATURES = 8
 # row blocks of squared distances hold about this many cells (2 MB)
 _BLOCK_CELLS = 1 << 18
 
@@ -80,9 +89,10 @@ class GramMatrix:
 def _sq_distances(x_train: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Squared distances from the rows of ``x`` to those of ``x_train`` by
     the centred expansion (see the module docstring).  Blocks of fewer than
-    ``GEMM_MIN_ROWS`` rows, and rows whose norms overflow (the expansion
-    would give inf - inf = NaN), take scipy's per-pair ``cdist`` instead."""
-    if len(x) < GEMM_MIN_ROWS:
+    ``GEMM_MIN_ROWS`` rows or at most ``CDIST_MAX_FEATURES`` features, and
+    rows whose norms overflow (the expansion would give inf - inf = NaN),
+    take scipy's per-pair ``cdist`` instead."""
+    if len(x) < GEMM_MIN_ROWS or x.shape[1] <= CDIST_MAX_FEATURES:
         return cdist(x, x_train, "sqeuclidean")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x_train.mean(axis=0)

@@ -103,11 +103,12 @@ class LabelSpace:
         return (self.top + 1) ** self.m
 
     def __contains__(self, y) -> bool:
-        if not (isinstance(y, tuple) and len(y) == self.m):
+        if not (isinstance(y, tuple) and len(y) == self.m
+                and all(isinstance(t, (int, np.integer)) for t in y)):
             return False
         if self.kind == "perm":
             return sorted(y) == list(range(1, self.m + 1))
-        if not all(isinstance(t, (int, np.integer)) and 0 <= t <= self.top for t in y):
+        if not all(0 <= t <= self.top for t in y):
             return False
         return self.kind == "grid" or sum(y) == self.k
 

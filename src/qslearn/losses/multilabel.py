@@ -9,6 +9,7 @@ import numpy as np
 
 from .base import (
     DiscreteLoss,
+    InvalidLabelError,
     Label,
     LabelSpace,
     LossConfigError,
@@ -83,17 +84,21 @@ class BlockZeroOne(DiscreteLoss):
             raise LossConfigError("block_zero_one: m must be >= 1")
         self.m = m
         self.output_space = self.observation_space = LabelSpace.grid(m)
-        blocks = [[tuple(int(b) for b in z) for z in block] for block in partition]
-        if any(len(block) == 0 for block in blocks):
+        sizes = [len(block) for block in partition]
+        if 0 in sizes:
             raise LossConfigError("block_zero_one: empty block in partition")
-        seen: dict[Label, int] = {}
-        for j, block in enumerate(blocks):
-            for z in block:
-                if z not in self.output_space:
-                    raise LossConfigError(f"block_zero_one: bad subset {z!r}")
-                if z in seen:
-                    raise LossConfigError(f"block_zero_one: subset {z!r} in two blocks")
-                seen[z] = j
+        flat = [z for block in partition for z in block]
+        try:
+            subsets, at = self.output_space.distinct(flat, "block_zero_one: partition subset")
+        except InvalidLabelError as exc:
+            raise LossConfigError(str(exc)) from None
+        # distinct subsets take positions 0, 1, ... in order; a repeat does not
+        repeats = np.flatnonzero(at != np.arange(len(at)))
+        if len(repeats):
+            raise LossConfigError(f"block_zero_one: subset {subsets[at[repeats[0]]]!r} in two blocks")
+        ends = np.cumsum(sizes).tolist()
+        blocks = [subsets[a:b] for a, b in zip([0] + ends, ends)]
+        seen = {z: j for j, block in enumerate(blocks) for z in block}
         if len(seen) != 2 ** m:
             raise LossConfigError(
                 f"block_zero_one: partition covers {len(seen)} of {2 ** m} subsets"

@@ -540,7 +540,12 @@ def greedy_arcset(gamma) -> Label | list:
     if gamma.ndim not in (2, 3) or gamma.shape[-2] != m:
         raise ValueError("gamma must be square")
     block = gamma.reshape(-1, m, m)
-    score = block.sum(axis=2) - block.sum(axis=1)
+    # the in-mass as m - 1 whole-slice adds, in the order numpy sums axis 1;
+    # a reduction over it would loop over the m-long axis once per row
+    in_mass = block[:, 0].copy()
+    for a in range(1, m):
+        in_mass += block[:, a]
+    score = block.sum(axis=2) - in_mass
     # ranked[pos, i]: the item at position pos (0 = top) of row i's ranking
     ranked = np.argsort(-score, axis=1, kind="stable").T.copy()
     # below[i*m*m + a*m + b]: in row i, ranking a below b is strictly cheaper

@@ -65,7 +65,7 @@ def test_benchmark_name_resolves(module_name, attr):
 
 
 # installs the tracer, runs the CLI commands given as JSON argument lists,
-# and prints the tracer's counters
+# and prints the tracer's counters and its number of spans by name
 TRACED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
@@ -77,30 +77,62 @@ tr.enabled = True
 from qslearn import cli
 for argv in json.loads(sys.argv[2]):
     assert cli.main(argv) == 0, argv
-print(json.dumps(tr.counters))
+spans = {name: agg[0] for name, agg in tr.self_times().items()}
+print(json.dumps({"counters": tr.counters, "spans": spans}))
 """
+
+
+def _write_rows(path, x):
+    path.write_text("".join(f"{int(a > 0)} 1:{a:.6f} 2:{b:.6f}\n" for a, b in x))
+
+
+def _traced_run(commands) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(BENCHMARKS / "tracer.py"), json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_tracer_hooks_count_factorizations_rows_and_model_bytes(tmp_path):
     n, grid = 40, [0.01, 0.1, 1.0]
     x = np.random.default_rng(0).normal(size=(n, 2))
     data = tmp_path / "toy.libsvm"
-    data.write_text("".join(f"{int(a > 0)} 1:{a:.6f} 2:{b:.6f}\n" for a, b in x))
+    _write_rows(data, x)
     model = tmp_path / "m.npz"
     commands = [
         ["train", "--data", str(data), "--m", "2", "--loss", "hamming",
          "--lambda-grid", ",".join(map(str, grid)), "--out", str(model)],
         ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.txt")],
     ]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(BENCHMARKS / "tracer.py"), json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
-    counters = json.loads(proc.stdout.splitlines()[-1])
+    counters = _traced_run(commands)["counters"]
     # train selects lambda on 3/4 of the rows, one factorization per lambda,
     # then refits on all rows; the fast-path predict factors nothing
     n_tr = n - n // 4
     assert counters["kernels.factor_flops"] == len(grid) * n_tr**3 / 3.0 + n**3 / 3.0
     assert counters["data.parse_rows"] == 2 * n
     assert counters["estimator.model_bytes"] == model.stat().st_size
+
+
+def test_predict_records_one_cross_kernel_span_per_row_block(tmp_path):
+    # 5000 rows against 1000 training rows are three blocks of at most
+    # BLOCK_CELLS kernel cells; each block's cross_kernel call is one
+    # kernels.cross span, so kernels.cross_s still sees all kernel time
+    from qslearn.cli import main
+    from qslearn.losses.base import BLOCK_CELLS
+
+    rng = np.random.default_rng(1)
+    n_train, rows = 1000, 5000
+    train, test, model = tmp_path / "train.libsvm", tmp_path / "test.libsvm", tmp_path / "m.npz"
+    _write_rows(train, rng.normal(size=(n_train, 2)))
+    _write_rows(test, rng.normal(size=(rows, 2)))
+    assert main(["train", "--data", str(train), "--m", "2", "--loss", "hamming",
+                 "--lambda-grid", "0.1", "--out", str(model)]) == 0
+    blocks = -(-rows // (BLOCK_CELLS // n_train))
+    assert blocks == 3
+    for path in ([], ["--decompose-free"]):
+        spans = _traced_run([["predict", "--model", str(model), "--data", str(test),
+                              "--out", str(tmp_path / "p.txt")] + path])["spans"]
+        assert spans["kernels.cross"] == blocks
+        assert spans["estimator.predict"] == 1

@@ -68,6 +68,11 @@ def test_block_partition_via_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "block_zero_one", "m": 2, "partition": partition[:1]}))
     assert run(["constants", "--config", str(bad)]) == cli.USAGE_ERROR
+    # a non-integral entry is refused, not truncated to a cover of the lattice
+    bad.write_text(json.dumps({"name": "block_zero_one", "m": 2,
+                               "partition": [[[0.5, 0], [1, 1]], [[0, 1], [1, 0.9]]]}))
+    assert run(["constants", "--config", str(bad)]) == cli.USAGE_ERROR
+    assert "0.5" in capsys.readouterr().err
 
 
 def test_constants_requires_loss():

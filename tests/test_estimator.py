@@ -1,6 +1,7 @@
 """Surrogate pipeline: fit, both prediction paths, risks, serialization."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,16 @@ from qslearn.estimator import (
     load_model,
     predict,
     predict_batch,
+    predict_models,
     save_model,
     select_lambda,
     surrogate_values,
 )
-from qslearn.kernels import GEMM_MIN_ROWS, KernelSpec, build_gram, median_heuristic, solve_ridge
+from qslearn.kernels import (GEMM_MIN_ROWS, KernelSpec, build_gram, cross_kernel, median_heuristic,
+                             solve_ridge)
 from qslearn.losses import (ExpectedRankUtility, FScore, Hamming, InvalidLabelError, NDCGType,
                             PairwiseDisagreement, PrecAtK, ZeroOne)
+from qslearn.losses.base import BLOCK_CELLS
 from qslearn.theory import random_problem, true_excess, tsybakov_check
 
 from conftest import loss_ids, random_observation, small_losses
@@ -77,9 +81,10 @@ def test_fast_path_equals_alpha_path(loss, rng):
 @pytest.mark.parametrize("loss", [Hamming(4), FScore(4), PairwiseDisagreement(4)],
                          ids=["hamming", "fscore", "pd"])
 def test_batch_labels_equal_per_row_labels(loss, rng):
-    # a batch above GEMM_MIN_ROWS takes the product path of the cross-kernel,
-    # each single row the per-pair path: labels agree wherever rounding
-    # cannot decide the argmin
+    # at d = 3 the batch and each single row take the per-pair distances,
+    # but the batch's surrogate values come from one matrix product and a
+    # row's from a vector product: labels agree wherever rounding cannot
+    # decide the argmin
     x = rng.normal(size=(60, 3))
     model = fit(loss, KernelSpec("gaussian", median_heuristic(x)), 0.01, x,
                 [random_observation(loss, rng) for _ in range(60)])
@@ -90,6 +95,57 @@ def test_batch_labels_equal_per_row_labels(loss, rng):
     for row, label, ok in zip(x_new, batch, untied):
         if ok:
             assert predict(model, row) == label
+
+
+@pytest.mark.parametrize("path", ["fast", "alpha"])
+def test_predict_batch_in_blocks_equals_per_block_predict_models(path, rng, monkeypatch):
+    # 10 rows' cross-kernels per block: 47 rows go in five blocks of 9-10 rows
+    loss = PairwiseDisagreement(4)
+    x = rng.normal(size=(30, 3))
+    model = fit(loss, GAUSS, 0.05, x, [random_observation(loss, rng) for _ in range(30)])
+    monkeypatch.setattr(estimator, "BLOCK_CELLS", 10 * len(x))
+    blocks = []
+    monkeypatch.setattr(estimator, "cross_kernel",
+                        lambda spec, rows, x_train: blocks.append(rows) or cross_kernel(spec, rows, x_train))
+    x_new = rng.normal(size=(47, 3))
+    labels = predict_batch(model, x_new, path=path)
+    assert [len(rows) for rows in blocks] == [10, 10, 9, 9, 9]
+    assert np.array_equal(np.vstack(blocks), x_new)
+    assert labels == [z for rows in blocks
+                      for z in predict_models([model], cross_kernel(GAUSS, rows, x), path)[0]]
+    # no block is cut below GEMM_MIN_ROWS rows, whatever the cell budget
+    monkeypatch.setattr(estimator, "BLOCK_CELLS", 1)
+    blocks.clear()
+    assert predict_batch(model, x_new[:2 * GEMM_MIN_ROWS - 1], path=path) == labels[:2 * GEMM_MIN_ROWS - 1]
+    assert [len(rows) for rows in blocks] == [2 * GEMM_MIN_ROWS - 1]
+
+
+@pytest.mark.parametrize("path", ["fast", "alpha"])
+def test_predict_batch_of_no_rows_and_of_one_1d_row(path, rng):
+    loss = Hamming(3)
+    x = rng.normal(size=(20, 2))
+    model = fit(loss, GAUSS, 0.1, x, [random_observation(loss, rng) for _ in range(20)])
+    assert predict_batch(model, np.empty((0, 2)), path=path) == []
+    row = rng.normal(size=2)
+    assert predict_batch(model, row, path=path) == predict_batch(model, row[None], path=path)
+    assert predict_batch(model, row, path=path) == [predict(model, row, path=path)]
+
+
+@pytest.mark.parametrize("path", ["fast", "alpha"])
+def test_predict_batch_never_holds_the_whole_cross_kernel(path, rng):
+    # 20000 rows against 300 training rows: the whole kernel alone would be
+    # 48 MB; blocks of at most BLOCK_CELLS cells keep the peak under two
+    loss = Hamming(4)
+    x = rng.normal(size=(300, 3))
+    model = fit(loss, GAUSS, 0.05, x, [random_observation(loss, rng) for _ in range(300)])
+    x_new = rng.normal(size=(20000, 3))
+    tracemalloc.start()
+    try:
+        predict_batch(model, x_new, path=path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * BLOCK_CELLS * 8
 
 
 def test_hamming_predict_matches_eq8_oracle(rng):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist, squareform
 
+import qslearn.kernels as kernels
 from qslearn.kernels import (
+    CDIST_MAX_FEATURES,
     GEMM_MIN_ROWS,
     GramMatrix,
     KernelSpec,
@@ -21,6 +23,9 @@ from qslearn.kernels import (
 
 GAUSS = KernelSpec("gaussian", 1.0)
 LINEAR = KernelSpec("linear")
+# the least dimension whose batches take the product path of the distances;
+# cases at d <= CDIST_MAX_FEATURES exercise the per-pair path
+PRODUCT_D = CDIST_MAX_FEATURES + 1
 
 
 def test_gaussian_identical_inputs_is_one():
@@ -228,25 +233,28 @@ def _scipy_median(x):
 
 
 def _agreement_rows(name):
-    """(training rows, test rows) for one agreement case."""
+    """(training rows, test rows) for one agreement case; "d<k>" is normal
+    rows in k dimensions, "duplicates" 5-dimensional rows unless it ends in
+    "_d<k>"."""
     rng = np.random.default_rng([17, len(name)])
     if name == "scene":  # the shape of scene data: smooth features of a 3-d latent, noisy
         z = rng.normal(size=(500, 3))
         phase = rng.uniform(0.0, 2.0 * math.pi, size=294)
         x = 0.5 + 0.5 * np.cos(z @ rng.normal(scale=1.2, size=(3, 294)) + phase)
         x += rng.normal(scale=0.1, size=x.shape)
-    elif name == "d3":
-        x = rng.normal(size=(500, 3))
+    elif name[1:].isdigit():
+        x = rng.normal(size=(500, int(name[1:])))
     elif name == "offset":
         x = rng.normal(size=(500, 20)) + 1e4
     else:  # duplicates: every training row repeated, test rows copying training rows
-        base = rng.normal(size=(60, 5))
+        base = rng.normal(size=(60, int(name.partition("_d")[2] or 5)))
         x = np.vstack([base, base[:40], base[:40], base + 1.0, base[:20] + 1.0])
-        return x, np.vstack([base[:10], base[:10] + 1.0, rng.normal(size=(10, 5))])
+        return x, np.vstack([base[:10], base[:10] + 1.0, rng.normal(size=base[:10].shape)])
     return x[:400], x[400:]
 
 
-@pytest.mark.parametrize("name", ["scene", "d3", "offset", "duplicates"])
+@pytest.mark.parametrize("name", ["scene", "d3", f"d{PRODUCT_D}", "offset", "duplicates",
+                                  f"duplicates_d{PRODUCT_D}"])
 def test_kernels_agree_with_scipy(name):
     x, x_test = _agreement_rows(name)
     bw = _scipy_median(x)
@@ -256,19 +264,25 @@ def test_kernels_agree_with_scipy(name):
     np.testing.assert_allclose(gram, _scipy_gram(x, bw), rtol=1e-12, atol=0)
     assert np.array_equal(gram, gram.T) and np.all(np.diag(gram) == 1.0)
     assert len(x_test) > GEMM_MIN_ROWS
-    for rows in (x_test[:1], x_test):  # the per-pair path and the product path
+    # a one-row block takes the per-pair path; the batch takes the product
+    # path above CDIST_MAX_FEATURES features
+    for rows in (x_test[:1], x_test):
         np.testing.assert_allclose(cross_kernel(spec, rows, x), _scipy_cross(rows, x, bw),
                                    rtol=1e-12, atol=0)
 
 
 def _bandwidth_rows(name):
-    if name.startswith("n="):  # n = 2, 9, 41 and 1100 rows, the last in several row blocks
-        n = int(name[2:])
-        return np.random.default_rng(n).normal(size=(n, 3 if n > 41 else 4))
+    # n = 2, 9, 41 and 1100 rows, the last in several row blocks, in
+    # dimension 4, 3 from n = 1100 on, or <k> as given by a "_d<k>" suffix
+    if name.startswith("n="):
+        n, _, d = name[2:].partition("_d")
+        n = int(n)
+        return np.random.default_rng(n).normal(size=(n, int(d or (3 if n > 41 else 4))))
     return _agreement_rows(name)[0]
 
 
-@pytest.mark.parametrize("name", ["n=2", "n=9", "n=41", "n=1100", "duplicates", "offset"])
+@pytest.mark.parametrize("name", ["n=2", "n=9", "n=41", "n=1100", f"n=1100_d{PRODUCT_D}",
+                                  "duplicates", "offset"])
 def test_gram_chooses_median_bandwidth(name):
     x = _bandwidth_rows(name)
     bw = median_heuristic(x)
@@ -285,15 +299,20 @@ def test_median_heuristic_mostly_duplicate_rows():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=5) + 3.0, rng.normal(size=5)
     x = np.vstack([np.tile(a, (20, 1)), np.tile(b, (2, 1))])
-    assert _scipy_median(x) == 1.0
-    assert median_heuristic(x) == 1.0
+    # the rows take the per-pair path; padded with zero columns, which leave
+    # every distance as it is, the product path
+    padded = np.hstack([x, np.zeros((len(x), PRODUCT_D - 5))])
+    for rows in (x, padded):
+        assert _scipy_median(rows) == 1.0
+        assert median_heuristic(rows) == 1.0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 41])
-def test_median_heuristic_equals_numpy_median(n):
+@pytest.mark.parametrize("n, d", [pytest.param(n, 4, id=str(n)) for n in (2, 3, 4, 5, 9, 10, 41)]
+                         + [pytest.param(n, PRODUCT_D, id=f"{n}_d{PRODUCT_D}") for n in (9, 10, 41)])
+def test_median_heuristic_equals_numpy_median(n, d):
     # n(n-1)/2 pairs: odd at n = 2, 3, 10, 41 and even at n = 4, 5, 9; rows
-    # from n = 9 on go through the product path
-    x = np.random.default_rng(n).normal(size=(n, 4))
+    # from n = 9 on go through the product path above CDIST_MAX_FEATURES
+    x = np.random.default_rng(n).normal(size=(n, d))
     assert median_heuristic(x) == pytest.approx(float(np.median(pdist(x))), rel=1e-12)
 
 
@@ -314,9 +333,23 @@ def test_median_heuristic_peak_memory():
 def test_overflowing_rows_take_the_per_pair_path(rng):
     # the expansion would give inf - inf = NaN for a finite row whose norm
     # overflows; the per-pair loop gives an infinite distance, kernel value 0
-    x = rng.normal(size=(30, 3))
-    rows = rng.normal(size=(GEMM_MIN_ROWS, 3))
-    rows[0] = [1.5e308, -1.5e308, 1.5e308]
-    k = cross_kernel(GAUSS, rows, x)
-    assert np.all(k[0] == 0.0)
-    np.testing.assert_allclose(k, _scipy_cross(rows, x, 1.0), rtol=1e-12, atol=0)
+    for d in (CDIST_MAX_FEATURES, PRODUCT_D):
+        x = rng.normal(size=(30, d))
+        rows = rng.normal(size=(GEMM_MIN_ROWS, d))
+        rows[0] = 1.5e308 * (-1.0) ** np.arange(d)
+        k = cross_kernel(GAUSS, rows, x)
+        assert np.all(k[0] == 0.0)
+        np.testing.assert_allclose(k, _scipy_cross(rows, x, 1.0), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rows, d, per_pair", [(1, PRODUCT_D, True),
+                                               (GEMM_MIN_ROWS - 1, PRODUCT_D, True),
+                                               (GEMM_MIN_ROWS, CDIST_MAX_FEATURES, True),
+                                               (GEMM_MIN_ROWS, PRODUCT_D, False)])
+def test_distance_path_follows_rows_and_features(rows, d, per_pair, rng, monkeypatch):
+    # cdist is called for blocks of few rows or few features, and otherwise
+    # only for rows whose norms overflow (none here)
+    calls = []
+    monkeypatch.setattr(kernels, "cdist", lambda *a: calls.append(a) or cdist(*a))
+    cross_kernel(GAUSS, rng.normal(size=(rows, d)), rng.normal(size=(30, d)))
+    assert bool(calls) == per_pair

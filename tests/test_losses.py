@@ -316,12 +316,17 @@ def test_label_space_kinds():
     assert (1, 1) not in LabelSpace.ksubsets(2, 1)
     assert (0, 2) not in LabelSpace.grid(2) and (0, 2) in LabelSpace.grid(2, 2)
     assert (1, 1) not in LabelSpace.permutations(2)
-    assert [0, 1] not in LabelSpace.grid(2)  # labels are tuples
+    # labels are tuples of ints, in every kind of space
+    assert [0, 1] not in LabelSpace.grid(2)
+    assert (1.0, 2.0, 3.0) not in LabelSpace.permutations(3)
+    assert (0.0, 1.0) not in LabelSpace.grid(2) and (1.0, 0.0) not in LabelSpace.ksubsets(2, 1)
     assert (0, 1, 0) not in LabelSpace.grid(2)
     with pytest.raises(InvalidLabelError, match="length-2 bit tuple"):
         LabelSpace.grid(2).check((0, 2))
     with pytest.raises(InvalidLabelError, match="permutation of 1..3"):
         LabelSpace.permutations(3).check((1, 1, 2))
+    with pytest.raises(InvalidLabelError, match="permutation of 1..3"):
+        LabelSpace.permutations(3).check((1.0, 2.0, 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +340,13 @@ def test_bad_parameters_rejected():
         PrecAtK(3, 0)
     with pytest.raises(LossConfigError):
         BlockZeroOne(2, [[(0, 0)], [(0, 1), (1, 0)]])  # misses (1,1)
-    with pytest.raises(LossConfigError):
+    with pytest.raises(LossConfigError, match=r"subset \(0, 1\) in two blocks"):
         BlockZeroOne(2, [[(0, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])  # overlap
+    # entries are refused unless integral, never truncated: (0.5, 0) is no (0, 0)
+    with pytest.raises(LossConfigError, match=r"partition subset 0: .*\(0\.5, 0\)"):
+        BlockZeroOne(2, [[(0.5, 0), (1, 1)], [(0, 1), (1, 0.9)]])
+    with pytest.raises(LossConfigError, match="partition subset 2: .*bit tuple"):
+        BlockZeroOne(2, [[(0, 0), (1, 1)], [(0, 2), (1, 0)]])
     with pytest.raises(LossConfigError):
         NDCGType(3, R=2, discount=[1.0, 0.5, 0.5])  # not strict
     with pytest.raises(LossConfigError):
