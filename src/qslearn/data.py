@@ -14,9 +14,16 @@ Supported formats:
 
 Both parsers refuse non-finite feature values (``nan``, ``inf``, ``1e400``)
 with a DataFormatError naming the first such line.  The libsvm parser reads
-the file in blocks of rows and converts each block's feature tokens with two
-numpy calls; a block that this bulk step cannot vouch for is parsed again
-token by token, and that loop is the reference and the error reporter.
+the file in blocks of rows and checks and indexes each block's feature part
+in one numpy pass over its ASCII bytes: token edges from the whitespace,
+exactly one colon strictly inside each token, indices by a Horner loop over
+their digit columns; the value strings go through one ``np.array(...,
+float)``.  A block the pass cannot vouch for is parsed again token by token,
+and that loop is the reference and the error reporter.  Such a block has a
+non-ASCII byte, a control byte other than tab, newline and return (so
+``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1f``, which are whitespace to
+``str.split``), an index with a sign, an ``_`` or more than 18 digits, an
+index below 1, or a value that does not convert or is not finite.
 ``write_libsvm`` writes a row with no labels and no features as `` 1:0``, so
 that every row reads back.
 
@@ -30,7 +37,6 @@ from __future__ import annotations
 import gzip
 import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +94,11 @@ def parse_multilabel(
 
 
 # rows converted together by the bulk path; small enough that a block's
-# token lists stay a few MB, large enough that numpy's per-call cost vanishes
+# bytes and value strings stay a few MB, large enough that numpy's per-call
+# cost vanishes
 _BLOCK_ROWS = 64
-# a colon that is a token's second, or that ends or starts its token; the
-# pattern begins with the literal, so the search skips to each colon at C speed
-_BAD_COLON = re.compile(r":(?:[^\s:]*:|(?!\S)|(?<=\s:))")
+# longest index the bulk path reads: 10**18 - 1 still fits an int64
+_MAX_DIGITS = 18
 
 
 def _parse_libsvm(path: str, m: int, d: int | None, name: str) -> MultilabelDataset:
@@ -173,35 +179,52 @@ def _libsvm_block_loop(block, m: int):
 
 
 def _libsvm_block_bulk(block, m: int):
-    """The loop's result for a block, with every feature token converted by
-    two numpy calls; None wherever the loop must decide (errors included).
+    """The loop's result for a block, from one numpy pass over the bytes of
+    its feature parts; None wherever the loop must decide (errors included).
 
-    When no colon is a token's second or stands at either end of its token,
-    and splitting at colons and whitespace gives two parts per colon, every
-    token is ``index:value`` with both sides nonempty.  The parts then
-    alternate index and value, and ``np.array(strings, dtype=...)``
-    converts them as ``int()`` and ``float()`` do.
+    With control bytes other than tab, newline and return refused, the
+    bytes ``str.split`` splits at are exactly those <= 32, and tokens lie
+    between their edges.  When there are as many colons as tokens and the
+    i-th colon lies strictly inside the i-th token, every token holds exactly
+    one colon with both sides nonempty.  Indices of at most ``_MAX_DIGITS``
+    ASCII digits are read by a Horner loop over their digit columns, which is
+    ``int()`` on them; the value strings go through ``np.array(strings,
+    dtype=float)``, which converts them as ``float()`` does.
     """
     try:
         labels, parts = zip(*(_libsvm_labels(lineno, raw, m) for lineno, raw in block))
     except DataFormatError:
         return None
-    lengths = [p.count(":") for p in parts]
-    text = " " + " ".join(parts)
-    n_tokens = sum(lengths)
-    if _BAD_COLON.search(text):
+    text = " " + " ".join(parts) + " "
+    if not text.isascii():
         return None
-    halves = text.replace(":", " ").split()
-    if len(halves) != 2 * n_tokens:  # a token without a colon
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    control = b[b < 32]
+    if not ((control == 9) | (control == 10) | (control == 13)).all():
         return None
+    space = b <= 32
+    starts, ends = (np.flatnonzero(space[:-1] != space[1:]) + 1).reshape(-1, 2).T
+    colons = np.flatnonzero(b == ord(":"))
+    if len(colons) != len(starts) or not ((starts < colons) & (colons < ends - 1)).all():
+        return None
+    width = colons - starts
+    longest = int(width.max(initial=0))
+    if longest > _MAX_DIGITS:
+        return None
+    feats = np.zeros(len(starts), dtype=np.int64)
+    for j in range(longest, 0, -1):  # the digit j places left of each colon
+        digit = np.where(width >= j, b[colons - j] - np.uint8(ord("0")), 0)
+        if digit.max() > 9:  # a byte that is no ASCII digit
+            return None
+        feats *= 10
+        feats += digit
     try:
-        feats = np.array(halves[0::2], dtype=np.int64)
-        vals = np.array(halves[1::2], dtype=float)
+        vals = np.array(text.replace(":", " ").split()[1::2], dtype=float)
     except (ValueError, OverflowError):
         return None
     if feats.min(initial=1) < 1 or not np.isfinite(vals).all():
         return None
-    return list(labels), lengths, feats - 1, vals, int(feats.max(initial=0))
+    return list(labels), [p.count(":") for p in parts], feats - 1, vals, int(feats.max(initial=0))
 
 
 def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:

@@ -28,10 +28,10 @@ one row takes 0.4 ms per pair and 1.8 ms by product; they break even near
 six rows), or at most ``CDIST_MAX_FEATURES`` features, where a pair costs
 too little for the product to win: on one BLAS thread, a gaussian
 cross-kernel by ``cdist`` takes 0.5-0.8 of the product path's time at every
-d <= 8 (8000 x 300, 16384 x 300 and 481 x 1926 rows), 0.9 at d = 9 and
-1.2-1.9 from d = 16 on.  The paths agree to rounding, so above that
-dimension a row's kernel values may differ in the last bits between a
-one-row call and a batch.
+d <= 8 (8000 x 300, 16384 x 300 and 481 x 1926 rows) and 0.83-0.96 at d = 9;
+at d = 10 it takes 0.92-1.03 and from d = 11 on 0.97-1.7 (best of 27).  The
+paths agree to rounding, so above that dimension a row's kernel values may
+differ in the last bits between a one-row call and a batch.
 
 The gaussian Gram mirrors the row blocks of its upper triangle that the
 median heuristic reads too, so without a bandwidth it takes the median from
@@ -53,9 +53,10 @@ from scipy.spatial.distance import cdist
 # test blocks with fewer rows take the per-pair path (see the module docstring)
 GEMM_MIN_ROWS = 8
 # blocks with at most this many features take the per-pair path too: on one
-# BLAS thread, cdist is 1.2-2.0x faster than the product at every d <= 8,
-# 1.1x at d = 9, and 0.5-0.8x as fast from d = 16 on (the crossover)
-CDIST_MAX_FEATURES = 8
+# BLAS thread, cdist is 1.2-2.0x faster than the product at every d <= 8 and
+# 1.04-1.20x at d = 9, the last d where it wins at all three measured shapes
+# (0.97-1.09x at d = 10, 0.59-1.03x from d = 11 on)
+CDIST_MAX_FEATURES = 9
 # row blocks of squared distances hold about this many cells (2 MB)
 _BLOCK_CELLS = 1 << 18
 

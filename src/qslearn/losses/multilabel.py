@@ -84,7 +84,12 @@ class BlockZeroOne(DiscreteLoss):
             raise LossConfigError("block_zero_one: m must be >= 1")
         self.m = m
         self.output_space = self.observation_space = LabelSpace.grid(m)
-        sizes = [len(block) for block in partition]
+        try:
+            sizes = [len(block) for block in partition]
+        except TypeError:  # the partition, or one of its blocks, is no sequence
+            raise LossConfigError(
+                "block_zero_one: partition must be a list of lists of subsets"
+            ) from None
         if 0 in sizes:
             raise LossConfigError("block_zero_one: empty block in partition")
         flat = [z for block in partition for z in block]

@@ -683,6 +683,11 @@ MALFORMED = {
                         ["check", "--config", "{file}", "--instances", "2"]),
     "config_name_list": ("cfg.json", {"name": ["hamming"], "m": 3},
                          ["constants", "--config", "{file}", "--out", "{out}"]),
+    "config_partition_int": ("cfg.json", {"name": "block_zero_one", "m": 2, "partition": 3},
+                             ["constants", "--config", "{file}", "--out", "{out}"]),
+    "config_partition_block_int": ("cfg.json", {"name": "block_zero_one", "m": 2,
+                                                "partition": [[[0, 0], [1, 1]], 5]},
+                                   ["constants", "--config", "{file}", "--out", "{out}"]),
     "model_loss_json_list": ("model.npz", _loss_json([{"name": "hamming", "m": 3}]),
                              ["predict", "--model", "{file}", "--data", "{data}", "--out", "{out}"]),
     "model_m_float": ("model.npz", _loss_json({"name": "hamming", "m": 3.0}),

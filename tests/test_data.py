@@ -231,16 +231,27 @@ def _loop_only():
     return {"_libsvm_block_bulk": mock.Mock(return_value=None)}
 
 
+# an index of 18 digits, the longest the bulk path reads; one of 19 that int()
+# reads as 3; and 2**64 + 5, which an int64 would wrap to 5
+_LONG_INDEX = "999999999999999999"
+_TOO_LONG_INDEX = "0" * 18 + "3"
+_WRAPPING_INDEX = str(2**64 + 5)
 # tokens Python's int()/float() accept, and the ones the loop refuses
 _GOOD_TOKEN = st.builds(
     "{}:{}".format,
-    st.sampled_from(["1", "2", "3", "2", "1_0", "+1", "\u0663"]),
-    st.sampled_from(["0.5", "-2", "1e-3", ".5", "-0", "7", "1_0", "+1", "\u0663.5"]),
+    st.sampled_from(
+        ["1", "2", "3", "2", "007", "1_0", "+1", "\u0663", _LONG_INDEX, _TOO_LONG_INDEX]
+    ),
+    st.sampled_from(
+        ["0.5", "-2", "1e-3", ".5", "-0", "7", "1e5", "+.5", "1_0", "+1", "\u0663", "\u0663.5"]
+    ),
 )
 _BAD_TOKEN = st.sampled_from(
-    ["1.0:", "1e0:", "1.0:2", "0:1", "-1:1", ":5", "1:2:3", "1:", "5", "::", "1:nan", "1:0x1"]
+    ["1.0:", "1e0:", "1.0:2", "0:1", "-1:1", ":5", "1:2:3", "1:", "5", "::", "1:nan", "1:0x1",
+     "1:-", "000:1"]
 )
-_SEP = st.sampled_from([" ", " ", "  ", "\t", "\x1c"])
+# "\x01" is no whitespace to str.split, so it joins its neighbours into one token
+_SEP = st.sampled_from([" ", " ", "  ", "\t", "\x1c", "\x0b", "\x0c", "\r\n", "\x01"])
 _GOOD_LABEL = st.sampled_from(["", "", "0", "1,2", "2,0", "0,0", "+1", "\u0662"])
 _BAD_LABEL = st.sampled_from(["x", "3", "1_0", "\t1", "1:1"])
 _SKIPPED = st.sampled_from(["", "   ", "\t", "# comment 1:2:3"])
@@ -270,6 +281,26 @@ _FILES = st.one_of(
 @example(["0 1:2:3 5"], True, 64, None)
 @example(["0 :5 5"], True, 64, None)
 @example(["0 5: 5"], True, 64, None)
+# the cases the byte pass decides: separators and control bytes it leaves to
+# the loop, indices of 3, 18, 19 and 20 digits, an index 0 or empty, signed
+# and exponent values, a bare sign, a non-ASCII digit, and a one-row file
+@example(["0 1:1\x0b2:2"], True, 64, None)
+@example(["0 1:1\x0c2:2"], True, 64, None)
+@example(["0 1:1\r\n2:2"], True, 64, None)
+@example(["0 1:1\x012:2"], True, 64, None)
+@example(["0 1:5 \x01 2:3"], True, 64, None)
+@example(["0 007:1 2:2"], True, 64, 7)
+@example([f"0 {_TOO_LONG_INDEX}:1"], True, 64, None)
+@example([f"0 {_LONG_INDEX}:1 1:2"], False, 64, None)
+@example([f"0 {_WRAPPING_INDEX}:1"], True, 64, 7)
+@example(["0 1:1 0:1", "1 2:1"], True, 64, 7)
+@example(["0 :5"], True, 64, None)
+@example(["0 2:1 1:"], True, 64, None)
+@example(["0 1:1e5 2:+.5"], True, 64, None)
+@example(["0 1:+.5 2:1"], True, 2, None)
+@example(["0 2:1 1:-"], True, 64, None)
+@example(["0 1:\u0663"], True, 64, None)
+@example(["1 3:0.25"], False, 64, None)
 @settings(max_examples=300, deadline=None)
 def test_bulk_path_matches_loop(tmp_path_factory, lines, final_newline, block_rows, d):
     path = tmp_path_factory.getbasetemp() / "tricky.libsvm"
@@ -278,30 +309,33 @@ def test_bulk_path_matches_loop(tmp_path_factory, lines, final_newline, block_ro
     assert bulk == _outcome(path, 3, d, _BLOCK_ROWS=block_rows, **_loop_only())
 
 
-def _write_scene_shaped(path, n=1926, d=294, m=6, seed=0):
-    """Scene-sized libsvm file with six-decimal values; returns the dense rows
-    the file holds and the labels."""
+def _write_scene_shaped(path, n=1926, d=294, m=6, seed=0, full_precision=False):
+    """Scene-sized libsvm file with six-decimal values, or with each value's
+    shortest round-trip repr (the rows ``qsl predict`` reads); returns the
+    dense rows the file holds and the labels."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.1, 1.1, size=(n, d))
     labels = rng.random(size=(n, m)) < 0.2
-    row_format = " ".join(f"{j + 1}:%.6f" for j in range(d))
+    value_format = "%r" if full_precision else "%.6f"
+    row_format = " ".join(f"{j + 1}:{value_format}" for j in range(d))
     with open(path, "w", encoding="utf-8") as fh:
         for bits, row in zip(labels, x.tolist()):
             lab = ",".join(str(j) for j in np.flatnonzero(bits))
             fh.write(lab + " " + row_format % tuple(row) + "\n")
-    dense = np.array([[float(f"{v:.6f}") for v in row] for row in x.tolist()])
+    dense = np.array([[float(value_format % v) for v in row] for row in x.tolist()])
     return dense, [tuple(int(b) for b in row) for row in labels]
 
 
 def test_scene_shaped_file_bulk_matches_loop(tmp_path):
-    path = tmp_path / "scene.libsvm"
-    dense, labels = _write_scene_shaped(path)
-    # every block takes the bulk path here
-    bulk = _outcome(path, 6, None, _libsvm_block_loop=mock.Mock(side_effect=AssertionError))
-    assert bulk == _outcome(path, 6, None, **_loop_only())
-    ds = parse_multilabel(str(path), m=6)
-    assert ds.labels == labels
-    assert np.array_equal(ds.dense_features(), dense)
+    for full_precision, n in ((False, 1926), (True, 481)):
+        path = tmp_path / f"scene_{n}.libsvm"
+        dense, labels = _write_scene_shaped(path, n=n, full_precision=full_precision)
+        # every block takes the bulk path here
+        bulk = _outcome(path, 6, None, _libsvm_block_loop=mock.Mock(side_effect=AssertionError))
+        assert bulk == _outcome(path, 6, None, **_loop_only())
+        ds = parse_multilabel(str(path), m=6)
+        assert ds.labels == labels
+        assert np.array_equal(ds.dense_features(), dense)
 
 
 # tracemalloc peak of a parser that converts every token in the Python loop and

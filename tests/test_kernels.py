@@ -24,8 +24,10 @@ from qslearn.kernels import (
 GAUSS = KernelSpec("gaussian", 1.0)
 LINEAR = KernelSpec("linear")
 # the least dimension whose batches take the product path of the distances;
-# cases at d <= CDIST_MAX_FEATURES exercise the per-pair path
+# cases at d <= CDIST_MAX_FEATURES exercise the per-pair path, and the
+# d-suffixed cases below run on both sides of that boundary
 PRODUCT_D = CDIST_MAX_FEATURES + 1
+BOUNDARY_D = (CDIST_MAX_FEATURES, PRODUCT_D)
 
 
 def test_gaussian_identical_inputs_is_one():
@@ -253,8 +255,8 @@ def _agreement_rows(name):
     return x[:400], x[400:]
 
 
-@pytest.mark.parametrize("name", ["scene", "d3", f"d{PRODUCT_D}", "offset", "duplicates",
-                                  f"duplicates_d{PRODUCT_D}"])
+@pytest.mark.parametrize("name", ["scene", "d3", "offset", "duplicates"]
+                         + [f"{case}d{d}" for case in ("", "duplicates_") for d in BOUNDARY_D])
 def test_kernels_agree_with_scipy(name):
     x, x_test = _agreement_rows(name)
     bw = _scipy_median(x)
@@ -281,8 +283,8 @@ def _bandwidth_rows(name):
     return _agreement_rows(name)[0]
 
 
-@pytest.mark.parametrize("name", ["n=2", "n=9", "n=41", "n=1100", f"n=1100_d{PRODUCT_D}",
-                                  "duplicates", "offset"])
+@pytest.mark.parametrize("name", ["n=2", "n=9", "n=41", "n=1100", "duplicates", "offset"]
+                         + [f"n=1100_d{d}" for d in BOUNDARY_D])
 def test_gram_chooses_median_bandwidth(name):
     x = _bandwidth_rows(name)
     bw = median_heuristic(x)
@@ -308,7 +310,8 @@ def test_median_heuristic_mostly_duplicate_rows():
 
 
 @pytest.mark.parametrize("n, d", [pytest.param(n, 4, id=str(n)) for n in (2, 3, 4, 5, 9, 10, 41)]
-                         + [pytest.param(n, PRODUCT_D, id=f"{n}_d{PRODUCT_D}") for n in (9, 10, 41)])
+                         + [pytest.param(n, d, id=f"{n}_d{d}")
+                            for n in (9, 10, 41) for d in BOUNDARY_D])
 def test_median_heuristic_equals_numpy_median(n, d):
     # n(n-1)/2 pairs: odd at n = 2, 3, 10, 41 and even at n = 4, 5, 9; rows
     # from n = 9 on go through the product path above CDIST_MAX_FEATURES
@@ -333,7 +336,7 @@ def test_median_heuristic_peak_memory():
 def test_overflowing_rows_take_the_per_pair_path(rng):
     # the expansion would give inf - inf = NaN for a finite row whose norm
     # overflows; the per-pair loop gives an infinite distance, kernel value 0
-    for d in (CDIST_MAX_FEATURES, PRODUCT_D):
+    for d in BOUNDARY_D:
         x = rng.normal(size=(30, d))
         rows = rng.normal(size=(GEMM_MIN_ROWS, d))
         rows[0] = 1.5e308 * (-1.0) ** np.arange(d)
