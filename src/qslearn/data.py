@@ -99,6 +99,8 @@ def parse_multilabel(
 _BLOCK_ROWS = 64
 # longest index the bulk path reads: 10**18 - 1 still fits an int64
 _MAX_DIGITS = 18
+# largest feature index the loop accepts: the matrix width must fit an int64
+_MAX_INDEX = np.iinfo(np.int64).max
 
 
 def _parse_libsvm(path: str, m: int, d: int | None, name: str) -> MultilabelDataset:
@@ -169,6 +171,8 @@ def _libsvm_block_loop(block, m: int):
                 raise DataFormatError(f"line {lineno}: bad feature token {tok!r}") from exc
             if feat < 1:
                 raise DataFormatError(f"line {lineno}: feature index {feat} must be >= 1")
+            if feat > _MAX_INDEX:
+                raise DataFormatError(f"line {lineno}: feature index {feat} does not fit an int64")
             if not math.isfinite(val):
                 raise DataFormatError(f"line {lineno}: non-finite feature value {tok!r}")
             cols.append(feat - 1)

@@ -18,10 +18,11 @@ the loss's cached ``loss_matrix``: columns of ``loss.value`` over Z, built
 once per loss instance and observation and never derived from F, U or the
 output table, so the oracle stays independent of the decomposition it checks.
 
-Pairwise disagreement and MAP, NP-hard for general weights, decode exactly
-by a dynamic programme over subsets up to their class constant
-``exact_limit`` and by a heuristic beyond it (see ``losses.ranking``).  The
-two heuristics are re-exported here because the benchmark's tracer
+Pairwise disagreement decodes exactly by one sort at every m.  MAP,
+NP-hard for general weights, decodes exactly by a dynamic programme over
+subsets up to its class constant ``exact_limit`` and by a local search
+beyond it (see ``losses.ranking``).  ``greedy_arcset`` and
+``qap_local_search`` are re-exported here because the benchmark's tracer
 (``benchmarks/tracer.py``) names them as ``qslearn.decode`` attributes when
 it wraps the decode layer.
 """
@@ -29,19 +30,21 @@ it wraps the decode layer.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 
 import numpy as np
 
-from .losses import DiscreteLoss, MeanAveragePrecision, PairwiseDisagreement, SpaceTooLargeError
+from .losses import DiscreteLoss, MeanAveragePrecision, SpaceTooLargeError
 from .losses.base import BLOCK_CELLS, Label, column_sums
 from .losses.ranking import greedy_arcset, qap_local_search  # noqa: F401
 
-# A read-only record of the two exact-decode limits under the names
-# ``benchmarks/tracer.py`` reads to label each decode call's path; it goes
-# when the library traces its own decoder paths (ROADMAP item 1).
+# A read-only record of the exact-decode limits under the names
+# ``benchmarks/tracer.py`` reads to label each decode call's path (PD's sort
+# is exact at every m); it goes when the library traces its own decoder
+# paths (ROADMAP item 1).
 DEFAULT_BUDGET = namedtuple("ExactLimits", "exact_limit exact_limit_map")(
-    PairwiseDisagreement.exact_limit, MeanAveragePrecision.exact_limit
+    math.inf, MeanAveragePrecision.exact_limit
 )
 
 # scores closer than this to the minimum count as tied for argmin_untied

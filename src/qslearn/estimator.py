@@ -29,7 +29,9 @@ from .kernels import (GEMM_MIN_ROWS, KernelSpec, build_gram, cross_kernel, ridge
 from .losses import DiscreteLoss, LossConfigError, loss_config, make_loss
 from .losses.base import BLOCK_CELLS, Label
 
-MODEL_FORMAT_VERSION = 2  # 2 adds the optional training scaler; 1 still loads
+# 2 added the optional training scaler; 3 gave pd its m rank coordinates in
+# place of m(m-1)/2 pairwise ones.  Formats 1 and 2 still load, but for pd.
+MODEL_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -226,7 +228,7 @@ def save_model(model: QSModel, path: str) -> None:
 
 
 def load_model(path: str) -> QSModel:
-    """Rebuild a model from ``save_model`` output (format 1 or 2).
+    """Rebuild a model from ``save_model`` output (format 1, 2 or 3).
 
     Nothing is refitted: the stored coefficients are used as they are, after
     checking that the arrays agree in shape with each other and with the
@@ -236,12 +238,16 @@ def load_model(path: str) -> QSModel:
     with np.load(path, allow_pickle=False) as payload:
         try:
             version = int(payload["format_version"])
-            if version not in (1, MODEL_FORMAT_VERSION):
+            if version not in (1, 2, MODEL_FORMAT_VERSION):
                 raise ValueError(f"unsupported model format version {version}")
             cfg = json.loads(str(payload["loss_json"]))
             if not isinstance(cfg, dict):
                 raise LossConfigError(f"{path}: loss_json must be a JSON object")
             loss = make_loss(cfg.pop("name"), cfg.pop("m"), **cfg)
+            if version < 3 and loss.name == "pd":
+                raise ValueError(f"{path}: a format-{version} pd model holds pairwise "
+                                 "coefficients; format 3 embeds pd in m rank coordinates, "
+                                 "so refit the model")
             kind, bw = str(payload["kernel_kind"]), float(payload["bandwidth"])
             lam = float(payload["lam"])
             x_train = np.asarray(payload["x_train"], dtype=float)

@@ -188,7 +188,7 @@ class SharpConstant:
     """The loss-dependent constant A = sqrt(r) * ||F||_inf * U_max.
 
     ``is_bound`` marks losses for which the reported triple is the standard
-    closed-form bound rather than the exact enumerated value (F-score, MAP);
+    closed-form bound rather than the exact enumerated value (F-score, PD, MAP);
     for those the exact values are given in ``note``.
     """
 

@@ -2,14 +2,16 @@
 
 Permutations are one-line tuples with sigma[j] = rank of item j (rank 1 is
 the top position).  NDCG-type losses observe relevance vectors in {0..R}^m;
-PD and MAP observe binary relevance, i.e. subsets.  Their F_sigma . theta
-depends on sigma only through the set of items ranked above each item, so
-both decode exactly by ``subset_dp``, a shortest path over the 2^m subsets
-of placed items (Held & Karp, 1962), up to their class constant
-``exact_limit`` (PD m = 8, MAP m = 16).  Beyond it PD decodes by
-``greedy_arcset``, which, like the DP, runs a whole block of rows at once,
-elementwise along the row axis; MAP decodes by ``qap_local_search``, one
-row at a time.  The DP and both heuristics are at the end of this module.
+PD and MAP observe binary relevance, i.e. subsets.  NDCG and PD are affine
+in a function of each item's own rank, so both decode by one stable argsort
+(``rank_rows``) at every m.  MAP's F_sigma . theta depends on sigma through
+the set of items ranked above each item, so it decodes exactly by
+``subset_dp``, a shortest path over the 2^m subsets of placed items (Held &
+Karp, 1962), up to its class constant ``exact_limit`` (m = 16), and by
+``qap_local_search``, one row at a time, beyond it.  The DP and the
+heuristics are at the end of this module; ``greedy_arcset``, a batched
+heuristic for the general weighted feedback-arc-set (linear ordering)
+problem, is public API that no loss here decodes by.
 """
 
 from __future__ import annotations
@@ -125,11 +127,7 @@ class NDCGType(DiscreteLoss):
         return -self._discount[np.asarray(z, dtype=int) - 1]
 
     def decode_batch(self, thetas: np.ndarray) -> list:
-        # rank 1 to the largest score, ties to the smaller item index
-        order = np.argsort(-thetas, axis=1, kind="stable")
-        sigma = np.empty_like(order)
-        np.put_along_axis(sigma, order, np.arange(1, self.m + 1), axis=1)
-        return label_rows(sigma)
+        return rank_rows(thetas)
 
     def u_row(self, y: Label) -> np.ndarray:
         g = self.gains(y)
@@ -184,77 +182,38 @@ class ExpectedRankUtility(NDCGType):
         return {"R": self.top_relevance, "neutral": self.neutral}
 
 
-def pair_index(m: int) -> list[tuple[int, int]]:
-    """Canonical ordering of unordered item pairs (j, l) with l < j."""
-    return [(j, l) for j in range(m) for l in range(j)]
+def rank_rows(thetas: np.ndarray) -> list:
+    """For each row of scores, the ranking that puts rank 1 on the largest
+    score, ties to the smaller item index: the lexicographically smallest
+    sigma among those minimizing sum_j sigma_j theta_j."""
+    order = np.argsort(-thetas, axis=1, kind="stable")
+    sigma = np.empty_like(order)
+    np.put_along_axis(sigma, order, np.arange(1, thetas.shape[1] + 1), axis=1)
+    return label_rows(sigma)
 
 
-class PlacedRanking:
-    """Decoders for a ranking loss whose F_sigma . theta adds up, over the
-    items j, a cost of placing j directly below the set of items ranked
-    above it; mixed in ahead of ``DiscreteLoss``.
+class PairwiseDisagreement(DiscreteLoss):
+    """Fraction of discordant pairs: a relevant item ranked below an irrelevant one.
 
-    ``decode_batch`` cuts the rows into blocks of at most ``BLOCK_CELLS``
-    cost cells: 2^m x m a row for ``subset_dp``, which minimizes such an
-    objective exactly up to m = ``exact_limit``, and m x m a row for the
-    subclass's ``search`` heuristic beyond it, called once per block.
-    Subclasses give ``placement_costs`` and ``search``.
-    """
+    Against a subset y with k = |y| relevant items, N(y) = k (m - k) pairs
+    are relevance-discordant, and the ranks of the relevant items add up to
+    k(k+1)/2 plus the number of discordant pairs, so
 
-    m: int
-    pairs: list
-    exact_limit: int
+        L(sigma, y) = (sum_j y_j sigma_j - k(k+1)/2) / (k (m - k)),
 
-    @functools.cached_property
-    def _pair_at(self) -> np.ndarray:
-        """m x m: entries [j, l] and [l, j] hold the theta coordinate of the
-        pair (j, l); entries off the pairs hold 0."""
-        index = np.zeros((self.m, self.m), dtype=np.intp)
-        for p, (j, l) in enumerate(self.pairs):
-            index[j, l] = index[l, j] = p
-        return index
-
-    def placement_costs(self, thetas: np.ndarray) -> np.ndarray:
-        """2^m x m x rows: cell [S, j] is the cost of placing item j directly
-        below the item set S (bit l of S is item l), for each row of thetas."""
-        raise NotImplementedError
-
-    def search(self, thetas: np.ndarray) -> list:
-        raise NotImplementedError
-
-    def decode_batch(self, thetas: np.ndarray) -> list:
-        exact = self.m <= self.exact_limit
-        step = max(1, BLOCK_CELLS // ((self.m << self.m) if exact else self.m ** 2))
-        labels = []
-        for lo in range(0, len(thetas), step):
-            block = thetas[lo:lo + step]
-            labels += label_rows(subset_dp(self.placement_costs(block))) if exact else self.search(block)
-        return labels
-
-
-class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
-    """Fraction of discordant pairs: less relevant item ranked above more relevant.
-
-    With t_{jl}(y) = sign(y_l - y_j) and q_{jl}(sigma) = sign(sigma_l - sigma_j)
-    over pairs l < j,
-
-        L(sigma, y) = 1/2 + (1/2N(y)) sum_{l<j} t_{jl}(y) q_{jl}(sigma),
-
-    N(y) = |y| (m - |y|) the number of relevance-discordant pairs.  Split as
-    F_sigma = q(sigma)/4 and U_y = 2 t(y)/N(y), c = 1/2, r = m(m-1)/2.
-    Observations with |y| in {0, m} have no comparable pairs and are
-    degenerate.  Exact inference is a minimum-weight feedback-arc-set
-    (linear ordering) problem, NP-hard in general: each pair costs
-    -theta_{jl}/4 when l is ranked above j and +theta_{jl}/4 otherwise, so
-    ``subset_dp`` solves it exactly up to m = ``exact_limit``, and
-    ``greedy_arcset`` orders a block of rows' clipped pair costs beyond.
+    affine in the rank vector: F_sigma = sigma - (m+1)/2,
+    U_y = (y - k/m) / (k (m - k)), c = 1/2, r = m.  The pairwise split
+    F_sigma = sign(sigma_l - sigma_j)/4, U_y = 2 sign(y_l - y_j)/N(y) over
+    the m(m-1)/2 pairs l < j is the same estimator: its U is 2 D U, with
+    (D v)_{jl} = v_l - v_j, and ridge is linear in its targets, so both give
+    the same F_sigma . theta.  Observations with k in {0, m} are degenerate.
+    F_sigma . theta is sum_j sigma_j theta_j less a constant, least when
+    rank 1 goes to the largest score, so ``decode_batch`` is one stable
+    argsort (``rank_rows``), exact at every m.
     """
 
     name = "pd"
-    # beyond m = 8 the greedy heuristic runs, though one DP row would fit a
-    # block up to m = 16
-    exact_limit = 8
-    decoder = f"NP-hard (MWFAS); O(2^m m) subset DP for m <= {exact_limit}, else greedy arcset"
+    decoder = "O(m log m) argsort"
 
     def __init__(self, m: int):
         if m < 2:
@@ -262,10 +221,10 @@ class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
         self.m = m
         self.output_space = LabelSpace.permutations(m)
         self.observation_space = LabelSpace.grid(m)
-        self.pairs = pair_index(m)
-        self.r = len(self.pairs)
+        self.pairs = [(j, l) for j in range(m) for l in range(j)]  # l < j, for ``value``
+        self.r = m
         self.offset = 0.5
-        self.f_norm = 0.25 * math.sqrt(self.r)
+        self.f_norm = math.sqrt(m * (m * m - 1) / 12.0)
 
     def is_degenerate(self, y: Label) -> bool:
         return sum(y) in (0, self.m)
@@ -284,43 +243,38 @@ class PairwiseDisagreement(PlacedRanking, DiscreteLoss):
         return bad / n
 
     def f_row(self, z: Label) -> np.ndarray:
-        return 0.25 * np.array(
-            [float(np.sign(z[l] - z[j])) for j, l in self.pairs]
-        )
+        return np.asarray(z, dtype=float) - 0.5 * (self.m + 1)
 
-    @functools.cached_property
-    def _sign(self) -> np.ndarray:
-        """m x m: theta[_pair_at] * _sign is the cost of item l ranked above
-        item j, -theta_{jl}/4 for l < j and +theta_{lj}/4 for l > j."""
-        order = np.arange(self.m)
-        return 0.25 * np.sign(order - order[:, None])
-
-    def placement_costs(self, thetas: np.ndarray) -> np.ndarray:
-        above = thetas.T[self._pair_at] * self._sign[..., None]
-        return subset_sums(np.zeros((self.m, len(thetas))), above)
-
-    def search(self, thetas: np.ndarray) -> list:
-        # gamma[:, a, b] = cost of ranking a below b; per-pair shift keeps it >= 0
-        gamma = np.take(thetas, self._pair_at, axis=1)  # C order, unlike thetas[:, _pair_at]
-        gamma *= self._sign
-        np.maximum(gamma, 0.0, out=gamma)
-        gamma *= 2.0
-        return greedy_arcset(gamma)
+    def decode_batch(self, thetas: np.ndarray) -> list:
+        return rank_rows(thetas)
 
     def u_row(self, y: Label) -> np.ndarray:
         s = sum(y)
         n = s * (self.m - s)
         if n == 0:
-            return np.zeros(self.r)
-        return (2.0 / n) * np.array(
-            [float(np.sign(y[l] - y[j])) for j, l in self.pairs]
-        )
+            return np.zeros(self.m)
+        return (np.asarray(y, dtype=float) - s / self.m) / n
 
     def sharp(self) -> SharpConstant:
-        return SharpConstant(self.r, self.f_norm, 2.0 / (self.m - 1), self.m / 4.0)
+        # the pairwise split's triple: its A = m/4 bounds this same estimator
+        # and is below the rank-m split's sqrt((m^2 - 1)/12) from m = 3 on
+        pairs = self.m * (self.m - 1) // 2
+        return SharpConstant(
+            pairs,
+            0.25 * math.sqrt(pairs),
+            2.0 / (self.m - 1),
+            self.m / 4.0,
+            is_bound=True,
+            note=(
+                "reported pairwise constant m/4 (r = m(m-1)/2); exact enumerated "
+                f"values of the rank-m decomposition are ||F|| = sqrt(m(m^2-1)/12) = "
+                f"{self.f_norm:.6g}, U_max = 1/m = {1.0 / self.m:.6g} and "
+                f"A = sqrt((m^2-1)/12) = {math.sqrt((self.m ** 2 - 1) / 12.0):.6g}"
+            ),
+        )
 
 
-class MeanAveragePrecision(PlacedRanking, DiscreteLoss):
+class MeanAveragePrecision(DiscreteLoss):
     """One minus mean average precision over the relevant items of y.
 
     Rewriting AP over unordered relevant pairs gives coordinates indexed by
@@ -334,7 +288,9 @@ class MeanAveragePrecision(PlacedRanking, DiscreteLoss):
     Here max(sigma_j, sigma_l) = sigma_j for every l ranked above j, so
     placing j below a set S of k items costs
     (theta_jj + sum_{l in S} theta_jl) / (k + 1), and ``subset_dp`` solves it
-    exactly up to m = ``exact_limit``, a 2-swap local search beyond.
+    exactly up to m = ``exact_limit``, in row blocks of at most
+    ``BLOCK_CELLS`` cost cells (2^m x m a row), and a 2-swap local search,
+    row by row, beyond.
     """
 
     name = "map"
@@ -372,7 +328,18 @@ class MeanAveragePrecision(PlacedRanking, DiscreteLoss):
     def f_row(self, z: Label) -> np.ndarray:
         return np.array([1.0 / max(z[j], z[l]) for j, l in self.pairs])
 
+    @functools.cached_property
+    def _pair_at(self) -> np.ndarray:
+        """m x m: entries [j, l] and [l, j] hold the theta coordinate of the
+        pair (j, l)."""
+        index = np.zeros((self.m, self.m), dtype=np.intp)
+        for p, (j, l) in enumerate(self.pairs):
+            index[j, l] = index[l, j] = p
+        return index
+
     def placement_costs(self, thetas: np.ndarray) -> np.ndarray:
+        """2^m x m x rows: cell [S, j] is the cost of placing item j directly
+        below the item set S (bit l of S is item l), for each row of thetas."""
         pair = thetas.T[self._pair_at]
         cost = subset_sums(np.diagonal(pair).T, pair)
         cost /= _lattice(self.m).next_rank
@@ -384,6 +351,13 @@ class MeanAveragePrecision(PlacedRanking, DiscreteLoss):
         pos = np.arange(1, self.m + 1, dtype=float)
         d = 1.0 / np.maximum(pos[:, None], pos[None, :])
         return [qap_local_search(-theta[self._pair_at] * half, d) for theta in thetas]
+
+    def decode_batch(self, thetas: np.ndarray) -> list:
+        if self.m > self.exact_limit:
+            return self.search(thetas)
+        step = max(1, BLOCK_CELLS // (self.m << self.m))
+        return [z for lo in range(0, len(thetas), step)
+                for z in label_rows(subset_dp(self.placement_costs(thetas[lo:lo + step])))]
 
     def u_row(self, y: Label) -> np.ndarray:
         s = sum(y)
@@ -518,7 +492,7 @@ def subset_dp(cost: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# heuristics for the two NP-hard decoders
+# heuristics for two NP-hard ordering problems
 # ---------------------------------------------------------------------------
 
 def greedy_arcset(gamma) -> Label | list:

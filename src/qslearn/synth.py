@@ -26,8 +26,9 @@ Exact risks use E[L(z, y) | x] = F_z . E[U_y | x] + c (1 - P(y degenerate | x)):
 the Bayes labels decode E[U_y | x] (``DiscreteLoss.expected_embedding``), and an
 excess is (F_f(x) - F_f*(x)) . E[U_y | x].  Hamming and Prec@k have E[U_y | x] in
 closed form; other losses sum over the 2^m bit tuples while 2^m x r fits
-``TABLE_CELLS`` (F-score to m = 15, 0-1 to m = 12).  A loss is refused beyond
-its ``exact_limit``, where its decoder is a heuristic (PD past m = 8).
+``TABLE_CELLS`` (F-score to m = 15, 0-1 to m = 12, PD to m = 19).  A loss is
+refused beyond its ``exact_limit``, where its decoder is a heuristic (MAP past
+m = 16).
 
 The learning-rate experiment fits at lambda = n^{-1/2} across a sample-size
 grid and reports per-replication log-log slopes of the exact excess risk.
@@ -155,7 +156,7 @@ class MultilabelGenerator:
 
 def bayes_predictions(loss, expected) -> list:
     """Exact Bayes labels: the decoder at the rows ``expected`` = E[U_y | x], refused
-    past ``exact_limit`` (PD above m = 8), where a heuristic label need not be f*."""
+    past ``exact_limit`` (MAP above m = 16), where a heuristic label need not be f*."""
     if loss.m > getattr(loss, "exact_limit", loss.m):
         raise SpaceTooLargeError(f"{loss.name}: m = {loss.m} is beyond the exact decoder's "
                                  f"limit {loss.exact_limit}, so f* is not known exactly")

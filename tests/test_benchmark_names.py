@@ -136,3 +136,21 @@ def test_predict_records_one_cross_kernel_span_per_row_block(tmp_path):
                               "--out", str(tmp_path / "p.txt")] + path])["spans"]
         assert spans["kernels.cross"] == blocks
         assert spans["estimator.predict"] == 1
+
+
+def test_pd_predict_past_m8_records_no_heuristic_search(tmp_path):
+    # PD decodes by one sort at every m; the greedy arc-set used to run here
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(60, 2))
+    data, model = tmp_path / "pd9.libsvm", tmp_path / "m.npz"
+    data.write_text("".join(
+        ",".join(str(j) for j in np.flatnonzero(rng.uniform(size=9) < 0.4))
+        + f" 1:{a:.6f} 2:{b:.6f}\n" for a, b in x))
+    commands = [
+        ["train", "--data", str(data), "--m", "9", "--loss", "pd",
+         "--lambda", "0.1", "--out", str(model)],
+        ["predict", "--model", str(model), "--data", str(data), "--out", str(tmp_path / "p.txt")],
+    ]
+    spans = _traced_run(commands)["spans"]
+    assert spans["estimator.predict"] == 1
+    assert "decode.heuristic_search" not in spans

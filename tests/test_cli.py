@@ -288,6 +288,36 @@ def test_one_class_subset_model_writes_item_zero(tmp_path):
     assert cli._format_label(make_loss("pd", 2), (2, 1)) == "2 1"
 
 
+def test_feature_index_past_int64_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=20)
+    model = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "2", "--loss", "hamming",
+                "--lambda", "0.1", "--out", str(model)]) == 0
+    huge = tmp_path / "huge.libsvm"
+    huge.write_text("0 1:1\n1 18446744073709551621:1\n")
+    capsys.readouterr()
+    assert run(["train", "--data", str(huge), "--m", "2", "--loss", "hamming",
+                "--lambda", "0.1", "--out", str(tmp_path / "h.npz")]) == cli.USAGE_ERROR
+    assert run(["predict", "--model", str(model), "--data", str(huge)]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 2: feature index 18446744073709551621 does not fit an int64"] * 2
+
+
+def test_predict_refuses_a_pairwise_pd_model(tmp_path, capsys):
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data, n=40)
+    model = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "pd",
+                "--lambda", "0.1", "--out", str(model)]) == 0
+    with np.load(model) as payload:
+        arrays = dict(payload)
+    np.savez(model, **{**arrays, "format_version": np.array(2)})
+    capsys.readouterr()
+    assert run(["predict", "--model", str(model), "--data", str(data)]) == cli.USAGE_ERROR
+    assert "format-2 pd model" in capsys.readouterr().err
+
+
 def test_predict_missing_file_is_usage_error(tmp_path):
     assert run(["predict", "--model", str(tmp_path / "none.npz"),
                 "--data", str(tmp_path / "none.libsvm")]) == cli.USAGE_ERROR
@@ -364,13 +394,15 @@ def test_unattainable_hard_margin_delta_is_usage_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_pd_rates_beyond_the_exact_decoder_is_usage_error(tmp_path, capsys):
+def test_pd_rates_run_beyond_m8(tmp_path):
+    # PD's sort decoder is exact at every m, so its f* is known past m = 8
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({**RATES_SPEC, "loss_name": "pd", "m": 9}))
+    spec_path.write_text(json.dumps({**RATES_SPEC, "loss_name": "pd", "m": 12}))
     out_dir = tmp_path / "out"
-    assert run(["rates", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == cli.USAGE_ERROR
-    assert "exact decoder" in capsys.readouterr().err
-    assert not out_dir.exists()
+    assert run(["rates", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 0
+    rows = (out_dir / "rates.csv").read_text().splitlines()
+    assert len(rows) == 1 + len(RATES_SPEC["n_grid"])
+    assert all(row.startswith("pd,") for row in rows[1:])
 
 
 def test_threads_do_not_change_output(tmp_path):

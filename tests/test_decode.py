@@ -220,47 +220,60 @@ def test_pd_exact_enumeration_m6(rng):
         assert decode(loss, theta) == decode_bruteforce(loss, weights, ys)
 
 
-def lower_exact_limits(monkeypatch):
-    # m = 5 then runs greedy arc-set and local search instead of the table
-    monkeypatch.setattr(PairwiseDisagreement, "exact_limit", 3)
+def lower_map_exact_limit(monkeypatch):
+    # m = 5 then runs the local search instead of the DP
     monkeypatch.setattr(MeanAveragePrecision, "exact_limit", 3)
 
 
 def test_pd_and_map_heuristic_paths_run(rng, monkeypatch):
-    lower_exact_limits(monkeypatch)
+    # MAP past its exact limit searches row by row; PD has no heuristic path
+    lower_map_exact_limit(monkeypatch)
     calls = []
-    for name in ("greedy_arcset", "qap_local_search"):
-        heuristic = getattr(ranking, name)
+    for name in ("greedy_arcset", "qap_local_search", "subset_dp"):
+        step = getattr(ranking, name)
         monkeypatch.setattr(ranking, name,
-                            lambda *a, _h=heuristic, _n=name: calls.append(_n) or _h(*a))
+                            lambda *a, _s=step, _n=name: calls.append(_n) or _s(*a))
     for loss in (PairwiseDisagreement(5), MeanAveragePrecision(5)):
         thetas = np.vstack([random_instance(loss, rng, n=8)[2] for _ in range(5)])
         for z in decode_batch(loss, thetas):
             loss.output_space.check(z)
-    # PD's five rows form one block and one greedy call; MAP searches row by row
-    assert calls == ["greedy_arcset"] + ["qap_local_search"] * 5
+    assert calls == ["qap_local_search"] * 5
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("PD reached a DP or a heuristic")
+
+
+@pytest.mark.parametrize("m", [2, 5, 8, 9, 12, 40])
+def test_pd_decodes_by_one_sort_at_every_m(m, monkeypatch):
+    for name in ("subset_dp", "subset_sums", "greedy_arcset", "qap_local_search"):
+        monkeypatch.setattr(ranking, name, _refuse)
+    loss = PairwiseDisagreement(m)
+    thetas = _thetas(loss, np.random.default_rng(m), rows=30)
+    assert decode_batch(loss, thetas) == [_reference_ranking(loss, theta) for theta in thetas]
 
 
 def test_heuristics_never_beat_exact(rng, monkeypatch):
     # on exactly solvable instances the heuristic objective cannot be better
-    lower_exact_limits(monkeypatch)
-    for loss in (PairwiseDisagreement(5), MeanAveragePrecision(5)):
-        outs = list(loss.outputs())
-        for _ in range(10):
-            _, _, theta = random_instance(loss, rng, n=8)
-            scores = np.array([loss.f_row(z) @ theta for z in outs])
-            exact = float(scores.min())
-            heur = float(loss.f_row(decode(loss, theta)) @ theta)
-            assert heur >= exact - 1e-12
+    lower_map_exact_limit(monkeypatch)
+    loss = MeanAveragePrecision(5)
+    outs = list(loss.outputs())
+    for _ in range(10):
+        _, _, theta = random_instance(loss, rng, n=8)
+        scores = np.array([loss.f_row(z) @ theta for z in outs])
+        exact = float(scores.min())
+        heur = float(loss.f_row(decode(loss, theta)) @ theta)
+        assert heur >= exact - 1e-12
 
 
-# the per-pair loops that built the two heuristics' matrices before they
-# were gathered from theta[_pair_at], kept as their reference
+# the per-pair loops that built the heuristics' matrices: the greedy arc-set
+# costs of PD's pairwise coordinates (l < j), and MAP's local-search weights
+# before they were gathered from theta[_pair_at]
 
-def _reference_gamma(loss, theta):
-    m = loss.m
+def _reference_gamma(m, theta):
+    pairs = [(j, l) for j in range(m) for l in range(j)]
     gamma = np.zeros((m, m))
-    for idx, (j, l) in enumerate(loss.pairs):
+    for idx, (j, l) in enumerate(pairs):
         t = float(theta[idx])
         gamma[j, l] = max(-t, 0.0) / 2.0
         gamma[l, j] = max(t, 0.0) / 2.0
@@ -278,34 +291,23 @@ def _reference_w(loss, theta):
     return w
 
 
-@pytest.mark.parametrize("loss", [PairwiseDisagreement(m) for m in range(2, 13)]
-                         + [MeanAveragePrecision(m) for m in range(1, 18)],
+@pytest.mark.parametrize("loss", [MeanAveragePrecision(m) for m in range(1, 18)],
                          ids=lambda loss: f"{loss.name}-m{loss.m}")
 def test_heuristic_matrices_equal_the_per_pair_reference(loss, monkeypatch):
-    pd = loss.name == "pd"
     seen = []
 
     def record(matrix, *rest):
         seen.append(matrix)
-        return [(1,) * loss.m] * len(matrix) if pd else (1,) * loss.m
+        return (1,) * loss.m
 
-    monkeypatch.setattr(ranking, "greedy_arcset" if pd else "qap_local_search", record)
-    reference = _reference_gamma if pd else _reference_w
+    monkeypatch.setattr(ranking, "qap_local_search", record)
     thetas = np.vstack([_thetas(loss, np.random.default_rng([loss.m, loss.r]), 20),
                         np.zeros((1, loss.r))])
     assert len(loss.search(thetas)) == len(thetas)
-    if pd:  # one stack for the whole block
-        (stack,) = seen
-        assert stack.shape == (len(thetas), loss.m, loss.m) and stack.flags.c_contiguous
-        seen = list(stack)
     assert len(seen) == len(thetas)
     for matrix, theta in zip(seen, thetas):
-        want = reference(loss, theta)
+        want = _reference_w(loss, theta)
         assert matrix.dtype == want.dtype and matrix.shape == want.shape
-        if pd:
-            # the loop wrote -0.0 where a pair's theta is 0; the bits agree up
-            # to that sign, which no comparison or sum of gamma sees
-            matrix, want = matrix + 0.0, want + 0.0
         assert matrix.tobytes() == want.tobytes()
 
 
@@ -347,17 +349,24 @@ def _bubble_gamma(m):
     return gamma
 
 
+def _pairwise_theta(theta):
+    """PD's m(m-1)/2 pairwise coordinates of the same fit: U_pairs = 2 D U
+    with (D v)_{jl} = v_l - v_j over the pairs l < j, and ridge is linear in
+    its targets, so the fitted pairwise theta is 2 D theta."""
+    m = len(theta)
+    return np.array([2.0 * (theta[l] - theta[j]) for j in range(m) for l in range(j)])
+
+
 @pytest.mark.parametrize("m", [9, 10, 11, 12])
 def test_pd_beyond_the_dp_decodes_the_reference_gamma(m):
+    # up to m = 8 PD used to decode its pairwise theta by the subset DP, and by
+    # the greedy arc-set beyond; on the pairwise theta of a rank-m fit, which
+    # is all a fit produces, the greedy's label is the sort's, ties included
     loss = PairwiseDisagreement(m)
-    assert m > loss.exact_limit
     rng = np.random.default_rng(m)
-    # gaussian, rounded and integer rows; integers tie in the score sort and
-    # in the swap comparisons
-    thetas = np.vstack([_thetas(loss, rng, 200), np.zeros((2, loss.r))])
-    gammas = [_reference_gamma(loss, theta) for theta in thetas]
-    scores = [gamma.sum(axis=1) - gamma.sum(axis=0) for gamma in gammas[400:600]]
-    assert sum(len(set(score)) < m for score in scores) >= 20
+    thetas = np.vstack([_thetas(loss, rng, 200), np.zeros((2, m))])
+    assert sum(len(set(theta)) < m for theta in thetas[200:]) >= 20
+    gammas = [_reference_gamma(m, _pairwise_theta(theta)) for theta in thetas]
     labels = [_reference_greedy(gamma)[0] for gamma in gammas]
     assert decode_batch(loss, thetas) == labels
     # a stack in another memory order: its sums still add like one matrix's
@@ -378,7 +387,8 @@ def test_greedy_stack_equals_the_per_row_greedy_over_many_passes(m):
     assert greedy_arcset(gammas) == [label for label, _ in reference]
 
 
-def test_pd_greedy_labels_do_not_depend_on_the_batch(monkeypatch):
+def test_pd_greedy_labels_do_not_depend_on_the_batch():
+    # past m = 8, where PD's greedy arc-set used to run
     loss = PairwiseDisagreement(9)
     rng = np.random.default_rng(9)
     thetas = _thetas(loss, rng, rows=40)
@@ -388,25 +398,6 @@ def test_pd_greedy_labels_do_not_depend_on_the_batch(monkeypatch):
                 for z in decode_batch(loss, thetas[lo:lo + size])] == whole
     order = rng.permutation(len(thetas))
     assert decode_batch(loss, thetas[order]) == [whole[i] for i in order]
-    # 120 rows in blocks of 50: three blocks
-    monkeypatch.setattr(ranking, "BLOCK_CELLS", 50 * loss.m ** 2)
-    assert decode_batch(loss, thetas) == whole
-    assert decode_batch(loss, thetas[order]) == [whole[i] for i in order]
-
-
-@pytest.mark.parametrize("rows_per_block, calls", [(None, [120]), (120, [120]),
-                                                   (50, [50, 50, 20]), (1, [1] * 120)])
-def test_pd_greedy_runs_once_per_row_block(rows_per_block, calls, monkeypatch):
-    loss = PairwiseDisagreement(9)
-    thetas = np.random.default_rng(3).normal(size=(120, loss.r))
-    seen = []
-    greedy = ranking.greedy_arcset
-    monkeypatch.setattr(ranking, "greedy_arcset",
-                        lambda gamma: seen.append(len(gamma)) or greedy(gamma))
-    if rows_per_block:
-        monkeypatch.setattr(ranking, "BLOCK_CELLS", rows_per_block * loss.m ** 2)
-    assert len(decode_batch(loss, thetas)) == len(thetas)
-    assert seen == calls
 
 
 def test_greedy_arcset_takes_one_matrix_or_a_stack():
@@ -618,6 +609,7 @@ def test_linear_decoders_equal_the_per_row_reference_and_the_table(loss):
     assert tied >= 20
 
 
+# the exact ranking decoders: PD's sort and MAP's DP
 DP_CASES = ([PairwiseDisagreement(m) for m in range(2, 9)]
             + [MeanAveragePrecision(m) for m in range(1, 9)])
 
@@ -638,6 +630,8 @@ def test_dp_equals_table_on_untied_rows(loss):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_pd_dp_breaks_exact_ties_like_the_table(m):
+    # integer rows score exactly (F has half-integer entries), so the table
+    # breaks their ties canonically, as PD's sort must
     loss = PairwiseDisagreement(m)
     table = loss.output_table
     thetas = np.random.default_rng(m).integers(-2, 3, size=(150, loss.r)).astype(float)

@@ -10,6 +10,7 @@ import qslearn.estimator as estimator
 from qslearn.data import standardize
 from qslearn.decode import argmin_untied, decode_bruteforce
 from qslearn.estimator import (
+    MODEL_FORMAT_VERSION,
     alpha_weights,
     empirical_risk,
     fit,
@@ -24,8 +25,9 @@ from qslearn.estimator import (
 )
 from qslearn.kernels import (GEMM_MIN_ROWS, KernelSpec, build_gram, cross_kernel, median_heuristic,
                              solve_ridge)
-from qslearn.losses import (ExpectedRankUtility, FScore, Hamming, InvalidLabelError, NDCGType,
-                            PairwiseDisagreement, PrecAtK, ZeroOne)
+from qslearn.losses import (ExpectedRankUtility, FScore, Hamming, InvalidLabelError,
+                            MeanAveragePrecision, NDCGType, PairwiseDisagreement, PrecAtK,
+                            ZeroOne)
 from qslearn.losses.base import BLOCK_CELLS
 from qslearn.theory import random_problem, true_excess, tsybakov_check
 
@@ -449,6 +451,47 @@ def test_load_reads_format_version_1(tmp_path, rng):
     assert predict_batch(back, x_test) == predict_batch(model, x_test)
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_reads_older_formats_of_other_losses(tmp_path, rng, version):
+    model = _fitted(rng, MeanAveragePrecision(3))
+    path = str(tmp_path / "m.npz")
+    save_model(model, path)
+    np.savez(path, **{**_arrays(path), "format_version": np.array(version)})
+    x_test = rng.normal(size=(5, 3))
+    assert predict_batch(load_model(path), x_test) == predict_batch(model, x_test)
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("m", [3, 5])
+def test_load_refuses_pairwise_pd_models(tmp_path, rng, m, version):
+    # a format-1/2 pd file holds m(m-1)/2 coefficient columns; at m = 3 that
+    # is m, so the shape check alone would take the pairwise coefficients
+    pairs = m * (m - 1) // 2
+    model = _fitted(rng, PairwiseDisagreement(m))
+    path = str(tmp_path / "m.npz")
+    save_model(model, path)
+    arrays = _arrays(path)
+    arrays.update(format_version=np.array(version),
+                  coefficients=rng.normal(size=(len(model.x_train), pairs)))
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=f"format-{version} pd model .* format 3"):
+        load_model(path)
+
+
+def test_pd_save_load_reproduces_training_labels(tmp_path, rng):
+    loss = PairwiseDisagreement(6)
+    model = _fitted(rng, loss, n=60, scaler=True)
+    x_test = rng.normal(size=(200, 3))
+    want = predict_batch(model, x_test)
+    path = str(tmp_path / "m.npz")
+    save_model(model, path)
+    back = load_model(path)
+    assert int(_arrays(path)["format_version"]) == MODEL_FORMAT_VERSION == 3
+    assert back.coefficients.shape == (60, loss.m)
+    assert predict_batch(back, x_test) == want
+    assert len(set(want)) > 1
+
+
 def _nan_at(key):
     def corrupt(arrays):
         arrays[key] = arrays[key].astype(float)
@@ -471,7 +514,7 @@ CORRUPTIONS = {
     "bandwidth_inf": lambda a: a.update(bandwidth=np.array(np.inf)),
     "scaler_d": lambda a: a.update(scaler_mean=a["scaler_mean"][:-1]),
     "missing_key": lambda a: a.pop("coefficients"),
-    "version": lambda a: a.update(format_version=np.array(3)),
+    "version": lambda a: a.update(format_version=np.array(4)),
 }
 
 

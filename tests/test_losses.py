@@ -217,6 +217,23 @@ def test_bound_mode_exact_components_documented():
     assert u_map == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_pd_bound_mode_exact_components_documented(m):
+    # the pairwise constant m/4 bounds the estimator; the note gives the
+    # enumerated rank-m components, which the bound is not below
+    loss = PairwiseDisagreement(m)
+    sharp = loss.sharp()
+    f_max, u_max = enumerated_constants(loss)
+    exact_a = math.sqrt((m * m - 1) / 12.0)
+    assert f_max == pytest.approx(math.sqrt(m * (m * m - 1) / 12.0), rel=1e-12)
+    assert u_max == pytest.approx(1.0 / m, rel=1e-12)
+    assert math.sqrt(loss.r) * f_max * u_max == pytest.approx(exact_a, rel=1e-12)
+    assert sharp.is_bound and sharp.r == m * (m - 1) // 2
+    assert sharp.a == pytest.approx(m / 4.0, abs=1e-12) and sharp.a <= exact_a + 1e-12
+    for value in (f_max, u_max, exact_a):
+        assert f"{value:.6g}" in sharp.note
+
+
 def test_f_norm_field_matches_enumeration():
     for loss in ALL_SMALL:
         f_max, _ = enumerated_constants(loss)

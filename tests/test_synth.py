@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qslearn.decode import argmin_untied, decode_bruteforce
 from qslearn.losses import Hamming, PrecAtK, SpaceTooLargeError, ZeroOne, make_loss
 from qslearn.synth import (
     MultilabelGenerator,
@@ -260,17 +261,21 @@ def test_generic_exact_risk_refuses_large_spaces():
                                       replications=1))
 
 
-def test_pd_refused_beyond_its_exact_decoder():
-    # E[U_y] fits at m = 9, but the greedy arc-set label there need not be f*
-    loss = make_loss("pd", 9)
-    expected = loss.expected_embedding(np.full((1, 9), 0.3))
-    with pytest.raises(SpaceTooLargeError, match="exact decoder"):
-        bayes_predictions(loss, expected)
-    with pytest.raises(SpaceTooLargeError, match="exact decoder"):
-        rate_experiment(SyntheticSpec(loss_name="pd", m=9, n_grid=(16,), n_test=5,
-                                      replications=1))
-    pd8 = make_loss("pd", 8)
-    assert len(bayes_predictions(pd8, pd8.expected_embedding(np.full((2, 8), 0.3)))) == 2
+@pytest.mark.parametrize("m", range(2, 8))
+def test_pd_bayes_labels_equal_the_oracle(m):
+    # the sort decoder is exact at every m: f* by enumeration of Z against
+    # the law of y, on rows with an unambiguous argmin
+    loss = make_loss("pd", m)
+    gen = MultilabelGenerator(SyntheticSpec(m=m, seed=m))
+    q = gen.q(np.random.default_rng(m).uniform(size=(12, gen.spec.d)))
+    ys = list(itertools.product((0, 1), repeat=m))
+    probs = np.prod(np.where(np.array(ys)[None], q[:, None], 1.0 - q[:, None]), axis=2)
+    expected = loss.expected_embedding(q)
+    untied = [argmin_untied(loss.output_table.f, row) for row in expected]
+    assert sum(untied) >= 10
+    got = bayes_predictions(loss, expected)
+    want = decode_bruteforce(loss, probs, ys)
+    assert [g for g, ok in zip(got, untied) if ok] == [w for w, ok in zip(want, untied) if ok]
 
 
 def test_fscore_rates_run_at_m13():
