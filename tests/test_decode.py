@@ -400,6 +400,29 @@ def test_pd_greedy_labels_do_not_depend_on_the_batch():
     assert decode_batch(loss, thetas[order]) == [whole[i] for i in order]
 
 
+@pytest.mark.parametrize("rows_per_block, calls", [(None, [120]), (120, [120]),
+                                                   (50, [50, 50, 20]), (1, [1] * 120)])
+def test_pd_greedy_runs_once_per_row_block(rows_per_block, calls, monkeypatch):
+    # calls are the row blocks PD's greedy arc-set once ran on under this
+    # BLOCK_CELLS; PD now sorts all rows in one pass whatever BLOCK_CELLS is,
+    # runs the greedy on none of them, and decoding block by block changes no label
+    loss = PairwiseDisagreement(9)
+    thetas = np.random.default_rng(3).normal(size=(120, loss.r))
+    greedy_calls, sorted_rows = [], []
+    monkeypatch.setattr(ranking, "greedy_arcset", lambda gamma: greedy_calls.append(len(gamma)))
+    rank = ranking.rank_rows
+    monkeypatch.setattr(ranking, "rank_rows", lambda t: sorted_rows.append(len(t)) or rank(t))
+    if rows_per_block:
+        monkeypatch.setattr(ranking, "BLOCK_CELLS", rows_per_block * loss.m ** 2)
+    whole = decode_batch(loss, thetas)
+    assert sorted_rows == [120] and greedy_calls == []
+    assert whole == [_reference_ranking(loss, theta) for theta in thetas]
+    bounds = np.cumsum([0] + calls)
+    assert [z for lo, hi in zip(bounds, bounds[1:])
+            for z in decode_batch(loss, thetas[lo:hi])] == whole
+    assert sorted_rows[1:] == calls and greedy_calls == []
+
+
 def test_greedy_arcset_takes_one_matrix_or_a_stack():
     gamma = np.random.default_rng(4).uniform(size=(6, 6))
     label = greedy_arcset(gamma)
