@@ -29,7 +29,8 @@ that every row reads back.
 
 Paths ending in ``.gz`` are (de)compressed transparently.  Features are held
 sparse (CSR) and densified on demand; bibtex-scale dimensions fit dense
-n x d only marginally.
+n x d only marginally; ``dense_features`` refuses one over ``DENSE_MAX_CELLS``
+cells before allocating, as a stray index ``1 1000000000:1`` asks 8 GB a row.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ import numpy as np
 import scipy.sparse as sp
 
 
+DENSE_MAX_CELLS = 1 << 27  # 1 GiB of float64
+
+
 class DataFormatError(ValueError):
     """Malformed dataset file; message carries the offending line number."""
 
@@ -53,6 +57,7 @@ class MultilabelDataset:
     features: sp.csr_matrix
     labels: list  # bit tuples of width m
     m: int
+    width_from: str = "the data's columns"  # what set d, named if dense_features refuses
 
     @property
     def n(self) -> int:
@@ -63,12 +68,15 @@ class MultilabelDataset:
         return self.features.shape[1]
 
     def dense_features(self) -> np.ndarray:
+        if self.n * self.d > DENSE_MAX_CELLS:
+            raise DataFormatError(f"{self.name}: {self.n} rows x {self.d} features (width from "
+                                  f"{self.width_from}) is over {DENSE_MAX_CELLS} dense cells")
         return self.features.toarray().astype(float, copy=False)
 
     def subset(self, idx) -> "MultilabelDataset":
         idx = np.asarray(idx, dtype=int)
         return MultilabelDataset(
-            self.name, self.features[idx], [self.labels[i] for i in idx], self.m
+            self.name, self.features[idx], [self.labels[i] for i in idx], self.m, self.width_from
         )
 
 
@@ -133,7 +141,8 @@ def _parse_libsvm(path: str, m: int, d: int | None, name: str) -> MultilabelData
         shape=(n, width),
     )
     features.sum_duplicates()  # sorts each row and sums repeats, as COO -> CSR does
-    return MultilabelDataset(name, features, labels, m)
+    source = "the largest feature index" if d is None else "the declared dimension d"
+    return MultilabelDataset(name, features, labels, m, source)
 
 
 def _libsvm_labels(lineno: int, raw: str, m: int) -> tuple[tuple, str]:

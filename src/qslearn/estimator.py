@@ -13,6 +13,8 @@ decomposition is available.
 A fitted ``QSModel`` is one flat record.  Its Cholesky factor, which only
 the alpha path reads, is ``None`` on a loaded model and on a model kept by
 ``select_lambda`` on the fast path; the alpha path builds it on first use.
+The training labels' index, which the alpha path reads too, is kept on the
+model like the factor: ``fit`` and ``load_model`` set it as they check them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ class QSModel:
     ``factor``, the Cholesky factor of K + lambda n I that only the alpha path
     reads.  ``fit`` keeps the factor it solved with; ``factor`` is ``None`` on
     a loaded model and on one ``select_lambda`` keeps on the fast path, until
-    the alpha path builds it from the training inputs."""
+    the alpha path builds it from the training inputs.  ``y_index``, likewise,
+    is ``LabelSpace.distinct`` of ``y_train``, or ``None`` until first used."""
 
     loss: DiscreteLoss
     kernel: KernelSpec
@@ -49,6 +52,7 @@ class QSModel:
     y_train: list
     coefficients: np.ndarray  # n x r
     factor: tuple | None = None  # scipy cho_factor handle of K + lambda n I
+    y_index: tuple | None = None  # (distinct labels, each row's position among them)
     scaler: Standardizer | None = None  # maps raw features to x_train's scale
 
 
@@ -83,8 +87,8 @@ def fit_path(losses, kernel: KernelSpec, grid, x, y):
     for lam in grid:
         coef, factor = solve_ridge(gram, psi, lam)
         yield lam, [
-            QSModel(loss, gram.spec, lam, x, ys, coef[:, a:b], factor)
-            for loss, ys, a, b in zip(losses, y_train, edges[:-1], edges[1:])
+            QSModel(loss, gram.spec, lam, x, ys, coef[:, a:b], factor, index)
+            for loss, ys, index, a, b in zip(losses, y_train, labels, edges[:-1], edges[1:])
         ]
 
 
@@ -147,8 +151,9 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
     The models must be fitted on the same inputs with the same kernel, so
     that callers who score several of them compute the cross-kernel once.
     On the alpha path the weights alpha(x) do not depend on the loss, so
-    models that share a lambda share one solve.  Surrogate values that
-    overflow to inf or NaN raise ValueError.
+    models that share a lambda share one solve; each model adds up each row's
+    weights per distinct training label for ``decode_bruteforce``.  Surrogate
+    values or a cross-kernel that overflow to inf or NaN raise ValueError.
     """
     if path == "fast":
         out = []
@@ -160,21 +165,30 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
             out.append(model.loss.decode_batch(thetas))
         return out
     if path == "alpha":
-        alphas = {}
+        alphas, out = {}, []
         for model in models:
             if model.lam not in alphas:
                 alphas[model.lam] = weights_at(_factored(model), k_x)
-        return [decode_bruteforce(model.loss, alphas[model.lam], model.y_train)
-                for model in models]
+            if model.y_index is None:
+                model.y_index = model.loss.observation_space.distinct(model.y_train, "observation")
+            labels, at = model.y_index
+            totals = np.zeros((len(k_x), len(labels)))
+            np.add.at(totals, (slice(None), at), alphas[model.lam])  # as decode_bruteforce adds
+            out.append(decode_bruteforce(model.loss, totals, labels))
+        return out
     raise ValueError(f"unknown prediction path {path!r}")
 
 
 def empirical_risk(predictions, loss: DiscreteLoss, y_true) -> float:
     """Mean loss of predicted labels against observations, by one ``loss.value`` per distinct pair."""
-    if len(predictions) != len(y_true) or len(y_true) == 0:
+    return _mean_loss(predictions, loss, *loss.observation_space.distinct(y_true, "observation"))
+
+
+def _mean_loss(predictions, loss: DiscreteLoss, ys: list, y_at: np.ndarray) -> float:
+    """``empirical_risk`` against observations that ``distinct`` mapped to ``(ys, y_at)``."""
+    if len(predictions) != len(y_at) or len(y_at) == 0:
         raise ValueError("need equally many (and at least one) predictions and labels")
     zs, z_at = loss.output_space.distinct(predictions, "prediction")
-    ys, y_at = loss.observation_space.distinct(y_true, "observation")
     pairs, inverse = np.unique(z_at * len(ys) + y_at, return_inverse=True)
     values = np.array([loss.value(zs[p // len(ys)], ys[p % len(ys)]) for p in pairs.tolist()])
     return float(np.mean(values[inverse]))
@@ -187,19 +201,21 @@ def select_lambda(
 
     All losses and lambdas share one Gram matrix and one validation
     cross-kernel, and each lambda one factorization (see ``fit_path``) and,
-    on the alpha path, one solve for alpha.  Ties go to the earlier lambda.
+    on the alpha path, one solve for alpha.  The validation labels are
+    mapped once per loss.  Ties go to the earlier lambda.
     On the fast path the models kept as best drop their factor, so only the
     current lambda's factor is alive; on the alpha path they keep it for
     test-time prediction, one shared factor per distinct selected lambda.
     """
     best = [(np.inf, None)] * len(losses)
+    observed = [loss.observation_space.distinct(y_val, "observation") for loss in losses]
     k_val = None
     for lam, models in fit_path(losses, kernel, grid, x_tr, y_tr):
         if k_val is None:
             k_val = cross_kernel(models[0].kernel, x_val, x_tr)
         preds = predict_models(models, k_val, path=path)
         for j, (model, pred) in enumerate(zip(models, preds)):
-            risk = empirical_risk(pred, model.loss, y_val)
+            risk = _mean_loss(pred, model.loss, *observed[j])
             if risk < best[j][0]:
                 if path != "alpha":
                     model.factor = None
@@ -281,4 +297,4 @@ def load_model(path: str) -> QSModel:
                 f"scaler must hold {d} finite means and scales")
     ys, inverse = loss.observation_space.distinct(y_arr.tolist(), f"{path}: y_train row")
     y_train = [ys[i] for i in inverse.tolist()]
-    return QSModel(loss, kernel, lam, x_train, y_train, coef, scaler=scaler)
+    return QSModel(loss, kernel, lam, x_train, y_train, coef, y_index=(ys, inverse), scaler=scaler)

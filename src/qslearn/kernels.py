@@ -39,6 +39,12 @@ its own distances before the exp.  The blocks are general products, not one
 SYRK as for the linear Gram: at 1926 x 294, one BLAS thread, a Gram takes
 66-69 ms against 51-58 ms, and choosing its bandwidth adds 4-7 ms, not a
 48-54 ms median pass.
+
+Each matrix is checked finite once, where it is made, and the LAPACK calls
+skip scipy's scans: ``GramMatrix`` refuses a K with an inf or NaN (a linear
+kernel may overflow), ``ridge_factor`` checks the n shifted diagonal entries
+(a factor of a finite SPD matrix is finite, |L_ij| <= sqrt(A_ii)),
+``solve_ridge`` checks Psi and ``weights_at`` K_x, each with a ValueError.
 """
 
 from __future__ import annotations
@@ -82,9 +88,18 @@ class GramMatrix:
     entries: np.ndarray  # n x n
     spec: KernelSpec  # the spec the entries were built with, bandwidth chosen
 
+    def __post_init__(self):
+        _require_finite(self.entries, "the Gram matrix is not finite; the inputs overflow the kernel")
+
     @property
     def n(self) -> int:
         return len(self.entries)
+
+
+def _require_finite(a: np.ndarray, message: str) -> None:
+    # min and max carry any NaN and show any inf, with no n x n mask
+    if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError(message)
 
 
 def _sq_distances(x_train: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -162,7 +177,8 @@ def build_gram(spec: KernelSpec, x) -> GramMatrix:
         # on a contiguous x the product is numpy's SYRK, mirrored, so the Gram
         # is bitwise symmetric; a strided view would take a general product
         x = np.ascontiguousarray(x)
-        return GramMatrix(x @ x.T, spec)
+        with np.errstate(over="ignore", invalid="ignore"):  # GramMatrix refuses an overflow
+            return GramMatrix(x @ x.T, spec)
     n = len(x)
     k = np.empty((n, n))
     for i, block in _upper_rows(x):
@@ -206,10 +222,12 @@ def ridge_factor(gram: GramMatrix, lam: float) -> tuple:
         raise ValueError("lambda must be positive and finite")
     shifted = gram.entries.copy()
     shifted.flat[::gram.n + 1] += lam * gram.n
+    # K is finite (see GramMatrix), so only the shifted diagonal can overflow
+    _require_finite(shifted.diagonal(), "K + lambda n I is not finite")
     try:
         # K is symmetric: the transpose is the same matrix, in the Fortran
         # order LAPACK factors in place (so the eigenvalues below read K)
-        return cho_factor(shifted.T, lower=True, overwrite_a=True)
+        return cho_factor(shifted.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         smallest = float(np.linalg.eigvalsh(gram.entries)[0]) + lam * gram.n
         raise np.linalg.LinAlgError(
@@ -225,15 +243,17 @@ def solve_ridge(gram: GramMatrix, psi, lam: float) -> tuple[np.ndarray, tuple]:
         psi = psi[:, None]
     if psi.shape[0] != gram.n:
         raise ValueError(f"Psi has {psi.shape[0]} rows, expected {gram.n}")
+    _require_finite(psi, "Psi is not finite")
     factor = ridge_factor(gram, lam)
-    return cho_solve(factor, psi), factor
+    return cho_solve(factor, psi, check_finite=False), factor
 
 
 def weights_at(factor: tuple, k_x) -> np.ndarray:
     """alpha(x) = (K + n lambda I)^{-1} K_x for a vector or a batch, from the
     ``ridge_factor`` factor: a model whose factor is ``None`` builds it first."""
     k_x = np.asarray(k_x, dtype=float)
-    return cho_solve(factor, k_x.T).T
+    _require_finite(k_x, "the cross-kernel is not finite; the inputs overflow the kernel")
+    return cho_solve(factor, k_x.T, check_finite=False).T
 
 
 def median_heuristic(x) -> float:

@@ -272,9 +272,19 @@ def test_predict_overflowing_row_is_usage_error(tmp_path, capsys):
                 "--lambda", "0.1", "--out", str(model)]) == 0
     huge = tmp_path / "huge.libsvm"
     huge.write_text("0 1:1.7e308 2:-1.7e308 3:1.7e308\n")
-    assert run(["predict", "--model", str(model), "--data", str(huge)]) == cli.USAGE_ERROR
+    for flags in ([], ["--decompose-free"]):  # theta, or K_x before the alpha solve
+        assert run(["predict", "--model", str(model), "--data", str(huge), *flags]) == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "not finite" in err and len(err.splitlines()) == 1
+
+
+def test_train_on_an_overflowing_linear_gram_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "huge.libsvm"
+    data.write_text("0 1:1e200 2:1\n1 1:-1e200 2:2\n0,1 1:3 2:1e200\n")  # finite rows
+    assert run(["train", "--data", str(data), "--m", "2", "--loss", "hamming", "--kernel",
+                "linear", "--lambda", "0.1", "--out", str(tmp_path / "m.npz")]) == cli.USAGE_ERROR
     err = capsys.readouterr().err
-    assert "not finite" in err and len(err.splitlines()) == 1
+    assert err == "error: the Gram matrix is not finite; the inputs overflow the kernel\n"
 
 
 def test_one_class_subset_model_writes_item_zero(tmp_path):
@@ -302,6 +312,20 @@ def test_feature_index_past_int64_is_usage_error(tmp_path, capsys):
     assert run(["predict", "--model", str(model), "--data", str(huge)]) == cli.USAGE_ERROR
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: line 2: feature index 18446744073709551621 does not fit an int64"] * 2
+
+
+def test_stray_feature_index_is_refused_before_densifying(tmp_path, capsys):
+    data = tmp_path / "stray.libsvm"
+    data.write_text("".join(f"{i % 2} 1:{i}\n" for i in range(12)) + "1 1000000000:1\n")
+    cap = "13 rows x 1000000000 features (width from the largest feature index)"
+    assert run(["train", "--data", str(data), "--m", "2", "--loss", "hamming",
+                "--lambda", "0.1", "--out", str(tmp_path / "m.npz")]) == cli.USAGE_ERROR
+    assert cap in capsys.readouterr().err
+    # eval densifies its three parts, each well under the width's cap
+    assert run(["eval", "--data", str(data), "--m", "2"]) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert "x 1000000000 features (width from the largest feature index)" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_predict_refuses_a_pairwise_pd_model(tmp_path, capsys):

@@ -22,6 +22,35 @@ from qslearn.data import (
 )
 
 
+@pytest.mark.parametrize("d", [None, 10**9], ids=["largest-index", "declared"])
+def test_dense_features_refuses_over_the_cell_cap_before_allocating(d, tmp_path):
+    path = tmp_path / "stray.libsvm"
+    path.write_text("0 1:1\n1 1000000000:1\n")
+    tracemalloc.start()
+    try:
+        ds = parse_multilabel(str(path), m=2, d=d)
+        with pytest.raises(DataFormatError) as info:
+            ds.dense_features()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # never a dense row
+    source = "the largest feature index" if d is None else "the declared dimension d"
+    assert f"2 rows x 1000000000 features (width from {source})" in str(info.value)
+    assert ds.subset([1]).width_from == source
+    with pytest.raises(DataFormatError, match=source):
+        ds.subset([1]).dense_features()
+
+
+def test_dense_features_allow_up_to_the_cell_cap(tmp_path, monkeypatch):
+    path = tmp_path / "wide.libsvm"
+    path.write_text("0 1:1\n1 3:2\n")
+    monkeypatch.setattr(data, "DENSE_MAX_CELLS", 6)
+    assert parse_multilabel(str(path), m=2).dense_features().tolist() == [[1, 0, 0], [0, 0, 2]]
+    with pytest.raises(DataFormatError, match=r"2 rows x 4 features \(width from the declared"):
+        parse_multilabel(str(path), m=2, d=4).dense_features()
+
+
 def test_libsvm_line_semantics(tmp_path):
     path = tmp_path / "toy.libsvm"
     path.write_text("0,2 1:0.5 3:1.0\n 1:1.0\n")

@@ -1,5 +1,6 @@
 """Surrogate pipeline: fit, both prediction paths, risks, serialization."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -28,7 +29,7 @@ from qslearn.kernels import (GEMM_MIN_ROWS, KernelSpec, build_gram, cross_kernel
 from qslearn.losses import (ExpectedRankUtility, FScore, Hamming, InvalidLabelError,
                             MeanAveragePrecision, NDCGType, PairwiseDisagreement, PrecAtK,
                             ZeroOne)
-from qslearn.losses.base import BLOCK_CELLS
+from qslearn.losses.base import BLOCK_CELLS, LabelSpace
 from qslearn.theory import random_problem, true_excess, tsybakov_check
 
 from conftest import loss_ids, random_observation, small_losses
@@ -198,6 +199,48 @@ def test_empirical_risk_values(rng):
         want = float(np.mean([loss.value(z, y) for z, y in zip(preds, truth)]))
         assert empirical_risk(preds, loss, truth) == want
         assert empirical_risk([list(z) for z in preds], loss, np.array(truth)) == want
+
+
+def _count_distinct(monkeypatch, calls: list) -> None:
+    """Record ``(what, length)`` of every sequence a label space maps by ``distinct``."""
+    distinct = LabelSpace.distinct
+    monkeypatch.setattr(LabelSpace, "distinct", lambda self, labels, what: (
+        calls.append((what, len(labels))) or distinct(self, labels, what)))
+
+
+def test_alpha_path_maps_the_training_labels_once_per_model(tmp_path, rng, monkeypatch):
+    n = 30
+    model = _fitted(rng, Hamming(3), n=n)
+    path = str(tmp_path / "m.npz")
+    save_model(model, path)
+    x_test = rng.normal(size=(40, 3))
+    want = [predict(model, row, path="alpha") for row in x_test[:20]]
+    calls = []
+    _count_distinct(monkeypatch, calls)
+    monkeypatch.setattr(estimator, "BLOCK_CELLS", n * GEMM_MIN_ROWS)  # row blocks of 8
+    restored = load_model(path)
+    assert [size for _, size in calls] == [n]  # as it checks them, as fit did
+    calls.clear()
+    bare = dataclasses.replace(model, y_index=None, factor=None)
+    for fitted, maps in ((model, 0), (restored, 0), (bare, 1)):
+        # two batches of 20 rows, two row blocks each
+        assert predict_batch(fitted, x_test[:20], path="alpha") == want
+        assert len(predict_batch(fitted, x_test[20:], path="alpha")) == 20
+        assert [size for _, size in calls].count(n) == maps
+        calls.clear()
+
+
+def test_select_lambda_maps_the_validation_labels_once_per_loss(rng, monkeypatch):
+    losses = [Hamming(3), ZeroOne(3)]
+    x = rng.normal(size=(40, 3))
+    ys = [random_observation(losses[0], rng) for _ in range(40)]
+    grid = [0.3, 0.03, 0.003]
+    calls = []
+    _count_distinct(monkeypatch, calls)
+    picks = select_lambda(losses, GAUSS, grid, x[:29], ys[:29], x[29:], ys[29:])
+    assert calls.count(("observation", 11)) == len(losses)  # not once per (lambda, loss)
+    for loss, (risk, model) in zip(losses, picks):
+        assert risk == empirical_risk(predict_batch(model, x[29:]), loss, ys[29:])
 
 
 def test_empirical_risk_requires_data():
@@ -393,9 +436,10 @@ def test_overflowing_surrogate_is_refused(loss, rng):
     y = [random_observation(loss, rng) for _ in range(40)]
     model = fit(loss, KernelSpec("linear"), 0.1, x, y)
     huge = np.array([[1.7e308, -1.7e308, 1.7e308]])  # finite, but k(x, x_i) overflows
-    with pytest.raises(ValueError, match="not finite"):
-        predict_batch(model, np.vstack([x[:3], huge]))
-    assert len(predict_batch(model, x[:3])) == 3
+    for path in ("fast", "alpha"):  # theta, and K_x before the solve, are refused
+        with pytest.raises(ValueError, match="not finite"):
+            predict_batch(model, np.vstack([x[:3], huge]), path=path)
+        assert len(predict_batch(model, x[:3], path=path)) == 3
 
 
 def test_load_builds_no_gram_and_alpha_path_matches(tmp_path, rng, monkeypatch):

@@ -138,8 +138,8 @@ def test_solve_ridge_residual(n, rng):
 
 
 def test_ridge_factor_allocates_one_copy_of_k():
-    # K + lambda n I is built in one n x n copy of K and factored in place;
-    # the rest is scipy's finiteness check (an n x n bool mask, 1/8 of K)
+    # K + lambda n I is built in one n x n copy of K and factored in place,
+    # and nothing scans it for non-finite entries (K was checked when built)
     n = 1500
     gram = build_gram(GAUSS, np.random.default_rng(5).normal(size=(n, 3)))
     tracemalloc.start()
@@ -148,7 +148,7 @@ def test_ridge_factor_allocates_one_copy_of_k():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.15 * n * n * 8
+    assert peak <= 1.02 * n * n * 8
 
 
 def test_ridge_factor_failure_reports_smallest_eigenvalue():
@@ -171,6 +171,41 @@ def test_ridge_factor_refuses_non_finite_lambda(lam, rng):
     gram = build_gram(GAUSS, rng.normal(size=(4, 2)))
     with pytest.raises(ValueError, match="lambda must be positive and finite"):
         ridge_factor(gram, lam)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gram_refuses_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="Gram matrix is not finite"):
+        GramMatrix(np.array([[1.0, bad], [bad, 1.0]]), LINEAR)
+
+
+def test_linear_gram_that_overflows_is_refused():
+    # finite rows whose inner products overflow to inf
+    with pytest.raises(ValueError, match="Gram matrix is not finite"):
+        build_gram(LINEAR, np.array([[1e200, 1.0], [-1e200, 2.0]]))
+
+
+def test_ridge_factor_refuses_a_shift_that_overflows():
+    gram = GramMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), LINEAR)
+    with pytest.raises(ValueError, match="not finite"):
+        ridge_factor(gram, 1e308)  # lambda n = 2e308
+
+
+def test_solve_ridge_refuses_non_finite_psi(rng):
+    gram = build_gram(GAUSS, rng.normal(size=(4, 2)))
+    psi = np.zeros((4, 2))
+    psi[2, 1] = math.nan
+    with pytest.raises(ValueError, match="Psi is not finite"):
+        solve_ridge(gram, psi, 0.1)
+
+
+def test_weights_at_refuses_non_finite_cross_kernel(rng):
+    gram = build_gram(GAUSS, rng.normal(size=(4, 2)))
+    k_x = np.ones((3, 4))
+    k_x[1, 3] = math.inf
+    with pytest.raises(ValueError, match="cross-kernel is not finite"):
+        weights_at(ridge_factor(gram, 0.1), k_x)
+    assert weights_at(ridge_factor(gram, 0.1), k_x[[0, 2]]).shape == (2, 4)
 
 
 def test_weights_single_point():
