@@ -184,11 +184,8 @@ def cmd_predict(args) -> int:
     if args.standardize and model.scaler is None:
         raise ValueError(f"{args.model} has no saved scaler; train it with --standardize")
     ds = parse_multilabel(args.data, model.loss.m, fmt=args.data_format, d=model.x_train.shape[1])
-    x = ds.dense_features()
-    if args.standardize:
-        x = model.scaler.apply(x)
     path = "alpha" if args.decompose_free else "fast"
-    preds = predict_batch(model, x, path=path)
+    preds = predict_batch(model, ds.features, path, model.scaler if args.standardize else None)
     _emit("\n".join(_format_label(model.loss, z) for z in preds) + "\n", args.out)
     return 0
 

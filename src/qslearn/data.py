@@ -17,13 +17,14 @@ with a DataFormatError naming the first such line.  The libsvm parser reads
 the file in blocks of rows and checks and indexes each block's feature part
 in one numpy pass over its ASCII bytes: token edges from the whitespace,
 exactly one colon strictly inside each token, indices by a Horner loop over
-their digit columns; the value strings go through one ``np.array(...,
-float)``.  A block the pass cannot vouch for is parsed again token by token,
-and that loop is the reference and the error reporter.  Such a block has a
-non-ASCII byte, a control byte other than tab, newline and return (so
-``\\x0b``, ``\\x0c`` and ``\\x1c``-``\\x1f``, which are whitespace to
-``str.split``), an index with a sign, an ``_`` or more than 18 digits, an
-index below 1, or a value that does not convert or is not finite.
+their digit columns; the values go through numpy's C text reader
+(``np.loadtxt``), which converts them with the C function ``float()`` calls.
+A block the pass cannot vouch for is parsed again token by token, and that
+loop is the reference and the error reporter.  Such a block has a non-ASCII
+byte, a control byte other than tab, newline and return (so ``\\x0b``,
+``\\x0c`` and ``\\x1c``-``\\x1f``, which are whitespace to ``str.split``), an
+index with a sign, an ``_`` or more than 18 digits, an index below 1, or a
+value with an ``_``, that ``float()`` refuses or that is not finite.
 ``write_libsvm`` writes a row with no labels and no features as `` 1:0``, so
 that every row reads back.
 
@@ -109,6 +110,7 @@ _BLOCK_ROWS = 64
 _MAX_DIGITS = 18
 # largest feature index the loop accepts: the matrix width must fit an int64
 _MAX_INDEX = np.iinfo(np.int64).max
+_FIELD_SEPARATORS = bytes.maketrans(b":\t\n\r", b"    ")  # made spaces for np.loadtxt
 
 
 def _parse_libsvm(path: str, m: int, d: int | None, name: str) -> MultilabelDataset:
@@ -132,14 +134,9 @@ def _parse_libsvm(path: str, m: int, d: int | None, name: str) -> MultilabelData
     n = len(labels)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(list(itertools.chain.from_iterable(lengths)), out=indptr[1:])
-    features = sp.csr_matrix(
-        (
-            np.concatenate([np.asarray(v, dtype=float) for v in vals]),
-            np.concatenate([np.asarray(c, dtype=np.int64) for c in cols]),
-            indptr,
-        ),
-        shape=(n, width),
-    )
+    values = np.concatenate([np.asarray(v, dtype=float) for v in vals])
+    columns = np.concatenate([np.asarray(c, dtype=np.int64) for c in cols])
+    features = sp.csr_matrix((values, columns, indptr), shape=(n, width))
     features.sum_duplicates()  # sorts each row and sums repeats, as COO -> CSR does
     source = "the largest feature index" if d is None else "the declared dimension d"
     return MultilabelDataset(name, features, labels, m, source)
@@ -201,8 +198,8 @@ def _libsvm_block_bulk(block, m: int):
     i-th colon lies strictly inside the i-th token, every token holds exactly
     one colon with both sides nonempty.  Indices of at most ``_MAX_DIGITS``
     ASCII digits are read by a Horner loop over their digit columns, which is
-    ``int()`` on them; the value strings go through ``np.array(strings,
-    dtype=float)``, which converts them as ``float()`` does.
+    ``int()`` on them.  With colons and whitespace made spaces, the values are
+    every second field of one ``np.loadtxt`` line, read as ``float()`` reads.
     """
     try:
         labels, parts = zip(*(_libsvm_labels(lineno, raw, m) for lineno, raw in block))
@@ -211,7 +208,7 @@ def _libsvm_block_bulk(block, m: int):
     text = " " + " ".join(parts) + " "
     if not text.isascii():
         return None
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(raw := text.encode("ascii"), dtype=np.uint8)
     control = b[b < 32]
     if not ((control == 9) | (control == 10) | (control == 13)).all():
         return None
@@ -231,13 +228,16 @@ def _libsvm_block_bulk(block, m: int):
             return None
         feats *= 10
         feats += digit
-    try:
-        vals = np.array(text.replace(":", " ").split()[1::2], dtype=float)
-    except (ValueError, OverflowError):
+    fields = raw.translate(_FIELD_SEPARATORS).decode("ascii")
+    try:  # label-only rows would leave the reader no data, which it warns about
+        vals = (np.loadtxt([fields], float, comments=None, ndmin=1)[1::2] if len(starts)
+                else np.zeros(0))
+    except ValueError:
         return None
     if feats.min(initial=1) < 1 or not np.isfinite(vals).all():
         return None
-    return list(labels), [p.count(":") for p in parts], feats - 1, vals, int(feats.max(initial=0))
+    lengths = np.diff(np.searchsorted(starts, np.cumsum([1] + [len(p) + 1 for p in parts])))
+    return list(labels), lengths.tolist(), feats - 1, vals, int(feats.max(initial=0))
 
 
 def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
@@ -248,8 +248,7 @@ def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
         n_cols = len(header.strip().split(","))
         if n_cols <= m:
             raise DataFormatError(f"header has {n_cols} columns, need more than m={m}")
-        labels = []
-        dense_rows = []
+        labels, dense_rows = [], []
         for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():
                 continue

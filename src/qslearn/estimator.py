@@ -23,6 +23,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Standardizer
 from .decode import decode_bruteforce
@@ -130,16 +131,19 @@ def predict(model: QSModel, x, path: str = "fast") -> Label:
     return out[0] if single else out
 
 
-def predict_batch(model: QSModel, x, path: str = "fast") -> list:
+def predict_batch(model: QSModel, x, path: str = "fast", scaler=None) -> list:
     """Labels for the rows of x (a 1-D x is one row), in equal row blocks
     whose cross-kernels hold at most ``BLOCK_CELLS`` cells, none of fewer
     than ``GEMM_MIN_ROWS`` rows unless the batch is; so no batch builds its
-    whole rows x n_train kernel."""
-    x = np.atleast_2d(_features(x))
+    whole rows x n_train kernel.  A scipy sparse x is densified, and a given
+    ``scaler`` (a ``Standardizer``) applied, one row block at a time."""
+    x = x if sp.issparse(x) else np.atleast_2d(np.asarray(x, dtype=float))
     cap = max(1, BLOCK_CELLS // len(model.x_train))
-    blocks = max(1, min(-(-len(x) // cap), len(x) // GEMM_MIN_ROWS))
+    blocks = max(1, min(-(-x.shape[0] // cap), x.shape[0] // GEMM_MIN_ROWS))
     out = []
-    for rows in np.array_split(x, blocks):
+    for at in np.array_split(np.arange(x.shape[0]), blocks):
+        rows = x[at].toarray() if sp.issparse(x) else x[at]
+        rows = _features(rows if scaler is None else scaler.apply(rows))
         out += predict_models([model], cross_kernel(model.kernel, rows, model.x_train), path)[0]
     return out
 

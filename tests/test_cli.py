@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import qslearn.cli as cli
+import qslearn.data as dataset_module
 import qslearn.estimator as estimator
 import qslearn.kernels as kernels
 from qslearn.data import parse_multilabel, split, standardize
 from qslearn.estimator import empirical_risk, fit, load_model, predict_batch, save_model
-from qslearn.kernels import KernelSpec, median_heuristic
+from qslearn.kernels import GEMM_MIN_ROWS, KernelSpec, median_heuristic
 from qslearn.losses import LOSS_NAMES, Hamming, NDCGType, enumerated_constants, make_loss
 from qslearn.synth import MultilabelGenerator, SyntheticSpec
 
@@ -671,6 +672,28 @@ def test_one_row_predict_standardize_uses_training_scaler(tmp_path):
                     "--data", str(one), "--out", str(out)]) == 0
         want = predict_batch(model, ((x[i] - mean) / std)[None, :])[0]
         assert out.read_text().strip() == cli._format_label(model.loss, want)
+
+
+def test_predict_densifies_row_blocks_not_the_file(tmp_path, monkeypatch):
+    # the whole file is over a dense cap that each row block is under; the
+    # blocks and so the labels are those of predict_batch on the dense file
+    data = tmp_path / "noisy.libsvm"
+    make_noisy_dataset(data)
+    model_path = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming",
+                "--standardize", "--lambda", "0.01", "--out", str(model_path)]) == 0
+    model = load_model(str(model_path))
+    x = model.scaler.apply(parse_multilabel(str(data), 3).dense_features())
+    monkeypatch.setattr(estimator, "BLOCK_CELLS", len(model.x_train) * GEMM_MIN_ROWS)
+    monkeypatch.setattr(dataset_module, "DENSE_MAX_CELLS", GEMM_MIN_ROWS * 2 * x.shape[1])
+    assert x.size > dataset_module.DENSE_MAX_CELLS
+    for flags, path in (([], "fast"), (["--decompose-free"], "alpha")):
+        out = tmp_path / f"{path}.txt"
+        assert run(["predict", "--model", str(model_path), "--standardize", "--data", str(data),
+                    "--out", str(out)] + flags) == 0
+        want = [cli._format_label(model.loss, z) for z in predict_batch(model, x, path=path)]
+        assert out.read_text().splitlines() == want
+    assert (tmp_path / "fast.txt").read_text() == (tmp_path / "alpha.txt").read_text()
 
 
 def test_predict_standardize_needs_saved_scaler(tmp_path, capsys):

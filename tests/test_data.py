@@ -1,6 +1,7 @@
 """Dataset parsing, splits, and standardization."""
 
 import gzip
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -330,6 +331,20 @@ _FILES = st.one_of(
 @example(["0 2:1 1:-"], True, 64, None)
 @example(["0 1:\u0663"], True, 64, None)
 @example(["1 3:0.25"], False, 64, None)
+# what numpy's reader decides: label-only blocks, which leave it no data; a
+# comment or quote character; 16 to 20 significant digits; subnormal, underflowing
+# and just-below-normal values; infinity spelled out; and a negative zero
+@example(["0 "], True, 64, None)
+@example(["0,1 ", "", "2 "], False, 2, None)
+@example(["0 1:#5"], True, 64, None)
+@example(["0 1:5 2:#5 3:7"], True, 64, None)
+@example(['0 1:"5"'], True, 64, None)
+@example(["0 1:0.12345678901234567 2:1.2345678901234567891"], True, 64, None)
+@example(["0 1:12345678901234567890 2:-98765432109876543.21"], True, 64, None)
+@example(["0 1:9007199254740993 2:1.0000000000000001110"], True, 64, None)
+@example(["0 1:4.9e-324 2:1e-400 3:2.2250738585072011e-308"], True, 64, None)
+@example(["0 1:infinity"], True, 64, None)
+@example(["0 1:-0 2:-0.0"], True, 64, None)
 @settings(max_examples=300, deadline=None)
 def test_bulk_path_matches_loop(tmp_path_factory, lines, final_newline, block_rows, d):
     path = tmp_path_factory.getbasetemp() / "tricky.libsvm"
@@ -365,6 +380,29 @@ def test_scene_shaped_file_bulk_matches_loop(tmp_path):
         ds = parse_multilabel(str(path), m=6)
         assert ds.labels == labels
         assert np.array_equal(ds.dense_features(), dense)
+
+
+def test_scene_shaped_file_reads_values_once_per_block(tmp_path):
+    # one np.loadtxt call per block of _BLOCK_ROWS rows, and no str.split of
+    # feature text (a string with a space in it; label fields have none)
+    path = tmp_path / "scene.libsvm"
+    _write_scene_shaped(path, n=200)
+    splits = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "split":
+            owner = getattr(arg, "__self__", None)
+            if isinstance(owner, str) and " " in owner:
+                splits.append(owner)
+
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as reader:
+        sys.setprofile(profile)
+        try:
+            parse_multilabel(str(path), m=6)
+        finally:
+            sys.setprofile(None)
+    assert reader.call_count == -(-200 // data._BLOCK_ROWS)
+    assert splits == []
 
 
 # tracemalloc peak of a parser that converts every token in the Python loop and
