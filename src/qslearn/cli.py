@@ -23,7 +23,7 @@ import numpy as np
 from .data import DataFormatError, parse_multilabel, split, standardize
 from .decode import argmin_untied, decode_batch, decode_bruteforce
 from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_models,
-                        save_model, select_lambda)
+                        save_model, select_and_refit, select_lambda)
 from .kernels import KernelSpec, cross_kernel
 from .losses import LOSS_NAMES, DiscreteLoss, LossConfigError, decomposition_check, make_loss
 from .synth import SyntheticSpec, rate_experiment, rate_rows_csv
@@ -93,6 +93,7 @@ def cmd_check(args) -> int:
         failures.append(f"{loss.name}: decomposition error {err:.3e} > 1e-12")
     rng = np.random.default_rng(args.seed)
     observations = list(loss.observations())
+    u_rows = np.array([loss.u_row(y) for y in observations])
     f_rows = loss.output_table.f
     thetas, draws, redrawn = [], [], 0
     for _ in range(args.instances):
@@ -101,7 +102,7 @@ def cmd_check(args) -> int:
             n = int(rng.integers(5, 15))
             weights = rng.normal(size=n)
             drawn = rng.integers(len(observations), size=n)
-            theta = np.sum([w * loss.u_row(observations[i]) for w, i in zip(weights, drawn)], 0)
+            theta = np.sum(weights[:, None] * u_rows[drawn], axis=0)
             if argmin_untied(f_rows, theta):
                 break
             redrawn += 1
@@ -153,19 +154,14 @@ def cmd_train(args) -> int:
         scaler = standardize(x)
         x = scaler.apply(x)
     grid = _lambda_grid(args, ds.n)
-    kernel, lam = KernelSpec(args.kernel, args.bandwidth), grid[0]
+    kernel = KernelSpec(args.kernel, args.bandwidth)
     if len(grid) > 1:
-        rng = np.random.default_rng(args.seed)
-        perm = rng.permutation(ds.n)
+        perm = np.random.default_rng(args.seed).permutation(ds.n)
         n_val = max(1, int(0.25 * ds.n))
-        val_idx, tr_idx = perm[:n_val], perm[n_val:]
-        y = ds.labels
-        [(risk, best)] = select_lambda([loss], kernel, grid, x[tr_idx], [y[i] for i in tr_idx],
-                                       x[val_idx], [y[i] for i in val_idx])
-        # the refit keeps the bandwidth that lambda was selected under
-        kernel, lam = best.kernel, best.lam
-        print(f"selected lambda = {lam:.6g} (validation risk {risk:.4f})")
-    model = fit(loss, kernel, lam, x, ds.labels)
+        risk, model = select_and_refit(loss, kernel, grid, x, ds.labels, perm[n_val:], perm[:n_val])
+        print(f"selected lambda = {model.lam:.6g} (validation risk {risk:.4f})")
+    else:
+        model = fit(loss, kernel, grid[0], x, ds.labels)
     model.scaler = scaler
     save_model(model, args.out)
     print(f"model written to {args.out}")

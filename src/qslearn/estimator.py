@@ -11,10 +11,11 @@ the alpha path doubles as an oracle for the fast one and works even when no
 decomposition is available.
 
 A fitted ``QSModel`` is one flat record.  Its Cholesky factor, which only
-the alpha path reads, is ``None`` on a loaded model and on a model kept by
-``select_lambda`` on the fast path; the alpha path builds it on first use.
-The training labels' index, which the alpha path reads too, is kept on the
-model like the factor: ``fit`` and ``load_model`` set it as they check them.
+the alpha path reads, is ``None`` on a loaded model, on a model kept by
+``select_lambda`` on the fast path and on a ``select_and_refit`` model; the
+alpha path builds it on first use.  The training labels' index, which the
+alpha path reads too, is kept on the model like the factor: ``fit`` and
+``load_model`` set it as they check them.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import scipy.sparse as sp
 
 from .data import Standardizer
 from .decode import decode_bruteforce
-from .kernels import (GEMM_MIN_ROWS, KernelSpec, build_gram, cross_kernel, ridge_factor,
-                      solve_ridge, weights_at)
+from .kernels import (GEMM_MIN_ROWS, GramMatrix, KernelSpec, build_gram, cross_kernel,
+                      ridge_factor, solve_ridge, weights_at)
 from .losses import DiscreteLoss, LossConfigError, loss_config, make_loss
 from .losses.base import BLOCK_CELLS, Label
 
@@ -41,10 +42,12 @@ MODEL_FORMAT_VERSION = 3
 class QSModel:
     """A fitted surrogate: coefficients C solving (K + lambda n I) C = Psi, and
     ``factor``, the Cholesky factor of K + lambda n I that only the alpha path
-    reads.  ``fit`` keeps the factor it solved with; ``factor`` is ``None`` on
-    a loaded model and on one ``select_lambda`` keeps on the fast path, until
-    the alpha path builds it from the training inputs.  ``y_index``, likewise,
-    is ``LabelSpace.distinct`` of ``y_train``, or ``None`` until first used."""
+    reads.  ``fit`` keeps the factor it solved with, which holds the memory
+    of its Gram, factored in place as nothing else reads it; ``factor`` is
+    ``None`` on a loaded model, on one ``select_lambda`` keeps on the fast
+    path and on a ``select_and_refit`` model, until the alpha path builds it
+    (in place, too) from the training inputs.  ``y_index``, likewise, is
+    ``LabelSpace.distinct`` of ``y_train``, or ``None`` until first used."""
 
     loss: DiscreteLoss
     kernel: KernelSpec
@@ -64,6 +67,42 @@ def _features(x) -> np.ndarray:
     return x
 
 
+def _checked(x, y) -> tuple[np.ndarray, list]:
+    x = _features(x)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError("X must be a nonempty n x d array")
+    y = list(y)
+    if len(y) != x.shape[0]:
+        raise ValueError("X and Y must have equal length")
+    return x, y
+
+
+def _embedded(losses, y) -> tuple[list, np.ndarray]:
+    """Each loss's ``distinct`` map of the observations y, and Psi, their
+    embeddings with the losses' columns side by side."""
+    labels = [loss.observation_space.distinct(y, "observation") for loss in losses]
+    psi = np.hstack([np.array([loss.u_row(u) for u in ys])[at]
+                     for loss, (ys, at) in zip(losses, labels)])
+    return labels, psi
+
+
+def _ridge_path(losses, gram, grid, x, labels, psi, spend: bool):
+    """``fit_path`` on a built Gram and embeddings; with ``spend``, the last
+    lambda factors the Gram in place."""
+    grid = list(grid)
+    edges = np.cumsum([0] + [loss.r for loss in losses])
+    y_train = [[ys[i] for i in at.tolist()] for ys, at in labels]
+    for j, lam in enumerate(grid):
+        coef, factor = solve_ridge(gram, psi, lam, overwrite=spend and j == len(grid) - 1)
+        yield lam, [
+            QSModel(loss, gram.spec, lam, x, ys, coef[:, a:b], factor, index)
+            for loss, ys, index, a, b in zip(losses, y_train, labels, edges[:-1], edges[1:])
+        ]
+        # a caller that has let go of the models frees this factor before the
+        # next one is made
+        del coef, factor
+
+
 def fit_path(losses, kernel: KernelSpec, grid, x, y):
     """Fit every loss at every lambda of ``grid`` on one Gram matrix.
 
@@ -71,26 +110,13 @@ def fit_path(losses, kernel: KernelSpec, grid, x, y):
     embeddings are stacked column-wise, so each lambda costs one Cholesky
     factorization of K + lambda n I and one solve; each model's coefficients
     are its column slice of C, and all of them share that factor and carry
-    the Gram's kernel spec, with the bandwidth the Gram chose if any.
+    the Gram's kernel spec, with the bandwidth the Gram chose if any.  Every
+    lambda but the last factors a copy of K; the last factors K in place, as
+    no later lambda needs it.
     """
-    x = _features(x)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("X must be a nonempty n x d array")
-    y = list(y)
-    if len(y) != x.shape[0]:
-        raise ValueError("X and Y must have equal length")
-    labels = [loss.observation_space.distinct(y, "observation") for loss in losses]
-    edges = np.cumsum([0] + [loss.r for loss in losses])
-    psi = np.hstack([np.array([loss.u_row(u) for u in ys])[at]
-                     for loss, (ys, at) in zip(losses, labels)])
-    y_train = [[ys[i] for i in at.tolist()] for ys, at in labels]
-    gram = build_gram(kernel, x)
-    for lam in grid:
-        coef, factor = solve_ridge(gram, psi, lam)
-        yield lam, [
-            QSModel(loss, gram.spec, lam, x, ys, coef[:, a:b], factor, index)
-            for loss, ys, index, a, b in zip(losses, y_train, labels, edges[:-1], edges[1:])
-        ]
+    x, y = _checked(x, y)
+    labels, psi = _embedded(losses, y)
+    yield from _ridge_path(losses, build_gram(kernel, x), grid, x, labels, psi, spend=True)
 
 
 def fit(loss: DiscreteLoss, kernel: KernelSpec, lam: float, x, y) -> QSModel:
@@ -113,7 +139,8 @@ def _factored(model: QSModel) -> tuple:
     """The model's Cholesky factor, built from the training inputs on first
     use and kept on the model."""
     if model.factor is None:
-        model.factor = ridge_factor(build_gram(model.kernel, model.x_train), model.lam)
+        gram = build_gram(model.kernel, model.x_train)
+        model.factor = ridge_factor(gram, model.lam, overwrite=True)
     return model.factor
 
 
@@ -198,6 +225,24 @@ def _mean_loss(predictions, loss: DiscreteLoss, ys: list, y_at: np.ndarray) -> f
     return float(np.mean(values[inverse]))
 
 
+def _least_risk(fits, k_val: np.ndarray, observed: list, path: str) -> list:
+    """Per loss, the (validation risk, model) of least risk over the
+    ``(lam, models)`` of ``fits``, scored from the validation cross-kernel
+    ``k_val`` against observations that ``distinct`` mapped to ``observed``.
+    Ties go to the earlier lambda.  On the fast path the models drop their
+    factor once scored, so that no two lambdas' factors are alive at once."""
+    best = [(np.inf, None)] * len(observed)
+    for _, models in fits:
+        preds = predict_models(models, k_val, path=path)
+        for j, (model, pred) in enumerate(zip(models, preds)):
+            if path != "alpha":
+                model.factor = None
+            risk = _mean_loss(pred, model.loss, *observed[j])
+            if risk < best[j][0]:
+                best[j] = (risk, model)
+    return best
+
+
 def select_lambda(
     losses, kernel: KernelSpec, grid, x_tr, y_tr, x_val, y_val, path: str = "fast"
 ) -> list:
@@ -207,24 +252,50 @@ def select_lambda(
     cross-kernel, and each lambda one factorization (see ``fit_path``) and,
     on the alpha path, one solve for alpha.  The validation labels are
     mapped once per loss.  Ties go to the earlier lambda.
-    On the fast path the models kept as best drop their factor, so only the
-    current lambda's factor is alive; on the alpha path they keep it for
-    test-time prediction, one shared factor per distinct selected lambda.
+    On the fast path the models kept as best drop their factor; on the alpha
+    path they keep it for test-time prediction, one shared factor per
+    distinct selected lambda.
     """
-    best = [(np.inf, None)] * len(losses)
     observed = [loss.observation_space.distinct(y_val, "observation") for loss in losses]
-    k_val = None
-    for lam, models in fit_path(losses, kernel, grid, x_tr, y_tr):
-        if k_val is None:
-            k_val = cross_kernel(models[0].kernel, x_val, x_tr)
-        preds = predict_models(models, k_val, path=path)
-        for j, (model, pred) in enumerate(zip(models, preds)):
-            risk = _mean_loss(pred, model.loss, *observed[j])
-            if risk < best[j][0]:
-                if path != "alpha":
-                    model.factor = None
-                best[j] = (risk, model)
-    return best
+    x_tr, y_tr = _checked(x_tr, y_tr)
+    labels, psi = _embedded(losses, y_tr)
+    gram = build_gram(kernel, x_tr)
+    k_val = cross_kernel(gram.spec, x_val, x_tr)
+    return _least_risk(_ridge_path(losses, gram, grid, x_tr, labels, psi, spend=True),
+                       k_val, observed, path)
+
+
+def select_and_refit(loss: DiscreteLoss, kernel: KernelSpec, grid, x, y, tr_idx, val_idx):
+    """Select lambda on the rows ``tr_idx`` against the rows ``val_idx`` as
+    ``select_lambda`` does, then refit on every row with the bandwidth the
+    selection used; returns ``(validation risk, refit model)``.
+
+    One kernel matrix serves both: the Gram of the rows ordered
+    [tr_idx; val_idx], centred and, without a bandwidth, given its median
+    by the training rows (``build_gram``'s ``lead``).  Each lambda factors a
+    copy of its leading block, the validation rows are scored from the
+    block below that, and the refit shifts and factors the whole matrix in
+    place.  The refit's rows, labels and coefficients are put back in the
+    order of x; its factor, which is of the reordered matrix, is not kept.
+    """
+    x, y = _checked(x, y)
+    order = np.concatenate([tr_idx, val_idx]).astype(int)
+    n_tr = len(tr_idx)
+    if not (n_tr and len(val_idx) and np.array_equal(np.sort(order), np.arange(len(y)))):
+        raise ValueError("tr_idx and val_idx must split the rows into two nonempty parts")
+    x_joint, y_joint = x[order], [y[i] for i in order.tolist()]
+    labels, psi = _embedded([loss], y_joint[:n_tr])
+    observed, psi_val = _embedded([loss], y_joint[n_tr:])
+    gram = build_gram(kernel, x_joint, lead=n_tr)
+    fits = _ridge_path([loss], GramMatrix(gram.entries[:n_tr, :n_tr], gram.spec), grid,
+                       x_joint[:n_tr], labels, psi, spend=False)
+    [(risk, best)] = _least_risk(fits, gram.entries[n_tr:, :n_tr], observed, "fast")
+    coef, _ = solve_ridge(gram, np.vstack([psi, psi_val]), best.lam, overwrite=True)
+    [(ys, at)] = observed
+    rows = best.y_train + [ys[i] for i in at.tolist()]
+    back = np.argsort(order)  # each row's place in the joint order
+    return risk, QSModel(loss, gram.spec, best.lam, x, [rows[p] for p in back.tolist()],
+                         coef[back])
 
 
 def save_model(model: QSModel, path: str) -> None:

@@ -11,9 +11,11 @@ factorization per lambda, with the losses' embeddings as stacked columns.
 with; a caller holding only coefficients (a loaded model) has no factor
 until it calls ``ridge_factor`` for the weight path.
 One Cholesky per lambda is cheaper than one eigendecomposition for the whole
-grid at the sizes used here (n ~ 1000, grids of five).
+grid: at n = 1445 on one BLAS thread, numpy's ``eigh`` takes 0.60 s against
+0.19 s for five Choleskys.  A caller that needs K no more can have it
+factored in place (``ridge_factor``'s ``overwrite``), with no n x n copy.
 
-Squared distances come from one helper, ``_sq_distances``, which expands
+Squared distances come from one helper, ``_expansion``, which expands
 ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b: one BLAS product plus the two row
 norms, updated in place, with values within the expansion's rounding error
 of 0 set to 0 (scene-shaped data, 1926 x 294, one BLAS thread: a 481-row
@@ -35,10 +37,13 @@ differ in the last bits between a one-row call and a batch.
 
 The gaussian Gram mirrors the row blocks of its upper triangle that the
 median heuristic reads too, so without a bandwidth it takes the median from
-its own distances before the exp.  The blocks are general products, not one
-SYRK as for the linear Gram: at 1926 x 294, one BLAS thread, a Gram takes
-66-69 ms against 51-58 ms, and choosing its bandwidth adds 4-7 ms, not a
-48-54 ms median pass.
+its own distances before the exp.  Its rows are centred once, on the mean of
+its leading rows (all of them unless ``build_gram`` is given ``lead``), for
+every block.  The blocks are general products, not one SYRK as for the
+linear Gram: at 1926 x 294, one BLAS thread, medians of 31 interleaved calls
+in two runs, a Gram with a given bandwidth takes 48-61 ms (60-76 ms when
+each block re-centred its rows), against 45-56 ms for one SYRK product;
+choosing its bandwidth adds 9 ms, not a 41-54 ms median pass.
 
 Each matrix is checked finite once, where it is made, and the LAPACK calls
 skip scipy's scans: ``GramMatrix`` refuses a K with an inf or NaN (a linear
@@ -110,16 +115,26 @@ def _sq_distances(x_train: np.ndarray, x: np.ndarray) -> np.ndarray:
     take scipy's per-pair ``cdist`` instead."""
     if len(x) < GEMM_MIN_ROWS or x.shape[1] <= CDIST_MAX_FEATURES:
         return cdist(x, x_train, "sqeuclidean")
+    mean = x_train.mean(axis=0)
+    a, sq_a = _centred(x, mean)
+    b, sq_b = _centred(x_train, mean)
+    if not np.isfinite(sq_a.max() + sq_b.max()):
+        return cdist(x, x_train, "sqeuclidean")
+    return _expansion(a, b, sq_a, sq_b)
+
+
+def _centred(x: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x - mean`` and its squared row norms, inf or NaN where they overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x_train.mean(axis=0)
-        a, b = x - mean, x_train - mean
-        sq_a = np.einsum("ij,ij->i", a, a)
-        sq_b = np.einsum("ij,ij->i", b, b)
-        if not np.isfinite(sq_a.max() + sq_b.max()):
-            return cdist(x, x_train, "sqeuclidean")
+        a = x - mean
+        return a, np.einsum("ij,ij->i", a, a)
+
+
+def _expansion(a: np.ndarray, b: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+    """||a_i||^2 + ||b_j||^2 - 2 a_i.b_j for centred rows with finite norms."""
     d2 = a @ b.T
     # the expansion's rounding error bound, relative to the two norms
-    tol = (x_train.shape[1] + 2) * np.finfo(float).eps
+    tol = (a.shape[1] + 2) * np.finfo(float).eps
     step = max(1, _BLOCK_CELLS // len(b))
     for i in range(0, len(a), step):
         block = d2[i:i + step]
@@ -135,12 +150,22 @@ def _sq_distances(x_train: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _upper_rows(x: np.ndarray):
+def _upper_rows(x: np.ndarray, lead: int):
     """Yield ``(i, block)``: the squared distances from rows i, i+1, ... of x
-    to rows i, ..., n-1, so each pair p < q is at ``block[p - i, q - i]``."""
-    step = max(1, _BLOCK_CELLS // max(len(x), 1))
-    for i in range(0, len(x) - 1, step):
-        yield i, _sq_distances(x[i:], x[i:i + step])
+    to rows i, ..., n-1, so each pair p < q is at ``block[p - i, q - i]``.
+    The rows are centred once, on the mean of the first ``lead`` rows, for
+    every block that takes the product (see ``_sq_distances``)."""
+    n = len(x)
+    product = n > 1 and x.shape[1] > CDIST_MAX_FEATURES
+    if product:
+        a, sq = _centred(x, x[:lead].mean(axis=0))
+        product = np.isfinite(sq.max())
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for i in range(0, n - 1, step):
+        if product and min(step, n - i) >= GEMM_MIN_ROWS:
+            yield i, _expansion(a[i:i + step], a[i:], sq[i:i + step], sq[i:])
+        else:
+            yield i, cdist(x[i:i + step], x[i:], "sqeuclidean")
 
 
 def _median_distance(blocks, n: int) -> float:
@@ -166,22 +191,30 @@ def _median_distance(blocks, n: int) -> float:
     return med if med > 0 else 1.0
 
 
-def build_gram(spec: KernelSpec, x) -> GramMatrix:
+def build_gram(spec: KernelSpec, x, lead: int | None = None) -> GramMatrix:
     """The kernel matrix of the rows of x, bitwise symmetric, with the spec
     it was built with: a gaussian spec without a bandwidth takes
-    ``median_heuristic(x)``, read from the Gram's distances before the exp."""
+    ``median_heuristic(x)``, read from the Gram's distances before the exp.
+
+    With ``lead``, a gaussian Gram centres its rows on the mean of the first
+    ``lead`` rows and takes the median of their pairs only, so its leading
+    block is, to rounding, ``build_gram`` of those rows, and the block below
+    it their ``cross_kernel`` with the other rows."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("X must be a nonempty n x d array")
+    n = len(x)
+    lead = n if lead is None else lead
+    if not 0 < lead <= n:
+        raise ValueError(f"lead must be within 1..{n}, got {lead}")
     if spec.kind == "linear":
         # on a contiguous x the product is numpy's SYRK, mirrored, so the Gram
         # is bitwise symmetric; a strided view would take a general product
         x = np.ascontiguousarray(x)
         with np.errstate(over="ignore", invalid="ignore"):  # GramMatrix refuses an overflow
             return GramMatrix(x @ x.T, spec)
-    n = len(x)
     k = np.empty((n, n))
-    for i, block in _upper_rows(x):
+    for i, block in _upper_rows(x, lead):
         rows = len(block)
         k[i:i + rows, i:] = block
         # mirror the block's pairs p < q into the lower triangle
@@ -190,7 +223,7 @@ def build_gram(spec: KernelSpec, x) -> GramMatrix:
                   where=np.tri(rows, k=-1, dtype=bool))
     np.fill_diagonal(k, 0.0)
     if spec.bandwidth is None:
-        spec = KernelSpec("gaussian", _median_distance([k], n))
+        spec = KernelSpec("gaussian", _median_distance([k[:lead, :lead]], lead))
     k /= -2.0 * spec.bandwidth**2
     np.exp(k, out=k)
     return GramMatrix(k, spec)
@@ -216,35 +249,44 @@ def cross_kernel(spec: KernelSpec, x_test, x_train) -> np.ndarray:
         return np.exp(k, out=k)
 
 
-def ridge_factor(gram: GramMatrix, lam: float) -> tuple:
-    """Cholesky factor of K + lambda n I, shifted and factored in one copy of K."""
+def ridge_factor(gram: GramMatrix, lam: float, overwrite: bool = False) -> tuple:
+    """Cholesky factor of K + lambda n I, shifted and factored in one copy of
+    K, or with ``overwrite`` in K's own entries, which the factor then holds:
+    the Gram is spent."""
     if not 0 < lam < math.inf:  # NaN too
         raise ValueError("lambda must be positive and finite")
-    shifted = gram.entries.copy()
-    shifted.flat[::gram.n + 1] += lam * gram.n
+    n = gram.n
+    shifted = gram.entries if overwrite else gram.entries.copy()
+    diagonal = shifted.diagonal().copy()
+    shifted.flat[::n + 1] += lam * n
     # K is finite (see GramMatrix), so only the shifted diagonal can overflow
     _require_finite(shifted.diagonal(), "K + lambda n I is not finite")
     try:
         # K is symmetric: the transpose is the same matrix, in the Fortran
-        # order LAPACK factors in place (so the eigenvalues below read K)
+        # order LAPACK factors in place, writing only the upper triangle
+        # and the diagonal of ``shifted``
         return cho_factor(shifted.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(gram.entries)[0]) + lam * gram.n
+        # K is still in the strict lower triangle LAPACK did not touch
+        shifted.flat[::n + 1] = diagonal
+        smallest = float(np.linalg.eigvalsh(shifted, UPLO="L")[0]) + lam * n
         raise np.linalg.LinAlgError(
             f"Cholesky of K + lambda n I failed; smallest eigenvalue {smallest:.3e}"
         ) from exc
 
 
-def solve_ridge(gram: GramMatrix, psi, lam: float) -> tuple[np.ndarray, tuple]:
+def solve_ridge(gram: GramMatrix, psi, lam: float,
+                overwrite: bool = False) -> tuple[np.ndarray, tuple]:
     """Solve (K + lambda n I) C = Psi for the n x r coefficient matrix C;
-    returns ``(C, factor)``, the factor C was solved with, never ``None``."""
+    returns ``(C, factor)``, the factor C was solved with, never ``None``.
+    ``overwrite`` factors K in place (see ``ridge_factor``)."""
     psi = np.asarray(psi, dtype=float)
     if psi.ndim == 1:
         psi = psi[:, None]
     if psi.shape[0] != gram.n:
         raise ValueError(f"Psi has {psi.shape[0]} rows, expected {gram.n}")
     _require_finite(psi, "Psi is not finite")
-    factor = ridge_factor(gram, lam)
+    factor = ridge_factor(gram, lam, overwrite)
     return cho_solve(factor, psi, check_finite=False), factor
 
 
@@ -260,4 +302,4 @@ def median_heuristic(x) -> float:
     """Median pairwise distance of the rows of x; 1.0 if degenerate.  Reads
     the distances from row blocks, so no n x n matrix is built."""
     x = np.asarray(x, dtype=float)
-    return _median_distance((block for _, block in _upper_rows(x)), len(x))
+    return _median_distance((block for _, block in _upper_rows(x, len(x))), len(x))

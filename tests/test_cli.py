@@ -8,13 +8,16 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import qslearn.cli as cli
 import qslearn.data as dataset_module
 import qslearn.estimator as estimator
 import qslearn.kernels as kernels
 from qslearn.data import parse_multilabel, split, standardize
-from qslearn.estimator import empirical_risk, fit, load_model, predict_batch, save_model
+from qslearn.decode import argmin_untied
+from qslearn.estimator import (empirical_risk, fit, load_model, predict_batch, save_model,
+                               surrogate_values)
 from qslearn.kernels import GEMM_MIN_ROWS, KernelSpec, median_heuristic
 from qslearn.losses import LOSS_NAMES, Hamming, NDCGType, enumerated_constants, make_loss
 from qslearn.synth import MultilabelGenerator, SyntheticSpec
@@ -106,6 +109,27 @@ def test_check_redraws_tied_instances(capsys):
     out = capsys.readouterr().out
     assert "decoder vs brute force: 0 mismatches in 150 instances" in out
     assert re.search(r"^tied instances redrawn: [1-9]\d*$", out, re.M)
+
+
+def test_check_embeds_each_observation_once(monkeypatch, capsys):
+    embedded, thetas = [], []
+    u_row, decode = Hamming.u_row, cli.decode_batch
+    monkeypatch.setattr(Hamming, "u_row",
+                        lambda self, y: embedded.append(tuple(y)) or u_row(self, y))
+    monkeypatch.setattr(cli, "decode_batch", lambda loss, t: thetas.append(t) or decode(loss, t))
+    monkeypatch.setattr(cli, "decomposition_check", lambda loss: 0.0)
+    assert run(["check", "--loss", "hamming", "--m", "3", "--instances", "40", "--seed", "3"]) == 0
+    loss = Hamming(3)
+    observations = list(loss.observations())
+    assert sorted(embedded) == sorted(map(tuple, observations))  # not once per draw
+    # each theta is, bitwise, the sum of its draws' weighted embeddings
+    rng, want = np.random.default_rng(3), []
+    for _ in range(40):
+        n = int(rng.integers(5, 15))
+        weights, drawn = rng.normal(size=n), rng.integers(len(observations), size=n)
+        want.append(np.sum([w * u_row(loss, observations[i]) for w, i in zip(weights, drawn)], 0))
+    assert "tied instances redrawn: 0" in capsys.readouterr().out
+    assert np.array_equal(thetas[0], want)
 
 
 @pytest.mark.parametrize("instances", ["0", "-2"])
@@ -541,7 +565,7 @@ def test_eval_json_on_stdout_parses(tmp_path, capsys):
 def make_noisy_dataset(path, n=90, d=3, m=3, seed=1):
     """Labels are noisy coordinate signs, so validation risks differ across lambdas."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(loc=2.0, scale=[1.0, 3.0, 0.5], size=(n, d))
+    x = rng.normal(loc=2.0, scale=np.resize([1.0, 3.0, 0.5], d), size=(n, d))
     flip = rng.uniform(size=(n, m)) < 0.2
     with open(path, "w", encoding="utf-8") as fh:
         for row, noise in zip(x, flip):
@@ -610,18 +634,19 @@ def test_eval_builds_one_gram_and_one_factor_per_lambda(tmp_path, monkeypatch):
     assert counts == {"build_gram": 1, "ridge_factor": len(GRID)}
 
 
-def test_train_grid_builds_two_grams_and_one_validation_kernel(tmp_path, monkeypatch):
+def test_train_grid_builds_one_gram_and_no_validation_kernel(tmp_path, monkeypatch):
     data = tmp_path / "noisy.libsvm"
     make_noisy_dataset(data)
     counts = {}
     for module, name in [(kernels, "median_heuristic"), (estimator, "build_gram"),
-                         (estimator, "cross_kernel")]:
+                         (estimator, "cross_kernel"), (kernels, "ridge_factor")]:
         _count_calls(monkeypatch, module, name, counts)
     assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming", "--lambda-grid",
                 ",".join(map(str, GRID)), "--out", str(tmp_path / "m.npz")]) == 0
-    # one Gram for the selection split, which chooses the bandwidth, and one
-    # for the refit on all rows; no median_heuristic call
-    assert counts == {"build_gram": 2, "cross_kernel": 1}
+    # one Gram over all rows, whose training block chooses the bandwidth and
+    # whose validation block is the selection's cross-kernel; a factor per
+    # lambda and one for the refit; no median_heuristic call
+    assert counts == {"build_gram": 1, "ridge_factor": 1 + len(GRID)}
 
 
 def test_decompose_free_eval_solves_alpha_once_per_lambda(tmp_path, monkeypatch):
@@ -652,6 +677,36 @@ def test_train_refits_with_selection_bandwidth(tmp_path):
     model = load_model(str(model_path))
     assert model.kernel.bandwidth == median_heuristic(x[tr_idx])
     assert model.lam in GRID and len(model.x_train) == n
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_train_grid_on_product_distances_solves_the_file_order_system(tmp_path, seed):
+    # d = 14 > CDIST_MAX_FEATURES: the distances come from products, and 600
+    # rows make the kernel matrix in two row blocks, across the split
+    data = tmp_path / "wide.libsvm"
+    make_noisy_dataset(data, n=600, d=14, seed=seed)
+    model_path = tmp_path / "m.npz"
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming", "--seed", str(seed),
+                "--lambda-grid", ",".join(map(str, GRID)), "--out", str(model_path)]) == 0
+    ds = parse_multilabel(str(data), 3)
+    x, loss, n = ds.dense_features(), Hamming(3), ds.n
+    model = load_model(str(model_path))
+    assert np.array_equal(model.x_train, x) and model.y_train == [tuple(y) for y in ds.labels]
+    tr_idx = np.random.default_rng(seed).permutation(n)[max(1, int(0.25 * n)):]
+    bw, lam = model.kernel.bandwidth, model.lam
+    assert bw == pytest.approx(float(np.median(pdist(x[tr_idx]))), rel=1e-12)
+    # the saved coefficients solve the system in file order, with K built here
+    k = np.exp(-squareform(pdist(x, "sqeuclidean")) / (2.0 * bw**2))
+    psi = np.array([loss.u_row(y) for y in ds.labels])
+    resid = (k + n * lam * np.eye(n)) @ model.coefficients - psi
+    assert np.linalg.norm(resid) <= 1e-11 * np.linalg.norm(psi)
+    # and label rows as a fit on all rows at that bandwidth and lambda does
+    ref = fit(loss, KernelSpec("gaussian", bw), lam, x, ds.labels)
+    rows = np.vstack([x, np.random.default_rng(seed).normal(loc=2.0, size=(50, 14))])
+    untied = [argmin_untied(loss.output_table.f, t) for t in surrogate_values(ref, rows)]
+    got, want = predict_batch(model, rows), predict_batch(ref, rows)
+    assert sum(untied) >= 0.9 * len(rows)
+    assert [g for g, u in zip(got, untied) if u] == [w for w, u in zip(want, untied) if u]
 
 
 def test_one_row_predict_standardize_uses_training_scaler(tmp_path):

@@ -21,6 +21,7 @@ from qslearn.estimator import (
     predict_batch,
     predict_models,
     save_model,
+    select_and_refit,
     select_lambda,
     surrogate_values,
 )
@@ -241,6 +242,57 @@ def test_select_lambda_maps_the_validation_labels_once_per_loss(rng, monkeypatch
     assert calls.count(("observation", 11)) == len(losses)  # not once per (lambda, loss)
     for loss, (risk, model) in zip(losses, picks):
         assert risk == empirical_risk(predict_batch(model, x[29:]), loss, ys[29:])
+
+
+@pytest.mark.parametrize("d", [4, 12])
+def test_select_and_refit_selects_as_select_lambda_and_refits_as_fit(d, rng):
+    # d = 4 takes per-pair distances, d = 12 products
+    losses = [Hamming(3), FScore(3)]
+    x = rng.normal(size=(60, d))
+    ys = [random_observation(losses[0], rng) for _ in range(60)]
+    perm = rng.permutation(60)
+    tr, val = perm[15:], perm[:15]
+    grid = [0.3, 0.03, 0.003]
+    for loss in losses:
+        [(want_risk, want)] = select_lambda([loss], KernelSpec(), grid, x[tr], [ys[i] for i in tr],
+                                            x[val], [ys[i] for i in val])
+        risk, model = select_and_refit(loss, KernelSpec(), grid, x, ys, tr, val)
+        assert (risk, model.lam) == (want_risk, want.lam)
+        assert model.kernel.bandwidth == pytest.approx(want.kernel.bandwidth, rel=1e-15)
+        ref = fit(loss, model.kernel, model.lam, x, ys)
+        assert np.array_equal(model.x_train, ref.x_train)
+        assert model.y_train == ref.y_train and model.factor is None
+        scale = np.max(np.abs(ref.coefficients))
+        assert np.max(np.abs(model.coefficients - ref.coefficients)) <= 1e-12 * scale
+
+
+def test_lambda_selection_holds_one_factor_at_a_time(rng):
+    # each lambda's factor is freed before the next one is made: the peak is
+    # the kernel matrices and one factor, not two factors
+    x = rng.normal(size=(800, 3))
+    ys = [random_observation(Hamming(3), rng) for _ in range(800)]
+    grid = [1e-3, 1e-2, 1e-1]
+    tr, val = np.arange(600), np.arange(600, 800)
+    runs = [(lambda: select_lambda([Hamming(3)], GAUSS, grid, x[tr], ys[:600], x[val], ys[600:]),
+             600 * 600 + 200 * 600 + 600 * 600),  # Gram, validation kernel, factor
+            (lambda: select_and_refit(Hamming(3), GAUSS, grid, x, ys, tr, val),
+             800 * 800 + 600 * 600)]  # the matrix over all rows, a factor of its block
+    for run, cells in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * cells * 8
+
+
+@pytest.mark.parametrize("tr, val", [([0, 1, 2], [3, 4]), ([0, 1, 2, 3], [3, 4, 5]),
+                                     ([0, 1, 2, 3, 4, 5], []), ([], [0, 1, 2, 3, 4, 5])])
+def test_select_and_refit_needs_two_parts_of_the_rows(tr, val, rng):
+    x, ys = rng.normal(size=(6, 2)), [(0, 1)] * 6
+    with pytest.raises(ValueError, match="two nonempty parts"):
+        select_and_refit(Hamming(2), GAUSS, [0.1, 0.2], x, ys, tr, val)
 
 
 def test_empirical_risk_requires_data():

@@ -99,6 +99,10 @@ def test_linear_gram_symmetric_on_any_layout(shape, rng):
 def test_gram_empty_input_rejected():
     with pytest.raises(ValueError):
         build_gram(GAUSS, np.empty((0, 3)))
+    for spec in (GAUSS, LINEAR):
+        for lead in (0, 4):
+            with pytest.raises(ValueError, match="lead must be within 1..3"):
+                build_gram(spec, np.ones((3, 2)), lead=lead)
 
 
 def test_gram_invariants_random(rng):
@@ -151,11 +155,41 @@ def test_ridge_factor_allocates_one_copy_of_k():
     assert peak <= 1.02 * n * n * 8
 
 
+def test_ridge_factor_in_place_allocates_no_copy_of_k():
+    # with overwrite, K's own entries are shifted and factored: the factor
+    # holds K's memory, and K's diagonal is the only copy made
+    n = 1500
+    gram = build_gram(GAUSS, np.random.default_rng(5).normal(size=(n, 3)))
+    want = ridge_factor(gram, 1e-3)[0]
+    tracemalloc.start()
+    try:
+        factor = ridge_factor(gram, 1e-3, overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * n * n * 8
+    assert np.shares_memory(factor[0], gram.entries)
+    assert np.array_equal(np.tril(factor[0]), np.tril(want))
+
+
 def test_ridge_factor_failure_reports_smallest_eigenvalue():
-    # K + lambda n I = [[0.2, 1], [1, 0.2]] has eigenvalues 1.2 and -0.8
-    gram = GramMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LINEAR)
-    with pytest.raises(np.linalg.LinAlgError, match="smallest eigenvalue -8.000e-01"):
-        ridge_factor(gram, 0.1)
+    # K + lambda n I = [[0.2, 1], [1, 0.2]] has eigenvalues 1.2 and -0.8; the
+    # in-place factor reads K back from the triangle LAPACK did not touch
+    for overwrite in (False, True):
+        gram = GramMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), LINEAR)
+        with pytest.raises(np.linalg.LinAlgError, match="smallest eigenvalue -8.000e-01"):
+            ridge_factor(gram, 0.1, overwrite=overwrite)
+    # a K with negative eigenvalues whose factorization fails part way (at
+    # pivot 38 of 60), after LAPACK has overwritten the leading diagonal
+    rng = np.random.default_rng(2)
+    q, _ = np.linalg.qr(rng.normal(size=(60, 60)))
+    k = (q * np.linspace(-0.5, 3.0, 60)) @ q.T
+    k = (k + k.T) / 2.0
+    lam = 0.1 / 60
+    for overwrite in (False, True):
+        smallest = np.linalg.eigvalsh(k)[0] + lam * 60
+        with pytest.raises(np.linalg.LinAlgError, match=f"smallest eigenvalue {smallest:.3e}"):
+            ridge_factor(GramMatrix(k.copy(), LINEAR), lam, overwrite=overwrite)
 
 
 def test_solve_ridge_rejects_bad_inputs(rng):
@@ -326,6 +360,24 @@ def test_gram_chooses_median_bandwidth(name):
     gram = build_gram(KernelSpec("gaussian"), x)
     assert gram.spec == KernelSpec("gaussian", bw)
     assert np.array_equal(gram.entries, build_gram(KernelSpec("gaussian", bw), x).entries)
+
+
+@pytest.mark.parametrize("name", ["n=41", "n=1100", "duplicates", "offset", "scene"]
+                         + [f"n=1100_d{d}" for d in BOUNDARY_D])
+def test_gram_with_lead_holds_the_leading_rows_gram_and_cross_kernel(name):
+    # centred on, and given its median by, the leading rows; from n = 1100 on
+    # the matrix is built in several row blocks, across the lead
+    x = _bandwidth_rows(name)
+    lead = 3 * len(x) // 4
+    gram = build_gram(KernelSpec("gaussian"), x, lead=lead)
+    assert gram.spec.bandwidth == pytest.approx(_scipy_median(x[:lead]), rel=1e-12)
+    assert gram.spec.bandwidth == pytest.approx(median_heuristic(x[:lead]), rel=1e-15)
+    k, spec = gram.entries, gram.spec
+    for got, want in [(k[:lead, :lead], build_gram(spec, x[:lead]).entries),
+                      (k[lead:, :lead], cross_kernel(spec, x[lead:], x[:lead])),
+                      (k, _scipy_gram(x, spec.bandwidth))]:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(gram.entries, gram.entries.T)
 
 
 def test_median_heuristic_mostly_duplicate_rows():
