@@ -246,16 +246,6 @@ def cmd_rates(args) -> int:
             raise ValueError("rates spec noise_modes must be a nonempty list, without noise_mode")
     else:
         modes = [cfg.pop("noise_mode", "smooth_crossing")]
-    if not isinstance(cfg.get("n_grid", []), list):
-        raise ValueError("rates spec n_grid must be a list")
-    if "loss_params" in cfg:
-        params = cfg["loss_params"]
-        if not isinstance(params, list) or not all(
-                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) for p in params):
-            raise ValueError("rates spec loss_params must be a list of [name, value] pairs")
-        cfg["loss_params"] = tuple(tuple(p) for p in params)
-    if "n_grid" in cfg:
-        cfg["n_grid"] = tuple(cfg["n_grid"])
     if args.seed is not None:
         cfg["seed"] = args.seed
     specs = [SyntheticSpec(noise_mode=mode, **cfg) for mode in modes]

@@ -247,7 +247,7 @@ def _parse_csv(path: str, m: int, name: str) -> MultilabelDataset:
             raise DataFormatError("line 1: missing header")
         n_cols = len(header.strip().split(","))
         if n_cols <= m:
-            raise DataFormatError(f"header has {n_cols} columns, need more than m={m}")
+            raise DataFormatError(f"line 1: header has {n_cols} columns, need more than m={m}")
         labels, dense_rows = [], []
         for lineno, raw in enumerate(fh, start=2):
             if not raw.strip():

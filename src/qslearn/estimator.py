@@ -7,8 +7,8 @@ Two equivalent prediction paths are kept:
   argmin of sum_i alpha_i L(z, y_i), which touches only the raw evaluator.
 
 They compute the same minimizer (the fit is linear in the embeddings), so
-the alpha path doubles as an oracle for the fast one and works even when no
-decomposition is available.
+the alpha path doubles as an oracle for the fast one; every fit embeds by
+``u_row``, but prediction on the alpha path reads only ``loss.value``.
 
 A fitted ``QSModel`` is one flat record.  Its Cholesky factor, which only
 the alpha path reads, is ``None`` on a loaded model, on a model kept by

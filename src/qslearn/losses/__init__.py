@@ -13,7 +13,6 @@ from .base import (  # noqa: F401
     SharpConstant,
     SpaceTooLargeError,
     as_label,
-    config_int,
     decomposition_check,
     enumerated_constants,
 )
@@ -47,15 +46,14 @@ LOSS_NAMES = tuple(_LOSSES)
 def make_loss(name: str, m: int, **params: Any) -> DiscreteLoss:
     """Construct a loss by name.
 
-    Raises LossConfigError for an unknown name, an m that is not an integer
-    and a missing parameter or one the loss does not take, before the
-    constructor runs.
+    Raises LossConfigError for an unknown name and for a missing parameter
+    or one the loss does not take, before the constructor runs; the
+    constructor checks m and the values.
     """
     if not isinstance(name, str) or name not in _LOSSES:
         raise LossConfigError(f"unknown loss {name!r}; known: {', '.join(LOSS_NAMES)}")
     constructor = _LOSSES[name]
     signature = inspect.signature(constructor)
-    m = config_int(f"{name}: m", m)
     try:
         signature.bind(m, **params)
     except TypeError as exc:

@@ -252,6 +252,8 @@ class OutputTable:
 class DiscreteLoss:
     """A loss L: Z x Y -> [0,1] with an exact affine decomposition.
 
+    Each constructor starts with ``self.m = m = self.checked_m(m)``, which
+    refuses an m that is no integer or is below the class's ``least_m``.
     Subclasses set the spaces Z and Y (``output_space``,
     ``observation_space``), the evaluator ``value``, the decomposition
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
@@ -275,6 +277,15 @@ class DiscreteLoss:
     output_space: LabelSpace
     observation_space: LabelSpace
     decoder: str = "O(|Z|) enumeration"
+    least_m = 1  # the fewest labels the loss is defined on
+
+    @classmethod
+    def checked_m(cls, m) -> int:
+        """m as a Python int; LossConfigError unless it is an integer >= ``least_m``."""
+        m = config_int(f"{cls.name}: m", m)
+        if m < cls.least_m:
+            raise LossConfigError(f"{cls.name}: m must be >= {cls.least_m}")
+        return m
 
     def config(self) -> dict:
         """JSON-serializable constructor parameters other than m."""

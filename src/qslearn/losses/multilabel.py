@@ -40,9 +40,7 @@ class ZeroOne(DiscreteLoss):
     decoder = "O(2^m) argmax"
 
     def __init__(self, m: int):
-        if m < 1:
-            raise LossConfigError("zero_one: m must be >= 1")
-        self.m = m
+        self.m = m = self.checked_m(m)
         self.output_space = self.observation_space = LabelSpace.grid(m)
         self.r = 2 ** m
         self.offset = 1.0
@@ -80,9 +78,7 @@ class BlockZeroOne(DiscreteLoss):
     decoder = "O(b) block argmax"
 
     def __init__(self, m: int, partition: Sequence[Sequence[Sequence[int]]]):
-        if m < 1:
-            raise LossConfigError("block_zero_one: m must be >= 1")
-        self.m = m
+        self.m = m = self.checked_m(m)
         self.output_space = self.observation_space = LabelSpace.grid(m)
         try:
             sizes = [len(block) for block in partition]
@@ -155,9 +151,7 @@ class Hamming(DiscreteLoss):
     decoder = "O(m) coordinate signs"
 
     def __init__(self, m: int):
-        if m < 1:
-            raise LossConfigError("hamming: m must be >= 1")
-        self.m = m
+        self.m = m = self.checked_m(m)
         self.output_space = self.observation_space = LabelSpace.grid(m)
         self.r = m
         self.offset = 0.5
@@ -193,10 +187,10 @@ class PrecAtK(DiscreteLoss):
     decoder = "O(m log m) top-k by stable sort"
 
     def __init__(self, m: int, k: int):
+        self.m = m = self.checked_m(m)
         k = config_int("prec_at_k: k", k)
         if not 1 <= k <= m:
             raise LossConfigError(f"prec_at_k: need 1 <= k <= m, got k={k}, m={m}")
-        self.m = m
         self.k = k
         self.output_space = LabelSpace.ksubsets(m, k)
         self.observation_space = LabelSpace.grid(m)
@@ -247,11 +241,9 @@ class FScore(DiscreteLoss):
     decoder = "O(m^2 log m) per-cardinality top-k, after O(m^3) conversion on side p"
 
     def __init__(self, m: int, side: str = "p"):
-        if m < 1:
-            raise LossConfigError("fscore: m must be >= 1")
+        self.m = m = self.checked_m(m)
         if side not in ("p", "a"):
             raise LossConfigError(f"fscore: side must be 'p' or 'a', got {side!r}")
-        self.m = m
         self.side = side
         self.output_space = self.observation_space = LabelSpace.grid(m)
         self.r = m * m + 1

@@ -62,12 +62,10 @@ class NDCGType(DiscreteLoss):
         gain: Callable[[int], float] | Sequence[float] | None = None,
         discount: Sequence[float] | None = None,
     ):
+        self.m = m = self.checked_m(m)
         R = config_int("ndcg: R", R)
-        if m < 1:
-            raise LossConfigError("ndcg: m must be >= 1")
         if R < 1:
             raise LossConfigError("ndcg: top relevance R must be >= 1")
-        self.m = m
         self.top_relevance = R
         self.output_space = LabelSpace.permutations(m)
         self.observation_space = LabelSpace.grid(m, R)
@@ -170,6 +168,7 @@ class ExpectedRankUtility(NDCGType):
     name = "eru"
 
     def __init__(self, m: int, R: int = 3, neutral: int | None = None):
+        m = self.checked_m(m)  # before range(m) sizes the discount table
         R = config_int("eru: R", R)
         neutral = R // 2 if neutral is None else config_int("eru: neutral", neutral)
         if neutral >= R:
@@ -214,11 +213,10 @@ class PairwiseDisagreement(DiscreteLoss):
 
     name = "pd"
     decoder = "O(m log m) argsort"
+    least_m = 2
 
     def __init__(self, m: int):
-        if m < 2:
-            raise LossConfigError("pd: m must be >= 2")
-        self.m = m
+        self.m = m = self.checked_m(m)
         self.output_space = LabelSpace.permutations(m)
         self.observation_space = LabelSpace.grid(m)
         self.pairs = [(j, l) for j in range(m) for l in range(j)]  # l < j, for ``value``
@@ -300,9 +298,7 @@ class MeanAveragePrecision(DiscreteLoss):
     decoder = f"NP-hard (QAP); O(2^m m) subset DP for m <= {exact_limit}, else 2-swap local search"
 
     def __init__(self, m: int):
-        if m < 1:
-            raise LossConfigError("map: m must be >= 1")
-        self.m = m
+        self.m = m = self.checked_m(m)
         self.output_space = LabelSpace.permutations(m)
         self.observation_space = LabelSpace.grid(m)
         self.pairs = [(j, l) for j in range(m) for l in range(j + 1)]

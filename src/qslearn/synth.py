@@ -45,7 +45,8 @@ import numpy as np
 
 from .estimator import empirical_risk, fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
-from .losses import DiscreteLoss, SpaceTooLargeError, config_int, make_loss
+from .losses import DiscreteLoss, SpaceTooLargeError, make_loss
+from .losses.base import config_int, label_rows
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,20 @@ class SyntheticSpec:
     kernel: str = "gaussian"
 
     def __post_init__(self):
-        # a JSON spec reaches here unchecked
-        ints = [(name, getattr(self, name)) for name in ("d", "m", "seed", "n_test", "replications")]
-        for name, value in ints + [("n_grid entry", n) for n in self.n_grid]:
-            config_int(name, value)
+        # a JSON spec reaches here unchecked; fields keep what the checks return
+        for name in ("d", "m", "seed", "n_test", "replications"):
+            value = config_int(name, getattr(self, name))
+            if name in ("d", "n_test", "replications") and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.n_grid, (list, tuple)):
+            raise ValueError("rates spec n_grid must be a list")
+        object.__setattr__(self, "n_grid", tuple(config_int("n_grid entry", n) for n in self.n_grid))
+        if not isinstance(self.loss_params, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 and isinstance(p[0], str)
+                for p in self.loss_params):
+            raise ValueError("rates spec loss_params must be a list of [name, value] pairs")
+        object.__setattr__(self, "loss_params", tuple(map(tuple, self.loss_params)))
         if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
             raise ValueError(f"delta must be a number, got {self.delta!r}")
         if not isinstance(self.loss_name, str):
@@ -81,9 +92,6 @@ class SyntheticSpec:
             raise ValueError("n_grid must be nonempty and strictly increasing")
         if self.n_grid[0] < 1:
             raise ValueError(f"n_grid entries must be at least 1, got {self.n_grid[0]}")
-        for name in ("d", "n_test", "replications"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def make_loss(self) -> DiscreteLoss:
         return make_loss(self.loss_name, self.m, **dict(self.loss_params))
@@ -142,8 +150,7 @@ class MultilabelGenerator:
 
     def sample_labels(self, x, rng: np.random.Generator) -> list:
         probs = self.q(x)
-        bits = (rng.uniform(size=probs.shape) < probs).astype(int)
-        return [tuple(int(b) for b in row) for row in bits]
+        return label_rows(rng.uniform(size=probs.shape) < probs)
 
     def sample(self, n: int, rng: np.random.Generator):
         x = self.sample_inputs(n, rng)

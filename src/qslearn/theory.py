@@ -158,11 +158,14 @@ def surrogate_excess(problem: FiniteProblem, g) -> float:
     return float(problem.masses @ np.sum(diff * diff, axis=1))
 
 
+def _excess_at(problem: FiniteProblem, idx: np.ndarray) -> float:
+    rows, risks = np.arange(problem.n_states), problem.risks
+    return float(problem.masses @ (risks[rows, idx] - risks[rows, problem.bayes_index]))
+
+
 def true_excess(problem: FiniteProblem, predictions: Sequence[Label]) -> float:
     """E(f) - E(f*) for a per-state predictor, exactly."""
-    rows, risks = np.arange(problem.n_states), problem.risks
-    idx = _checked_rows(problem, predictions)
-    return float(problem.masses @ (risks[rows, idx] - risks[rows, problem.bayes_index]))
+    return _excess_at(problem, _checked_rows(problem, predictions))
 
 
 def decode_states(problem: FiniteProblem, g) -> list:
@@ -252,9 +255,9 @@ def tsybakov_check(
 ) -> TsybakovReport:
     """P_X(f != f*) <= Gamma_p^{1/(p+1)} excess^{p/(p+1)} with exact quantities."""
     moment = margin_moment(problem, p)
-    excess = true_excess(problem, predictions)
-    wrong = _checked_rows(problem, predictions) != problem.bayes_index
-    error_mass = float(problem.masses[wrong].sum())
+    idx = _checked_rows(problem, predictions)
+    excess = _excess_at(problem, idx)
+    error_mass = float(problem.masses[idx != problem.bayes_index].sum())
     bound = moment ** (1.0 / (p + 1.0)) * excess ** (p / (p + 1.0))
     return TsybakovReport(error_mass, excess, float(bound), _leq(error_mass, bound))
 

@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,16 @@ def _traced_run(commands) -> dict:
         [sys.executable, "-c", TRACED_RUN, str(BENCHMARKS / "tracer.py"), json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_benchmark_selftest_passes_every_case():
+    # a library change that blinds one of the benchmark's output checks shows here
+    proc = subprocess.run([sys.executable, str(BENCHMARKS / "selftest.py")], capture_output=True,
+                          text=True, timeout=300, cwd=BENCHMARKS.parent)
+    last = proc.stdout.strip().splitlines()[-1]
+    match = re.fullmatch(r"(\d+) of (\d+) cases behaved", last)
+    assert match and match[1] == match[2], proc.stdout + proc.stderr
+    assert proc.returncode == 0
 
 
 def test_tracer_hooks_count_factorizations_rows_and_model_bytes(tmp_path):

@@ -192,6 +192,14 @@ def test_train_eval_workflow(tmp_path, capsys):
     assert by_loss["fscore"]["test_risk"] <= 0.10
 
 
+def test_train_without_out_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    make_toy_dataset(data, n=20)
+    assert run(["train", "--data", str(data), "--m", "2", "--loss", "hamming"]) == cli.USAGE_ERROR
+    assert "--out is required for train" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def test_train_takes_m_from_config(tmp_path, capsys):
     data = tmp_path / "toy.libsvm"
     make_toy_dataset(data, n=40)

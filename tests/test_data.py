@@ -1,6 +1,7 @@
 """Dataset parsing, splits, and standardization."""
 
 import gzip
+import re
 import sys
 import tracemalloc
 from unittest import mock
@@ -125,6 +126,20 @@ def test_csv_format(tmp_path):
     bad.write_text("y0,y1,f0\n1,0\n")
     with pytest.raises(DataFormatError, match="line 2"):
         parse_multilabel(str(bad), m=2, fmt="csv")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: missing header"),
+    ("\n1,0,0.5\n", "line 1: missing header"),
+    ("y0,y1\n1,0\n", "line 1: header has 2 columns, need more than m=2"),
+    ("y0,y1,f0\n1,0,0.5\n\n0,1,x\n", "line 4: bad value"),
+    ("y0,y1,f0\n\n", "no examples in file"),
+])
+def test_csv_errors_name_their_line(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
+        parse_multilabel(str(path), m=2, fmt="csv")
 
 
 @pytest.mark.parametrize("label", ["1.5", "0.7", "2"])

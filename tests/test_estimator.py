@@ -382,7 +382,8 @@ def test_fit_gathers_the_rows_of_a_per_row_psi(rng):
 
 
 def test_serialization_round_trip(tmp_path, rng):
-    for loss in (Hamming(3), PrecAtK(4, 2), NDCGType(3, R=2)):
+    # an m given as a NumPy integer is kept as a Python int, which the file's JSON holds
+    for loss in (Hamming(3), PrecAtK(4, 2), NDCGType(3, R=2), Hamming(np.int64(4))):
         x = rng.uniform(size=(10, 3))
         ys = [random_observation(loss, rng) for _ in range(10)]
         model = fit(loss, KernelSpec("gaussian", 0.7), 0.2, x, ys)

@@ -123,6 +123,14 @@ def test_solve_ridge_scalar():
         assert coef[0, 0] == pytest.approx(u / (1 + lam), rel=1e-14)
 
 
+def test_solve_ridge_takes_a_1d_psi_as_one_column(rng):
+    gram = build_gram(GAUSS, rng.normal(size=(6, 2)))
+    psi = rng.normal(size=6)
+    coef, _ = solve_ridge(gram, psi, 0.3)
+    column, _ = solve_ridge(gram, psi[:, None], 0.3)
+    assert coef.shape == (6, 1) and np.array_equal(coef, column)
+
+
 def test_solve_ridge_zero_rhs(rng):
     x = rng.normal(size=(6, 2))
     coef, _ = solve_ridge(build_gram(GAUSS, x), np.zeros((6, 3)), 0.5)

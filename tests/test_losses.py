@@ -1,5 +1,6 @@
 """Loss evaluators, affine decompositions, sharp constants, and embeddings."""
 
+import itertools
 import json
 import math
 
@@ -272,10 +273,10 @@ def test_embed_validates_labels():
         MeanAveragePrecision(3).embed((1, 2))
 
 
+# the parameters beyond m = 4 of the losses that need some
+PARAMS_AT_M4 = {"prec_at_k": {"k": 3}, "block_zero_one": {"partition": popcount_partition(4)}}
 EXPECTED_CASES = [
-    make_loss(name, 4, **{"prec_at_k": {"k": 3},
-                          "block_zero_one": {"partition": popcount_partition(4)}}.get(name, {}))
-    for name in LOSS_NAMES
+    make_loss(name, 4, **PARAMS_AT_M4.get(name, {})) for name in LOSS_NAMES
 ] + [PrecAtK(5, 2), FScore(5, side="a"),
      BlockZeroOne(5, random_partition(5, 6, np.random.default_rng(0)))]
 
@@ -364,6 +365,14 @@ def test_bad_parameters_rejected():
         BlockZeroOne(2, [[(0.5, 0), (1, 1)], [(0, 1), (1, 0.9)]])
     with pytest.raises(LossConfigError, match="partition subset 2: .*bit tuple"):
         BlockZeroOne(2, [[(0, 0), (1, 1)], [(0, 2), (1, 0)]])
+    with pytest.raises(LossConfigError, match="empty block"):
+        BlockZeroOne(1, [[(0,), (1,)], []])
+    for params, message in [({"R": 0}, "R must be >= 1"), ({"gain": [0, 1]}, "R\\+1 entries"),
+                            ({"gain": [0, 2, 1]}, "non-decreasing"),
+                            ({"gain": [-1, 0, 0]}, "top gain must be positive"),
+                            ({"discount": [1.0, 0.5]}, "m entries")]:
+        with pytest.raises(LossConfigError, match=message):
+            NDCGType(3, **{"R": 2, **params})
     with pytest.raises(LossConfigError):
         NDCGType(3, R=2, discount=[1.0, 0.5, 0.5])  # not strict
     with pytest.raises(LossConfigError):
@@ -380,6 +389,19 @@ def test_bad_parameters_rejected():
     assert type(make_loss("hamming", np.int64(3)).m) is int
     with pytest.raises(LossConfigError):
         ExpectedRankUtility(3, R=2, neutral=2)
+
+
+def test_ndcg_u_max_enumerates_when_no_gain_is_zero():
+    # with G(0) > 0 no observation is degenerate and no single-relevant vector
+    # attains 1/D_1, so U_max is the largest G(y_j)/N(y) over every y
+    gain = np.array([0.5, 1.0, 2.0, 4.0])
+    loss = NDCGType(3, R=3, gain=gain)
+    best = 0.0
+    for y in itertools.product(range(4), repeat=3):
+        g = gain[list(y)]
+        best = max(best, float(np.max(g) / (np.sort(g)[::-1] @ loss.discount)))
+    assert loss.sharp().u_max == pytest.approx(best, rel=1e-14)
+    assert best < 1.0 / loss.discount[0]
 
 
 def test_loss_config_round_trip():
@@ -412,6 +434,22 @@ def test_every_loss_class_is_made_by_name_and_round_trips():
         assert json.loads(json.dumps(cfg)) == cfg
         rebuilt = make_loss(**cfg)
         assert type(rebuilt) is cls and loss_config(rebuilt) == cfg
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_m_is_checked_by_the_loss_class_alone(name):
+    cls = next(cls for cls in _library_loss_classes() if cls.name == name)
+    params = PARAMS_AT_M4.get(name, {})
+    for m, message in [(2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+                       ("3", "must be an integer, got '3'"),
+                       (cls.least_m - 1, f"must be >= {cls.least_m}")]:
+        with pytest.raises(LossConfigError) as direct:
+            cls(m, **params)
+        with pytest.raises(LossConfigError) as by_name:
+            make_loss(name, m, **params)
+        assert str(direct.value) == str(by_name.value) == f"{name}: m {message}"
+    for loss in (cls(np.int64(4), **params), make_loss(name, np.int64(4), **params)):
+        assert type(loss.m) is int and loss.m == 4
 
 
 def test_eru_saved_as_ndcg_tables_still_loads():

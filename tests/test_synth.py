@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qslearn.decode import argmin_untied, decode_bruteforce
-from qslearn.losses import Hamming, PrecAtK, SpaceTooLargeError, ZeroOne, make_loss
+from qslearn.losses import (Hamming, MeanAveragePrecision, PrecAtK, SpaceTooLargeError, ZeroOne,
+                            make_loss)
 from qslearn.synth import (
     MultilabelGenerator,
     SyntheticSpec,
@@ -192,6 +193,23 @@ def test_reproducibility_bit_identical():
     assert np.array_equal(xa, xb) and ya == yb
 
 
+def test_spec_of_numpy_ints_and_lists_runs_as_the_plain_spec():
+    # the spec keeps the Python ints and tuples its checks return
+    plain = SyntheticSpec(d=2, m=3, loss_name="prec_at_k", loss_params=(("k", 2),), seed=4,
+                          n_grid=(24, 48), n_test=40, replications=2)
+    given = SyntheticSpec(d=np.int32(2), m=np.int64(3), loss_name="prec_at_k",
+                          loss_params=[["k", np.int64(2)]], seed=np.int64(4),
+                          n_grid=[np.int64(24), np.int16(48)], n_test=np.int64(40),
+                          replications=np.uint8(2))
+    assert given == plain
+    assert all(type(getattr(given, f)) is int for f in ("d", "m", "seed", "n_test", "replications"))
+    assert type(given.n_grid) is tuple and all(type(n) is int for n in given.n_grid)
+    assert given.loss_params == (("k", 2),)
+    a, b = rate_experiment(plain), rate_experiment(given)
+    assert rate_rows_csv(b.rows) == rate_rows_csv(a.rows)
+    assert b.to_json() == a.to_json()
+
+
 def test_single_point_grid_slope_undefined():
     spec = SyntheticSpec(n_grid=(32,), n_test=40, replications=1, seed=2)
     report = rate_experiment(spec)
@@ -259,6 +277,10 @@ def test_generic_exact_risk_refuses_large_spaces():
     with pytest.raises(SpaceTooLargeError):
         rate_experiment(SyntheticSpec(loss_name="zero_one", m=13, n_grid=(16,), n_test=5,
                                       replications=1))
+    # past its exact decoder's limit MAP's decoder is a heuristic, so f* is unknown
+    loss = MeanAveragePrecision(17)
+    with pytest.raises(SpaceTooLargeError, match="m = 17 is beyond the exact decoder's limit 16"):
+        bayes_predictions(loss, np.zeros((1, loss.r)))
 
 
 @pytest.mark.parametrize("m", range(2, 8))

@@ -9,6 +9,7 @@ from qslearn.losses import (
     BlockZeroOne,
     Hamming,
     InvalidLabelError,
+    LabelSpace,
     PrecAtK,
     SpaceTooLargeError,
     ZeroOne,
@@ -199,6 +200,18 @@ def test_improved_rhs_small_p_limit(rng):
 def test_calibration_H_values():
     assert calibration_H(Hamming(4), 0.0) == 0.0
     assert calibration_H(Hamming(1), 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert calibration_H_p(Hamming(4), 0.0, 1.0, 2.0) == 0.0
+
+
+def test_calibration_arguments_are_checked():
+    loss = Hamming(3)
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        calibration_H(loss, -0.1)
+    with pytest.raises(ValueError, match="eps must be >= 0"):
+        calibration_H_p(loss, -0.1, 1.0, 2.0)
+    for p, gamma_p in [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.0), (1.0, -2.0)]:
+        with pytest.raises(ValueError, match="p and gamma_p must be positive"):
+            calibration_H_p(loss, 0.5, p, gamma_p)
 
 
 def test_calibration_H_p_dominance(rng):
@@ -269,6 +282,8 @@ def test_true_excess_nonnegative_and_zero_at_bayes(rng):
 
 def test_finite_problem_validation(rng):
     loss = Hamming(2)
+    with pytest.raises(ValueError, match="masses must be a nonempty vector"):
+        FiniteProblem(loss, [], np.zeros((0, 4)))
     with pytest.raises(ValueError):
         FiniteProblem(loss, [0.5, 0.6], np.full((2, 4), 0.25))
     with pytest.raises(ValueError):
@@ -278,6 +293,19 @@ def test_finite_problem_validation(rng):
     bad[0, 1] = 0.75
     with pytest.raises(ValueError):
         FiniteProblem(loss, [1.0], bad)
+
+
+def test_margin_exponent_g_shape_and_output_count_are_checked(rng):
+    problem = random_problem(Hamming(3), 4, rng)
+    for p in (0.0, -1.0):
+        with pytest.raises(ValueError, match="p must be positive"):
+            margin_moment(problem, p)
+    for call in (decode_states, surrogate_excess, comparison_check):
+        with pytest.raises(ValueError, match=r"g must be \(4, 3\), got \(4, 2\)"):
+            call(problem, np.zeros((4, 2)))
+    # PrecAtK(1, 1) has one output, so no state has a second-best risk
+    with pytest.raises(ValueError, match="at least two candidate outputs"):
+        margin(random_problem(PrecAtK(1, 1), 2, rng), 0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -331,6 +359,19 @@ def test_predictions_are_checked(rng):
         with pytest.raises(InvalidLabelError, match="state 2"):
             call(prob, f_star[:2] + [(1, 1, 1)])
     assert type(tsybakov_check(prob, f_star, 1.0).holds) is bool
+
+
+def test_tsybakov_check_maps_its_predictions_once(rng, monkeypatch):
+    problem = random_problem(PrecAtK(4, 2), 6, rng)
+    preds = decode_states(problem, g_star_matrix(problem) + rng.normal(size=(6, 4)))
+    want = tsybakov_check(problem, preds, 1.0)
+    mapped = []
+    real = LabelSpace.distinct
+    monkeypatch.setattr(LabelSpace, "distinct",
+                        lambda self, labels, what: mapped.append(what) or real(self, labels, what))
+    assert tsybakov_check(problem, preds, 1.0) == want
+    assert mapped == ["state"]
+    assert want.excess == true_excess(problem, preds)
 
 
 def test_problem_beyond_table_cap_computes_no_loss_value(monkeypatch):
