@@ -92,16 +92,11 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
     labels, inverse = loss.observation_space.distinct(observations, "observation")
-    n_z = loss.n_outputs()
-    if n_z * max(len(labels), 1) > BLOCK_CELLS:
-        raise SpaceTooLargeError(
-            f"{loss.name}: {n_z} outputs x {len(labels)} distinct observations "
-            "is beyond the brute-force budget"
-        )
+    check_bruteforce_budget(loss, len(labels))
     matrix = loss.loss_matrix(labels)
     rows = np.atleast_2d(weights)
     best = np.empty(len(rows), dtype=np.intp)
-    step = BLOCK_CELLS // n_z
+    step = BLOCK_CELLS // loss.n_outputs()
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         totals = np.zeros((len(block), len(labels)))
@@ -109,6 +104,18 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
         best[start : start + step] = np.argmin(column_sums(matrix, totals), axis=1)
     outputs = list(itertools.islice(loss.outputs(), int(best.max(initial=0)) + 1))
     return [outputs[i] for i in best] if weights.ndim == 2 else outputs[best[0]]
+
+
+def check_bruteforce_budget(loss: DiscreteLoss, n_labels: int) -> None:
+    """SpaceTooLargeError unless ``decode_bruteforce`` serves ``n_labels``
+    distinct observations: its loss matrix, |Z| x n_labels, holds at most
+    ``BLOCK_CELLS`` cells."""
+    n_z = loss.n_outputs()
+    if n_z * max(n_labels, 1) > BLOCK_CELLS:
+        raise SpaceTooLargeError(
+            f"{loss.name}: {n_z} outputs x {n_labels} distinct observations "
+            "is beyond the brute-force budget"
+        )
 
 
 def argmin_untied(f_rows: np.ndarray, theta: np.ndarray) -> bool:

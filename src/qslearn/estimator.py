@@ -10,12 +10,20 @@ They compute the same minimizer (the fit is linear in the embeddings), so
 the alpha path doubles as an oracle for the fast one; every fit embeds by
 ``u_row``, but prediction on the alpha path reads only ``loss.value``.
 
+The argmin reads alpha(x) only summed per distinct training label, and that
+sum is linear in K_x: it is K_x^T S, where S = (K + n lambda I)^{-1} E and E
+is the n x |distinct| one-hot matrix of the training labels.  The alpha path
+solves for S once per model, 2 n^2 |distinct| flops, after which a row
+costs one product of 2 n |distinct| flops in place of a 2 n^2 solve against
+the factor.  |distinct| is at most n, and at most ``BLOCK_CELLS`` / |Z|, as
+``decode_bruteforce`` refuses larger label sets before S is solved for.
+
 A fitted ``QSModel`` is one flat record.  Its Cholesky factor, which only
 the alpha path reads, is ``None`` on a loaded model, on a model kept by
-``select_lambda`` on the fast path and on a ``select_and_refit`` model; the
-alpha path builds it on first use.  The training labels' index, which the
-alpha path reads too, is kept on the model like the factor: ``fit`` and
-``load_model`` set it as they check them.
+``select_lambda`` and on a ``select_and_refit`` model; the alpha path builds
+it on first use if it needs it, solves for S with it and lets it go.  The
+training labels' index, which the alpha path reads too, is kept on the model
+like S: ``fit`` and ``load_model`` set it as they check them.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Standardizer
-from .decode import decode_bruteforce
+from .decode import check_bruteforce_budget, decode_bruteforce
 from .kernels import (GEMM_MIN_ROWS, GramMatrix, KernelSpec, build_gram, cross_kernel,
-                      ridge_factor, solve_ridge, weights_at)
+                      require_finite, ridge_factor, solve_ridge, weights_at)
 from .losses import DiscreteLoss, LossConfigError, loss_config, make_loss
 from .losses.base import BLOCK_CELLS, Label
 
@@ -40,13 +48,18 @@ MODEL_FORMAT_VERSION = 3
 
 @dataclass
 class QSModel:
-    """A fitted surrogate: coefficients C solving (K + lambda n I) C = Psi, and
-    ``factor``, the Cholesky factor of K + lambda n I that only the alpha path
-    reads.  ``fit`` keeps the factor it solved with, which holds the memory
+    """A fitted surrogate: coefficients C solving (K + lambda n I) C = Psi,
+    and what the alpha path reads instead of C.
+
+    ``label_weights`` is S = (K + lambda n I)^{-1} E, n x |distinct|, its
+    columns in the order of ``y_index``; the alpha path solves for it on
+    first use with ``factor``, the Cholesky factor of K + lambda n I, and
+    then drops the factor, so the model holds n |distinct| floats instead
+    of n^2.  ``fit`` keeps the factor it solved with, which holds the memory
     of its Gram, factored in place as nothing else reads it; ``factor`` is
-    ``None`` on a loaded model, on one ``select_lambda`` keeps on the fast
-    path and on a ``select_and_refit`` model, until the alpha path builds it
-    (in place, too) from the training inputs.  ``y_index``, likewise, is
+    ``None`` on a loaded model, on one ``select_lambda`` keeps and on a
+    ``select_and_refit`` model, and the alpha path builds it (in place, too)
+    from the training inputs if it has no S yet.  ``y_index`` is
     ``LabelSpace.distinct`` of ``y_train``, or ``None`` until first used."""
 
     loss: DiscreteLoss
@@ -58,6 +71,7 @@ class QSModel:
     factor: tuple | None = None  # scipy cho_factor handle of K + lambda n I
     y_index: tuple | None = None  # (distinct labels, each row's position among them)
     scaler: Standardizer | None = None  # maps raw features to x_train's scale
+    label_weights: np.ndarray | None = None  # S, n x |distinct|
 
 
 def _features(x) -> np.ndarray:
@@ -135,6 +149,30 @@ def surrogate_values(model: QSModel, x) -> np.ndarray:
     return k_x @ model.coefficients
 
 
+def _label_weights(model: QSModel, known: list) -> np.ndarray:
+    """The model's S (see ``QSModel``): taken from a model of ``known`` with
+    the same lambda and label index, which has the same S, or solved for
+    with one ``weights_at`` call against E^T; the model then drops its
+    factor and joins ``known``.  Labels beyond the brute-force budget are
+    refused before the solve."""
+    if model.y_index is None:
+        model.y_index = model.loss.observation_space.distinct(model.y_train, "observation")
+    labels, at = model.y_index
+    if model.label_weights is None:
+        check_bruteforce_budget(model.loss, len(labels))
+        same = [m.label_weights for m in known
+                if m.lam == model.lam and np.array_equal(m.y_index[1], at)]
+        if same:
+            model.label_weights = same[0]
+        else:
+            onehot_t = np.zeros((len(labels), len(at)))
+            onehot_t[at, np.arange(len(at))] = 1.0
+            model.label_weights = weights_at(_factored(model), onehot_t).T
+    model.factor = None
+    known.append(model)
+    return model.label_weights
+
+
 def _factored(model: QSModel) -> tuple:
     """The model's Cholesky factor, built from the training inputs on first
     use and kept on the model."""
@@ -145,7 +183,8 @@ def _factored(model: QSModel) -> tuple:
 
 
 def alpha_weights(model: QSModel, x) -> np.ndarray:
-    """alpha(x) rows for one point or a batch."""
+    """alpha(x) rows for one point or a batch, from the model's factor (built
+    again if S has replaced it)."""
     k_x = cross_kernel(model.kernel, x, model.x_train)
     return weights_at(_factored(model), k_x)
 
@@ -181,10 +220,11 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
 
     The models must be fitted on the same inputs with the same kernel, so
     that callers who score several of them compute the cross-kernel once.
-    On the alpha path the weights alpha(x) do not depend on the loss, so
-    models that share a lambda share one solve; each model adds up each row's
-    weights per distinct training label for ``decode_bruteforce``.  Surrogate
-    values or a cross-kernel that overflow to inf or NaN raise ValueError.
+    On the alpha path each row's weights summed per distinct training label
+    are its row of k_x S, for ``decode_bruteforce``; S does not depend on
+    the loss, so models that share a lambda and training labels share one S
+    (see ``QSModel``).  Surrogate values or a cross-kernel that overflow to
+    inf or NaN raise ValueError.
     """
     if path == "fast":
         out = []
@@ -196,17 +236,10 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
             out.append(model.loss.decode_batch(thetas))
         return out
     if path == "alpha":
-        alphas, out = {}, []
-        for model in models:
-            if model.lam not in alphas:
-                alphas[model.lam] = weights_at(_factored(model), k_x)
-            if model.y_index is None:
-                model.y_index = model.loss.observation_space.distinct(model.y_train, "observation")
-            labels, at = model.y_index
-            totals = np.zeros((len(k_x), len(labels)))
-            np.add.at(totals, (slice(None), at), alphas[model.lam])  # as decode_bruteforce adds
-            out.append(decode_bruteforce(model.loss, totals, labels))
-        return out
+        require_finite(k_x, "the cross-kernel is not finite; the inputs overflow the kernel")
+        known = []
+        return [decode_bruteforce(model.loss, k_x @ _label_weights(model, known), model.y_index[0])
+                for model in models]
     raise ValueError(f"unknown prediction path {path!r}")
 
 
@@ -229,14 +262,14 @@ def _least_risk(fits, k_val: np.ndarray, observed: list, path: str) -> list:
     """Per loss, the (validation risk, model) of least risk over the
     ``(lam, models)`` of ``fits``, scored from the validation cross-kernel
     ``k_val`` against observations that ``distinct`` mapped to ``observed``.
-    Ties go to the earlier lambda.  On the fast path the models drop their
-    factor once scored, so that no two lambdas' factors are alive at once."""
+    Ties go to the earlier lambda.  The models drop their factor once scored,
+    so that no two lambdas' factors are alive at once; on the alpha path
+    they keep their S instead."""
     best = [(np.inf, None)] * len(observed)
     for _, models in fits:
         preds = predict_models(models, k_val, path=path)
         for j, (model, pred) in enumerate(zip(models, preds)):
-            if path != "alpha":
-                model.factor = None
+            model.factor = None
             risk = _mean_loss(pred, model.loss, *observed[j])
             if risk < best[j][0]:
                 best[j] = (risk, model)
@@ -250,11 +283,11 @@ def select_lambda(
 
     All losses and lambdas share one Gram matrix and one validation
     cross-kernel, and each lambda one factorization (see ``fit_path``) and,
-    on the alpha path, one solve for alpha.  The validation labels are
-    mapped once per loss.  Ties go to the earlier lambda.
-    On the fast path the models kept as best drop their factor; on the alpha
-    path they keep it for test-time prediction, one shared factor per
-    distinct selected lambda.
+    on the alpha path, one solve for S, the label weights all its losses
+    share (see ``QSModel``).  The validation labels are mapped once per
+    loss.  Ties go to the earlier lambda.  The models kept as best hold no
+    factor; on the alpha path they keep their S, so test-time prediction
+    solves nothing.
     """
     observed = [loss.observation_space.distinct(y_val, "observation") for loss in losses]
     x_tr, y_tr = _checked(x_tr, y_tr)
@@ -323,8 +356,8 @@ def load_model(path: str) -> QSModel:
 
     Nothing is refitted: the stored coefficients are used as they are, after
     checking that the arrays agree in shape with each other and with the
-    loss and are finite.  The Cholesky factor, which only the alpha path
-    needs, is built on its first use.
+    loss and are finite.  The label weights S, which only the alpha path
+    needs, are solved for on its first use.
     """
     with np.load(path, allow_pickle=False) as payload:
         try:

@@ -2,8 +2,11 @@
 
 Training the surrogate regressor reduces to one symmetric positive-definite
 factorization of K + lambda n I shared across all r right-hand sides
-(O(n^3 + n^2 r) instead of O(n^3 r)), plus triangular solves at prediction
-time for the decomposition-free weight path alpha(x) = (K + n lambda I)^{-1} K_x.
+(O(n^3 + n^2 r) instead of O(n^3 r)).  The decomposition-free weight path
+alpha(x) = (K + n lambda I)^{-1} K_x needs alpha only summed per distinct
+training label, so ``weights_at`` solves once per model, against the
+one-hot matrix of those labels, and not once per predicted row (see
+``estimator``).
 The Gram matrix does not depend on lambda and the factor does not depend on
 the loss, so a lambda grid over several losses needs one Gram and one
 factorization per lambda, with the losses' embeddings as stacked columns.
@@ -49,7 +52,8 @@ Each matrix is checked finite once, where it is made, and the LAPACK calls
 skip scipy's scans: ``GramMatrix`` refuses a K with an inf or NaN (a linear
 kernel may overflow), ``ridge_factor`` checks the n shifted diagonal entries
 (a factor of a finite SPD matrix is finite, |L_ij| <= sqrt(A_ii)),
-``solve_ridge`` checks Psi and ``weights_at`` K_x, each with a ValueError.
+``solve_ridge`` checks Psi and ``weights_at`` its right-hand sides, each
+with a ValueError; ``require_finite`` is that check.
 """
 
 from __future__ import annotations
@@ -94,14 +98,15 @@ class GramMatrix:
     spec: KernelSpec  # the spec the entries were built with, bandwidth chosen
 
     def __post_init__(self):
-        _require_finite(self.entries, "the Gram matrix is not finite; the inputs overflow the kernel")
+        require_finite(self.entries, "the Gram matrix is not finite; the inputs overflow the kernel")
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-def _require_finite(a: np.ndarray, message: str) -> None:
+def require_finite(a: np.ndarray, message: str) -> None:
+    """ValueError with ``message`` if ``a`` has an inf or NaN."""
     # min and max carry any NaN and show any inf, with no n x n mask
     if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise ValueError(message)
@@ -260,7 +265,7 @@ def ridge_factor(gram: GramMatrix, lam: float, overwrite: bool = False) -> tuple
     diagonal = shifted.diagonal().copy()
     shifted.flat[::n + 1] += lam * n
     # K is finite (see GramMatrix), so only the shifted diagonal can overflow
-    _require_finite(shifted.diagonal(), "K + lambda n I is not finite")
+    require_finite(shifted.diagonal(), "K + lambda n I is not finite")
     try:
         # K is symmetric: the transpose is the same matrix, in the Fortran
         # order LAPACK factors in place, writing only the upper triangle
@@ -285,16 +290,18 @@ def solve_ridge(gram: GramMatrix, psi, lam: float,
         psi = psi[:, None]
     if psi.shape[0] != gram.n:
         raise ValueError(f"Psi has {psi.shape[0]} rows, expected {gram.n}")
-    _require_finite(psi, "Psi is not finite")
+    require_finite(psi, "Psi is not finite")
     factor = ridge_factor(gram, lam, overwrite)
     return cho_solve(factor, psi, check_finite=False), factor
 
 
 def weights_at(factor: tuple, k_x) -> np.ndarray:
-    """alpha(x) = (K + n lambda I)^{-1} K_x for a vector or a batch, from the
-    ``ridge_factor`` factor: a model whose factor is ``None`` builds it first."""
+    """alpha(x) = (K + n lambda I)^{-1} K_x for a vector or a batch of rows
+    K_x, from the ``ridge_factor`` factor: two triangular solves, 2 n^2
+    flops a row.  The alpha path passes the rows of E^T, the one-hot matrix
+    of a model's distinct training labels, once per model."""
     k_x = np.asarray(k_x, dtype=float)
-    _require_finite(k_x, "the cross-kernel is not finite; the inputs overflow the kernel")
+    require_finite(k_x, "the cross-kernel is not finite; the inputs overflow the kernel")
     return cho_solve(factor, k_x.T, check_finite=False).T
 
 

@@ -48,8 +48,11 @@ class NDCGType(DiscreteLoss):
     argmin exactly.  Relevance vectors whose gains are all zero have N = 0
     and are degenerate: they contribute L = 0 and U = 0.
 
-    ``R`` is the top relevance score.  By default G(t) = 2^t - 1 and
-    D_j = 1/log2(j+1); ``ExpectedRankUtility`` is the ``eru`` preset.
+    ``R`` is the top relevance score.  ``gain`` and ``discount`` are tables
+    or callables of t = 0..R and of the rank j = 1..m; by default G(t) =
+    2^t - 1 and D_j = 1/log2(j+1).  The gains must be finite, non-negative
+    and non-decreasing, with G(R) > 0, which keeps the loss in [0, 1];
+    ``ExpectedRankUtility`` is the ``eru`` preset.
     """
 
     name = "ndcg"
@@ -60,7 +63,7 @@ class NDCGType(DiscreteLoss):
         m: int,
         R: int = 3,
         gain: Callable[[int], float] | Sequence[float] | None = None,
-        discount: Sequence[float] | None = None,
+        discount: Callable[[int], float] | Sequence[float] | None = None,
     ):
         self.m = m = self.checked_m(m)
         R = config_int("ndcg: R", R)
@@ -77,15 +80,24 @@ class NDCGType(DiscreteLoss):
             self._gain = np.asarray(gain, dtype=float)
             if self._gain.shape != (R + 1,):
                 raise LossConfigError("ndcg: gain table must have R+1 entries")
+        if not np.all(np.isfinite(self._gain)):
+            raise LossConfigError("ndcg: gain must be finite")
         if np.any(np.diff(self._gain) < 0):
             raise LossConfigError("ndcg: gain must be non-decreasing")
         if self._gain[-1] <= 0:
             raise LossConfigError("ndcg: top gain must be positive")
+        if self._gain[0] < 0:
+            raise LossConfigError("ndcg: gain of relevance 0 must be >= 0")
         if discount is None:
-            discount = [1.0 / math.log2(j + 1) for j in range(1, m + 1)]
-        self._discount = np.asarray(discount, dtype=float)
-        if self._discount.shape != (m,):
-            raise LossConfigError("ndcg: discount must have m entries")
+            discount = lambda j: 1.0 / math.log2(j + 1)
+        if callable(discount):
+            self._discount = np.array([float(discount(j)) for j in range(1, m + 1)])
+        else:
+            self._discount = np.asarray(discount, dtype=float)
+            if self._discount.shape != (m,):
+                raise LossConfigError("ndcg: discount must have m entries")
+        if not np.all(np.isfinite(self._discount)):
+            raise LossConfigError("ndcg: discount must be finite")
         if abs(self._discount[0] - 1.0) > 1e-12:
             raise LossConfigError("ndcg: discount must be normalized with D_1 = 1")
         if np.any(np.diff(self._discount) >= 0) or np.any(self._discount <= 0):
@@ -168,14 +180,13 @@ class ExpectedRankUtility(NDCGType):
     name = "eru"
 
     def __init__(self, m: int, R: int = 3, neutral: int | None = None):
-        m = self.checked_m(m)  # before range(m) sizes the discount table
         R = config_int("eru: R", R)
         neutral = R // 2 if neutral is None else config_int("eru: neutral", neutral)
         if neutral >= R:
             raise LossConfigError("eru: neutral score must be below the top relevance")
         self.neutral = neutral
         super().__init__(m, R, gain=lambda t: float(max(t - neutral, 0)),
-                         discount=[2.0 ** (-j) for j in range(m)])
+                         discount=lambda j: 2.0 ** (1 - j))
 
     def config(self) -> dict:
         return {"R": self.top_relevance, "neutral": self.neutral}

@@ -78,8 +78,10 @@ class SyntheticSpec:
                 for p in self.loss_params):
             raise ValueError("rates spec loss_params must be a list of [name, value] pairs")
         object.__setattr__(self, "loss_params", tuple(map(tuple, self.loss_params)))
-        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)):
+        if isinstance(self.delta, bool) or not isinstance(
+                self.delta, (int, float, np.integer, np.floating)):
             raise ValueError(f"delta must be a number, got {self.delta!r}")
+        object.__setattr__(self, "delta", float(self.delta))
         if not isinstance(self.loss_name, str):
             raise ValueError(f"loss_name must be a string, got {self.loss_name!r}")
         if self.kernel not in ("gaussian", "linear"):

@@ -667,8 +667,9 @@ def test_decompose_free_eval_solves_alpha_once_per_lambda(tmp_path, monkeypatch)
     out = tmp_path / "e.json"
     assert run(["eval", "--data", str(data), "--m", "3", "--decompose-free", "--format", "json",
                 "--lambda-grid", ",".join(map(str, GRID)), "--out", str(out)]) == 0
-    selected = {rec["lambda"] for rec in json.loads(out.read_text())}
-    assert counts == {"build_gram": 1, "weights_at": len(GRID) + len(selected)}
+    # one solve for S per lambda, shared by the losses; the test split reuses
+    # the selected models' S
+    assert counts == {"build_gram": 1, "weights_at": len(GRID)}
     assert json.loads(out.read_text()) == per_pair_eval(data, 3, 0, ["zero_one", "hamming", "fscore"],
                                                        GRID)
 
