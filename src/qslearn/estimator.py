@@ -48,18 +48,15 @@ MODEL_FORMAT_VERSION = 3
 
 @dataclass
 class QSModel:
-    """A fitted surrogate: coefficients C solving (K + lambda n I) C = Psi,
-    and what the alpha path reads instead of C.
+    """A fitted surrogate: coefficients C solving (K + lambda n I) C = Psi.
 
-    ``label_weights`` is S = (K + lambda n I)^{-1} E, n x |distinct|, its
-    columns in the order of ``y_index``; the alpha path solves for it on
-    first use with ``factor``, the Cholesky factor of K + lambda n I, and
-    then drops the factor, so the model holds n |distinct| floats instead
-    of n^2.  ``fit`` keeps the factor it solved with, which holds the memory
-    of its Gram, factored in place as nothing else reads it; ``factor`` is
-    ``None`` on a loaded model, on one ``select_lambda`` keeps and on a
-    ``select_and_refit`` model, and the alpha path builds it (in place, too)
-    from the training inputs if it has no S yet.  ``y_index`` is
+    ``label_weights`` is the alpha path's S = (K + lambda n I)^{-1} E (see
+    the module docstring), its columns in the order of ``y_index``, solved
+    for on first use with ``factor``, the Cholesky factor of K + lambda n I,
+    which is then dropped: the model holds n |distinct| floats, not n^2.
+    ``fit`` keeps the factor it solved with, which holds the memory of its
+    Gram, factored in place as nothing else reads it; the alpha path builds
+    a missing one (in place, too) from the training inputs.  ``y_index`` is
     ``LabelSpace.distinct`` of ``y_train``, or ``None`` until first used."""
 
     loss: DiscreteLoss
@@ -160,11 +157,9 @@ def _label_weights(model: QSModel, known: list) -> np.ndarray:
     labels, at = model.y_index
     if model.label_weights is None:
         check_bruteforce_budget(model.loss, len(labels))
-        same = [m.label_weights for m in known
-                if m.lam == model.lam and np.array_equal(m.y_index[1], at)]
-        if same:
-            model.label_weights = same[0]
-        else:
+        model.label_weights = next((m.label_weights for m in known if m.lam == model.lam
+                                    and np.array_equal(m.y_index[1], at)), None)
+        if model.label_weights is None:
             onehot_t = np.zeros((len(labels), len(at)))
             onehot_t[at, np.arange(len(at))] = 1.0
             model.label_weights = weights_at(_factored(model), onehot_t).T

@@ -1,6 +1,7 @@
 """Surrogate pipeline: fit, both prediction paths, risks, serialization."""
 
 import dataclasses
+import importlib
 import re
 import tracemalloc
 
@@ -29,7 +30,7 @@ from qslearn.kernels import (GEMM_MIN_ROWS, KernelSpec, build_gram, cross_kernel
                              solve_ridge)
 from qslearn.losses import (ExpectedRankUtility, FScore, Hamming, InvalidLabelError,
                             MeanAveragePrecision, NDCGType, PairwiseDisagreement, PrecAtK,
-                            ZeroOne)
+                            SpaceTooLargeError, ZeroOne)
 from qslearn.losses.base import BLOCK_CELLS, LabelSpace
 from qslearn.theory import random_problem, true_excess, tsybakov_check
 
@@ -222,7 +223,7 @@ def test_alpha_path_maps_the_training_labels_once_per_model(tmp_path, rng, monke
     restored = load_model(path)
     assert [size for _, size in calls] == [n]  # as it checks them, as fit did
     calls.clear()
-    bare = dataclasses.replace(model, y_index=None, factor=None)
+    bare = dataclasses.replace(model, y_index=None, label_weights=None)
     for fitted, maps in ((model, 0), (restored, 0), (bare, 1)):
         # two batches of 20 rows, two row blocks each
         assert predict_batch(fitted, x_test[:20], path="alpha") == want
@@ -448,17 +449,22 @@ def _arrays(path) -> dict:
         return {k: np.array(payload[k]) for k in payload.files}
 
 
-def test_fit_path_slices_match_standalone_fit(rng):
+def test_fit_path_slices_match_standalone_fit(rng, monkeypatch):
     losses = [ZeroOne(3), Hamming(3), FScore(3)]
     x = rng.normal(size=(25, 4))
     ys = [random_observation(losses[0], rng) for _ in range(25)]
     grid = [1e-3, 1e-2, 0.3]
     d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
     gram = np.exp(-d2 / (2.0 * GAUSS.bandwidth**2))
-    seen = []
+    seen, solves = [], []
+    solve = estimator.weights_at
+    monkeypatch.setattr(estimator, "weights_at", lambda *a: solves.append(1) or solve(*a))
     for lam, models in fit_path(losses, GAUSS, grid, x, ys):
         seen.append(lam)
         assert len({id(m.factor) for m in models}) == 1
+        # the losses of one lambda share one S, solved for once
+        predict_models(models, cross_kernel(GAUSS, x[:5], x), path="alpha")
+        assert len({id(m.label_weights) for m in models}) == 1 and len(solves) == len(seen)
         for loss, model in zip(losses, models):
             ref = fit(loss, GAUSS, lam, x, ys).coefficients
             assert model.coefficients.shape == ref.shape == (25, loss.r)
@@ -489,7 +495,7 @@ def test_overflowing_surrogate_is_refused(loss, rng):
     y = [random_observation(loss, rng) for _ in range(40)]
     model = fit(loss, KernelSpec("linear"), 0.1, x, y)
     huge = np.array([[1.7e308, -1.7e308, 1.7e308]])  # finite, but k(x, x_i) overflows
-    for path in ("fast", "alpha"):  # theta, and K_x before the solve, are refused
+    for path in ("fast", "alpha"):  # theta, and K_x before its product with S, are refused
         with pytest.raises(ValueError, match="not finite"):
             predict_batch(model, np.vstack([x[:3], huge]), path=path)
         assert len(predict_batch(model, x[:3], path=path)) == 3
@@ -511,7 +517,67 @@ def test_load_builds_no_gram_and_alpha_path_matches(tmp_path, rng, monkeypatch):
     assert calls == []
     assert np.allclose(alpha_weights(restored, x_test), want_alpha, rtol=0, atol=1e-10)
     assert predict_batch(restored, x_test, path="alpha") == want_labels
-    assert calls == [1]  # the factor is built once and kept
+    assert calls == [1]  # the factor is built once, and S solved with it
+
+
+def test_label_weights_solve_against_the_training_labels(rng, monkeypatch):
+    n = 40
+    model = _fitted(rng, Hamming(3), n=n)
+    x_test = rng.normal(size=(9, 3))
+    want = predict_batch(model, x_test, path="alpha")
+    labels, at = model.y_index
+    assert model.factor is None and model.label_weights.shape == (n, len(labels))
+    # S against an LU solve of a Gram built apart from the kernels module
+    d2 = np.sum((model.x_train[:, None, :] - model.x_train[None, :, :]) ** 2, axis=-1)
+    gram = np.exp(-d2 / (2.0 * model.kernel.bandwidth**2))
+    onehot = np.zeros((n, len(labels)))
+    onehot[np.arange(n), at] = 1.0
+    own = np.linalg.solve(gram + n * model.lam * np.eye(n), onehot)
+    assert np.max(np.abs(model.label_weights - own)) <= 1e-9 * np.max(np.abs(own))
+    # the label totals equal the per-row weights alpha(x) summed per label
+    totals = cross_kernel(model.kernel, x_test, model.x_train) @ model.label_weights
+    per_label = alpha_weights(model, x_test) @ onehot
+    assert np.max(np.abs(totals - per_label)) <= 1e-12 * np.max(np.abs(per_label))
+
+    def refuse(*args):
+        raise AssertionError("the alpha path solved again")
+
+    monkeypatch.setattr(estimator, "weights_at", refuse)
+    assert predict_batch(model, x_test, path="alpha") == want
+    assert model.factor is None
+
+
+def test_alpha_labels_do_not_depend_on_the_batch(rng):
+    loss = Hamming(4)
+    model = _fitted(rng, loss, n=60)
+    x_test = rng.normal(size=(17, 3))
+    single = [predict(model, row, path="alpha") for row in x_test]
+    labels, _ = model.y_index
+    matrix = loss.loss_matrix(labels)
+    totals = cross_kernel(model.kernel, x_test, model.x_train) @ model.label_weights
+    untied = [argmin_untied(matrix, t) for t in totals]
+    assert sum(untied) >= 15
+    for size in range(1, 18):
+        got = predict_batch(model, x_test[:size], path="alpha")
+        assert all(g == w for g, w, ok in zip(got, single, untied) if ok)
+    perm = rng.permutation(17)
+    got = predict_batch(model, x_test[perm], path="alpha")
+    assert all(got[k] == single[i] for k, i in enumerate(perm.tolist()) if untied[i])
+
+
+def test_alpha_path_refuses_labels_beyond_the_budget_before_solving(rng, monkeypatch):
+    model = _fitted(rng, Hamming(3), n=30)
+    distinct = len(model.y_index[0])
+    monkeypatch.setattr(importlib.import_module("qslearn.decode"), "BLOCK_CELLS",
+                        Hamming(3).n_outputs() * (distinct - 1))
+
+    def refuse(*args):
+        raise AssertionError("S was solved for")
+
+    monkeypatch.setattr(estimator, "weights_at", refuse)
+    with pytest.raises(SpaceTooLargeError, match="brute-force budget"):
+        predict_batch(model, rng.normal(size=(3, 3)), path="alpha")
+    assert model.label_weights is None
 
 
 def test_save_load_save_keeps_arrays(tmp_path, rng):

@@ -370,6 +370,14 @@ def test_bad_parameters_rejected():
     for params, message in [({"R": 0}, "R must be >= 1"), ({"gain": [0, 1]}, "R\\+1 entries"),
                             ({"gain": [0, 2, 1]}, "non-decreasing"),
                             ({"gain": [-1, 0, 0]}, "top gain must be positive"),
+                            ({"gain": [-1, 0, 1]}, "relevance 0 must be >= 0"),
+                            ({"gain": lambda t: t - 0.5}, "relevance 0 must be >= 0"),
+                            ({"gain": [0, np.nan, 1]}, "gain must be finite"),
+                            ({"gain": [0, 1, np.inf]}, "gain must be finite"),
+                            ({"gain": lambda t: np.nan if t else 0.0}, "gain must be finite"),
+                            ({"discount": [1.0, np.nan, 0.2]}, "discount must be finite"),
+                            ({"discount": lambda j: np.nan if j > 1 else 1.0},
+                             "discount must be finite"),
                             ({"discount": [1.0, 0.5]}, "m entries")]:
         with pytest.raises(LossConfigError, match=message):
             NDCGType(3, **{"R": 2, **params})
@@ -459,6 +467,10 @@ def test_eru_saved_as_ndcg_tables_still_loads():
            "discount": [1.0, 0.5, 0.25, 0.125]}
     loaded = make_loss(**old)
     assert loss_config(loaded) == old
+    # eru's callable discount gives the tables its lists gave
+    assert NDCGType.config(eru) == {k: old[k] for k in ("R", "gain", "discount")}
+    assert NDCGType.config(NDCGType(4, R=3, discount=lambda j: 2.0 ** (1 - j),
+                                    gain=old["gain"])) == NDCGType.config(eru)
     np.testing.assert_array_equal(loaded.output_table.f, eru.output_table.f)
     for y in eru.observations():
         np.testing.assert_array_equal(loaded.u_row(y), eru.u_row(y))

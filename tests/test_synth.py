@@ -196,13 +196,19 @@ def test_reproducibility_bit_identical():
 def test_spec_of_numpy_ints_and_lists_runs_as_the_plain_spec():
     # the spec keeps the Python ints and tuples its checks return
     plain = SyntheticSpec(d=2, m=3, loss_name="prec_at_k", loss_params=(("k", 2),), seed=4,
-                          n_grid=(24, 48), n_test=40, replications=2)
+                          n_grid=(24, 48), n_test=40, replications=2, delta=0.25)
     given = SyntheticSpec(d=np.int32(2), m=np.int64(3), loss_name="prec_at_k",
                           loss_params=[["k", np.int64(2)]], seed=np.int64(4),
                           n_grid=[np.int64(24), np.int16(48)], n_test=np.int64(40),
-                          replications=np.uint8(2))
+                          replications=np.uint8(2), delta=np.float32(0.25))
     assert given == plain
     assert all(type(getattr(given, f)) is int for f in ("d", "m", "seed", "n_test", "replications"))
+    assert type(given.delta) is float
+    for delta in (np.float64(0.3), np.int64(0), 1):
+        assert type(SyntheticSpec(delta=delta).delta) is float
+    for delta in (True, np.bool_(True), "0.2", None):
+        with pytest.raises(ValueError, match="delta must be a number"):
+            SyntheticSpec(delta=delta)
     assert type(given.n_grid) is tuple and all(type(n) is int for n in given.n_grid)
     assert given.loss_params == (("k", 2),)
     a, b = rate_experiment(plain), rate_experiment(given)
