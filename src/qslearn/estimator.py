@@ -18,17 +18,19 @@ costs one product of 2 n |distinct| flops in place of a 2 n^2 solve against
 the factor.  |distinct| is at most n, and at most ``BLOCK_CELLS`` / |Z|, as
 ``decode_bruteforce`` refuses larger label sets before S is solved for.
 
-A fitted ``QSModel`` is one flat record.  Its Cholesky factor, which only
-the alpha path reads, is ``None`` on a loaded model, on a model kept by
-``select_lambda`` and on a ``select_and_refit`` model; the alpha path builds
-it on first use if it needs it, solves for S with it and lets it go.  The
-training labels' index, which the alpha path reads too, is kept on the model
-like S: ``fit`` and ``load_model`` set it as they check them.
+A fitted ``QSModel`` is one flat record: what ``save_model`` writes, and the
+alpha path's two caches, the training labels' index (``fit`` and
+``load_model`` set it as they check them) and S.  The Cholesky factor of
+K + n lambda I lives only in ``_ridge_path``'s lambda loop, which solves
+for S with it on the alpha path of ``select_lambda``; a model without S
+builds the factor from its training inputs on its first alpha call, solves
+for S with it and lets it go.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +53,8 @@ class QSModel:
     """A fitted surrogate: coefficients C solving (K + lambda n I) C = Psi.
 
     ``label_weights`` is the alpha path's S = (K + lambda n I)^{-1} E (see
-    the module docstring), its columns in the order of ``y_index``, solved
-    for on first use with ``factor``, the Cholesky factor of K + lambda n I,
-    which is then dropped: the model holds n |distinct| floats, not n^2.
-    ``fit`` keeps the factor it solved with, which holds the memory of its
-    Gram, factored in place as nothing else reads it; the alpha path builds
-    a missing one (in place, too) from the training inputs.  ``y_index`` is
+    the module docstring), its columns in the order of ``y_index``: n
+    |distinct| floats, solved for once.  ``y_index`` is
     ``LabelSpace.distinct`` of ``y_train``, or ``None`` until first used."""
 
     loss: DiscreteLoss
@@ -65,9 +63,8 @@ class QSModel:
     x_train: np.ndarray
     y_train: list
     coefficients: np.ndarray  # n x r
-    factor: tuple | None = None  # scipy cho_factor handle of K + lambda n I
-    y_index: tuple | None = None  # (distinct labels, each row's position among them)
     scaler: Standardizer | None = None  # maps raw features to x_train's scale
+    y_index: tuple | None = None  # (distinct labels, each row's position among them)
     label_weights: np.ndarray | None = None  # S, n x |distinct|
 
 
@@ -97,46 +94,39 @@ def _embedded(losses, y) -> tuple[list, np.ndarray]:
     return labels, psi
 
 
-def _ridge_path(losses, gram, grid, x, labels, psi, spend: bool):
-    """``fit_path`` on a built Gram and embeddings; with ``spend``, the last
-    lambda factors the Gram in place."""
-    grid = list(grid)
-    edges = np.cumsum([0] + [loss.r for loss in losses])
-    y_train = [[ys[i] for i in at.tolist()] for ys, at in labels]
-    for j, lam in enumerate(grid):
-        coef, factor = solve_ridge(gram, psi, lam, overwrite=spend and j == len(grid) - 1)
-        yield lam, [
-            QSModel(loss, gram.spec, lam, x, ys, coef[:, a:b], factor, index)
-            for loss, ys, index, a, b in zip(losses, y_train, labels, edges[:-1], edges[1:])
-        ]
-        # a caller that has let go of the models frees this factor before the
-        # next one is made
-        del coef, factor
-
-
-def fit_path(losses, kernel: KernelSpec, grid, x, y):
+def _ridge_path(losses, gram, grid, x, labels, psi, spend: bool, path: str = "fast"):
     """Fit every loss at every lambda of ``grid`` on one Gram matrix.
 
     Yields ``(lam, models)`` in grid order, one model per loss.  The losses'
     embeddings are stacked column-wise, so each lambda costs one Cholesky
     factorization of K + lambda n I and one solve; each model's coefficients
-    are its column slice of C, and all of them share that factor and carry
-    the Gram's kernel spec, with the bandwidth the Gram chose if any.  Every
-    lambda but the last factors a copy of K; the last factors K in place, as
-    no later lambda needs it.
+    are its column slice of C, and all of them carry the Gram's kernel spec,
+    with the bandwidth the Gram chose if any.  On the alpha path the models
+    get their S from the factor.  The factor is then freed, before the yield,
+    so no two are alive at once.  Every lambda factors a copy of K; with
+    ``spend`` the last factors K in place, as no later lambda needs it.
     """
-    x, y = _checked(x, y)
-    labels, psi = _embedded(losses, y)
-    yield from _ridge_path(losses, build_gram(kernel, x), grid, x, labels, psi, spend=True)
+    grid = list(grid)
+    edges = np.cumsum([0] + [loss.r for loss in losses])
+    y_train = [[ys[i] for i in at.tolist()] for ys, at in labels]
+    for j, lam in enumerate(grid):
+        coef, factor = solve_ridge(gram, psi, lam, overwrite=spend and j == len(grid) - 1)
+        models = [QSModel(loss, gram.spec, lam, x, ys, coef[:, a:b], y_index=index)
+                  for loss, ys, index, a, b in zip(losses, y_train, labels, edges[:-1], edges[1:])]
+        if path == "alpha":
+            _solve_label_weights(models, factor)
+        del factor
+        yield lam, models
 
 
 def fit(loss: DiscreteLoss, kernel: KernelSpec, lam: float, x, y) -> QSModel:
-    """Train the surrogate regressor on (x_i, U_{y_i}) pairs.
-
-    Solves (K + lambda n I) C = Psi once via a shared Cholesky factor; C has
-    one column per decomposition coordinate.
-    """
-    _, (model,) = next(fit_path([loss], kernel, [lam], x, y))
+    """Train the surrogate regressor on (x_i, U_{y_i}) pairs: one Cholesky
+    solve of (K + lambda n I) C = Psi, with C's columns the decomposition
+    coordinates, on K factored in place (see ``_ridge_path``)."""
+    x, y = _checked(x, y)
+    labels, psi = _embedded([loss], y)
+    gram = build_gram(kernel, x)
+    _, (model,) = next(_ridge_path([loss], gram, [lam], x, labels, psi, spend=True))
     return model
 
 
@@ -146,42 +136,32 @@ def surrogate_values(model: QSModel, x) -> np.ndarray:
     return k_x @ model.coefficients
 
 
-def _label_weights(model: QSModel, known: list) -> np.ndarray:
-    """The model's S (see ``QSModel``): taken from a model of ``known`` with
-    the same lambda and label index, which has the same S, or solved for
-    with one ``weights_at`` call against E^T; the model then drops its
-    factor and joins ``known``.  Labels beyond the brute-force budget are
-    refused before the solve."""
-    if model.y_index is None:
-        model.y_index = model.loss.observation_space.distinct(model.y_train, "observation")
-    labels, at = model.y_index
-    if model.label_weights is None:
+def _solve_label_weights(models, factor: tuple | None = None) -> None:
+    """Give each model that lacks it its S (see ``QSModel``): that of an
+    earlier model with the same lambda and label index, or one ``weights_at``
+    solve against E^T with ``factor``, the models' factor of K + lambda n I,
+    if given, or else one built in place from the training inputs and let go.
+    Labels beyond the brute-force budget are refused before the solve."""
+    for j, model in enumerate(models):
+        if model.y_index is None:
+            model.y_index = model.loss.observation_space.distinct(model.y_train, "observation")
+        if model.label_weights is not None:
+            continue
+        labels, at = model.y_index
         check_bruteforce_budget(model.loss, len(labels))
-        model.label_weights = next((m.label_weights for m in known if m.lam == model.lam
+        model.label_weights = next((m.label_weights for m in models[:j] if m.lam == model.lam
                                     and np.array_equal(m.y_index[1], at)), None)
         if model.label_weights is None:
             onehot_t = np.zeros((len(labels), len(at)))
             onehot_t[at, np.arange(len(at))] = 1.0
-            model.label_weights = weights_at(_factored(model), onehot_t).T
-    model.factor = None
-    known.append(model)
-    return model.label_weights
-
-
-def _factored(model: QSModel) -> tuple:
-    """The model's Cholesky factor, built from the training inputs on first
-    use and kept on the model."""
-    if model.factor is None:
-        gram = build_gram(model.kernel, model.x_train)
-        model.factor = ridge_factor(gram, model.lam, overwrite=True)
-    return model.factor
+            model.label_weights = weights_at(factor or ridge_factor(
+                build_gram(model.kernel, model.x_train), model.lam, overwrite=True), onehot_t).T
 
 
 def alpha_weights(model: QSModel, x) -> np.ndarray:
-    """alpha(x) rows for one point or a batch, from the model's factor (built
-    again if S has replaced it)."""
-    k_x = cross_kernel(model.kernel, x, model.x_train)
-    return weights_at(_factored(model), k_x)
+    """alpha(x) rows for one point or a batch, from a factor built again."""
+    factor = ridge_factor(build_gram(model.kernel, model.x_train), model.lam, overwrite=True)
+    return weights_at(factor, cross_kernel(model.kernel, x, model.x_train))
 
 
 def predict(model: QSModel, x, path: str = "fast") -> Label:
@@ -232,8 +212,8 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
         return out
     if path == "alpha":
         require_finite(k_x, "the cross-kernel is not finite; the inputs overflow the kernel")
-        known = []
-        return [decode_bruteforce(model.loss, k_x @ _label_weights(model, known), model.y_index[0])
+        _solve_label_weights(models)
+        return [decode_bruteforce(model.loss, k_x @ model.label_weights, model.y_index[0])
                 for model in models]
     raise ValueError(f"unknown prediction path {path!r}")
 
@@ -257,14 +237,11 @@ def _least_risk(fits, k_val: np.ndarray, observed: list, path: str) -> list:
     """Per loss, the (validation risk, model) of least risk over the
     ``(lam, models)`` of ``fits``, scored from the validation cross-kernel
     ``k_val`` against observations that ``distinct`` mapped to ``observed``.
-    Ties go to the earlier lambda.  The models drop their factor once scored,
-    so that no two lambdas' factors are alive at once; on the alpha path
-    they keep their S instead."""
+    Ties go to the earlier lambda."""
     best = [(np.inf, None)] * len(observed)
     for _, models in fits:
         preds = predict_models(models, k_val, path=path)
         for j, (model, pred) in enumerate(zip(models, preds)):
-            model.factor = None
             risk = _mean_loss(pred, model.loss, *observed[j])
             if risk < best[j][0]:
                 best[j] = (risk, model)
@@ -277,20 +254,20 @@ def select_lambda(
     """Per loss, the (validation risk, model) of least validation risk.
 
     All losses and lambdas share one Gram matrix and one validation
-    cross-kernel, and each lambda one factorization (see ``fit_path``) and,
-    on the alpha path, one solve for S, the label weights all its losses
-    share (see ``QSModel``).  The validation labels are mapped once per
-    loss.  Ties go to the earlier lambda.  The models kept as best hold no
-    factor; on the alpha path they keep their S, so test-time prediction
-    solves nothing.
+    cross-kernel, and each lambda one factorization (see ``_ridge_path``),
+    freed before the next is made, and, on the alpha path, one solve for S,
+    the label weights all its losses share (see ``QSModel``).  The
+    validation labels are mapped once per loss.  Ties go to the earlier
+    lambda.  On the alpha path the models kept as best hold their S, so
+    test-time prediction solves nothing.
     """
     observed = [loss.observation_space.distinct(y_val, "observation") for loss in losses]
     x_tr, y_tr = _checked(x_tr, y_tr)
     labels, psi = _embedded(losses, y_tr)
     gram = build_gram(kernel, x_tr)
     k_val = cross_kernel(gram.spec, x_val, x_tr)
-    return _least_risk(_ridge_path(losses, gram, grid, x_tr, labels, psi, spend=True),
-                       k_val, observed, path)
+    fits = _ridge_path(losses, gram, grid, x_tr, labels, psi, spend=True, path=path)
+    return _least_risk(fits, k_val, observed, path)
 
 
 def select_and_refit(loss: DiscreteLoss, kernel: KernelSpec, grid, x, y, tr_idx, val_idx):
@@ -304,7 +281,8 @@ def select_and_refit(loss: DiscreteLoss, kernel: KernelSpec, grid, x, y, tr_idx,
     copy of its leading block, the validation rows are scored from the
     block below that, and the refit shifts and factors the whole matrix in
     place.  The refit's rows, labels and coefficients are put back in the
-    order of x; its factor, which is of the reordered matrix, is not kept.
+    order of x; like every model, it holds no factor, and its first alpha
+    call builds one from x (see ``QSModel``).
     """
     x, y = _checked(x, y)
     order = np.concatenate([tr_idx, val_idx]).astype(int)
@@ -332,18 +310,19 @@ def save_model(model: QSModel, path: str) -> None:
     scaler = {}
     if model.scaler is not None:
         scaler = {"scaler_mean": model.scaler.mean, "scaler_scale": model.scaler.scale}
-    np.savez(
-        path,
-        format_version=MODEL_FORMAT_VERSION,
-        loss_json=json.dumps(loss_config(model.loss)),
-        kernel_kind=model.kernel.kind,
-        bandwidth=-1.0 if model.kernel.bandwidth is None else model.kernel.bandwidth,
-        lam=model.lam,
-        x_train=model.x_train,
-        coefficients=model.coefficients,
-        y_train=np.array([list(yi) for yi in model.y_train], dtype=np.int64),
-        **scaler,
-    )
+    with open(path, "wb") as out:  # a file object, so that savez adds no .npz to the path
+        np.savez(
+            out,
+            format_version=MODEL_FORMAT_VERSION,
+            loss_json=json.dumps(loss_config(model.loss)),
+            kernel_kind=model.kernel.kind,
+            bandwidth=-1.0 if model.kernel.bandwidth is None else model.kernel.bandwidth,
+            lam=model.lam,
+            x_train=model.x_train,
+            coefficients=model.coefficients,
+            y_train=np.array([list(yi) for yi in model.y_train], dtype=np.int64),
+            **scaler,
+        )
 
 
 def load_model(path: str) -> QSModel:
@@ -354,11 +333,12 @@ def load_model(path: str) -> QSModel:
     loss and are finite.  The label weights S, which only the alpha path
     needs, are solved for on its first use.
     """
-    with np.load(path, allow_pickle=False) as payload:
-        try:
+    try:
+        # the file is opened here, so that it is closed when np.load finds no zip in it
+        with open(path, "rb") as file, np.load(file, allow_pickle=False) as payload:
             version = int(payload["format_version"])
             if version not in (1, 2, MODEL_FORMAT_VERSION):
-                raise ValueError(f"unsupported model format version {version}")
+                raise ValueError(f"{path}: unsupported model format version {version}")
             cfg = json.loads(str(payload["loss_json"]))
             if not isinstance(cfg, dict):
                 raise LossConfigError(f"{path}: loss_json must be a JSON object")
@@ -376,8 +356,10 @@ def load_model(path: str) -> QSModel:
             if "scaler_mean" in payload.files:
                 scaler = Standardizer(np.asarray(payload["scaler_mean"], dtype=float),
                                       np.asarray(payload["scaler_scale"], dtype=float))
-        except KeyError as exc:
-            raise ValueError(f"{path}: model file lacks {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks {exc}") from exc
+    except (zipfile.BadZipFile, TypeError) as exc:  # a truncated file, an array for a scalar
+        raise ValueError(f"{path}: not a readable model file: {exc}") from exc
 
     def require(ok, message: str) -> None:
         if not ok:

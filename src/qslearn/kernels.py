@@ -11,8 +11,9 @@ The Gram matrix does not depend on lambda and the factor does not depend on
 the loss, so a lambda grid over several losses needs one Gram and one
 factorization per lambda, with the losses' embeddings as stacked columns.
 ``solve_ridge`` returns the coefficients together with the factor it solved
-with; a caller holding only coefficients (a loaded model) has no factor
-until it calls ``ridge_factor`` for the weight path.
+with, which the estimator's lambda loop uses for the weight path's one solve
+and lets go; a fitted model holds no factor, and calls ``ridge_factor`` again
+when its weight path first needs one.
 One Cholesky per lambda is cheaper than one eigendecomposition for the whole
 grid: at n = 1445 on one BLAS thread, numpy's ``eigh`` takes 0.60 s against
 0.19 s for five Choleskys.  A caller that needs K no more can have it

@@ -397,11 +397,6 @@ class DiscreteLoss:
     def sharp(self) -> SharpConstant:
         raise NotImplementedError
 
-    # -- generic helpers -----------------------------------------------------
-    def embed(self, y) -> np.ndarray:
-        """U_y for a validated observation (the surrogate regression target)."""
-        return self.u_row(self.observation_space.check(as_label(y)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(m={self.m}, r={self.r})"
 

@@ -163,12 +163,12 @@ def test_constants_reports_class_decoder(name, tmp_path, capsys):
 def test_train_eval_workflow(tmp_path, capsys):
     data = tmp_path / "toy.libsvm"
     make_toy_dataset(data, n=80)
-    model = tmp_path / "model.npz"
+    model = tmp_path / "model"  # written as named, with no .npz added
     rc = run(
         ["train", "--data", str(data), "--m", "2", "--loss", "hamming",
          "--kernel", "gaussian", "--lambda", "0.001", "--out", str(model)]
     )
-    assert rc == 0 and model.exists()
+    assert rc == 0 and model.exists() and f"model written to {model}\n" in capsys.readouterr().out
 
     preds = tmp_path / "preds.txt"
     rc = run(["predict", "--model", str(model), "--data", str(data), "--out", str(preds)])
@@ -771,17 +771,37 @@ def test_predict_standardize_needs_saved_scaler(tmp_path, capsys):
     assert "scaler" in capsys.readouterr().err
 
 
+def _truncate(path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])  # a zip without its directory
+
+
+def _pair_of(key: str):
+    def corrupt(path) -> None:  # an array where a scalar belongs
+        with np.load(path) as payload:
+            arrays = {k: payload[k] for k in payload.files}
+        np.savez(path, **{**arrays, key: np.repeat(arrays[key], 2)})
+    return corrupt
+
+
+def _narrow_coefficients(path) -> None:
+    model = load_model(str(path))
+    model.coefficients = model.coefficients[:, :-1]
+    save_model(model, str(path))
+
+
 def test_corrupt_model_is_usage_error(tmp_path, capsys):
     data = tmp_path / "noisy.libsvm"
     make_noisy_dataset(data, n=20)
     model_path = tmp_path / "m.npz"
-    assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming",
-                "--lambda", "0.01", "--out", str(model_path)]) == 0
-    model = load_model(str(model_path))
-    model.coefficients = model.coefficients[:, :-1]
-    save_model(model, str(model_path))
-    assert run(["predict", "--model", str(model_path), "--data", str(data)]) == cli.USAGE_ERROR
-    assert "coefficients" in capsys.readouterr().err
+    for corrupt, named in [(_narrow_coefficients, "coefficients"), (_truncate, "m.npz"),
+                           (_pair_of("format_version"), "m.npz"), (_pair_of("bandwidth"), "m.npz")]:
+        assert run(["train", "--data", str(data), "--m", "3", "--loss", "hamming",
+                    "--lambda", "0.01", "--out", str(model_path)]) == 0
+        corrupt(model_path)
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model_path), "--data", str(data)]) == cli.USAGE_ERROR
+        assert named in capsys.readouterr().err
 
 
 def test_gaussian_model_without_bandwidth_is_usage_error(tmp_path, capsys):

@@ -16,7 +16,6 @@ from qslearn.estimator import (
     alpha_weights,
     empirical_risk,
     fit,
-    fit_path,
     load_model,
     predict,
     predict_batch,
@@ -262,7 +261,7 @@ def test_select_and_refit_selects_as_select_lambda_and_refits_as_fit(d, rng):
         assert model.kernel.bandwidth == pytest.approx(want.kernel.bandwidth, rel=1e-15)
         ref = fit(loss, model.kernel, model.lam, x, ys)
         assert np.array_equal(model.x_train, ref.x_train)
-        assert model.y_train == ref.y_train and model.factor is None
+        assert model.y_train == ref.y_train
         scale = np.max(np.abs(ref.coefficients))
         assert np.max(np.abs(model.coefficients - ref.coefficients)) <= 1e-12 * scale
 
@@ -449,31 +448,47 @@ def _arrays(path) -> dict:
         return {k: np.array(payload[k]) for k in payload.files}
 
 
-def test_fit_path_slices_match_standalone_fit(rng, monkeypatch):
+def test_lambda_path_slices_match_standalone_fit(rng, monkeypatch):
     losses = [ZeroOne(3), Hamming(3), FScore(3)]
     x = rng.normal(size=(25, 4))
     ys = [random_observation(losses[0], rng) for _ in range(25)]
     grid = [1e-3, 1e-2, 0.3]
     d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
     gram = np.exp(-d2 / (2.0 * GAUSS.bandwidth**2))
-    seen, solves = [], []
-    solve = estimator.weights_at
+    scored, solves = [], []
+    solve, score = estimator.weights_at, estimator.predict_models
     monkeypatch.setattr(estimator, "weights_at", lambda *a: solves.append(1) or solve(*a))
-    for lam, models in fit_path(losses, GAUSS, grid, x, ys):
-        seen.append(lam)
-        assert len({id(m.factor) for m in models}) == 1
-        # the losses of one lambda share one S, solved for once
-        predict_models(models, cross_kernel(GAUSS, x[:5], x), path="alpha")
-        assert len({id(m.label_weights) for m in models}) == 1 and len(solves) == len(seen)
+    monkeypatch.setattr(estimator, "predict_models", lambda models, k_x, path: (
+        scored.append((models, len(solves))) or score(models, k_x, path)))
+    select_lambda(losses, GAUSS, grid, x, ys, rng.normal(size=(5, 4)), ys[:5], path="alpha")
+    assert [models[0].lam for models, _ in scored] == grid and len(solves) == len(grid)
+    for j, (models, solved) in enumerate(scored):
+        # the losses of one lambda share one S, solved for once, before they are scored
+        assert len({id(m.label_weights) for m in models}) == 1 and solved == j + 1
         for loss, model in zip(losses, models):
-            ref = fit(loss, GAUSS, lam, x, ys).coefficients
+            ref = fit(loss, GAUSS, model.lam, x, ys).coefficients
             assert model.coefficients.shape == ref.shape == (25, loss.r)
             assert np.max(np.abs(model.coefficients - ref)) <= 1e-12 * np.max(np.abs(ref))
             # and an LU solve made apart from the estimator's code
             psi = np.array([loss.u_row(y) for y in ys])
-            own = np.linalg.solve(gram + 25 * lam * np.eye(25), psi)
+            own = np.linalg.solve(gram + 25 * model.lam * np.eye(25), psi)
             assert np.max(np.abs(model.coefficients - own)) <= 1e-9 * np.max(np.abs(own))
-    assert seen == grid
+
+
+def test_fitted_model_holds_no_factor(rng):
+    n = 600
+    x = rng.normal(size=(n, 3))
+    ys = [random_observation(Hamming(3), rng) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        model = fit(Hamming(3), GAUSS, 0.01, x, ys)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < n * n * 8 / 2  # the Gram, factored in place, went with the fit
+    leaves = [v for value in vars(model).values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    assert not any(np.shape(v) == (n, n) for v in leaves if isinstance(v, np.ndarray))
 
 
 def test_non_finite_features_rejected(rng):
@@ -512,12 +527,13 @@ def test_load_builds_no_gram_and_alpha_path_matches(tmp_path, rng, monkeypatch):
     build = estimator.build_gram
     monkeypatch.setattr(estimator, "build_gram", lambda *a: calls.append(1) or build(*a))
     restored = load_model(path)
-    assert calls == [] and restored.factor is None
+    assert calls == []
     assert predict_batch(restored, x_test) == predict_batch(model, x_test)
     assert calls == []
     assert np.allclose(alpha_weights(restored, x_test), want_alpha, rtol=0, atol=1e-10)
+    assert calls == [1]  # alpha_weights builds a factor for itself
     assert predict_batch(restored, x_test, path="alpha") == want_labels
-    assert calls == [1]  # the factor is built once, and S solved with it
+    assert calls == [1, 1]  # and the alpha path one, to solve for S, once
 
 
 def test_label_weights_solve_against_the_training_labels(rng, monkeypatch):
@@ -526,7 +542,7 @@ def test_label_weights_solve_against_the_training_labels(rng, monkeypatch):
     x_test = rng.normal(size=(9, 3))
     want = predict_batch(model, x_test, path="alpha")
     labels, at = model.y_index
-    assert model.factor is None and model.label_weights.shape == (n, len(labels))
+    assert model.label_weights.shape == (n, len(labels))
     # S against an LU solve of a Gram built apart from the kernels module
     d2 = np.sum((model.x_train[:, None, :] - model.x_train[None, :, :]) ** 2, axis=-1)
     gram = np.exp(-d2 / (2.0 * model.kernel.bandwidth**2))
@@ -544,7 +560,6 @@ def test_label_weights_solve_against_the_training_labels(rng, monkeypatch):
 
     monkeypatch.setattr(estimator, "weights_at", refuse)
     assert predict_batch(model, x_test, path="alpha") == want
-    assert model.factor is None
 
 
 def test_alpha_labels_do_not_depend_on_the_batch(rng):
@@ -678,6 +693,9 @@ CORRUPTIONS = {
     "scaler_d": lambda a: a.update(scaler_mean=a["scaler_mean"][:-1]),
     "missing_key": lambda a: a.pop("coefficients"),
     "version": lambda a: a.update(format_version=np.array(4)),
+    "version_pair": lambda a: a.update(format_version=np.array([3, 3])),
+    "bandwidth_pair": lambda a: a.update(bandwidth=np.array([1.0, 1.0])),
+    "truncated": lambda a: None,  # the file is cut to half its bytes below
 }
 
 
@@ -688,7 +706,12 @@ def test_load_rejects_corrupt_model(name, tmp_path, rng):
     arrays = _arrays(path)
     CORRUPTIONS[name](arrays)
     np.savez(path, **arrays)
-    with pytest.raises(ValueError):
+    if name == "truncated":
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(data[:len(data) // 2])
+    with pytest.raises(ValueError, match=re.escape(path)):
         load_model(path)
 
 

@@ -246,12 +246,12 @@ def test_f_norm_field_matches_enumeration():
 # ---------------------------------------------------------------------------
 
 def test_hamming_embed_all_ones():
-    assert Hamming(4).embed((1, 1, 1, 1)).tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert Hamming(4).u_row((1, 1, 1, 1)).tolist() == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_ndcg_embed_equal_relevance():
     loss = NDCGType(3, R=2)
-    u = loss.embed((2, 2, 2))
+    u = loss.u_row((2, 2, 2))
     assert np.allclose(u, u[0])
     # best ranking recovers the normalizer exactly
     assert u @ np.sort(loss.discount)[::-1] == pytest.approx(1.0, abs=1e-12)
@@ -259,18 +259,9 @@ def test_ndcg_embed_equal_relevance():
 
 def test_pd_embed_degenerate_zero():
     loss = PairwiseDisagreement(4)
-    assert np.all(loss.embed((0, 0, 0, 0)) == 0.0)
-    assert np.all(loss.embed((1, 1, 1, 1)) == 0.0)
+    assert np.all(loss.u_row((0, 0, 0, 0)) == 0.0)
+    assert np.all(loss.u_row((1, 1, 1, 1)) == 0.0)
     assert loss.is_degenerate((0, 0, 0, 0))
-
-
-def test_embed_validates_labels():
-    with pytest.raises(InvalidLabelError):
-        Hamming(3).embed((0, 1))
-    with pytest.raises(InvalidLabelError):
-        NDCGType(3, R=2).embed((0, 5, 1))
-    with pytest.raises(InvalidLabelError):
-        MeanAveragePrecision(3).embed((1, 2))
 
 
 # the parameters beyond m = 4 of the losses that need some
@@ -345,6 +336,11 @@ def test_label_space_kinds():
         LabelSpace.permutations(3).check((1, 1, 2))
     with pytest.raises(InvalidLabelError, match="permutation of 1..3"):
         LabelSpace.permutations(3).check((1.0, 2.0, 3.0))
+    # the observation spaces of the losses refuse labels of the wrong length or range
+    for loss, y in ((Hamming(3), (0, 1)), (NDCGType(3, R=2), (0, 5, 1)),
+                    (MeanAveragePrecision(3), (1, 2))):
+        with pytest.raises(InvalidLabelError):
+            loss.observation_space.check(y)
 
 
 # ---------------------------------------------------------------------------
