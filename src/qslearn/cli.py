@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error: a flag the command
 does not declare (each command takes only the flags it reads, matched whole),
-a missing file, or malformed data, model or config.  Every command is
-deterministic: check, train and eval given --seed, rates given its spec's
-seed or --seed.
+a file that cannot be read or written (any OSError), or malformed data,
+model or config.  Every command is deterministic: check, train and eval
+given --seed, rates given its spec's seed or --seed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .data import DataFormatError, parse_multilabel, split, standardize
+from .data import parse_multilabel, split, standardize
 from .decode import argmin_untied, decode_batch, decode_bruteforce
 from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_models,
                         save_model, select_and_refit, select_lambda)
@@ -143,8 +143,7 @@ def _lambda_grid(args, n: int) -> list[float]:
 
 def cmd_train(args) -> int:
     if not args.out:
-        print("--out is required for train", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("--out is required for train")
     _check_kernel_flags(args)
     loss = _loss_from_args(args)
     ds = parse_multilabel(args.data, loss.m, fmt=args.data_format, d=args.d)
@@ -342,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LossConfigError, DataFormatError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # LossConfigError and DataFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -303,7 +303,8 @@ def split(
     seed: int = 0,
 ):
     """Disjoint (train, val, test) cover; rounding remainder goes to train."""
-    if any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    # stated positively, so a NaN fraction fails
+    if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ValueError("fractions must be nonnegative and sum to 1")
     n = dataset.n
     n_val = round(fractions[1] * n)

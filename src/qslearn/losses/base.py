@@ -259,7 +259,9 @@ class DiscreteLoss:
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
     of the F rows and ``sharp``.  A loss with structure overrides
     ``decode_batch`` with a fast decoder over the whole batch, and describes
-    it in ``decoder``; the default scores the output table.  It may also
+    it in ``decoder``; the default scores the output table.  A decoder that
+    is a heuristic past some m sets ``exact_limit`` to the largest m where it
+    is exact (every m by default).  A loss may also
     override ``expected_embedding`` with a closed form.  A loss with
     constructor parameters beyond m returns them from ``config``, keyed by
     their constructor names, so ``make_loss(name, m, **loss.config())``
@@ -278,6 +280,7 @@ class DiscreteLoss:
     observation_space: LabelSpace
     decoder: str = "O(|Z|) enumeration"
     least_m = 1  # the fewest labels the loss is defined on
+    exact_limit = math.inf  # the largest m at which decode_batch is exact
 
     @classmethod
     def checked_m(cls, m) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -29,6 +30,13 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return chosen
 
 
+def one_hot(r: int, at: int, value: float) -> np.ndarray:
+    """A length-r row holding ``value`` at index ``at`` and zeros elsewhere."""
+    row = np.zeros(r)
+    row[at] = value
+    return row
+
+
 class ZeroOne(DiscreteLoss):
     """Exact-match loss 1(z != y) over all 2^m subsets.
 
@@ -50,18 +58,14 @@ class ZeroOne(DiscreteLoss):
         return 0.0 if z == y else 1.0
 
     def f_row(self, z: Label) -> np.ndarray:
-        row = np.zeros(self.r)
-        row[subset_rank(z)] = -1.0
-        return row
+        return one_hot(self.r, subset_rank(z), -1.0)
 
     def decode_batch(self, thetas: np.ndarray) -> list:
         rank = np.argmax(thetas, axis=1)  # the first maximum, canonical on ties
         return label_rows((rank[:, None] >> np.arange(self.m - 1, -1, -1)) & 1)
 
     def u_row(self, y: Label) -> np.ndarray:
-        row = np.zeros(self.r)
-        row[subset_rank(y)] = 1.0
-        return row
+        return one_hot(self.r, subset_rank(y), 1.0)
 
     def sharp(self) -> SharpConstant:
         return SharpConstant(self.r, 1.0, 1.0, 2.0 ** (self.m / 2.0))
@@ -121,9 +125,7 @@ class BlockZeroOne(DiscreteLoss):
         return 0.0 if self._block_of[z] == self._block_of[y] else 1.0
 
     def f_row(self, z: Label) -> np.ndarray:
-        row = np.zeros(self.r)
-        row[self._block_of[z]] = -1.0
-        return row
+        return one_hot(self.r, self._block_of[z], -1.0)
 
     def decode_batch(self, thetas: np.ndarray) -> list:
         scores = thetas[:, self._by_min]
@@ -131,9 +133,7 @@ class BlockZeroOne(DiscreteLoss):
         return label_rows(self._block_min[first])
 
     def u_row(self, y: Label) -> np.ndarray:
-        row = np.zeros(self.r)
-        row[self._block_of[y]] = 1.0
-        return row
+        return one_hot(self.r, self._block_of[y], 1.0)
 
     def sharp(self) -> SharpConstant:
         return SharpConstant(self.r, 1.0, 1.0, math.sqrt(self.b))
@@ -223,17 +223,19 @@ class PrecAtK(DiscreteLoss):
 class FScore(DiscreteLoss):
     """F1 loss 1 - 2|z & y| / (|z| + |y|) with the empty-set convention.
 
-    For y = 0 the score is 1(z = 0), carried by a dedicated r-th coordinate,
-    so r = m^2 + 1.  Two exact decompositions are implemented and selected by
-    ``side``:
+    Coordinate (item j, cardinality l), l = 1..m, lives at index (l-1) m + j,
+    and the empty set at the last one, so r = m^2 + 1.  With a_x[j, l] =
+    x_j 1(|x| = l) and b_x[j, l] = x_j / (|x| + l), two exact decompositions
+    are selected by ``side``:
 
-    - side="p": coordinates index (item j, observed cardinality); decoding
-      needs an O(m^3) conversion before the per-cardinality maximizations.
-    - side="a": coordinates index (item j, predicted cardinality); decoding
-      maximizes over them directly, a top-k sort per cardinality k.
+    - side="p": F_z = -b_z, U_y = 2 a_y (l is the observed cardinality);
+      decoding needs an O(m^3) conversion before the per-cardinality
+      maximizations.
+    - side="a": F_z = -a_z, U_y = 2 b_y (l is the predicted cardinality);
+      decoding maximizes over them directly, a top-k sort per cardinality k.
 
-    Both sides place a factor 2 on the U rows so the identity
-    F_z . U_y + c = L(z, y) is exact.  sup ||F_z||_2 is 1 for the p-side
+    On both sides the empty set puts -1 (F) or +1 (U) in the last coordinate,
+    so F_z . U_y + c = L(z, y) exactly.  sup ||F_z||_2 is 1 for the p-side
     (attained at z = 0) and sqrt(m) for the a-side.
     """
 
@@ -249,6 +251,8 @@ class FScore(DiscreteLoss):
         self.r = m * m + 1
         self.offset = 1.0
         self.f_norm = 1.0 if side == "p" else math.sqrt(m)
+        pos = np.arange(1, m + 1, dtype=float)
+        self._w = 1.0 / (pos[:, None] + pos[None, :])  # _w[l-1, k-1] = 1/(l+k)
 
     def config(self) -> dict:
         return {"side": self.side}
@@ -261,36 +265,32 @@ class FScore(DiscreteLoss):
         inter = sum(a & b for a, b in zip(z, y))
         return 1.0 - 2.0 * inter / (sz + sy)
 
-    # coordinate (j, ell) lives at index (ell - 1) * m + j, ell in 1..m
-    def f_row(self, z: Label) -> np.ndarray:
-        m = self.m
+    def _embed(self, x: Label, spread: bool, scale: float, empty: float) -> np.ndarray:
+        """scale * b_x if ``spread``, else scale * a_x; x = 0 puts ``empty`` last."""
+        m, size = self.m, sum(x)
+        if size == 0:
+            return one_hot(self.r, m * m, empty)
         row = np.zeros(self.r)
-        sz = sum(z)
-        if sz == 0:
-            row[m * m] = -1.0
-            return row
-        if self.side == "p":
-            for ell in range(1, m + 1):
-                base = (ell - 1) * m
-                for j in range(m):
-                    if z[j]:
-                        row[base + j] = -1.0 / (sz + ell)
-        else:
-            base = (sz - 1) * m
-            for j in range(m):
-                if z[j]:
-                    row[base + j] = -1.0
+        items = list(itertools.compress(range(m), x))
+        for ell in range(1, m + 1) if spread else (size,):
+            w = scale * self._w[ell - 1, size - 1] if spread else scale
+            for j in items:
+                row[(ell - 1) * m + j] = w
         return row
+
+    def f_row(self, z: Label) -> np.ndarray:
+        return self._embed(z, self.side == "p", -1.0, -1.0)
+
+    def u_row(self, y: Label) -> np.ndarray:
+        return self._embed(y, self.side == "a", 2.0, 1.0)
 
     def decode_batch(self, thetas: np.ndarray) -> list:
         m = self.m
         # [row, j, k-1]: the score of item j at cardinality k
         per_card = thetas[:, : m * m].reshape(-1, m, m).transpose(0, 2, 1)
         if self.side == "p":  # per_card[:, j, ell-1] is item j at observed cardinality ell
-            pos = np.arange(1, m + 1, dtype=float)
-            conv = 1.0 / (pos[:, None] + pos[None, :])  # conv[l-1, k-1] = 1/(l+k)
             # summed over l in a fixed order, so a row's sums ignore the batch
-            per_card = sum(per_card[:, :, ell, None] * conv[ell] for ell in range(m))
+            per_card = sum(per_card[:, :, ell, None] * self._w[ell] for ell in range(m))
         best_z = np.zeros((len(thetas), m), dtype=bool)
         best_score = thetas[:, m * m]  # z = 0 scores the empty-set coordinate
         for k in range(1, m + 1):
@@ -303,26 +303,6 @@ class FScore(DiscreteLoss):
             best_score = np.where(better, score, best_score)
             best_z = np.where(better[:, None], z, best_z)
         return label_rows(best_z)
-
-    def u_row(self, y: Label) -> np.ndarray:
-        m = self.m
-        row = np.zeros(self.r)
-        sy = sum(y)
-        if sy == 0:
-            row[m * m] = 1.0
-            return row
-        if self.side == "p":
-            base = (sy - 1) * m
-            for j in range(m):
-                if y[j]:
-                    row[base + j] = 2.0
-        else:
-            for ell in range(1, m + 1):
-                base = (ell - 1) * m
-                for j in range(m):
-                    if y[j]:
-                        row[base + j] = 2.0 / (sy + ell)
-        return row
 
     def sharp(self) -> SharpConstant:
         m = self.m

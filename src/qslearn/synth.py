@@ -166,7 +166,7 @@ class MultilabelGenerator:
 def bayes_predictions(loss, expected) -> list:
     """Exact Bayes labels: the decoder at the rows ``expected`` = E[U_y | x], refused
     past ``exact_limit`` (MAP above m = 16), where a heuristic label need not be f*."""
-    if loss.m > getattr(loss, "exact_limit", loss.m):
+    if loss.m > loss.exact_limit:
         raise SpaceTooLargeError(f"{loss.name}: m = {loss.m} is beyond the exact decoder's "
                                  f"limit {loss.exact_limit}, so f* is not known exactly")
     return loss.decode_batch(expected)

@@ -39,14 +39,16 @@ class FiniteProblem:
         conditionals = np.asarray(conditionals, dtype=float)
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must be a nonempty vector")
-        if abs(masses.sum() - 1.0) > 1e-12 or np.any(masses < 0):
+        # each test stated positively, so a NaN fails it
+        if not (np.all(masses >= 0) and abs(masses.sum() - 1.0) <= 1e-12):
             raise ValueError("masses must be a probability vector")
         n_y = loss.n_observations()
         if conditionals.shape != (masses.size, n_y):
             raise ValueError(
                 f"conditionals must be {masses.size} x {n_y}, got {conditionals.shape}"
             )
-        if np.any(conditionals < 0) or np.any(np.abs(conditionals.sum(axis=1) - 1.0) > 1e-12):
+        sums_to_one = np.all(np.abs(conditionals.sum(axis=1) - 1.0) <= 1e-12)
+        if not (np.all(conditionals >= 0) and sums_to_one):
             raise ValueError("each conditional row must be a probability vector")
         self.loss = loss
         self.masses = masses
@@ -111,7 +113,7 @@ def margin(problem: FiniteProblem, state: int) -> float:
 
 def margin_moment(problem: FiniteProblem, p: float) -> float:
     """Gamma_p = sum_x P(x) gamma(x)^{-p}; errors on zero margin with mass."""
-    if p <= 0:
+    if not p > 0:  # stated positively, so NaN fails
         raise ValueError("p must be positive")
     supported = problem.masses > 0
     zero = np.flatnonzero(supported & (problem.margins <= 0))
@@ -219,7 +221,7 @@ def comparison_check(problem: FiniteProblem, g, p: float | None = None) -> Compa
 
 def calibration_H(loss: DiscreteLoss, eps: float) -> float:
     """H(eps) = eps^2 / (4 ||F||_inf^2), the quadratic calibration function."""
-    if eps < 0:
+    if not eps >= 0:  # stated positively, so NaN fails
         raise ValueError("eps must be >= 0")
     return eps**2 / (4.0 * loss.f_norm**2)
 
@@ -232,9 +234,9 @@ def calibration_H_p(loss: DiscreteLoss, eps: float, p: float, gamma_p: float) ->
     dominates gamma_p^{1/(p+1)} H(eps / (2 gamma_p^{1/(p+1)})), i.e. it never
     yields a worse rate than the plain calibration function.
     """
-    if eps < 0:
+    if not eps >= 0:  # stated positively, so NaN fails
         raise ValueError("eps must be >= 0")
-    if p <= 0 or gamma_p <= 0:
+    if not (p > 0 and gamma_p > 0):
         raise ValueError("p and gamma_p must be positive")
     if eps == 0:
         return 0.0

@@ -833,8 +833,9 @@ def _loss_json(cfg):
     return {"loss_json": np.array(json.dumps(cfg))}
 
 
-# (file written, its content, command line with {file} and {out}); every
-# case is malformed input, which must exit 2 with one error line and no output
+# (file written, its content, command line with {file} and {out}); content
+# None makes {file} a directory.  Every case is malformed input, which must
+# exit 2 with one error line and no output
 MALFORMED = {
     "config_list": ("cfg.json", [{"name": "hamming", "m": 3}],
                     ["constants", "--config", "{file}", "--out", "{out}"]),
@@ -861,6 +862,16 @@ MALFORMED = {
                             ["predict", "--model", "{file}", "--data", "{data}", "--out", "{out}"]),
     "rates_m_float": ("spec.json", {**RATES_SPEC, "m": 3.5},
                       ["rates", "--spec", "{file}", "--out-dir", "{out}"]),
+    # OSErrors other than FileNotFoundError
+    "predict_model_dir": ("model_dir", None,
+                          ["predict", "--model", "{file}", "--data", "{data}", "--out", "{out}"]),
+    "train_out_dir": ("out_dir", None, ["train", "--data", "{data}", "--m", "3", "--loss",
+                                        "hamming", "--lambda", "0.1", "--out", "{file}"]),
+    "train_data_dir": ("data_dir", None, ["train", "--data", "{file}", "--m", "3", "--loss",
+                                          "hamming", "--lambda", "0.1", "--out", "{out}"]),
+    "constants_config_dir": ("cfg_dir", None, ["constants", "--config", "{file}", "--out", "{out}"]),
+    "rates_out_dir_is_file": ("spec.json", RATES_SPEC,
+                              ["rates", "--spec", "{file}", "--out-dir", "{file}"]),
 }
 
 
@@ -868,7 +879,9 @@ MALFORMED = {
 def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     name, content, argv = MALFORMED[case]
     path = tmp_path / name
-    if name.endswith(".npz"):
+    if content is None:
+        path.mkdir()
+    elif name.endswith(".npz"):
         path = _model_file(tmp_path, **content)
     else:
         path.write_text(json.dumps(content))

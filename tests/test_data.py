@@ -187,6 +187,8 @@ def test_split_bad_fractions():
         split(ds, (0.5, 0.2, 0.2))
     with pytest.raises(ValueError):
         split(ds, (-0.2, 0.6, 0.6))
+    with pytest.raises(ValueError):
+        split(ds, (np.nan, 0.5, 0.5))
 
 
 def test_standardize_properties(rng):

@@ -71,6 +71,28 @@ def test_fscore_value():
     assert loss.value((0, 0, 0), (1, 0, 0)) == 1.0
 
 
+def _fscore_coordinates(x):
+    """a[l-1, j] = x_j 1(|x| = l) and b[l-1, j] = x_j / (|x| + l), flattened."""
+    size = sum(x)
+    ell = np.arange(1, len(x) + 1)[:, None]
+    bits = np.array(x, dtype=float)[None, :]
+    return (bits * (ell == size)).ravel(), (bits / (size + ell)).ravel()
+
+
+@pytest.mark.parametrize("side", ["p", "a"])
+def test_fscore_rows_equal_the_paper_embeddings_exactly(side):
+    # side p: F = -b, U = 2a; side a: F = -a, U = 2b; the empty set puts -1
+    # (F) or +1 (U) in the last coordinate
+    for m in range(1, 9):
+        loss = FScore(m, side)
+        for x in itertools.product((0, 1), repeat=m):
+            a, b = _fscore_coordinates(x)
+            empty = float(sum(x) == 0)
+            f, u = (-b, 2 * a) if side == "p" else (-a, 2 * b)
+            assert np.array_equal(loss.f_row(x), np.append(f, -empty)), (m, x)
+            assert np.array_equal(loss.u_row(x), np.append(u, empty)), (m, x)
+
+
 def test_zero_one_and_block_values():
     lz = ZeroOne(3)
     assert lz.value((0, 1, 0), (0, 1, 0)) == 0.0

@@ -205,11 +205,13 @@ def test_calibration_H_values():
 
 def test_calibration_arguments_are_checked():
     loss = Hamming(3)
-    with pytest.raises(ValueError, match="eps must be >= 0"):
-        calibration_H(loss, -0.1)
-    with pytest.raises(ValueError, match="eps must be >= 0"):
-        calibration_H_p(loss, -0.1, 1.0, 2.0)
-    for p, gamma_p in [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.0), (1.0, -2.0)]:
+    for eps in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            calibration_H(loss, eps)
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            calibration_H_p(loss, eps, 1.0, 2.0)
+    for p, gamma_p in [(0.0, 2.0), (-1.0, 2.0), (1.0, 0.0), (1.0, -2.0),
+                       (np.nan, 1.0), (0.1, np.nan)]:
         with pytest.raises(ValueError, match="p and gamma_p must be positive"):
             calibration_H_p(loss, 0.5, p, gamma_p)
 
@@ -293,11 +295,18 @@ def test_finite_problem_validation(rng):
     bad[0, 1] = 0.75
     with pytest.raises(ValueError):
         FiniteProblem(loss, [1.0], bad)
+    # NaN passes neither a "< 0" nor a "> tolerance" test, so both are stated positively
+    with pytest.raises(ValueError, match="masses must be a probability vector"):
+        FiniteProblem(loss, [np.nan, 1.0], np.full((2, 4), 0.25))
+    bad = np.full((2, 4), 0.25)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="each conditional row must be a probability vector"):
+        FiniteProblem(loss, [0.5, 0.5], bad)
 
 
 def test_margin_exponent_g_shape_and_output_count_are_checked(rng):
     problem = random_problem(Hamming(3), 4, rng)
-    for p in (0.0, -1.0):
+    for p in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="p must be positive"):
             margin_moment(problem, p)
     for call in (decode_states, surrogate_excess, comparison_check):
