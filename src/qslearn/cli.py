@@ -26,7 +26,7 @@ from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_
                         save_model, select_and_refit, select_lambda)
 from .kernels import KernelSpec, cross_kernel
 from .losses import LOSS_NAMES, DiscreteLoss, LossConfigError, decomposition_check, make_loss
-from .synth import SyntheticSpec, rate_experiment, rate_rows_csv
+from .synth import MultilabelGenerator, SyntheticSpec, rate_experiment, rate_rows_csv
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -153,6 +153,9 @@ def cmd_train(args) -> int:
         scaler = standardize(x)
         x = scaler.apply(x)
     grid = _lambda_grid(args, ds.n)
+    if len(grid) > 1 and ds.n < 2:
+        raise ValueError(f"a lambda grid needs 2 rows, for training and validation; "
+                         f"{args.data} has {ds.n}, so give one --lambda")
     kernel = KernelSpec(args.kernel, args.bandwidth)
     if len(grid) > 1:
         perm = np.random.default_rng(args.seed).permutation(ds.n)
@@ -193,6 +196,9 @@ def cmd_eval(args) -> int:
     if args.m is None:
         raise LossConfigError("--m is required to parse multilabel data")
     ds = parse_multilabel(args.data, args.m, fmt=args.data_format, d=args.d)
+    if ds.n < 3:
+        raise ValueError(f"eval needs 3 rows, for training, validation and test; {args.data} "
+                         f"has {ds.n}")
     train, val, test = split(ds, seed=args.seed)
     x_tr, x_va, x_te = (part.dense_features() for part in (train, val, test))
     scaler = standardize(x_tr)
@@ -248,21 +254,20 @@ def cmd_rates(args) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     specs = [SyntheticSpec(noise_mode=mode, **cfg) for mode in modes]
+    for spec in specs:  # a bad loss or margin is refused before the directory is made
+        spec.make_loss(), MultilabelGenerator(spec)
+    if args.out_dir:  # and the directory before the experiments, so a bad one costs none
+        os.makedirs(args.out_dir, exist_ok=True)
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
         reports = list(pool.map(rate_experiment, specs))
-    rows = [row for rep in reports for row in rep.rows]
-    csv_text = rate_rows_csv(rows)
+    csv_text = rate_rows_csv([row for rep in reports for row in rep.rows])
     summary = json.dumps([rep.summary() for rep in reports], indent=2) + "\n"
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        with open(f"{args.out_dir}/rates.csv", "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        with open(f"{args.out_dir}/summary.json", "w", encoding="utf-8") as fh:
-            fh.write(summary)
+        _emit(csv_text, f"{args.out_dir}/rates.csv")
+        _emit(summary, f"{args.out_dir}/summary.json")
         print(f"wrote {args.out_dir}/rates.csv and {args.out_dir}/summary.json")
     else:
-        sys.stdout.write(csv_text)
-        sys.stdout.write(summary)
+        sys.stdout.write(csv_text + summary)
     return 0
 
 

@@ -14,9 +14,10 @@ batch.  Ties are broken only on exact equality of doubles, and
 
 ``decode_bruteforce`` is the decomposition-free oracle.  It scores a batch
 in row blocks, adding up each row's weights per distinct observation, against
-the loss's cached ``loss_matrix``: columns of ``loss.value`` over Z, built
-once per loss instance and observation and never derived from F, U or the
-output table, so the oracle stays independent of the decomposition it checks.
+the loss's cached ``loss_matrix``, whose ``TABLE_CELLS`` cap is its one limit:
+columns of ``loss.value`` over Z, built once per loss instance and observation
+and never derived from F, U or the output table, so the oracle stays
+independent of the decomposition it checks.
 
 Pairwise disagreement decodes exactly by one sort at every m.  MAP,
 NP-hard for general weights, decodes exactly by a dynamic programme over
@@ -29,13 +30,12 @@ it wraps the decode layer.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 
 import numpy as np
 
-from .losses import DiscreteLoss, MeanAveragePrecision, SpaceTooLargeError
+from .losses import DiscreteLoss, MeanAveragePrecision
 from .losses.base import BLOCK_CELLS, Label, column_sums
 from .losses.ranking import greedy_arcset, qap_local_search  # noqa: F401
 
@@ -82,7 +82,8 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
     evaluator, through the cached ``loss_matrix``, never F or U, and serves
     as the oracle for every fast decoder.  The observations are checked and
     mapped to their distinct labels once per call, one loss-matrix column
-    each.  Rows of ``BLOCK_CELLS // |Z|`` at a time add up their weights per
+    each, refused before any ``value`` call beyond ``TABLE_CELLS`` cells.
+    Rows of ``max(1, BLOCK_CELLS // |Z|)`` at a time add up their weights per
     label in observation order and are scored by ``column_sums``, so a
     row's label does not depend on the other rows.
     """
@@ -92,30 +93,18 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
     if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
     labels, inverse = loss.observation_space.distinct(observations, "observation")
-    check_bruteforce_budget(loss, len(labels))
     matrix = loss.loss_matrix(labels)
     rows = np.atleast_2d(weights)
     best = np.empty(len(rows), dtype=np.intp)
-    step = BLOCK_CELLS // loss.n_outputs()
+    step = max(1, BLOCK_CELLS // loss.n_outputs())
     for start in range(0, len(rows), step):
         block = rows[start : start + step]
         totals = np.zeros((len(block), len(labels)))
         np.add.at(totals, (slice(None), inverse), block)  # in observation order, as bincount
         best[start : start + step] = np.argmin(column_sums(matrix, totals), axis=1)
-    outputs = list(itertools.islice(loss.outputs(), int(best.max(initial=0)) + 1))
-    return [outputs[i] for i in best] if weights.ndim == 2 else outputs[best[0]]
-
-
-def check_bruteforce_budget(loss: DiscreteLoss, n_labels: int) -> None:
-    """SpaceTooLargeError unless ``decode_bruteforce`` serves ``n_labels``
-    distinct observations: its loss matrix, |Z| x n_labels, holds at most
-    ``BLOCK_CELLS`` cells."""
-    n_z = loss.n_outputs()
-    if n_z * max(n_labels, 1) > BLOCK_CELLS:
-        raise SpaceTooLargeError(
-            f"{loss.name}: {n_z} outputs x {n_labels} distinct observations "
-            "is beyond the brute-force budget"
-        )
+    at = dict.fromkeys(best.tolist())  # each argmin's output, from one pass over Z's prefix
+    at.update((i, z) for i, z in zip(range(max(at, default=-1) + 1), loss.outputs()) if i in at)
+    return [at[i] for i in best.tolist()] if weights.ndim == 2 else at[best[0]]
 
 
 def argmin_untied(f_rows: np.ndarray, theta: np.ndarray) -> bool:

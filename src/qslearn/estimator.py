@@ -15,8 +15,8 @@ sum is linear in K_x: it is K_x^T S, where S = (K + n lambda I)^{-1} E and E
 is the n x |distinct| one-hot matrix of the training labels.  The alpha path
 solves for S once per model, 2 n^2 |distinct| flops, after which a row
 costs one product of 2 n |distinct| flops in place of a 2 n^2 solve against
-the factor.  |distinct| is at most n, and at most ``BLOCK_CELLS`` / |Z|, as
-``decode_bruteforce`` refuses larger label sets before S is solved for.
+the factor.  |distinct| is at most n, and at most ``TABLE_CELLS`` / |Z|, as
+the loss matrix refuses larger label sets before S is solved for.
 
 A fitted ``QSModel`` is one flat record: what ``save_model`` writes, and the
 alpha path's two caches, the training labels' index (``fit`` and
@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import Standardizer
-from .decode import check_bruteforce_budget, decode_bruteforce
+from .decode import decode_bruteforce
 from .kernels import (GEMM_MIN_ROWS, GramMatrix, KernelSpec, build_gram, cross_kernel,
                       require_finite, ridge_factor, solve_ridge, weights_at)
 from .losses import DiscreteLoss, LossConfigError, loss_config, make_loss
@@ -141,14 +141,14 @@ def _solve_label_weights(models, factor: tuple | None = None) -> None:
     earlier model with the same lambda and label index, or one ``weights_at``
     solve against E^T with ``factor``, the models' factor of K + lambda n I,
     if given, or else one built in place from the training inputs and let go.
-    Labels beyond the brute-force budget are refused before the solve."""
+    The labels' loss matrix comes first: refused past ``TABLE_CELLS``, or kept for the decode."""
     for j, model in enumerate(models):
         if model.y_index is None:
             model.y_index = model.loss.observation_space.distinct(model.y_train, "observation")
         if model.label_weights is not None:
             continue
         labels, at = model.y_index
-        check_bruteforce_budget(model.loss, len(labels))
+        model.loss.loss_matrix(labels)
         model.label_weights = next((m.label_weights for m in models[:j] if m.lam == model.lam
                                     and np.array_equal(m.y_index[1], at)), None)
         if model.label_weights is None:

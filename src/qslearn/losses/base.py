@@ -200,11 +200,11 @@ class SharpConstant:
     note: str = ""
 
 
-# largest |Z| * r of an OutputTable, |Z| * columns of a loss matrix and 2^m * r
-# of the U table behind an expected embedding: 128 MiB
+# the one cap on a table over Z (128 MiB): |Z| * r of an OutputTable, |Z| *
+# columns of a loss matrix and 2^m * r of the U table of an expected embedding
 TABLE_CELLS = 2 ** 24
-# largest working block (16 MB of float64): the loss-matrix cells one
-# brute-force decode reads, and the subset-DP cost cells of one row block
+# largest working block (16 MB of float64), which sizes row blocks only: a
+# brute-force decode's scores, subset-DP costs, probabilities, cross-kernels
 BLOCK_CELLS = 2_000_000
 # most (z, y) pairs that decomposition_check enumerates
 _CHECK_PAIRS = 1_500_000
@@ -350,10 +350,8 @@ class DiscreteLoss:
         columns = self._loss_columns
         missing = [y for y in dict.fromkeys(observations) if y not in columns]
         if len(observations) > most or len(columns) + len(missing) > most:
-            raise SpaceTooLargeError(
-                f"{self.name}: a loss matrix over {n_z} outputs holds at most "
-                f"{most} observations ({TABLE_CELLS} cells)"
-            )
+            raise SpaceTooLargeError(f"{self.name}: a loss matrix over {n_z} outputs holds at "
+                                     f"most {most} observations ({TABLE_CELLS} cells)")
         if missing:
             outputs = list(self.outputs())
             for y in missing:

@@ -451,6 +451,46 @@ def test_unattainable_hard_margin_delta_is_usage_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_rates_makes_its_out_dir_before_any_experiment(tmp_path, monkeypatch, capsys):
+    # an --out-dir that cannot be made is reported before the work, not after it
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(RATES_SPEC))
+
+    def refuse(spec):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(cli, "rate_experiment", refuse)
+    assert run(["rates", "--spec", str(spec_path), "--out-dir", str(spec_path)]) == cli.USAGE_ERROR
+    assert "File exists" in capsys.readouterr().err
+
+
+TWO_ROWS = "0 1:0.5 2:0.1\n1,2 1:0.2 2:0.3\n"
+
+
+@pytest.mark.parametrize("argv, rows, named", [
+    (["eval", "--m", "3"], TWO_ROWS, "eval needs 3 rows"),
+    (["train", "--m", "3", "--loss", "hamming"], TWO_ROWS[:14], "needs 2 rows"),
+], ids=["eval", "train"])
+def test_too_few_rows_are_usage_errors_before_any_fit(argv, rows, named, tmp_path, monkeypatch,
+                                                      capsys):
+    data, out = tmp_path / "x.libsvm", tmp_path / "out"
+    data.write_text(rows)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    for name in ("fit", "select_lambda", "select_and_refit"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert run([*argv, "--data", str(data), "--out", str(out)]) == cli.USAGE_ERROR
+    err, given = capsys.readouterr().err, rows.count("\n")
+    assert named in err and f"has {given}" in err
+    assert not out.exists()
+    if argv[0] == "train":  # the way out the message names
+        assert "--lambda" in err
+        monkeypatch.undo()
+        assert run([*argv, "--data", str(data), "--out", str(out), "--lambda", "0.1"]) == 0
+
+
 def test_pd_rates_run_beyond_m8(tmp_path):
     # PD's sort decoder is exact at every m, so its f* is known past m = 8
     spec_path = tmp_path / "spec.json"
@@ -872,6 +912,13 @@ MALFORMED = {
     "constants_config_dir": ("cfg_dir", None, ["constants", "--config", "{file}", "--out", "{out}"]),
     "rates_out_dir_is_file": ("spec.json", RATES_SPEC,
                               ["rates", "--spec", "{file}", "--out-dir", "{file}"]),
+    "rates_loss_name": ("spec.json", {**RATES_SPEC, "loss_name": "nope"},
+                        ["rates", "--spec", "{file}", "--out-dir", "{out}"]),
+    # too few rows to split; a string content is written as it is
+    "eval_two_rows": ("two.libsvm", TWO_ROWS,
+                      ["eval", "--data", "{file}", "--m", "3", "--out", "{out}"]),
+    "train_grid_one_row": ("one.libsvm", TWO_ROWS[:14], ["train", "--data", "{file}", "--m", "3",
+                                                         "--loss", "hamming", "--out", "{out}"]),
 }
 
 
@@ -881,6 +928,8 @@ def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     path = tmp_path / name
     if content is None:
         path.mkdir()
+    elif isinstance(content, str):
+        path.write_text(content)
     elif name.endswith(".npz"):
         path = _model_file(tmp_path, **content)
     else:

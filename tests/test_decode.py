@@ -34,7 +34,7 @@ from qslearn.losses import (
     decomposition_check,
     make_loss,
 )
-from qslearn.losses.base import DiscreteLoss, LabelSpace
+from qslearn.losses.base import DiscreteLoss, LabelSpace, column_sums
 from qslearn.losses.ranking import arcset_objective, qap_trace_objective
 
 from conftest import (
@@ -122,11 +122,43 @@ def test_bruteforce_zero_weights_lex_first():
     ) == (1, 2, 3)
 
 
-def test_bruteforce_guards():
+def test_bruteforce_guards(monkeypatch):
     with pytest.raises(ValueError):
         decode_bruteforce(Hamming(3), [1.0], [(1, 1, 1), (0, 0, 0)])
-    with pytest.raises(SpaceTooLargeError):
-        decode_bruteforce(ZeroOne(22), np.ones(4), [(0,) * 22] * 4)
+
+    def refuse(z, y):
+        raise AssertionError("a loss value was computed")
+
+    # 2^25 outputs: one loss-matrix column is past TABLE_CELLS; 2^22 outputs
+    # take 4 columns, not 5
+    for m, n_distinct in [(25, 1), (22, 5)]:
+        loss = ZeroOne(m)
+        monkeypatch.setattr(loss, "value", refuse)
+        ys = [tuple(int(b) for b in np.binary_repr(i, m)) for i in range(n_distinct)]
+        with pytest.raises(SpaceTooLargeError, match="loss matrix"):
+            decode_bruteforce(loss, np.ones(2 * n_distinct), ys * 2)
+
+
+def test_bruteforce_serves_spaces_past_the_block(rng, monkeypatch):
+    # one row a block once |Z| passes BLOCK_CELLS, with the labels of the
+    # unpatched block size, on the oracle and on the alpha path
+    loss = Hamming(4)
+    weights, ys, _ = random_instance(loss, rng, n=50)
+    rows = np.vstack([weights, rng.normal(size=(6, 50))])
+    model = fit(loss, KernelSpec("gaussian", 1.0), 0.05, rng.normal(size=(40, 3)),
+                [tuple(rng.integers(0, 2, size=4).tolist()) for _ in range(40)])
+    x = rng.normal(size=(9, 3))
+    want = decode_bruteforce(loss, rows, ys), predict_batch(model, x, path="alpha")
+    blocks = []
+
+    def counted(matrix, totals):
+        blocks.append(len(totals))
+        return column_sums(matrix, totals)
+
+    monkeypatch.setattr(decode_module, "BLOCK_CELLS", loss.n_outputs() - 1)
+    monkeypatch.setattr(decode_module, "column_sums", counted)
+    assert (decode_bruteforce(loss, rows, ys), predict_batch(model, x, path="alpha")) == want
+    assert blocks == [1] * (len(rows) + len(x))
 
 
 def test_bruteforce_weight_rows_equal_single_rows(rng, monkeypatch):

@@ -1,0 +1,43 @@
+"""README.md states the library's caps as the code sets them."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from qslearn.losses import MeanAveragePrecision, base
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+CAPS = {
+    "TABLE_CELLS": base.TABLE_CELLS,
+    "BLOCK_CELLS": base.BLOCK_CELLS,
+    "MeanAveragePrecision.exact_limit": MeanAveragePrecision.exact_limit,
+}
+
+
+def _stated(name: str) -> list[str]:
+    """Each value the README gives the backticked name: `NAME` = v, `NAME` (v
+    or `NAME` cap (v, across line breaks."""
+    return re.findall(rf"`{re.escape(name)}`\s+(?:=\s*|(?:cap\s+)?\((?=\d))([^\s,;)]+)", README)
+
+
+def _number(text: str) -> int:
+    """2^24, 2·10^6 or 16 (a sentence's full stop dropped) as an int."""
+    found = re.fullmatch(r"(\d+)(?:·(\d+))?(?:\^(\d+))?", text.rstrip("."))
+    assert found, f"unreadable cap value {text!r}"
+    head, factor, power = found.groups()
+    if factor is not None:
+        return int(head) * int(factor) ** int(power or 1)
+    return int(head) ** int(power or 1)
+
+
+def test_number_forms():
+    assert [_number(t) for t in ("2^24", "2·10^6", "16.", "16")] == [2**24, 2 * 10**6, 16, 16]
+
+
+@pytest.mark.parametrize("name", sorted(CAPS))
+def test_readme_states_each_cap_as_the_code_sets_it(name):
+    stated = _stated(name)
+    assert stated, f"README states no value of {name}"
+    assert [_number(t) for t in stated] == [CAPS[name]] * len(stated)

@@ -583,14 +583,15 @@ def test_alpha_labels_do_not_depend_on_the_batch(rng):
 def test_alpha_path_refuses_labels_beyond_the_budget_before_solving(rng, monkeypatch):
     model = _fitted(rng, Hamming(3), n=30)
     distinct = len(model.y_index[0])
-    monkeypatch.setattr(importlib.import_module("qslearn.decode"), "BLOCK_CELLS",
+    monkeypatch.setattr(importlib.import_module("qslearn.losses.base"), "TABLE_CELLS",
                         Hamming(3).n_outputs() * (distinct - 1))
 
     def refuse(*args):
-        raise AssertionError("S was solved for")
+        raise AssertionError("S was solved for or a loss value computed")
 
     monkeypatch.setattr(estimator, "weights_at", refuse)
-    with pytest.raises(SpaceTooLargeError, match="brute-force budget"):
+    monkeypatch.setattr(model.loss, "value", refuse)
+    with pytest.raises(SpaceTooLargeError, match="loss matrix"):
         predict_batch(model, rng.normal(size=(3, 3)), path="alpha")
     assert model.label_weights is None
 
