@@ -345,6 +345,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy's own refusal names no flag
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:  # LossConfigError and DataFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

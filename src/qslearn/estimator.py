@@ -339,10 +339,10 @@ def load_model(path: str) -> QSModel:
             version = int(payload["format_version"])
             if version not in (1, 2, MODEL_FORMAT_VERSION):
                 raise ValueError(f"{path}: unsupported model format version {version}")
-            cfg = json.loads(str(payload["loss_json"]))
-            if not isinstance(cfg, dict):
-                raise LossConfigError(f"{path}: loss_json must be a JSON object")
-            loss = make_loss(cfg.pop("name"), cfg.pop("m"), **cfg)
+            try:
+                loss = make_loss(**json.loads(str(payload["loss_json"])))
+            except (ValueError, TypeError) as exc:  # bad JSON, no object, no name or m, refused
+                raise LossConfigError(f"{path}: bad loss_json: {exc}") from exc
             if version < 3 and loss.name == "pd":
                 raise ValueError(f"{path}: a format-{version} pd model holds pairwise "
                                  "coefficients; format 3 embeds pd in m rank coordinates, "

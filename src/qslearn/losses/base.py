@@ -339,10 +339,11 @@ class DiscreteLoss:
 
         Built from ``value`` alone, never from F, U or ``output_table``, so
         the decomposition-free paths stay independent of the decomposition.
-        Each observation's column is computed on first use and kept on the
-        instance.  The matrix, and the columns kept, are each limited to
-        ``TABLE_CELLS`` cells; beyond that SpaceTooLargeError is raised
-        before any new column is computed.
+        The columns a call lacks are filled in one pass over Z and kept on
+        the instance, each contiguous; a call returns one copy, the columns
+        stacked and transposed (Fortran order).  The matrix, and the columns
+        kept, are each limited to ``TABLE_CELLS`` cells; beyond that
+        SpaceTooLargeError is raised before any new column is computed.
         """
         n_z = self.n_outputs()
         most = TABLE_CELLS // n_z
@@ -352,11 +353,10 @@ class DiscreteLoss:
         if len(observations) > most or len(columns) + len(missing) > most:
             raise SpaceTooLargeError(f"{self.name}: a loss matrix over {n_z} outputs holds at "
                                      f"most {most} observations ({TABLE_CELLS} cells)")
-        if missing:
-            outputs = list(self.outputs())
-            for y in missing:
-                columns[y] = np.fromiter((self.value(z, y) for z in outputs), float, n_z)
-        return np.array([columns[y] for y in observations]).reshape(-1, n_z).T.copy()
+        pairs = (self.value(z, y) for z in self.outputs() for y in missing)
+        block = np.fromiter(pairs, float, n_z * len(missing)).reshape(n_z, -1)
+        columns.update(zip(missing, np.ascontiguousarray(block.T)))
+        return np.array([columns[y] for y in observations]).reshape(-1, n_z).T
 
     def decode_batch(self, thetas: np.ndarray) -> list:
         """argmin_z F_z . theta, canonical tie-break, for each finite row of an

@@ -321,16 +321,10 @@ class MeanAveragePrecision(DiscreteLoss):
         return sum(y) == 0
 
     def value(self, z: Label, y: Label) -> float:
-        s = sum(y)
-        if s == 0:
+        ranks = [r for r, b in zip(z, y) if b]  # the ranks of the relevant items
+        if not ranks:
             return 0.0
-        ap = 0.0
-        for j in range(self.m):
-            if not y[j]:
-                continue
-            hits = sum(1 for l in range(self.m) if y[l] and z[l] <= z[j])
-            ap += hits / z[j]
-        return 1.0 - ap / s
+        return 1.0 - sum(sum(q <= r for q in ranks) / r for r in ranks) / len(ranks)
 
     def f_row(self, z: Label) -> np.ndarray:
         return np.array([1.0 / max(z[j], z[l]) for j, l in self.pairs])

@@ -65,10 +65,10 @@ class SyntheticSpec:
 
     def __post_init__(self):
         # a JSON spec reaches here unchecked; fields keep what the checks return
-        for name in ("d", "m", "seed", "n_test", "replications"):
+        for name, least in (("d", 1), ("m", None), ("seed", 0), ("n_test", 1), ("replications", 1)):
             value = config_int(name, getattr(self, name))
-            if name in ("d", "n_test", "replications") and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, value)
         if not isinstance(self.n_grid, (list, tuple)):
             raise ValueError("rates spec n_grid must be a list")

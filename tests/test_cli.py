@@ -426,9 +426,10 @@ RATES_SPEC = {"d": 2, "m": 2, "n_grid": [24, 48], "n_test": 40, "replications": 
     ({**RATES_SPEC, "loss_name": 3}, "loss_name must be a string"),
     ({**RATES_SPEC, "loss_params": 5}, "loss_params"),
     ({**RATES_SPEC, "kernel": "rbf"}, "unknown kernel"),
+    ({**RATES_SPEC, "seed": -3}, "seed must be at least 0"),
 ], ids=["array", "unknown_key", "n_test", "n_grid_entry", "n_grid_scalar", "replications", "d",
         "no_modes", "both_mode_keys", "d_string", "n_grid_string", "replications_bool",
-        "n_grid_bool", "delta_string", "loss_name_int", "loss_params_scalar", "kernel"])
+        "n_grid_bool", "delta_string", "loss_name_int", "loss_params_scalar", "kernel", "seed"])
 def test_malformed_rates_spec_is_usage_error(spec, named, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -465,6 +466,7 @@ def test_rates_makes_its_out_dir_before_any_experiment(tmp_path, monkeypatch, ca
 
 
 TWO_ROWS = "0 1:0.5 2:0.1\n1,2 1:0.2 2:0.3\n"
+THIRTY_ROWS = "".join(f"{i % 3} 1:{i % 7 / 7:.3f} 2:{i % 5 / 5:.3f}\n" for i in range(30))
 
 
 @pytest.mark.parametrize("argv, rows, named", [
@@ -919,6 +921,18 @@ MALFORMED = {
                       ["eval", "--data", "{file}", "--m", "3", "--out", "{out}"]),
     "train_grid_one_row": ("one.libsvm", TWO_ROWS[:14], ["train", "--data", "{file}", "--m", "3",
                                                          "--loss", "hamming", "--out", "{out}"]),
+    # a negative seed, on input that is otherwise well formed
+    "check_seed": ("cfg.json", {"name": "hamming", "m": 3},
+                   ["check", "--config", "{file}", "--instances", "2", "--seed", "-3"]),
+    "train_lambda_seed": ("data.libsvm", THIRTY_ROWS, ["train", "--data", "{file}", "--m", "3",
+                                                       "--loss", "hamming", "--lambda", "0.1",
+                                                       "--seed", "-3", "--out", "{out}"]),
+    "eval_seed": ("data.libsvm", THIRTY_ROWS, ["eval", "--data", "{file}", "--m", "3",
+                                               "--seed", "-3", "--out", "{out}"]),
+    "rates_seed_flag": ("spec.json", RATES_SPEC, ["rates", "--spec", "{file}", "--seed", "-3",
+                                                  "--out-dir", "{out}"]),
+    "rates_spec_seed": ("spec.json", {**RATES_SPEC, "seed": -3},
+                        ["rates", "--spec", "{file}", "--out-dir", "{out}"]),
 }
 
 
@@ -943,3 +957,16 @@ def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--config", "{missing}", "--seed", "-3"],
+    ["train", "--data", "{missing}", "--m", "3", "--loss", "hamming", "--lambda", "0.1",
+     "--seed", "-3"],
+    ["eval", "--data", "{missing}", "--m", "3", "--seed", "-3"],
+    ["rates", "--spec", "{missing}", "--seed", "-3"],
+], ids=["check", "train", "eval", "rates"])
+def test_negative_seed_is_refused_by_name_before_any_file_is_read(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run([a.format(missing=missing) for a in argv]) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -3\n"

@@ -1,11 +1,14 @@
-"""README.md states the library's caps as the code sets them."""
+"""README.md states the library's caps as the code sets them, and its
+library quick start runs as written."""
 
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qslearn.losses import MeanAveragePrecision, base
+from qslearn.synth import MultilabelGenerator, SyntheticSpec
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -41,3 +44,14 @@ def test_readme_states_each_cap_as_the_code_sets_it(name):
     stated = _stated(name)
     assert stated, f"README states no value of {name}"
     assert [_number(t) for t in stated] == [CAPS[name]] * len(stated)
+
+
+def test_library_quick_start_runs_as_written():
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", README, re.S)
+    assert block, "README has no library quick start code block"
+    generator, rng = MultilabelGenerator(SyntheticSpec(d=3, m=6)), np.random.default_rng(0)
+    names = dict(zip(("X_train", "Y_train", "X_test", "Y_test"),
+                     (*generator.sample(200, rng), *generator.sample(50, rng))))
+    exec(block.group(1), names)
+    assert len(names["preds"]) == 50 and names["preds_alpha"] == names["preds"]
+    assert 0.0 <= names["risk"] <= 1.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import json
 import re
 import tracemalloc
 
@@ -678,6 +679,10 @@ def _nan_at(key):
     return corrupt
 
 
+def _loss_json(cfg):
+    return lambda a: a.update(loss_json=np.array(json.dumps(cfg)))
+
+
 CORRUPTIONS = {
     "x_train_flat": lambda a: a.update(x_train=a["x_train"].ravel()),
     "x_train_rows": lambda a: a.update(x_train=a["x_train"][:-1]),
@@ -697,6 +702,10 @@ CORRUPTIONS = {
     "version_pair": lambda a: a.update(format_version=np.array([3, 3])),
     "bandwidth_pair": lambda a: a.update(bandwidth=np.array([1.0, 1.0])),
     "truncated": lambda a: None,  # the file is cut to half its bytes below
+    "loss_json_no_name": _loss_json({"m": 3}),
+    "loss_json_no_m": _loss_json({"name": "hamming"}),
+    "loss_json_unknown_name": _loss_json({"name": 5, "m": 3}),
+    "loss_json_extra_parameter": _loss_json({"name": "hamming", "m": 3, "k": 2}),
 }
 
 
@@ -712,8 +721,9 @@ def test_load_rejects_corrupt_model(name, tmp_path, rng):
             data = f.read()
         with open(path, "wb") as f:
             f.write(data[:len(data) // 2])
-    with pytest.raises(ValueError, match=re.escape(path)):
+    with pytest.raises(ValueError, match=re.escape(path)) as refusal:
         load_model(path)
+    assert "loss_json" in str(refusal.value) or not name.startswith("loss_json")
 
 
 def test_alpha_path_reads_no_decomposition(rng, monkeypatch):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,56 @@ def test_loss_matrix_cells_are_capped(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(SpaceTooLargeError):
         ZeroOne(30).loss_matrix(iter(ys))  # refused before Z is enumerated
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of the memory traced while it runs."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cached_loss_matrix_is_one_copy():
+    loss = Hamming(12)  # 4096 outputs, 32 KiB a column
+    ys = list(itertools.islice(loss.observations(), 1, 33))
+    want = loss.loss_matrix(ys)
+    got, peak = _traced_peak(lambda: loss.loss_matrix(ys))
+    assert peak <= 1.25 * got.nbytes, peak / got.nbytes
+    assert np.array_equal(got, want) and got.flags.f_contiguous
+    assert not np.shares_memory(got, loss.loss_matrix(ys))
+
+
+def test_loss_matrix_fill_lists_no_outputs():
+    loss = PairwiseDisagreement(8)  # 40,320 outputs: as tuples they outweigh a column 14 times
+    y = (0, 1) * 4
+    got, peak = _traced_peak(lambda: loss.loss_matrix([y]))
+    assert got.shape == (loss.n_outputs(), 1)
+    assert np.array_equal(got[:50, 0], [loss.value(z, y) for z in itertools.islice(loss.outputs(), 50)])
+    assert peak < 4 * got.nbytes, peak / got.nbytes
+
+
+def _map_value_loop(loss, z, y):
+    """MAP as one minus average precision, added up item by item."""
+    s = sum(y)
+    if s == 0:
+        return 0.0
+    ap = 0.0
+    for j in range(loss.m):
+        if not y[j]:
+            continue
+        hits = sum(1 for l in range(loss.m) if y[l] and z[l] <= z[j])
+        ap += hits / z[j]
+    return 1.0 - ap / s
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_map_value_equals_the_item_loop_bitwise(m):
+    loss = MeanAveragePrecision(m)
+    for z, y in itertools.product(loss.outputs(), loss.observations()):
+        assert loss.value(z, y).hex() == _map_value_loop(loss, z, y).hex(), (z, y)
 
 
 @pytest.mark.parametrize(
