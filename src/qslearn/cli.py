@@ -92,9 +92,7 @@ def cmd_check(args) -> int:
     if err > 1e-12:
         failures.append(f"{loss.name}: decomposition error {err:.3e} > 1e-12")
     rng = np.random.default_rng(args.seed)
-    observations = list(loss.observations())
-    u_rows = np.array([loss.u_row(y) for y in observations])
-    f_rows = loss.output_table.f
+    observations, u_rows = loss.observation_table.tuples, loss.observation_table.rows
     thetas, draws, redrawn = [], [], 0
     for _ in range(args.instances):
         # ties between distinct outputs fall to rounding, outside the decoder contract
@@ -103,7 +101,7 @@ def cmd_check(args) -> int:
             weights = rng.normal(size=n)
             drawn = rng.integers(len(observations), size=n)
             theta = np.sum(weights[:, None] * u_rows[drawn], axis=0)
-            if argmin_untied(f_rows, theta):
+            if argmin_untied(loss.output_table.rows, theta):
                 break
             redrawn += 1
         thetas.append(theta)

@@ -200,8 +200,8 @@ class SharpConstant:
     note: str = ""
 
 
-# the one cap on a table over Z (128 MiB): |Z| * r of an OutputTable, |Z| *
-# columns of a loss matrix and 2^m * r of the U table of an expected embedding
+# the one cap on a table over a label space (128 MiB): |Z| * r or |Y| * r of
+# a LabelTable (2^m * r for an expected embedding), |Z| * columns of a loss matrix
 TABLE_CELLS = 2 ** 24
 # largest working block (16 MB of float64), which sizes row blocks only: a
 # brute-force decode's scores, subset-DP costs, probabilities, cross-kernels
@@ -226,27 +226,41 @@ def column_sums(matrix: np.ndarray, weights) -> np.ndarray:
     return out
 
 
+def bit_probabilities(q, m: int) -> np.ndarray:
+    """q as an n x m float array of probabilities P([y]_j = 1), a 1-D q being
+    one row; ValueError for another shape or an entry outside [0, 1] (NaN
+    and infinities included)."""
+    q = np.atleast_2d(np.asarray(q, dtype=float))
+    if q.ndim != 2 or q.shape[1] != m:
+        raise ValueError(f"q has shape {q.shape}, expected (n, {m})")
+    if not np.all((q >= 0.0) & (q <= 1.0)):  # stated positively, so NaN fails
+        raise ValueError("q must hold probabilities in [0, 1]")
+    return q
+
+
 @dataclass(frozen=True)
-class OutputTable:
-    """Every output z in canonical order next to its F row: ``labels[i]`` is
-    the i-th output of ``outputs()`` (int16) and ``f[i]`` is its ``f_row``."""
+class LabelTable:
+    """Every label of a space in canonical (lexicographic) order as the int16
+    ``labels``, next to its ``f_row`` or ``u_row`` in ``rows``, both read-only;
+    ``build`` refuses a table over ``TABLE_CELLS`` before any row is computed."""
 
     labels: np.ndarray
-    f: np.ndarray
+    rows: np.ndarray
 
     @classmethod
-    def build(cls, loss: "DiscreteLoss") -> "OutputTable":
-        n, r = loss.n_outputs(), loss.r
+    def build(cls, loss: "DiscreteLoss", space: LabelSpace, row) -> "LabelTable":
+        n, r = space.size, loss.r
         if n * r > TABLE_CELLS:
-            raise SpaceTooLargeError(
-                f"{loss.name}: a {n} x {r} output table exceeds {TABLE_CELLS} cells"
-            )
-        labels = np.empty((n, loss.m), dtype=np.int16)
-        f = np.empty((n, r))
-        for i, z in enumerate(loss.outputs()):
-            labels[i] = z
-            f[i] = loss.f_row(z)
-        return cls(labels, f)
+            raise SpaceTooLargeError(f"{loss.name}: a {n} x {r} table exceeds {TABLE_CELLS} cells")
+        labels = np.fromiter(space, np.dtype((np.int16, space.m)), n)
+        rows = np.fromiter(map(row, space), np.dtype((float, r)), n)
+        labels.flags.writeable = rows.flags.writeable = False
+        return cls(labels, rows)
+
+    @functools.cached_property
+    def tuples(self) -> list:
+        """The labels as tuples of Python ints."""
+        return label_rows(self.labels)
 
 
 class DiscreteLoss:
@@ -265,9 +279,10 @@ class DiscreteLoss:
     override ``expected_embedding`` with a closed form.  A loss with
     constructor parameters beyond m returns them from ``config``, keyed by
     their constructor names, so ``make_loss(name, m, **loss.config())``
-    rebuilds it.  ``output_table`` enumerates Z and F once per instance, for
-    the default decoder and the checks; ``loss_matrix`` keeps the columns of
-    ``value`` over Z that the decomposition-free paths ask for.
+    rebuilds it.  ``output_table`` (Z, F) and ``observation_table`` (Y, U)
+    enumerate each space once per instance, for the default decoder, the
+    checks, ``FiniteProblem`` and ``expected_embedding``; ``loss_matrix`` keeps
+    the columns of ``value`` over Z that the decomposition-free paths ask for.
     """
 
     name: str
@@ -324,10 +339,14 @@ class DiscreteLoss:
         raise NotImplementedError
 
     @functools.cached_property
-    def output_table(self) -> OutputTable:
-        """Z and its F rows, built on first use and kept on the instance;
-        raises SpaceTooLargeError beyond ``TABLE_CELLS``."""
-        return OutputTable.build(self)
+    def output_table(self) -> LabelTable:
+        """Z and its F rows, built on first use and kept on the instance."""
+        return LabelTable.build(self, self.output_space, self.f_row)
+
+    @functools.cached_property
+    def observation_table(self) -> LabelTable:
+        """Y and its U rows, built on first use and kept on the instance."""
+        return LabelTable.build(self, self.observation_space, self.u_row)
 
     @functools.cached_property
     def _loss_columns(self) -> dict:
@@ -353,9 +372,10 @@ class DiscreteLoss:
         if len(observations) > most or len(columns) + len(missing) > most:
             raise SpaceTooLargeError(f"{self.name}: a loss matrix over {n_z} outputs holds at "
                                      f"most {most} observations ({TABLE_CELLS} cells)")
-        pairs = (self.value(z, y) for z in self.outputs() for y in missing)
-        block = np.fromiter(pairs, float, n_z * len(missing)).reshape(n_z, -1)
-        columns.update(zip(missing, np.ascontiguousarray(block.T)))
+        if missing:  # a call with every column kept enumerates nothing
+            pairs = (self.value(z, y) for z in self.outputs() for y in missing)
+            block = np.fromiter(pairs, float, n_z * len(missing)).reshape(n_z, -1)
+            columns.update(zip(missing, np.ascontiguousarray(block.T)))
         return np.array([columns[y] for y in observations]).reshape(-1, n_z).T
 
     def decode_batch(self, thetas: np.ndarray) -> list:
@@ -367,7 +387,7 @@ class DiscreteLoss:
         first argmin is the canonical output.
         """
         table = self.output_table
-        return label_rows(table.labels[[np.argmin(column_sums(table.f, t)) for t in thetas]])
+        return label_rows(table.labels[[np.argmin(column_sums(table.rows, t)) for t in thetas]])
 
     def u_row(self, y: Label) -> np.ndarray:
         raise NotImplementedError
@@ -376,17 +396,17 @@ class DiscreteLoss:
         """E[U_y] for independent bits P([y]_j = 1) = q_j, a row per row of the
         n x m array q.  With U_y = 0 = L(., y) on degenerate y, E[L(z, y)] =
         F_z . E[U_y] + c (1 - P(y degenerate)), so ``decode_batch`` of E[U_y]
-        is the Bayes output.  This default sums U_y over ``LabelSpace.grid(m)``
-        in row blocks of at most ``BLOCK_CELLS`` probabilities, and refuses
-        (SpaceTooLargeError) a 2^m x r table over ``TABLE_CELLS`` up front.
+        is the Bayes output; q is checked by ``bit_probabilities``.  This default
+        sums U_y over ``LabelSpace.grid(m)`` in row blocks of at most
+        ``BLOCK_CELLS`` probabilities, the U rows read from ``observation_table``,
+        or, where Y is a wider grid (NDCG), tabled per call by the same builder.
         """
-        n_y = 2 ** self.m
-        if n_y * self.r > TABLE_CELLS:
-            raise SpaceTooLargeError(f"{self.name}: {n_y} x {self.r} U table over {TABLE_CELLS} cells")
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        u = np.fromiter(map(self.u_row, LabelSpace.grid(self.m)), np.dtype((float, self.r)), n_y)
+        q = bit_probabilities(q, self.m)
+        bits = LabelSpace.grid(self.m)
+        u = (self.observation_table if self.observation_space == bits
+             else LabelTable.build(self, bits, self.u_row)).rows
         out = np.empty((len(q), self.r))
-        step = max(1, BLOCK_CELLS // n_y)
+        step = max(1, BLOCK_CELLS // len(u))
         for start in range(0, len(q), step):
             block = q[start : start + step]
             probs = np.ones((len(block), 1))
@@ -405,7 +425,7 @@ class DiscreteLoss:
 def decomposition_check(loss: DiscreteLoss) -> float:
     """Max over all (z, y) of |F_z . U_y + c - L(z, y)|.
 
-    Exhaustive over both spaces, against the cached ``loss_matrix``; raises
+    Exhaustive over both tables and the cached ``loss_matrix``; raises
     SpaceTooLargeError beyond ``_CHECK_PAIRS`` pairs.  Degenerate observations
     (U_y = 0 by convention) are skipped, see ``DiscreteLoss.is_degenerate``.
     """
@@ -415,16 +435,16 @@ def decomposition_check(loss: DiscreteLoss) -> float:
             f"{loss.name}: {n_pairs} (z, y) pairs exceed limit {_CHECK_PAIRS}; "
             "use a sampled check instead"
         )
-    ys = [y for y in loss.observations() if not loss.is_degenerate(y)]
-    if not ys:
+    table = loss.observation_table
+    keep = [i for i, y in enumerate(table.tuples) if not loss.is_degenerate(y)]
+    if not keep:
         return 0.0
-    u_rows = np.array([loss.u_row(y) for y in ys])
-    approx = loss.output_table.f @ u_rows.T + loss.offset
-    return float(np.max(np.abs(approx - loss.loss_matrix(ys))))
+    approx = loss.output_table.rows @ table.rows[keep].T + loss.offset
+    return float(np.max(np.abs(approx - loss.loss_matrix([table.tuples[i] for i in keep]))))
 
 
 def enumerated_constants(loss: DiscreteLoss) -> tuple[float, float]:
     """(max_z ||F_z||_2, max_{y,j} |U_yj|) by brute-force enumeration."""
-    f_max = max(float(np.linalg.norm(f)) for f in loss.output_table.f)
-    u_max = max(float(np.max(np.abs(loss.u_row(y)))) for y in loss.observations())
+    f_max = max(float(np.linalg.norm(f)) for f in loss.output_table.rows)
+    u_max = float(np.max(np.abs(loss.observation_table.rows)))
     return f_max, u_max

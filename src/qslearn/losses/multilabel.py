@@ -15,6 +15,7 @@ from .base import (
     LabelSpace,
     LossConfigError,
     SharpConstant,
+    bit_probabilities,
     config_int,
     label_rows,
     subset_rank,
@@ -171,7 +172,7 @@ class Hamming(DiscreteLoss):
         return 2.0 * np.asarray(y, dtype=float) - 1.0
 
     def expected_embedding(self, q) -> np.ndarray:
-        return 2.0 * np.atleast_2d(np.asarray(q, dtype=float)) - 1.0
+        return 2.0 * bit_probabilities(q, self.m) - 1.0
 
     def sharp(self) -> SharpConstant:
         return SharpConstant(self.r, self.f_norm, 1.0, 0.5)
@@ -214,7 +215,7 @@ class PrecAtK(DiscreteLoss):
         return np.asarray(y, dtype=float)
 
     def expected_embedding(self, q) -> np.ndarray:
-        return np.atleast_2d(np.asarray(q, dtype=float))
+        return bit_probabilities(q, self.m)
 
     def sharp(self) -> SharpConstant:
         return SharpConstant(self.r, self.f_norm, 1.0, math.sqrt(self.m / self.k))

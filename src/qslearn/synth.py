@@ -36,13 +36,13 @@ grid and reports per-replication log-log slopes of the exact excess risk.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .decode import decode_batch
 from .estimator import empirical_risk, fit, predict_batch
 from .kernels import KernelSpec, median_heuristic
 from .losses import DiscreteLoss, SpaceTooLargeError, make_loss
@@ -165,11 +165,12 @@ class MultilabelGenerator:
 
 def bayes_predictions(loss, expected) -> list:
     """Exact Bayes labels: the decoder at the rows ``expected`` = E[U_y | x], refused
-    past ``exact_limit`` (MAP above m = 16), where a heuristic label need not be f*."""
+    past ``exact_limit`` (MAP above m = 16), where a heuristic label need not be f*,
+    and, as by ``decode.decode_batch``, unless ``expected`` is a finite n x r array."""
     if loss.m > loss.exact_limit:
         raise SpaceTooLargeError(f"{loss.name}: m = {loss.m} is beyond the exact decoder's "
                                  f"limit {loss.exact_limit}, so f* is not known exactly")
-    return loss.decode_batch(expected)
+    return decode_batch(loss, expected)
 
 
 def excess_risk_exact(predictions, bayes, expected, loss) -> float:
@@ -224,9 +225,6 @@ class RateReport:
             "slope_stderr": self.slope_stderr,
             "note": self.note,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2)
 
 
 def _fit_slope(ns: Sequence[int], excesses: Sequence[float]) -> float | None:

@@ -14,6 +14,7 @@ them for p > 1.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ class FiniteProblem:
     ``conditionals`` rows are aligned with the loss's canonical observation
     enumeration.  The risk table and what is read from it (``risks``,
     ``bayes_index``, ``margins``) are built on first use from
-    ``loss_matrix`` and ``conditionals``, then kept on the problem.
+    ``loss_matrix`` and ``conditionals``, then kept on the problem.  Y and U
+    come from the loss's ``observation_table``, Z from its ``output_table``.
     """
 
     def __init__(self, loss: DiscreteLoss, masses, conditionals):
@@ -53,14 +55,8 @@ class FiniteProblem:
         self.loss = loss
         self.masses = masses
         self.conditionals = conditionals
-        self.observations = list(loss.observations())
-        # rows: outputs in canonical order; problems on one loss share its
-        # columns.  Read before Z is enumerated, so a problem beyond the loss
-        # matrix's TABLE_CELLS cap is refused before any loss value is computed.
-        self.loss_matrix = loss.loss_matrix(self.observations)
-        self.outputs = list(loss.outputs())
-        self.u_matrix = np.array([loss.u_row(y) for y in self.observations])
-        self._output_index = {z: i for i, z in enumerate(self.outputs)}
+        # Y's table calls no ``value``, so a problem past the cap computes none
+        self.loss_matrix = loss.loss_matrix(loss.observation_table.tuples)
 
     @property
     def n_states(self) -> int:
@@ -99,11 +95,11 @@ def conditional_risks(problem: FiniteProblem, state: int) -> np.ndarray:
 def bayes_risk(problem: FiniteProblem, z: Label, state: int) -> float:
     """ell(z, x) = sum_y Pi(x)_y L(z, y)."""
     z = problem.loss.output_space.check(as_label(z))
-    return float(problem.risks[state, problem._output_index[z]])
+    return float(problem.risks[state, bisect.bisect_left(problem.loss.output_table.tuples, z)])
 
 
 def bayes_predictor(problem: FiniteProblem, state: int) -> Label:
-    return problem.outputs[int(problem.bayes_index[state])]
+    return problem.loss.output_table.tuples[int(problem.bayes_index[state])]
 
 
 def margin(problem: FiniteProblem, state: int) -> float:
@@ -128,7 +124,7 @@ def gamma_p_norm(problem: FiniteProblem, p: float) -> float:
 
 
 def g_star_matrix(problem: FiniteProblem) -> np.ndarray:
-    return problem.conditionals @ problem.u_matrix
+    return problem.conditionals @ problem.loss.observation_table.rows
 
 
 def _checked_g(problem: FiniteProblem, g) -> np.ndarray:
@@ -151,7 +147,8 @@ def _checked_rows(problem: FiniteProblem, predictions: Sequence[Label]) -> np.nd
             f"need one prediction per state ({problem.n_states}), got {len(predictions)}"
         )
     labels, inverse = problem.loss.output_space.distinct(predictions, "state")
-    return np.array([problem._output_index[z] for z in labels], dtype=np.intp)[inverse]
+    outputs = problem.loss.output_table.tuples  # in lexicographic order
+    return np.array([bisect.bisect_left(outputs, z) for z in labels], dtype=np.intp)[inverse]
 
 
 def surrogate_excess(problem: FiniteProblem, g) -> float:

@@ -88,7 +88,7 @@ def random_instance(loss: DiscreteLoss, rng: np.random.Generator, n: int = 10):
     score computation, which the exact-comparison tie-break contract
     explicitly excludes.
     """
-    f_rows = loss.output_table.f
+    f_rows = loss.output_table.rows
     for _ in range(100):
         weights = rng.normal(size=n)
         ys = [random_observation(loss, rng) for _ in range(n)]

@@ -235,7 +235,7 @@ def test_criterion_7_tsybakov_bound():
     for trial in range(1000):
         loss = losses[trial % len(losses)]
         prob = random_problem(loss, 5, rng)
-        outs = prob.outputs
+        outs = prob.loss.output_table.tuples
         preds = [outs[int(rng.integers(len(outs)))] for _ in prob.states()]
         rep = tsybakov_check(prob, preds, (0.5, 1.0, 2.0)[trial % 3])
         assert rep.holds, (loss.name, trial, rep)
@@ -333,7 +333,7 @@ def test_criterion_10_two_path_equivalence():
     rng = np.random.default_rng(10)
     total = 0
     for loss in small_losses():
-        f_rows = loss.output_table.f
+        f_rows = loss.output_table.rows
         done = 0
         while done < 100:
             n = int(rng.integers(5, 12))

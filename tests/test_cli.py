@@ -754,7 +754,7 @@ def test_train_grid_on_product_distances_solves_the_file_order_system(tmp_path, 
     # and label rows as a fit on all rows at that bandwidth and lambda does
     ref = fit(loss, KernelSpec("gaussian", bw), lam, x, ds.labels)
     rows = np.vstack([x, np.random.default_rng(seed).normal(loc=2.0, size=(50, 14))])
-    untied = [argmin_untied(loss.output_table.f, t) for t in surrogate_values(ref, rows)]
+    untied = [argmin_untied(loss.output_table.rows, t) for t in surrogate_values(ref, rows)]
     got, want = predict_batch(model, rows), predict_batch(ref, rows)
     assert sum(untied) >= 0.9 * len(rows)
     assert [g for g, u in zip(got, untied) if u] == [w for w, u in zip(want, untied) if u]

@@ -657,7 +657,7 @@ def test_linear_decoders_equal_the_per_row_reference_and_the_table(loss):
     fallback = DiscreteLoss.decode_batch(loss, thetas)
     for label, scored, theta in zip(decode_batch(loss, thetas), fallback, thetas):
         assert label == REFERENCE[loss.name](loss, theta)
-        if argmin_untied(table.f, theta):
+        if argmin_untied(table.rows, theta):
             assert label == scored
         else:
             tied += 1
@@ -677,7 +677,7 @@ def test_dp_equals_table_on_untied_rows(loss):
     compared = 0
     fallback = DiscreteLoss.decode_batch(loss, thetas)
     for label, scored, theta in zip(decode_batch(loss, thetas), fallback, thetas):
-        if argmin_untied(table.f, theta):
+        if argmin_untied(table.rows, theta):
             assert label == scored
             compared += 1
     assert compared >= len(thetas) // 4
@@ -690,7 +690,7 @@ def test_pd_dp_breaks_exact_ties_like_the_table(m):
     loss = PairwiseDisagreement(m)
     table = loss.output_table
     thetas = np.random.default_rng(m).integers(-2, 3, size=(150, loss.r)).astype(float)
-    tied = [not argmin_untied(table.f, theta) for theta in thetas]
+    tied = [not argmin_untied(table.rows, theta) for theta in thetas]
     assert sum(tied) >= 20
     assert decode_batch(loss, thetas) == DiscreteLoss.decode_batch(loss, thetas)
     assert decode(loss, np.zeros(loss.r)) == tuple(range(1, m + 1))
@@ -772,17 +772,30 @@ def test_output_table_is_the_enumeration(loss):
     table = loss.output_table
     outs = list(loss.outputs())
     assert [tuple(row) for row in table.labels.tolist()] == outs
-    assert table.f.shape == (len(outs), loss.r)
-    for z, row in zip(outs, table.f):
+    assert table.rows.shape == (len(outs), loss.r)
+    for z, row in zip(outs, table.rows):
         assert np.array_equal(row, loss.f_row(z))
     assert loss.output_table is table
+
+
+@pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
+def test_observation_table_is_the_enumeration_and_tables_are_read_only(loss):
+    table = loss.observation_table
+    obs = list(loss.observations())
+    assert table.tuples == obs and table.tuples is table.tuples
+    assert [tuple(row) for row in table.labels.tolist()] == obs
+    assert np.array_equal(table.rows, [loss.u_row(y) for y in obs])
+    assert loss.observation_table is table
+    for array in (table.labels, table.rows, loss.output_table.labels, loss.output_table.rows):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("cls", [PairwiseDisagreement, MeanAveragePrecision])
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_table_decode_matches_oracle_with_ties(cls, m):
     loss = cls(m)
-    f = loss.output_table.f
+    f = loss.output_table.rows
     obs = [y for y in loss.observations() if not loss.is_degenerate(y)]
     rng = np.random.default_rng([m, 7])
     compared = rounded = 0

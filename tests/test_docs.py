@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qslearn import data, kernels
 from qslearn.losses import MeanAveragePrecision, base
 from qslearn.synth import MultilabelGenerator, SyntheticSpec
 
@@ -16,6 +17,9 @@ CAPS = {
     "TABLE_CELLS": base.TABLE_CELLS,
     "BLOCK_CELLS": base.BLOCK_CELLS,
     "MeanAveragePrecision.exact_limit": MeanAveragePrecision.exact_limit,
+    "kernels.GEMM_MIN_ROWS": kernels.GEMM_MIN_ROWS,
+    "kernels.CDIST_MAX_FEATURES": kernels.CDIST_MAX_FEATURES,
+    "data.DENSE_MAX_CELLS": data.DENSE_MAX_CELLS,
 }
 
 

@@ -95,7 +95,7 @@ def test_batch_labels_equal_per_row_labels(loss, rng):
                 [random_observation(loss, rng) for _ in range(60)])
     x_new = rng.normal(size=(3 * GEMM_MIN_ROWS, 3))
     batch = predict_batch(model, x_new)
-    untied = [argmin_untied(loss.output_table.f, t) for t in surrogate_values(model, x_new)]
+    untied = [argmin_untied(loss.output_table.rows, t) for t in surrogate_values(model, x_new)]
     assert sum(untied) >= len(x_new) // 2
     for row, label, ok in zip(x_new, batch, untied):
         if ok:
@@ -733,7 +733,7 @@ def test_alpha_path_reads_no_decomposition(rng, monkeypatch):
     x_test = rng.normal(size=(12, 2))
     alphas = alpha_weights(model, x_test)
     fast = predict_batch(model, x_test)
-    f_rows, thetas = loss.output_table.f, surrogate_values(model, x_test)
+    f_rows, thetas = loss.output_table.rows, surrogate_values(model, x_test)
     outputs = list(loss.outputs())
     # the per-pair objective of the loss-trick estimator, one value call per (z, y_i)
     reference = np.array([[loss.value(z, y) for y in model.y_train] for z in outputs])

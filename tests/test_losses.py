@@ -370,6 +370,19 @@ def test_expected_embedding_gives_the_expected_loss(loss):
         assert np.allclose(big.expected_embedding(qs), want, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("loss", EXPECTED_CASES, ids=loss_ids(EXPECTED_CASES))
+def test_expected_embedding_takes_only_bit_probabilities(loss):
+    m = loss.m
+    q = np.random.default_rng(m).uniform(size=m)
+    assert np.array_equal(loss.expected_embedding(q), loss.expected_embedding(q[None]))
+    for shape in ((2, m + 1), (2, m - 1), (1, 2, m)):
+        with pytest.raises(ValueError, match="shape"):
+            loss.expected_embedding(np.full(shape, 0.5))
+    for bad in (1.5, -0.25, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"probabilities in \[0, 1\]"):
+            loss.expected_embedding([[0.5] * m, [bad] + [0.5] * (m - 1)])
+
+
 # ---------------------------------------------------------------------------
 # label spaces
 # ---------------------------------------------------------------------------
@@ -488,7 +501,7 @@ def test_loss_config_round_trip():
         rebuilt = make_loss(**cfg)
         assert type(rebuilt) is type(loss) and loss_config(rebuilt) == cfg
         assert rebuilt.r == loss.r
-        np.testing.assert_array_equal(rebuilt.output_table.f, loss.output_table.f)
+        np.testing.assert_array_equal(rebuilt.output_table.rows, loss.output_table.rows)
         ys = list(loss.observations())
         zs = list(loss.outputs())
         assert rebuilt.value(zs[1], ys[-1]) == loss.value(zs[1], ys[-1])
@@ -540,7 +553,7 @@ def test_eru_saved_as_ndcg_tables_still_loads():
     assert NDCGType.config(eru) == {k: old[k] for k in ("R", "gain", "discount")}
     assert NDCGType.config(NDCGType(4, R=3, discount=lambda j: 2.0 ** (1 - j),
                                     gain=old["gain"])) == NDCGType.config(eru)
-    np.testing.assert_array_equal(loaded.output_table.f, eru.output_table.f)
+    np.testing.assert_array_equal(loaded.output_table.rows, eru.output_table.rows)
     for y in eru.observations():
         np.testing.assert_array_equal(loaded.u_row(y), eru.u_row(y))
 

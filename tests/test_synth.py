@@ -1,6 +1,7 @@
 """Synthetic generators: margin regimes, exact excess, reproducibility, slopes."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -180,6 +181,13 @@ def test_closed_form_bayes_predictions_equal_the_thresholds_and_top_k(rng):
         ]
 
 
+def test_bayes_predictions_refuse_rows_the_decoder_does_not_take():
+    with pytest.raises(ValueError, match=r"expected \(n, 3\)"):
+        bayes_predictions(Hamming(3), np.array([[0.5, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        bayes_predictions(Hamming(3), np.array([[0.5, np.nan, 1.0]]))
+
+
 def test_reproducibility_bit_identical():
     spec = SyntheticSpec(n_grid=(24, 48), n_test=60, replications=2, seed=9)
     a = rate_experiment(spec)
@@ -213,7 +221,7 @@ def test_spec_of_numpy_ints_and_lists_runs_as_the_plain_spec():
     assert given.loss_params == (("k", 2),)
     a, b = rate_experiment(plain), rate_experiment(given)
     assert rate_rows_csv(b.rows) == rate_rows_csv(a.rows)
-    assert b.to_json() == a.to_json()
+    assert b.summary() == a.summary()
 
 
 def test_single_point_grid_slope_undefined():
@@ -230,7 +238,7 @@ def test_rate_rows_csv_format():
     lines = text.strip().split("\n")
     assert lines[0] == "loss,noise_mode,n,replication,excess_exact,excess_test,seed"
     assert len(lines) == 1 + len(report.rows)
-    assert report.to_json().startswith("{")
+    assert json.dumps(report.summary()).startswith("{")
 
 
 @pytest.mark.parametrize("name", ["ndcg", "eru"])
@@ -299,7 +307,7 @@ def test_pd_bayes_labels_equal_the_oracle(m):
     ys = list(itertools.product((0, 1), repeat=m))
     probs = np.prod(np.where(np.array(ys)[None], q[:, None], 1.0 - q[:, None]), axis=2)
     expected = loss.expected_embedding(q)
-    untied = [argmin_untied(loss.output_table.f, row) for row in expected]
+    untied = [argmin_untied(loss.output_table.rows, row) for row in expected]
     assert sum(untied) >= 10
     got = bayes_predictions(loss, expected)
     want = decode_bruteforce(loss, probs, ys)

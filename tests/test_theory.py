@@ -1,18 +1,24 @@
 """Exact population quantities: Bayes risks, margins, calibration, inequalities."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from qslearn import cli
 from qslearn.losses import (
     BlockZeroOne,
     Hamming,
     InvalidLabelError,
     LabelSpace,
+    MeanAveragePrecision,
     PrecAtK,
     SpaceTooLargeError,
     ZeroOne,
+    decomposition_check,
+    enumerated_constants,
+    make_loss,
 )
 from qslearn.theory import (
     FiniteProblem,
@@ -69,7 +75,7 @@ def test_bayes_risk_uniform_binary():
 def test_bayes_risk_random_recompute(rng):
     loss = Hamming(3)
     prob = random_problem(loss, 2, rng)
-    obs = prob.observations
+    obs = prob.loss.observation_table.tuples
     for s in range(2):
         for z in list(loss.outputs())[:3]:
             manual = sum(
@@ -88,7 +94,7 @@ def test_bayes_predictor_point_mass_and_uniform():
 def test_bayes_predictor_hamming_is_marginal_threshold(rng):
     loss = Hamming(4)
     prob = random_problem(loss, 3, rng)
-    obs = prob.observations
+    obs = prob.loss.observation_table.tuples
     for s in range(3):
         marg = np.array(
             [sum(p for p, y in zip(prob.conditionals[s], obs) if y[j]) for j in range(4)]
@@ -162,7 +168,7 @@ def test_surrogate_excess_values(rng):
     g2 = g0 + rng.normal(size=g0.shape)
     manual = float(
         sum(
-            m * np.sum((g2[s] - prob.conditionals[s] @ prob.u_matrix) ** 2)
+            m * np.sum((g2[s] - prob.conditionals[s] @ loss.observation_table.rows) ** 2)
             for s, m in enumerate(prob.masses)
         )
     )
@@ -242,7 +248,7 @@ def test_tsybakov_randomized_no_violations(rng):
     for trial in range(300):
         loss = Hamming(2 + trial % 2)
         prob = random_problem(loss, 5, rng)
-        outs = prob.outputs
+        outs = prob.loss.output_table.tuples
         preds = [outs[int(rng.integers(len(outs)))] for _ in prob.states()]
         rep = tsybakov_check(prob, preds, (0.5, 1.0, 2.0)[trial % 3])
         assert rep.holds
@@ -277,7 +283,7 @@ def test_true_excess_nonnegative_and_zero_at_bayes(rng):
     prob = random_problem(PrecAtK(3, 2), 4, rng)
     f_star = [bayes_predictor(prob, s) for s in prob.states()]
     assert true_excess(prob, f_star) == 0.0
-    outs = prob.outputs
+    outs = prob.loss.output_table.tuples
     preds = [outs[int(rng.integers(len(outs)))] for _ in prob.states()]
     assert true_excess(prob, preds) >= 0.0
 
@@ -330,13 +336,13 @@ def test_non_finite_g_rejected(bad, rng):
 @pytest.mark.parametrize("loss", ALL_SMALL, ids=loss_ids(ALL_SMALL))
 def test_risk_table_matches_per_state_reference(loss, rng):
     prob = random_problem(loss, 6, rng)
-    outs, p = prob.outputs, 1.5
+    outs, obs, p = loss.output_table.tuples, loss.observation_table.tuples, 1.5
     preds = [outs[int(rng.integers(len(outs)))] for _ in prob.states()]
     excess = error_mass = 0.0
     gaps = []
     for s, mass in enumerate(prob.masses):
         ref = np.array([
-            sum(q * loss.value(z, y) for q, y in zip(prob.conditionals[s], prob.observations))
+            sum(q * loss.value(z, y) for q, y in zip(prob.conditionals[s], obs))
             for z in outs
         ])
         np.testing.assert_allclose(conditional_risks(prob, s), ref, rtol=0, atol=1e-12)
@@ -394,12 +400,48 @@ def test_problem_beyond_table_cap_computes_no_loss_value(monkeypatch):
     assert len(calls) == 16
 
 
+@pytest.mark.parametrize("argv", [["fscore"], ["pd"], ["hamming"], ["ndcg", "--R", "2"]])
+def test_each_loss_embeds_its_observations_once(argv, monkeypatch, capsys, rng):
+    # qsl check builds its own loss; every exact oracle after it shares the other
+    loss = make_loss(argv[0], 3, **({"R": 2} if "--R" in argv else {}))
+    embedded, u_row = [], type(loss).u_row
+    monkeypatch.setattr(type(loss), "u_row", lambda self, y: embedded.append(self) or u_row(self, y))
+    assert cli.main(["check", "--loss", *argv, "--m", "3", "--instances", "5"]) == 0
+    decomposition_check(loss)
+    enumerated_constants(loss)
+    for _ in range(3):
+        g_star_matrix(random_problem(loss, 4, rng))
+    if loss.observation_space == LabelSpace.grid(3):  # NDCG's Y is {0..R}^m, not the bit grid
+        loss.expected_embedding(np.full((2, 3), 0.3))
+    assert sorted(Counter(map(id, embedded)).values()) == [loss.n_observations()] * 2
+    assert "ok" in capsys.readouterr().out
+
+
+def test_a_second_problem_on_a_loss_enumerates_nothing(monkeypatch, rng):
+    loss = MeanAveragePrecision(4)
+    first = random_problem(loss, 5, rng)
+    want = tsybakov_check(first, [bayes_predictor(first, s) for s in first.states()], 1.0)
+
+    def refuse(*args):
+        raise AssertionError("a second problem enumerated a label space")
+
+    for name in ("outputs", "observations", "u_row", "f_row", "value"):
+        monkeypatch.setattr(MeanAveragePrecision, name, refuse)
+    second = FiniteProblem(loss, first.masses, first.conditionals)
+    preds = [bayes_predictor(second, s) for s in second.states()]
+    assert tsybakov_check(second, preds, 1.0) == want
+    assert bayes_risk(second, preds[0], 0) == first.risks[0].min()
+    assert np.array_equal(g_star_matrix(second), g_star_matrix(first))
+    comparison_check(second, g_star_matrix(second) + 0.1, p=1.0)
+
+
 def test_block_zero_one_bayes_is_first_output_of_best_block(rng):
     for partition in (popcount_partition(3), random_partition(3, 3, rng)):
         loss = BlockZeroOne(3, partition)
         prob = random_problem(loss, 20, rng)
+        obs = loss.observation_table.tuples
         for s in prob.states():
-            masses = [sum(prob.conditionals[s][prob.observations.index(y)] for y in block)
+            masses = [sum(prob.conditionals[s][obs.index(y)] for y in block)
                       for block in partition]
             best = partition[int(np.argmax(masses))]
             assert bayes_predictor(prob, s) == min(best)
