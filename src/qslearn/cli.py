@@ -45,7 +45,7 @@ def _loss_from_args(args) -> DiscreteLoss:
     if name is None or m is None:
         raise LossConfigError("loss name and m are required (flags or config)")
     params = {k: v for k, v in cfg.items() if k not in ("name", "m")}
-    flags = {"k": args.k, "R": args.relevance, "side": args.side}
+    flags = {"k": args.k, "R": args.relevance}
     params.update((key, val) for key, val in flags.items() if val is not None)
     return make_loss(name, m, **params)
 
@@ -276,7 +276,6 @@ _FLAGS = {
     "k": (["--k"], {"type": int, "help": "Prec@k cutoff"}),
     "relevance": (["--relevance", "--R"], {"type": int,
                                           "help": "top relevance score for ndcg/eru"}),
-    "side": (["--side"], {"choices": ["p", "a"], "help": "F-score decomposition side"}),
     "config": (["--config"], {"help": "JSON loss config; flags override"}),
     "kernel": (["--kernel"], {"choices": ["gaussian", "linear"], "default": "gaussian"}),
     "bandwidth": (["--bandwidth"], {"type": float,
@@ -303,7 +302,7 @@ _FLAGS = {
     "format": (["--format"], {"choices": ["csv", "json"], "default": "csv"}),
     "out": (["--out"], {"help": "output file (default stdout)"}),
 }
-_LOSS_FLAGS = ("loss", "m", "k", "relevance", "side", "config")
+_LOSS_FLAGS = ("loss", "m", "k", "relevance", "config")
 _KERNEL_FLAGS = ("kernel", "bandwidth", "lambda", "lambda-grid")
 _DATA_FLAGS = ("data", "data-format")
 

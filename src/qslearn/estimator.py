@@ -340,7 +340,14 @@ def load_model(path: str) -> QSModel:
             if version not in (1, 2, MODEL_FORMAT_VERSION):
                 raise ValueError(f"{path}: unsupported model format version {version}")
             try:
-                loss = make_loss(**json.loads(str(payload["loss_json"])))
+                config = json.loads(str(payload["loss_json"]))
+                if isinstance(config, dict) and config.get("name") == "fscore":
+                    side = config.pop("side", "p")  # older files name the decomposition
+                    if side != "p":
+                        raise LossConfigError(f"fscore side {side!r} holds coefficients in the "
+                                              "transposed coordinates F = -a, U = 2b, which "
+                                              "fscore no longer fits; refit the model")
+                loss = make_loss(**config)
             except (ValueError, TypeError) as exc:  # bad JSON, no object, no name or m, refused
                 raise LossConfigError(f"{path}: bad loss_json: {exc}") from exc
             if version < 3 and loss.name == "pd":

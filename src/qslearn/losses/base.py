@@ -227,10 +227,10 @@ def column_sums(matrix: np.ndarray, weights) -> np.ndarray:
 
 
 def bit_probabilities(q, m: int) -> np.ndarray:
-    """q as an n x m float array of probabilities P([y]_j = 1), a 1-D q being
-    one row; ValueError for another shape or an entry outside [0, 1] (NaN
-    and infinities included)."""
-    q = np.atleast_2d(np.asarray(q, dtype=float))
+    """q as a new n x m float array of probabilities P([y]_j = 1), a 1-D q
+    being one row; ValueError for another shape or an entry outside [0, 1]
+    (NaN and infinities included)."""
+    q = np.array(q, dtype=float, ndmin=2)
     if q.ndim != 2 or q.shape[1] != m:
         raise ValueError(f"q has shape {q.shape}, expected (n, {m})")
     if not np.all((q >= 0.0) & (q <= 1.0)):  # stated positively, so NaN fails

@@ -226,37 +226,25 @@ class FScore(DiscreteLoss):
 
     Coordinate (item j, cardinality l), l = 1..m, lives at index (l-1) m + j,
     and the empty set at the last one, so r = m^2 + 1.  With a_x[j, l] =
-    x_j 1(|x| = l) and b_x[j, l] = x_j / (|x| + l), two exact decompositions
-    are selected by ``side``:
-
-    - side="p": F_z = -b_z, U_y = 2 a_y (l is the observed cardinality);
-      decoding needs an O(m^3) conversion before the per-cardinality
-      maximizations.
-    - side="a": F_z = -a_z, U_y = 2 b_y (l is the predicted cardinality);
-      decoding maximizes over them directly, a top-k sort per cardinality k.
-
-    On both sides the empty set puts -1 (F) or +1 (U) in the last coordinate,
-    so F_z . U_y + c = L(z, y) exactly.  sup ||F_z||_2 is 1 for the p-side
-    (attained at z = 0) and sqrt(m) for the a-side.
+    x_j 1(|x| = l) and b_x[j, l] = x_j / (|x| + l), F_z = -b_z and U_y = 2 a_y
+    (l is the observed cardinality); the empty set puts -1 (F) or +1 (U) in
+    the last coordinate, so F_z . U_y + c = L(z, y) exactly, and sup ||F_z||_2
+    = 1 (attained at z = 0).  Decoding turns theta into per-cardinality item
+    scores by the m x m table 1/(l + k), O(m^3), and maximizes over them, a
+    top-k sort per cardinality k.
     """
 
     name = "fscore"
-    decoder = "O(m^2 log m) per-cardinality top-k, after O(m^3) conversion on side p"
+    decoder = "O(m^3) conversion to per-cardinality scores, then O(m^2 log m) top-k"
 
-    def __init__(self, m: int, side: str = "p"):
+    def __init__(self, m: int):
         self.m = m = self.checked_m(m)
-        if side not in ("p", "a"):
-            raise LossConfigError(f"fscore: side must be 'p' or 'a', got {side!r}")
-        self.side = side
         self.output_space = self.observation_space = LabelSpace.grid(m)
         self.r = m * m + 1
         self.offset = 1.0
-        self.f_norm = 1.0 if side == "p" else math.sqrt(m)
+        self.f_norm = 1.0
         pos = np.arange(1, m + 1, dtype=float)
         self._w = 1.0 / (pos[:, None] + pos[None, :])  # _w[l-1, k-1] = 1/(l+k)
-
-    def config(self) -> dict:
-        return {"side": self.side}
 
     def value(self, z: Label, y: Label) -> float:
         sy = sum(y)
@@ -280,18 +268,18 @@ class FScore(DiscreteLoss):
         return row
 
     def f_row(self, z: Label) -> np.ndarray:
-        return self._embed(z, self.side == "p", -1.0, -1.0)
+        return self._embed(z, True, -1.0, -1.0)
 
     def u_row(self, y: Label) -> np.ndarray:
-        return self._embed(y, self.side == "a", 2.0, 1.0)
+        return self._embed(y, False, 2.0, 1.0)
 
     def decode_batch(self, thetas: np.ndarray) -> list:
         m = self.m
-        # [row, j, k-1]: the score of item j at cardinality k
-        per_card = thetas[:, : m * m].reshape(-1, m, m).transpose(0, 2, 1)
-        if self.side == "p":  # per_card[:, j, ell-1] is item j at observed cardinality ell
-            # summed over l in a fixed order, so a row's sums ignore the batch
-            per_card = sum(per_card[:, :, ell, None] * self._w[ell] for ell in range(m))
+        # [row, j, ell-1]: the weight of item j at observed cardinality ell
+        per_obs = thetas[:, : m * m].reshape(-1, m, m).transpose(0, 2, 1)
+        # [row, j, k-1]: the score of item j at cardinality k, summed over ell in
+        # a fixed order, so a row's sums ignore the batch
+        per_card = sum(per_obs[:, :, ell, None] * self._w[ell] for ell in range(m))
         best_z = np.zeros((len(thetas), m), dtype=bool)
         best_score = thetas[:, m * m]  # z = 0 scores the empty-set coordinate
         for k in range(1, m + 1):
@@ -306,14 +294,15 @@ class FScore(DiscreteLoss):
         return label_rows(best_z)
 
     def sharp(self) -> SharpConstant:
-        m = self.m
-        a1 = math.sqrt(m * m + 1)           # p-side bound chain ||F||<=1, U_max<=1
-        a2 = math.sqrt(m * (m * m + 1))     # a-side, exact
+        # the bound chain ||F|| <= 1, U_max <= 1 gives A = sqrt(r); the transposed
+        # decomposition F_z = -a_z, U_y = 2 b_y (C_a = C_p M for M[l, k] = 1/(l+k),
+        # the same estimator) has exact A2 = sqrt(m r), never smaller
+        a2 = math.sqrt(self.m * self.r)
         return SharpConstant(
             self.r,
             1.0,
             1.0,
-            min(a1, a2),
+            math.sqrt(self.r),
             is_bound=True,
             note=(
                 "reported A = min over both decompositions; exact enumerated "

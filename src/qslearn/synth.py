@@ -61,7 +61,6 @@ class SyntheticSpec:
     n_grid: tuple = (64, 128, 256, 512, 1024, 2048)
     n_test: int = 2000
     replications: int = 5
-    kernel: str = "gaussian"
 
     def __post_init__(self):
         # a JSON spec reaches here unchecked; fields keep what the checks return
@@ -84,8 +83,6 @@ class SyntheticSpec:
         object.__setattr__(self, "delta", float(self.delta))
         if not isinstance(self.loss_name, str):
             raise ValueError(f"loss_name must be a string, got {self.loss_name!r}")
-        if self.kernel not in ("gaussian", "linear"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.noise_mode not in ("smooth_crossing", "hard_margin"):
             raise ValueError(f"unknown noise mode {self.noise_mode!r}")
         if self.noise_mode == "hard_margin" and not 0.0 < self.delta < 0.5:
@@ -253,7 +250,8 @@ def _rate_bandwidth(x_train, n: int) -> float:
 
 
 def rate_experiment(spec: SyntheticSpec) -> RateReport:
-    """Fit at every (n, replication) with lambda = n^{-1/2}; report slopes.
+    """Fit a Gaussian kernel at every (n, replication) with lambda = n^{-1/2};
+    report slopes.
 
     Training sets are nested prefixes of one per-replication draw and the
     probe set is shared across the grid, so per-replication learning curves
@@ -277,11 +275,7 @@ def rate_experiment(spec: SyntheticSpec) -> RateReport:
         per_n = []
         for n in spec.n_grid:
             x_tr, y_tr = x_pool[:n], y_pool[:n]
-            kernel = (
-                KernelSpec("gaussian", _rate_bandwidth(x_tr, n))
-                if spec.kernel == "gaussian"
-                else KernelSpec("linear")
-            )
+            kernel = KernelSpec("gaussian", _rate_bandwidth(x_tr, n))
             model = fit(loss, kernel, n**-0.5, x_tr, y_tr)
             preds = predict_batch(model, x_probe)
             exact = max(excess_risk_exact(preds, f_star, expected, loss), EXCESS_FLOOR)

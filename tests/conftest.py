@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,26 @@ def random_partition(m: int, b: int, rng: np.random.Generator) -> list:
     return blocks
 
 
+class TransposedFScore(FScore):
+    """F-score in the transposed coordinates of the paper, F_z = -a_z and
+    U_y = 2 b_y, kept as a reference: with M[l, k] = 1/(l + k) its U is
+    FScore's U times M, so its ridge coefficients are C M and F_z . theta
+    is unchanged, the same estimator.  It decodes by scoring every output,
+    the base class's default."""
+
+    decode_batch = DiscreteLoss.decode_batch
+
+    def __init__(self, m: int):
+        super().__init__(m)
+        self.f_norm = math.sqrt(m)
+
+    def f_row(self, z) -> np.ndarray:
+        return self._embed(z, False, -1.0, -1.0)
+
+    def u_row(self, y) -> np.ndarray:
+        return self._embed(y, True, 2.0, 1.0)
+
+
 def small_losses(m_subset: int = 3, m_perm: int = 3) -> list:
     """One instance of every loss at enumeration-friendly sizes."""
     return [
@@ -53,8 +75,8 @@ def small_losses(m_subset: int = 3, m_perm: int = 3) -> list:
         BlockZeroOne(m_subset, popcount_partition(m_subset)),
         Hamming(m_subset),
         PrecAtK(max(m_subset, 2), max(m_subset // 2, 1)),
-        FScore(m_subset, side="p"),
-        FScore(m_subset, side="a"),
+        FScore(m_subset),
+        TransposedFScore(m_subset),
         NDCGType(m_perm, R=2),
         ExpectedRankUtility(m_perm, R=2),
         PairwiseDisagreement(max(m_perm, 2)),
@@ -66,8 +88,8 @@ def loss_ids(losses) -> list:
     out = []
     for loss in losses:
         tag = f"{loss.name}-m{loss.m}"
-        if isinstance(loss, FScore):
-            tag += f"-{loss.side}"
+        if isinstance(loss, FScore):  # p for FScore's coordinates, a for the transposed
+            tag += "-a" if isinstance(loss, TransposedFScore) else "-p"
         out.append(tag)
     return out
 

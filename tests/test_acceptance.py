@@ -64,8 +64,7 @@ def test_criterion_1_decomposition_identity():
         ZeroOne(6),
         BlockZeroOne(6, popcount_partition(6)),
         Hamming(6),
-        FScore(6, side="p"),
-        FScore(6, side="a"),
+        FScore(6),
         PrecAtK(6, 3),
         NDCGType(4, R=3),
         ExpectedRankUtility(4, R=3),
@@ -132,8 +131,7 @@ def test_criterion_3_decoder_oracle_equivalence():
             BlockZeroOne(m, popcount_partition(m)),
             Hamming(m),
             PrecAtK(m, max(1, m // 2)),
-            FScore(m, side="p"),
-            FScore(m, side="a"),
+            FScore(m),
         ]
         for loss in losses:
             for _ in range(100):

@@ -425,7 +425,7 @@ RATES_SPEC = {"d": 2, "m": 2, "n_grid": [24, 48], "n_test": 40, "replications": 
     ({**RATES_SPEC, "delta": "0.2"}, "delta must be a number"),
     ({**RATES_SPEC, "loss_name": 3}, "loss_name must be a string"),
     ({**RATES_SPEC, "loss_params": 5}, "loss_params"),
-    ({**RATES_SPEC, "kernel": "rbf"}, "unknown kernel"),
+    ({**RATES_SPEC, "kernel": "gaussian"}, "unknown key(s) kernel"),
     ({**RATES_SPEC, "seed": -3}, "seed must be at least 0"),
 ], ids=["array", "unknown_key", "n_test", "n_grid_entry", "n_grid_scalar", "replications", "d",
         "no_modes", "both_mode_keys", "d_string", "n_grid_string", "replications_bool",
@@ -541,9 +541,9 @@ def test_rates_seed_comes_from_spec_unless_flag_given(tmp_path):
 
 # the flags each command declares, by argparse dest
 OPTIONS = {
-    "constants": {"loss", "m", "k", "relevance", "side", "config", "format", "out"},
-    "check": {"loss", "m", "k", "relevance", "side", "config", "seed", "instances"},
-    "train": {"loss", "m", "k", "relevance", "side", "config", "kernel", "bandwidth", "lam",
+    "constants": {"loss", "m", "k", "relevance", "config", "format", "out"},
+    "check": {"loss", "m", "k", "relevance", "config", "seed", "instances"},
+    "train": {"loss", "m", "k", "relevance", "config", "kernel", "bandwidth", "lam",
               "lambda_grid", "data", "data_format", "d", "standardize", "seed", "out"},
     "predict": {"model", "data", "data_format", "decompose_free", "standardize", "out"},
     "eval": {"m", "kernel", "bandwidth", "lam", "lambda_grid", "data", "data_format", "d",
@@ -562,7 +562,7 @@ def test_each_command_declares_only_the_flags_it_reads():
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     assert _declared(parser) == set()
     assert {name: _declared(p) for name, p in sub.choices.items()} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 55
+    assert sum(map(len, OPTIONS.values())) == 52
 
 
 # argv each command accepts, and (command, flag) pairs it refuses; None is the top level
@@ -578,14 +578,14 @@ FLAG_VALUES = {"--seed": "1", "--threads": "1", "--format": "json", "--out": "o.
                "--d": "3", "--loss": "hamming", "--k": "2", "--relevance": "2", "--side": "p",
                "--config": "c.json", "--standardize": None}
 REMOVED = (
-    [(None, flag) for flag in ("--seed", "--threads", "--format", "--out")]
-    + [("constants", flag) for flag in ("--seed", "--threads")]
-    + [("check", flag) for flag in ("--threads", "--format", "--out")]
-    + [("train", flag) for flag in ("--threads", "--format")]
-    + [("predict", flag) for flag in ("--d", "--seed", "--threads", "--format")]
+    [(None, flag) for flag in ("--seed", "--threads", "--format", "--out", "--side")]
+    + [("constants", flag) for flag in ("--seed", "--threads", "--side")]
+    + [("check", flag) for flag in ("--threads", "--format", "--out", "--side")]
+    + [("train", flag) for flag in ("--threads", "--format", "--side")]
+    + [("predict", flag) for flag in ("--d", "--seed", "--threads", "--format", "--side")]
     + [("eval", flag) for flag in ("--threads", "--loss", "--k", "--relevance", "--side",
                                    "--config", "--standardize")]
-    + [("rates", flag) for flag in ("--format", "--out")]
+    + [("rates", flag) for flag in ("--format", "--out", "--side")]
 )
 
 
@@ -889,6 +889,8 @@ MALFORMED = {
                         ["check", "--config", "{file}", "--instances", "2"]),
     "config_name_list": ("cfg.json", {"name": ["hamming"], "m": 3},
                          ["constants", "--config", "{file}", "--out", "{out}"]),
+    "config_fscore_side": ("cfg.json", {"name": "fscore", "m": 3, "side": "p"},
+                           ["constants", "--config", "{file}", "--out", "{out}"]),
     "config_partition_int": ("cfg.json", {"name": "block_zero_one", "m": 2, "partition": 3},
                              ["constants", "--config", "{file}", "--out", "{out}"]),
     "config_partition_block_int": ("cfg.json", {"name": "block_zero_one", "m": 2,
@@ -957,6 +959,27 @@ def test_malformed_input_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
     assert not out.exists()
+
+
+def test_fscore_model_naming_its_side_loads_as_side_p_and_refuses_side_a(tmp_path, capsys):
+    # F-score files once held "side" in loss_json; "p" is the only decomposition left
+    data, path = tmp_path / "x.libsvm", tmp_path / "model.npz"
+    data.write_text(THIRTY_ROWS)
+    assert run(["train", "--data", str(data), "--m", "3", "--loss", "fscore", "--lambda", "0.1",
+                "--out", str(path)]) == 0
+    predict = ["predict", "--model", str(path), "--data", str(data), "--out"]
+    assert run(predict + [str(tmp_path / "before.txt")]) == 0
+    with np.load(path) as payload:
+        arrays = {key: payload[key] for key in payload.files}
+    for side in ("p", "a"):
+        loss_json = {**json.loads(str(arrays["loss_json"])), "side": side}
+        np.savez(path, **{**arrays, **_loss_json(loss_json)})
+        assert run(predict + [str(tmp_path / f"{side}.txt")]) == (0 if side == "p" else
+                                                                  cli.USAGE_ERROR)
+    assert (tmp_path / "p.txt").read_bytes() == (tmp_path / "before.txt").read_bytes()
+    assert not (tmp_path / "a.txt").exists()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: ") and "side 'a'" in line and "refit" in line
 
 
 @pytest.mark.parametrize("argv", [

@@ -39,6 +39,7 @@ from qslearn.losses.ranking import arcset_objective, qap_trace_objective
 
 from conftest import (
     REQUIRED,
+    TransposedFScore,
     loss_ids,
     popcount_partition,
     random_instance,
@@ -82,7 +83,7 @@ def test_every_decoder_refuses_non_finite_theta(name, bad):
         decode_batch(loss, np.vstack([np.zeros(loss.r), theta]))
 
 
-LINEAR_M8 = [ZeroOne(8), Hamming(8), PrecAtK(8, 3), FScore(8, side="p"), FScore(8, side="a"),
+LINEAR_M8 = [ZeroOne(8), Hamming(8), PrecAtK(8, 3), FScore(8), TransposedFScore(8),
              NDCGType(8, R=3)]
 BATCH_CASES = ALL_SMALL + LINEAR_M8
 
@@ -238,8 +239,7 @@ def test_decoder_matches_oracle_random_partitions(rng):
 
 
 def test_fscore_oracle_spec_example(rng):
-    for side in ("p", "a"):
-        loss = FScore(4, side=side)
+    for loss in (FScore(4), TransposedFScore(4)):
         for _ in range(10):
             weights, ys, theta = random_instance(loss, rng, n=50)
             assert decode(loss, theta) == decode_bruteforce(loss, weights, ys)
@@ -591,12 +591,12 @@ def _reference_top_k(scores, k, m):
 def _reference_fscore(loss, theta):
     m = loss.m
     grid = theta[: m * m].reshape(m, m)  # [ell-1, j]
-    if loss.side == "p":
+    if isinstance(loss, TransposedFScore):  # its coordinates are (k, j) already
+        per_card = grid.T
+    else:
         pos = np.arange(1, m + 1, dtype=float)
         conv = 1.0 / (pos[:, None] + pos[None, :])  # conv[l-1, k-1] = 1/(l+k)
         per_card = grid.T @ conv  # per_card[j, k-1]: score of item j at card k
-    else:
-        per_card = grid.T
     best_z = (0,) * m
     best_score = float(theta[m * m])  # z = 0 scores the empty-set coordinate
     for k in range(1, m + 1):

@@ -1,13 +1,15 @@
-"""README.md states the library's caps as the code sets them, and its
-library quick start runs as written."""
+"""README.md states the library's caps, the CLI's flags, the loss-config
+parameters and the rates-spec keys as the code sets them, and its library
+quick start runs as written."""
 
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qslearn import data, kernels
+from qslearn import cli, data, kernels, losses
 from qslearn.losses import MeanAveragePrecision, base
 from qslearn.synth import MultilabelGenerator, SyntheticSpec
 
@@ -59,3 +61,42 @@ def test_library_quick_start_runs_as_written():
     exec(block.group(1), names)
     assert len(names["preds"]) == 50 and names["preds_alpha"] == names["preds"]
     assert 0.0 <= names["risk"] <= 1.0
+
+
+def _backticked(text: str, pattern: str) -> set[str]:
+    return set(re.findall(rf"`({pattern})`", text))
+
+
+def _flag_group(kind: str) -> set[str]:
+    """The flags of README's "<kind> flags are ..." sentence, up to its first
+    full stop or semicolon."""
+    found = re.search(rf"{kind} flags are ([^.;]*)", README)
+    assert found, f"README names no {kind.lower()} flags"
+    return _backticked(found.group(1), r"--[\w-]+")
+
+
+def test_readme_command_table_lists_each_commands_flags():
+    table = re.search(r"^\| command \| flags \|\n\|---\|---\|\n((?:\|.*\n)+)", README, re.M)
+    assert table, "README has no command table"
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table.group(1), re.M))
+    assert set(rows) == set(cli._COMMANDS)
+    for command, (_, _, flags) in cli._COMMANDS.items():
+        stated = set()
+        for item in rows[command].split(", "):
+            kind = re.fullmatch(r"(\w+) flags", item)
+            stated |= _flag_group(kind.group(1).capitalize()) if kind else {item.strip("`")}
+        assert stated == {name for flag in flags for name in cli._FLAGS[flag][0]}, command
+
+
+def test_readme_lists_the_loss_config_parameters():
+    found = re.search(r"parameters the loss takes \(([^)]*)\)", README)
+    assert found, "README lists no loss-config parameters"
+    taken = {name for loss in losses._LOSSES.values()
+             for name in inspect.signature(loss).parameters if name != "m"}
+    assert _backticked(found.group(1), r"\w+") == taken
+
+
+def test_readme_lists_the_rates_spec_keys():
+    found = re.search(r"fields of\s+`synth.SyntheticSpec` \(([^)]*)\) or `(\w+)`", README)
+    assert found, "README lists no rates-spec keys"
+    assert _backticked(found.group(1), r"\w+") | {found.group(2)} == cli._SPEC_KEYS

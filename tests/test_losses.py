@@ -11,8 +11,11 @@ import pytest
 import qslearn.losses.base as base
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
-from qslearn.decode import decode_bruteforce
+from qslearn.decode import argmin_untied, decode_bruteforce
+from qslearn.estimator import fit, predict_batch
+from qslearn.kernels import KernelSpec, cross_kernel
 from qslearn.losses import (
     BlockZeroOne,
     SpaceTooLargeError,
@@ -37,6 +40,7 @@ from qslearn.losses import (
 
 from conftest import (
     REQUIRED,
+    TransposedFScore,
     loss_ids,
     popcount_partition,
     random_instance,
@@ -80,18 +84,49 @@ def _fscore_coordinates(x):
     return (bits * (ell == size)).ravel(), (bits / (size + ell)).ravel()
 
 
-@pytest.mark.parametrize("side", ["p", "a"])
-def test_fscore_rows_equal_the_paper_embeddings_exactly(side):
-    # side p: F = -b, U = 2a; side a: F = -a, U = 2b; the empty set puts -1
-    # (F) or +1 (U) in the last coordinate
+@pytest.mark.parametrize("loss_class", [FScore, TransposedFScore], ids=["p", "a"])
+def test_fscore_rows_equal_the_paper_embeddings_exactly(loss_class):
+    # FScore: F = -b, U = 2a; the transposed reference: F = -a, U = 2b; the
+    # empty set puts -1 (F) or +1 (U) in the last coordinate
     for m in range(1, 9):
-        loss = FScore(m, side)
+        loss = loss_class(m)
         for x in itertools.product((0, 1), repeat=m):
             a, b = _fscore_coordinates(x)
             empty = float(sum(x) == 0)
-            f, u = (-b, 2 * a) if side == "p" else (-a, 2 * b)
+            f, u = (-a, 2 * b) if loss_class is TransposedFScore else (-b, 2 * a)
             assert np.array_equal(loss.f_row(x), np.append(f, -empty)), (m, x)
             assert np.array_equal(loss.u_row(x), np.append(u, empty)), (m, x)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_fscore_transposed_decomposition_is_the_same_estimator(m):
+    # the paper's transposed decomposition F_a = -a, U_a = 2b, built here
+    # from the coordinates; with M[l, k] = 1/(l + k) on every item, U_a =
+    # U_p M, so ridge gives C_a = C_p M and F_a . theta_a = F_p . theta_p
+    loss, labels = FScore(m), list(LabelSpace.grid(m))
+    a, b = (np.array(v) for v in zip(*map(_fscore_coordinates, labels)))
+    empty = np.array([[float(sum(x) == 0)] for x in labels])
+    f_a, u_a = np.hstack([-a, -empty]), np.hstack([2 * b, empty])
+    values = np.array([[loss.value(z, y) for y in labels] for z in labels])
+    assert np.array_equal(f_a @ u_a.T + 1.0, values)
+
+    rng = np.random.default_rng(m)
+    n, lam = 80, 0.01
+    x, at = rng.normal(size=(n, 2)), rng.integers(len(labels), size=n)
+    model = fit(loss, KernelSpec("gaussian", 1.0), lam, x, [labels[i] for i in at])
+    c_a = np.linalg.solve(cross_kernel(model.kernel, x, x) + n * lam * np.eye(n), u_a[at])
+    pos = np.arange(1, m + 1)
+    conversion = block_diag(np.kron(1.0 / (pos[:, None] + pos[None, :]), np.eye(m)), 1.0)
+    assert np.linalg.norm(c_a - model.coefficients @ conversion) <= 1e-12 * np.linalg.norm(c_a)
+
+    x_test = rng.normal(size=(300, 2))
+    thetas = cross_kernel(model.kernel, x_test, x) @ c_a
+    compared = 0
+    for label, theta in zip(predict_batch(model, x_test), thetas):
+        if argmin_untied(f_a, theta):
+            assert label == labels[int(np.argmin(f_a @ theta))]
+            compared += 1
+    assert compared >= 250
 
 
 def test_zero_one_and_block_values():
@@ -280,10 +315,10 @@ def test_sharp_constant_matches_enumeration(loss):
 
 def test_bound_mode_exact_components_documented():
     # the flagged bounds deviate from enumeration in the documented way
-    f_max, u_max = enumerated_constants(FScore(3, side="p"))
+    f_max, u_max = enumerated_constants(FScore(3))
     assert f_max == pytest.approx(1.0, rel=1e-12)  # attained at z = 0
     assert u_max == pytest.approx(2.0, rel=1e-12)
-    f_max_a, u_max_a = enumerated_constants(FScore(3, side="a"))
+    f_max_a, u_max_a = enumerated_constants(TransposedFScore(3))  # sharp().note's A2
     assert f_max_a == pytest.approx(math.sqrt(3), rel=1e-12)
     assert u_max_a == pytest.approx(1.0, rel=1e-12)
     f_map, u_map = enumerated_constants(MeanAveragePrecision(4))
@@ -341,7 +376,7 @@ def test_pd_embed_degenerate_zero():
 PARAMS_AT_M4 = {"prec_at_k": {"k": 3}, "block_zero_one": {"partition": popcount_partition(4)}}
 EXPECTED_CASES = [
     make_loss(name, 4, **PARAMS_AT_M4.get(name, {})) for name in LOSS_NAMES
-] + [PrecAtK(5, 2), FScore(5, side="a"),
+] + [PrecAtK(5, 2), TransposedFScore(5),
      BlockZeroOne(5, random_partition(5, 6, np.random.default_rng(0)))]
 
 
@@ -381,6 +416,17 @@ def test_expected_embedding_takes_only_bit_probabilities(loss):
     for bad in (1.5, -0.25, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"probabilities in \[0, 1\]"):
             loss.expected_embedding([[0.5] * m, [bad] + [0.5] * (m - 1)])
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_expected_embedding_is_a_new_array(name):
+    loss = make_loss(name, 4, **PARAMS_AT_M4.get(name, {}))
+    q = np.random.default_rng(4).uniform(size=(3, 4))
+    kept = q.copy()
+    expected = loss.expected_embedding(q)
+    assert expected is not q
+    expected[...] = 2.0
+    assert np.array_equal(q, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +514,7 @@ def test_bad_parameters_rejected():
     with pytest.raises(LossConfigError):
         NDCGType(3, R=2, discount=[0.9, 0.5, 0.4])  # D_1 != 1
     with pytest.raises(LossConfigError):
-        FScore(3, side="q")
+        make_loss("fscore", 3, side="p")
     with pytest.raises(LossConfigError):
         make_loss("nope", 3)
     with pytest.raises(LossConfigError, match="unknown loss"):
@@ -495,8 +541,9 @@ def test_ndcg_u_max_enumerates_when_no_gain_is_zero():
 
 
 def test_loss_config_round_trip():
-    for loss in ALL_SMALL + [ExpectedRankUtility(4, R=4, neutral=3),
-                             NDCGType(3, R=2, gain=[0.0, 0.5, 2.0], discount=[1.0, 0.5, 0.2])]:
+    library = [loss for loss in ALL_SMALL if not isinstance(loss, TransposedFScore)]
+    for loss in library + [ExpectedRankUtility(4, R=4, neutral=3),
+                           NDCGType(3, R=2, gain=[0.0, 0.5, 2.0], discount=[1.0, 0.5, 0.2])]:
         cfg = loss_config(loss)
         rebuilt = make_loss(**cfg)
         assert type(rebuilt) is type(loss) and loss_config(rebuilt) == cfg
