@@ -26,6 +26,7 @@ from .estimator import (empirical_risk, fit, load_model, predict_batch, predict_
                         save_model, select_and_refit, select_lambda)
 from .kernels import KernelSpec, cross_kernel
 from .losses import LOSS_NAMES, DiscreteLoss, LossConfigError, decomposition_check, make_loss
+from .losses.base import BLOCK_CELLS
 from .synth import MultilabelGenerator, SyntheticSpec, rate_experiment, rate_rows_csv
 
 USAGE_ERROR = 2
@@ -93,19 +94,26 @@ def cmd_check(args) -> int:
         failures.append(f"{loss.name}: decomposition error {err:.3e} > 1e-12")
     rng = np.random.default_rng(args.seed)
     observations, u_rows = loss.observation_table.tuples, loss.observation_table.rows
-    thetas, draws, redrawn = [], [], 0
-    for _ in range(args.instances):
-        # ties between distinct outputs fall to rounding, outside the decoder contract
-        for _ in range(_CHECK_DRAWS):
+    f_rows = loss.output_table.rows
+    thetas, draws, redrawn, tries = [], [], 0, 0
+    while len(thetas) < args.instances:
+        # a block of draws in stream order, no more than the instances left
+        # need, screened at once; ties between distinct outputs fall to
+        # rounding, outside the decoder contract, and are redrawn
+        block = []
+        for _ in range(min(args.instances - len(thetas), max(1, BLOCK_CELLS // len(f_rows)))):
             n = int(rng.integers(5, 15))
             weights = rng.normal(size=n)
             drawn = rng.integers(len(observations), size=n)
-            theta = np.sum(weights[:, None] * u_rows[drawn], axis=0)
-            if argmin_untied(loss.output_table.rows, theta):
-                break
-            redrawn += 1
-        thetas.append(theta)
-        draws.append(np.bincount(drawn, weights, minlength=len(observations)))
+            block.append((weights, drawn, np.sum(weights[:, None] * u_rows[drawn], axis=0)))
+        untied = argmin_untied(f_rows, np.array([theta for _, _, theta in block]))
+        for (weights, drawn, theta), ok in zip(block, untied):
+            tries += 1
+            redrawn += not ok
+            if ok or tries == _CHECK_DRAWS:  # the last of a run of tied draws is kept
+                thetas.append(theta)
+                draws.append(np.bincount(drawn, weights, minlength=len(observations)))
+                tries = 0
     labels = decode_batch(loss, np.reshape(thetas, (-1, loss.r)))
     oracle = decode_bruteforce(loss, np.reshape(draws, (-1, len(observations))), observations)
     mismatches = sum(z != o for z, o in zip(labels, oracle))

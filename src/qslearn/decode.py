@@ -10,12 +10,13 @@ decoder reproduces the canonical tie-break of exhaustive enumeration
 and ``decode_bruteforce`` are interchangeable on enumerable spaces, and
 works elementwise or within a row, so a row's label never depends on its
 batch.  Ties are broken only on exact equality of doubles, and
-``argmin_untied`` tells which instances that contract covers.
+``argmin_untied`` tells which instances that contract covers, for one theta
+or, as a mask, for a batch.
 
 ``decode_bruteforce`` is the decomposition-free oracle.  It scores a batch
 in row blocks, adding up each row's weights per distinct observation, against
 the loss's cached ``loss_matrix``, whose ``TABLE_CELLS`` cap is its one limit:
-columns of ``loss.value`` over Z, built once per loss instance and observation
+columns of ``loss.values`` over Z, built once per loss instance and observation
 and never derived from F, U or the output table, so the oracle stays
 independent of the decomposition it checks.
 
@@ -36,7 +37,7 @@ from collections import namedtuple
 import numpy as np
 
 from .losses import DiscreteLoss, MeanAveragePrecision
-from .losses.base import BLOCK_CELLS, Label, column_sums
+from .losses.base import BLOCK_CELLS, Label, column_sums, label_rows
 from .losses.ranking import greedy_arcset, qap_local_search  # noqa: F401
 
 # A read-only record of the exact-decode limits under the names
@@ -82,10 +83,11 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
     evaluator, through the cached ``loss_matrix``, never F or U, and serves
     as the oracle for every fast decoder.  The observations are checked and
     mapped to their distinct labels once per call, one loss-matrix column
-    each, refused before any ``value`` call beyond ``TABLE_CELLS`` cells.
+    each, refused before any ``values`` call beyond ``TABLE_CELLS`` cells.
     Rows of ``max(1, BLOCK_CELLS // |Z|)`` at a time add up their weights per
     label in observation order and are scored by ``column_sums``, so a
-    row's label does not depend on the other rows.
+    row's label does not depend on the other rows.  Each argmin's label is
+    read from the output space's blocks by its row index.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (1, 2) or weights.shape[-1] != len(observations):
@@ -102,25 +104,39 @@ def decode_bruteforce(loss: DiscreteLoss, weights, observations) -> Label | list
         totals = np.zeros((len(block), len(labels)))
         np.add.at(totals, (slice(None), inverse), block)  # in observation order, as bincount
         best[start : start + step] = np.argmin(column_sums(matrix, totals), axis=1)
-    at = dict.fromkeys(best.tolist())  # each argmin's output, from one pass over Z's prefix
-    at.update((i, z) for i, z in zip(range(max(at, default=-1) + 1), loss.outputs()) if i in at)
-    return [at[i] for i in best.tolist()] if weights.ndim == 2 else at[best[0]]
+    found = np.empty((len(best), loss.m), dtype=np.intp)
+    start = 0
+    for zs in loss.output_space.blocks():  # up to the block of the last argmin
+        if start > best.max(initial=-1):
+            break
+        hit = (best >= start) & (best < start + len(zs))
+        found[hit] = zs[best[hit] - start]
+        start += len(zs)
+    return label_rows(found) if weights.ndim == 2 else label_rows(found)[0]
 
 
-def argmin_untied(f_rows: np.ndarray, theta: np.ndarray) -> bool:
-    """True when the argmin of F . theta is unambiguous across computation orders.
+def argmin_untied(f_rows: np.ndarray, thetas: np.ndarray):
+    """Whether the argmin of F . theta is unambiguous across computation
+    orders: a mask over the rows of an n x r batch, a bool for a 1-D theta
+    (its one-row case).
 
     ``f_rows`` holds F_z for every output in canonical order.  Exact ties
     between identical F rows are benign (any summation order gives
     bitwise-equal scores, so every path picks the canonical first row); exact
     or near ties between DISTINCT rows are resolved by sub-ulp rounding
     differences and are outside the decoder/oracle equivalence contract.
+    Each row is scored by its own matrix-vector product, as one theta alone
+    would be, so a row's verdict does not depend on the batch; a caller
+    bounds the n x |Z| scores (``BLOCK_CELLS``).
     """
-    scores = f_rows @ theta
-    smin = scores.min()
-    tied = np.flatnonzero(scores == smin)
-    for i in tied[1:]:
-        if not np.array_equal(f_rows[i], f_rows[tied[0]]):
-            return False
-    above = scores[scores > smin]
-    return not above.size or float(above.min() - smin) > _TIE_GAP
+    batch = np.atleast_2d(thetas)
+    scores = np.matmul(f_rows, batch[:, :, None])[:, :, 0]
+    smin = scores.min(axis=1)
+    at_min = scores == smin[:, None]
+    first = np.argmax(at_min, axis=1)
+    rows, cols = np.nonzero(at_min)  # the tie at each minimum is benign if its F rows are equal
+    untied = np.ones(len(batch), dtype=bool)
+    untied[rows[np.any(f_rows[cols] != f_rows[first[rows]], axis=1)]] = False
+    above = np.where(scores > smin[:, None], scores, np.inf).min(axis=1)
+    untied &= above - smin > _TIE_GAP
+    return untied if np.ndim(thetas) == 2 else bool(untied[0])

@@ -8,7 +8,7 @@ Two equivalent prediction paths are kept:
 
 They compute the same minimizer (the fit is linear in the embeddings), so
 the alpha path doubles as an oracle for the fast one; every fit embeds by
-``u_row``, but prediction on the alpha path reads only ``loss.value``.
+``u_row``, but prediction on the alpha path reads only ``loss.values``.
 
 The argmin reads alpha(x) only summed per distinct training label, and that
 sum is linear in K_x: it is K_x^T S, where S = (K + n lambda I)^{-1} E and E
@@ -219,7 +219,8 @@ def predict_models(models, k_x: np.ndarray, path: str = "fast") -> list:
 
 
 def empirical_risk(predictions, loss: DiscreteLoss, y_true) -> float:
-    """Mean loss of predicted labels against observations, by one ``loss.value`` per distinct pair."""
+    """Mean loss of predicted labels against observations, by one ``loss.values``
+    call per distinct observation, over the distinct predictions it is paired with."""
     return _mean_loss(predictions, loss, *loss.observation_space.distinct(y_true, "observation"))
 
 
@@ -228,8 +229,13 @@ def _mean_loss(predictions, loss: DiscreteLoss, ys: list, y_at: np.ndarray) -> f
     if len(predictions) != len(y_at) or len(y_at) == 0:
         raise ValueError("need equally many (and at least one) predictions and labels")
     zs, z_at = loss.output_space.distinct(predictions, "prediction")
-    pairs, inverse = np.unique(z_at * len(ys) + y_at, return_inverse=True)
-    values = np.array([loss.value(zs[p // len(ys)], ys[p % len(ys)]) for p in pairs.tolist()])
+    # the distinct (y, z) pairs, grouped by y: one ``values`` call per observation
+    pairs, inverse = np.unique(y_at * len(zs) + z_at, return_inverse=True)
+    pair_y, pair_z = np.divmod(pairs, len(zs))
+    cuts = np.flatnonzero(np.diff(pair_y)) + 1
+    zs = np.array(zs)
+    values = np.concatenate([loss.values(zs[group], ys[y]) for group, y in
+                             zip(np.split(pair_z, cuts), pair_y[np.r_[0, cuts]].tolist())])
     return float(np.mean(values[inverse]))
 
 

@@ -49,6 +49,16 @@ class SpaceTooLargeError(ValueError):
     """Requested an exhaustive enumeration over a space that is too large."""
 
 
+# the one cap on a table over a label space (128 MiB): |Z| * r or |Y| * r of
+# a LabelTable (2^m * r for an expected embedding), |Z| * columns of a loss
+# matrix, |Z| * m of a LabelSpace's array
+TABLE_CELLS = 2 ** 24
+# largest working block (16 MB of float64), which sizes row blocks only: a
+# brute-force decode's scores, subset-DP costs, probabilities, cross-kernels,
+# a LabelSpace's blocks and a check's tie screen
+BLOCK_CELLS = 2_000_000
+
+
 # ---------------------------------------------------------------------------
 # label spaces
 # ---------------------------------------------------------------------------
@@ -89,10 +99,65 @@ class LabelSpace:
     def __iter__(self) -> Iterator[Label]:
         if self.kind == "perm":
             return itertools.permutations(range(1, self.m + 1))
-        grid = itertools.product(range(self.top + 1), repeat=self.m)
         if self.kind == "ksubset":
-            return (z for z in grid if sum(z) == self.k)
-        return grid
+            return (tuple(int(j not in zeros) for j in range(self.m)) for zeros in self._zeros())
+        return itertools.product(range(self.top + 1), repeat=self.m)
+
+    def _zeros(self) -> Iterator[tuple]:
+        """The positions of a k-subset's zeros, label by label: lexicographic
+        order on them is the canonical order of the labels (the smaller of two
+        labels has the first zero where they differ)."""
+        return itertools.combinations(range(self.m), self.m - self.k)
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """Every label in canonical order as one read-only int array, a row
+        each, of the smallest signed type that holds its entries; built on
+        first use and kept on the space.  SpaceTooLargeError past
+        ``TABLE_CELLS`` cells, before any label is made."""
+        if self.size * self.m > TABLE_CELLS:
+            raise SpaceTooLargeError(f"{self.size} labels of length {self.m} exceed "
+                                     f"{TABLE_CELLS} cells")
+        (array,) = self._blocks(self.size)
+        array.flags.writeable = False
+        return array
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The labels in canonical order as int arrays of at most
+        ``BLOCK_CELLS`` cells (one row at least): slices of ``array`` where the
+        space fits ``TABLE_CELLS``, made one at a time and not kept otherwise."""
+        step = max(1, BLOCK_CELLS // self.m)
+        if self.size * self.m > TABLE_CELLS:
+            return self._blocks(step)
+        array = self.array
+        return (array[lo : lo + step] for lo in range(0, len(array), step))
+
+    def _blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The labels in canonical order, in arrays of at most ``rows`` rows."""
+        m = self.m
+        dtype = np.min_scalar_type(-(m if self.kind == "perm" else self.top))
+        if self.kind == "grid":  # the digits of each index in base top + 1
+            base = self.top + 1
+            powers = base ** np.arange(m - 1, -1, -1)
+            for lo in range(0, self.size, rows):
+                index = np.arange(lo, min(lo + rows, self.size))
+                yield (index[:, None] // powers % base).astype(dtype)
+        elif self.kind == "ksubset":
+            zeros = self._zeros()
+            while chunk := list(itertools.islice(zeros, rows)):
+                block = np.ones((len(chunk), m), dtype)
+                np.put_along_axis(block, np.array(chunk, np.intp).reshape(len(chunk), -1), 0, 1)
+                yield block
+        else:  # each prefix of d ranks, lexicographic, before the permutations of the rest
+            d = next(d for d in range(m + 1) if math.factorial(m - d) <= rows)
+            tail = np.zeros((1, 0), dtype)
+            for n in range(1, m - d + 1):  # those of 1..n: v first, then 1..n less v in order
+                tail = np.vstack([np.hstack([np.full((len(tail), 1), v, dtype), tail + (tail >= v)])
+                                  for v in range(1, n + 1)])
+            for prefix in itertools.permutations(range(1, m + 1), d):
+                rest = np.array(sorted(set(range(1, m + 1)) - set(prefix)), dtype)
+                yield np.hstack([np.tile(np.array(prefix, dtype), (len(tail), 1)),
+                                 rest[tail - 1]]) if d else tail
 
     @property
     def size(self) -> int:
@@ -200,12 +265,6 @@ class SharpConstant:
     note: str = ""
 
 
-# the one cap on a table over a label space (128 MiB): |Z| * r or |Y| * r of
-# a LabelTable (2^m * r for an expected embedding), |Z| * columns of a loss matrix
-TABLE_CELLS = 2 ** 24
-# largest working block (16 MB of float64), which sizes row blocks only: a
-# brute-force decode's scores, subset-DP costs, probabilities, cross-kernels
-BLOCK_CELLS = 2_000_000
 # most (z, y) pairs that decomposition_check enumerates
 _CHECK_PAIRS = 1_500_000
 
@@ -240,9 +299,10 @@ def bit_probabilities(q, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabelTable:
-    """Every label of a space in canonical (lexicographic) order as the int16
-    ``labels``, next to its ``f_row`` or ``u_row`` in ``rows``, both read-only;
-    ``build`` refuses a table over ``TABLE_CELLS`` before any row is computed."""
+    """Every label of a space in canonical (lexicographic) order, the space's
+    ``array`` as ``labels``, next to its ``f_row`` or ``u_row`` in ``rows``,
+    both read-only; ``build`` refuses a table over ``TABLE_CELLS`` before any
+    row is computed."""
 
     labels: np.ndarray
     rows: np.ndarray
@@ -252,10 +312,9 @@ class LabelTable:
         n, r = space.size, loss.r
         if n * r > TABLE_CELLS:
             raise SpaceTooLargeError(f"{loss.name}: a {n} x {r} table exceeds {TABLE_CELLS} cells")
-        labels = np.fromiter(space, np.dtype((np.int16, space.m)), n)
         rows = np.fromiter(map(row, space), np.dtype((float, r)), n)
-        labels.flags.writeable = rows.flags.writeable = False
-        return cls(labels, rows)
+        rows.flags.writeable = False
+        return cls(space.array, rows)
 
     @functools.cached_property
     def tuples(self) -> list:
@@ -269,7 +328,7 @@ class DiscreteLoss:
     Each constructor starts with ``self.m = m = self.checked_m(m)``, which
     refuses an m that is no integer or is below the class's ``least_m``.
     Subclasses set the spaces Z and Y (``output_space``,
-    ``observation_space``), the evaluator ``value``, the decomposition
+    ``observation_space``), the evaluator ``values``, the decomposition
     (``f_row``, ``u_row``, ``offset``, ``r``), the exact sup-norm ``f_norm``
     of the F rows and ``sharp``.  A loss with structure overrides
     ``decode_batch`` with a fast decoder over the whole batch, and describes
@@ -282,7 +341,9 @@ class DiscreteLoss:
     rebuilds it.  ``output_table`` (Z, F) and ``observation_table`` (Y, U)
     enumerate each space once per instance, for the default decoder, the
     checks, ``FiniteProblem`` and ``expected_embedding``; ``loss_matrix`` keeps
-    the columns of ``value`` over Z that the decomposition-free paths ask for.
+    the columns of ``values`` over Z that the decomposition-free paths ask for.
+    ``values`` is the one definition of the loss: ``value`` is its one-row
+    case, and no subclass defines ``value``.
     """
 
     name: str
@@ -332,8 +393,13 @@ class DiscreteLoss:
         return False
 
     # -- loss and decomposition ---------------------------------------------
-    def value(self, z: Label, y: Label) -> float:
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
+        """L(z, y) for each row z of the n x m int array ``zs``, as n floats."""
         raise NotImplementedError
+
+    def value(self, z: Label, y: Label) -> float:
+        """L(z, y): the one-row case of ``values``."""
+        return float(self.values(np.array((z,)), y)[0])
 
     def f_row(self, z: Label) -> np.ndarray:
         raise NotImplementedError
@@ -350,19 +416,21 @@ class DiscreteLoss:
 
     @functools.cached_property
     def _loss_columns(self) -> dict:
-        return {}  # observation -> its column of ``value`` over Z
+        return {}  # observation -> its column of ``values`` over Z
 
     def loss_matrix(self, observations) -> np.ndarray:
-        """The |Z| x len(observations) matrix of ``value(z, y)``, outputs in
-        canonical order.
+        """The |Z| x len(observations) matrix of L(z, y), outputs in canonical
+        order.
 
-        Built from ``value`` alone, never from F, U or ``output_table``, so
-        the decomposition-free paths stay independent of the decomposition.
-        The columns a call lacks are filled in one pass over Z and kept on
-        the instance, each contiguous; a call returns one copy, the columns
-        stacked and transposed (Fortran order).  The matrix, and the columns
-        kept, are each limited to ``TABLE_CELLS`` cells; beyond that
-        SpaceTooLargeError is raised before any new column is computed.
+        Built from ``values`` over ``output_space`` alone, never from F, U or
+        ``output_table``, so the decomposition-free paths stay independent of
+        the decomposition.  Each column a call lacks is filled by one
+        ``values`` call per block of the space (one block up to
+        ``BLOCK_CELLS`` cells) and kept on the instance, contiguous; a call
+        returns one copy, the columns stacked and transposed (Fortran order).
+        The matrix, and the columns kept, are each limited to ``TABLE_CELLS``
+        cells; beyond that SpaceTooLargeError is raised before any new column
+        is computed.
         """
         n_z = self.n_outputs()
         most = TABLE_CELLS // n_z
@@ -372,10 +440,8 @@ class DiscreteLoss:
         if len(observations) > most or len(columns) + len(missing) > most:
             raise SpaceTooLargeError(f"{self.name}: a loss matrix over {n_z} outputs holds at "
                                      f"most {most} observations ({TABLE_CELLS} cells)")
-        if missing:  # a call with every column kept enumerates nothing
-            pairs = (self.value(z, y) for z in self.outputs() for y in missing)
-            block = np.fromiter(pairs, float, n_z * len(missing)).reshape(n_z, -1)
-            columns.update(zip(missing, np.ascontiguousarray(block.T)))
+        for y in missing:  # a call with every column kept enumerates nothing
+            columns[y] = np.concatenate([self.values(zs, y) for zs in self.output_space.blocks()])
         return np.array([columns[y] for y in observations]).reshape(-1, n_z).T
 
     def decode_batch(self, thetas: np.ndarray) -> list:

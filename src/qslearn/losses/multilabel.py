@@ -55,8 +55,8 @@ class ZeroOne(DiscreteLoss):
         self.offset = 1.0
         self.f_norm = 1.0
 
-    def value(self, z: Label, y: Label) -> float:
-        return 0.0 if z == y else 1.0
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
+        return (zs != y).any(axis=1) * 1.0
 
     def f_row(self, z: Label) -> np.ndarray:
         return one_hot(self.r, subset_rank(z), -1.0)
@@ -110,7 +110,9 @@ class BlockZeroOne(DiscreteLoss):
                 f"block_zero_one: partition covers {len(seen)} of {2 ** m} subsets"
             )
         self.partition = blocks
-        self._block_of = seen
+        self._block_at = np.empty(2 ** m, dtype=np.intp)  # by subset rank
+        self._block_at[[subset_rank(z) for z in seen]] = list(seen.values())
+        self._ranks = 1 << np.arange(m - 1, -1, -1)  # the subset rank of a row is zs @ _ranks
         # blocks by their canonical (smallest) members: decoding takes the first tied one
         self._by_min = sorted(range(len(blocks)), key=lambda j: min(blocks[j]))
         self._block_min = np.array([min(blocks[j]) for j in self._by_min])
@@ -122,11 +124,11 @@ class BlockZeroOne(DiscreteLoss):
     def config(self) -> dict:
         return {"partition": [[list(z) for z in block] for block in self.partition]}
 
-    def value(self, z: Label, y: Label) -> float:
-        return 0.0 if self._block_of[z] == self._block_of[y] else 1.0
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
+        return (self._block_at[zs @ self._ranks] != self._block_at[subset_rank(y)]) * 1.0
 
     def f_row(self, z: Label) -> np.ndarray:
-        return one_hot(self.r, self._block_of[z], -1.0)
+        return one_hot(self.r, self._block_at[subset_rank(z)], -1.0)
 
     def decode_batch(self, thetas: np.ndarray) -> list:
         scores = thetas[:, self._by_min]
@@ -134,7 +136,7 @@ class BlockZeroOne(DiscreteLoss):
         return label_rows(self._block_min[first])
 
     def u_row(self, y: Label) -> np.ndarray:
-        return one_hot(self.r, self._block_of[y], 1.0)
+        return one_hot(self.r, self._block_at[subset_rank(y)], 1.0)
 
     def sharp(self) -> SharpConstant:
         return SharpConstant(self.r, 1.0, 1.0, math.sqrt(self.b))
@@ -158,8 +160,8 @@ class Hamming(DiscreteLoss):
         self.offset = 0.5
         self.f_norm = 1.0 / (2.0 * math.sqrt(m))
 
-    def value(self, z: Label, y: Label) -> float:
-        return sum(a != b for a, b in zip(z, y)) / self.m
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
+        return (zs != y).sum(axis=1) / self.m
 
     def f_row(self, z: Label) -> np.ndarray:
         return -(2.0 * np.asarray(z, dtype=float) - 1.0) / (2.0 * self.m)
@@ -202,8 +204,8 @@ class PrecAtK(DiscreteLoss):
     def config(self) -> dict:
         return {"k": self.k}
 
-    def value(self, z: Label, y: Label) -> float:
-        return 1.0 - sum(a & b for a, b in zip(z, y)) / self.k
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
+        return 1.0 - zs[:, np.asarray(y, dtype=bool)].sum(axis=1) / self.k
 
     def f_row(self, z: Label) -> np.ndarray:
         return -np.asarray(z, dtype=float) / self.k
@@ -246,13 +248,12 @@ class FScore(DiscreteLoss):
         pos = np.arange(1, m + 1, dtype=float)
         self._w = 1.0 / (pos[:, None] + pos[None, :])  # _w[l-1, k-1] = 1/(l+k)
 
-    def value(self, z: Label, y: Label) -> float:
-        sy = sum(y)
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
+        y = np.asarray(y, dtype=bool)
+        sizes, sy = zs.sum(axis=1), np.count_nonzero(y)
         if sy == 0:
-            return 0.0 if sum(z) == 0 else 1.0
-        sz = sum(z)
-        inter = sum(a & b for a, b in zip(z, y))
-        return 1.0 - 2.0 * inter / (sz + sy)
+            return (sizes != 0) * 1.0
+        return 1.0 - 2.0 * zs[:, y].sum(axis=1) / (sizes + sy)
 
     def _embed(self, x: Label, spread: bool, scale: float, empty: float) -> np.ndarray:
         """scale * b_x if ``spread``, else scale * a_x; x = 0 puts ``empty`` last."""

@@ -125,12 +125,12 @@ class NDCGType(DiscreteLoss):
     def is_degenerate(self, y: Label) -> bool:
         return bool(np.all(self.gains(y) == 0.0))
 
-    def value(self, z: Label, y: Label) -> float:
-        g = self.gains(y)
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
         n = self.normalizer(y)
         if n == 0.0:
-            return 0.0
-        got = float(g @ self._discount[np.asarray(z, dtype=int) - 1])
+            return np.zeros(len(zs))
+        # the gain got, sum_j G(y_j) D_{z_j}, added up item by item in index order
+        got = np.add.accumulate(self._discount[zs - 1] * self.gains(y), axis=1)[:, -1]
         return 1.0 - got / n
 
     def f_row(self, z: Label) -> np.ndarray:
@@ -230,7 +230,6 @@ class PairwiseDisagreement(DiscreteLoss):
         self.m = m = self.checked_m(m)
         self.output_space = LabelSpace.permutations(m)
         self.observation_space = LabelSpace.grid(m)
-        self.pairs = [(j, l) for j in range(m) for l in range(j)]  # l < j, for ``value``
         self.r = m
         self.offset = 0.5
         self.f_norm = math.sqrt(m * (m * m - 1) / 12.0)
@@ -238,18 +237,13 @@ class PairwiseDisagreement(DiscreteLoss):
     def is_degenerate(self, y: Label) -> bool:
         return sum(y) in (0, self.m)
 
-    def value(self, z: Label, y: Label) -> float:
-        s = sum(y)
-        n = s * (self.m - s)
-        if n == 0:
-            return 0.0
-        bad = 0
-        for j, l in self.pairs:
-            if y[j] < y[l] and z[j] < z[l]:
-                bad += 1
-            elif y[l] < y[j] and z[l] < z[j]:
-                bad += 1
-        return bad / n
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
+        y = np.asarray(y, dtype=bool)
+        k = np.count_nonzero(y)
+        if k in (0, self.m):
+            return np.zeros(len(zs))
+        # the relevant items' ranks add up to k(k+1)/2 plus the discordant pairs
+        return (zs[:, y].sum(axis=1) - k * (k + 1) // 2) / (k * (self.m - k))
 
     def f_row(self, z: Label) -> np.ndarray:
         return np.asarray(z, dtype=float) - 0.5 * (self.m + 1)
@@ -320,11 +314,13 @@ class MeanAveragePrecision(DiscreteLoss):
     def is_degenerate(self, y: Label) -> bool:
         return sum(y) == 0
 
-    def value(self, z: Label, y: Label) -> float:
-        ranks = [r for r, b in zip(z, y) if b]  # the ranks of the relevant items
-        if not ranks:
-            return 0.0
-        return 1.0 - sum(sum(q <= r for q in ranks) / r for r in ranks) / len(ranks)
+    def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
+        ranks = zs[:, np.asarray(y, dtype=bool)]  # of the relevant items, in index order
+        if not ranks.shape[1]:
+            return np.zeros(len(zs))
+        # precision at each relevant item's rank, added up item by item in index order
+        precision = (ranks[:, None, :] <= ranks[:, :, None]).sum(axis=2) / ranks
+        return 1.0 - np.add.accumulate(precision, axis=1)[:, -1] / ranks.shape[1]
 
     def f_row(self, z: Label) -> np.ndarray:
         return np.array([1.0 / max(z[j], z[l]) for j, l in self.pairs])

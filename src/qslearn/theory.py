@@ -55,7 +55,7 @@ class FiniteProblem:
         self.loss = loss
         self.masses = masses
         self.conditionals = conditionals
-        # Y's table calls no ``value``, so a problem past the cap computes none
+        # Y's table calls no ``values``, so a problem past the cap computes none
         self.loss_matrix = loss.loss_matrix(loss.observation_table.tuples)
 
     @property

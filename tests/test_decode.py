@@ -127,14 +127,14 @@ def test_bruteforce_guards(monkeypatch):
     with pytest.raises(ValueError):
         decode_bruteforce(Hamming(3), [1.0], [(1, 1, 1), (0, 0, 0)])
 
-    def refuse(z, y):
+    def refuse(zs, y):
         raise AssertionError("a loss value was computed")
 
     # 2^25 outputs: one loss-matrix column is past TABLE_CELLS; 2^22 outputs
     # take 4 columns, not 5
     for m, n_distinct in [(25, 1), (22, 5)]:
         loss = ZeroOne(m)
-        monkeypatch.setattr(loss, "value", refuse)
+        monkeypatch.setattr(loss, "values", refuse)
         ys = [tuple(int(b) for b in np.binary_repr(i, m)) for i in range(n_distinct)]
         with pytest.raises(SpaceTooLargeError, match="loss matrix"):
             decode_bruteforce(loss, np.ones(2 * n_distinct), ys * 2)
@@ -200,10 +200,13 @@ class _TwinLossRows(DiscreteLoss):
     output_space = LabelSpace.grid(2, 2)
     observation_space = LabelSpace.grid(5, 2)
 
-    def value(self, z, y):
-        z = min(z, (2, 1))
-        u = np.random.default_rng([*z, *y]).uniform()
-        return 0.5 * u if z == (2, 1) else u
+    def values(self, zs, y):
+        out = []
+        for z in map(tuple, zs.tolist()):
+            z = min(z, (2, 1))
+            u = np.random.default_rng([*z, *y]).uniform()
+            out.append(0.5 * u if z == (2, 1) else u)
+        return np.array(out)
 
 
 def test_bruteforce_equal_rows_tie_whatever_the_rounding(rng):

@@ -591,7 +591,7 @@ def test_alpha_path_refuses_labels_beyond_the_budget_before_solving(rng, monkeyp
         raise AssertionError("S was solved for or a loss value computed")
 
     monkeypatch.setattr(estimator, "weights_at", refuse)
-    monkeypatch.setattr(model.loss, "value", refuse)
+    monkeypatch.setattr(model.loss, "values", refuse)
     with pytest.raises(SpaceTooLargeError, match="loss matrix"):
         predict_batch(model, rng.normal(size=(3, 3)), path="alpha")
     assert model.label_weights is None
@@ -745,12 +745,14 @@ def test_alpha_path_reads_no_decomposition(rng, monkeypatch):
     monkeypatch.setattr(Hamming, "u_row", refuse)
     monkeypatch.setattr(Hamming, "output_table", property(refuse))
     calls = []
-    value = Hamming.value
-    monkeypatch.setattr(Hamming, "value", lambda self, z, y: calls.append(1) or value(self, z, y))
+    values = Hamming.values
+    monkeypatch.setattr(Hamming, "values",
+                        lambda self, zs, y: calls.append(len(zs)) or values(self, zs, y))
     got = predict_batch(model, x_test[:6], path="alpha")
     first_batch = len(calls)
     got += predict_batch(model, x_test[6:], path="alpha")
-    assert 0 < first_batch and len(calls) <= loss.n_outputs() * len(set(model.y_train))
+    # one call per distinct training label, each over all of Z
+    assert 0 < first_batch and calls == [loss.n_outputs()] * len(set(model.y_train))
     for label, alpha, theta, want in zip(got, alphas, thetas, fast):
         assert argmin_untied(reference, alpha)
         assert label == outputs[int(np.argmin(reference @ alpha))]

@@ -194,15 +194,16 @@ def test_loss_matrix_is_value_built_once_per_column(monkeypatch):
         ys = list(loss.observations())
         want = np.array([[loss.value(z, y) for y in ys] for z in loss.outputs()])
         calls = []
-        value = cls.value
-        monkeypatch.setattr(cls, "value", lambda self, z, y: calls.append(1) or value(self, z, y))
+        values = cls.values
+        monkeypatch.setattr(cls, "values",
+                            lambda self, zs, y: calls.append(len(zs)) or values(self, zs, y))
         monkeypatch.setattr(cls, "f_row", refuse)
         monkeypatch.setattr(cls, "u_row", refuse)
         monkeypatch.setattr(cls, "output_table", property(refuse))
         assert np.array_equal(loss.loss_matrix(ys[::2]), want[:, ::2])
         assert np.array_equal(loss.loss_matrix(ys + ys[:1]), np.hstack([want, want[:, :1]]))
         assert loss.loss_matrix([]).shape == (loss.n_outputs(), 0)
-        assert len(calls) == loss.n_outputs() * len(ys)
+        assert calls == [loss.n_outputs()] * len(ys)  # one call per column, over all of Z
         monkeypatch.undo()
 
 

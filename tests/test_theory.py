@@ -391,13 +391,13 @@ def test_tsybakov_check_maps_its_predictions_once(rng, monkeypatch):
 
 def test_problem_beyond_table_cap_computes_no_loss_value(monkeypatch):
     calls = []
-    real = ZeroOne.value
-    monkeypatch.setattr(ZeroOne, "value", lambda self, z, y: calls.append(z) or real(self, z, y))
+    real = ZeroOne.values
+    monkeypatch.setattr(ZeroOne, "values", lambda self, zs, y: calls.append(len(zs)) or real(self, zs, y))
     with pytest.raises(SpaceTooLargeError):
         FiniteProblem(ZeroOne(13), [1.0], np.full((1, 2**13), 2.0**-13))
     assert calls == []
     FiniteProblem(ZeroOne(2), [1.0], np.full((1, 4), 0.25))
-    assert len(calls) == 16
+    assert calls == [4] * 4  # one call per column, over the 4 outputs
 
 
 @pytest.mark.parametrize("argv", [["fscore"], ["pd"], ["hamming"], ["ndcg", "--R", "2"]])
