@@ -68,6 +68,75 @@ class TransposedFScore(FScore):
         return self._embed(y, True, 2.0, 1.0)
 
 
+# ---------------------------------------------------------------------------
+# per-pair reference evaluators: each loss's L(z, y) as a loop over one pair,
+# the library's former ``value`` bodies, against which its one definition,
+# ``values`` over an array of outputs, is tested
+# ---------------------------------------------------------------------------
+
+def _block_zero_one_value(loss, z, y) -> float:
+    block_of = {x: j for j, block in enumerate(loss.partition) for x in block}
+    return 0.0 if block_of[z] == block_of[y] else 1.0
+
+
+def _fscore_value(loss, z, y) -> float:
+    sy = sum(y)
+    if sy == 0:
+        return 0.0 if sum(z) == 0 else 1.0
+    sz = sum(z)
+    inter = sum(a & b for a, b in zip(z, y))
+    return 1.0 - 2.0 * inter / (sz + sy)
+
+
+def _ndcg_value(loss, z, y) -> float:
+    g = loss.gains(y)
+    n = loss.normalizer(y)
+    if n == 0.0:
+        return 0.0
+    got = float(g @ loss.discount[np.asarray(z, dtype=int) - 1])  # a BLAS dot product
+    return 1.0 - got / n
+
+
+def _pd_value(loss, z, y) -> float:
+    s = sum(y)
+    n = s * (loss.m - s)
+    if n == 0:
+        return 0.0
+    bad = 0
+    for j in range(loss.m):
+        for l in range(j):
+            if y[j] < y[l] and z[j] < z[l]:
+                bad += 1
+            elif y[l] < y[j] and z[l] < z[j]:
+                bad += 1
+    return bad / n
+
+
+def _map_value(loss, z, y) -> float:
+    ranks = [r for r, b in zip(z, y) if b]  # the ranks of the relevant items
+    if not ranks:
+        return 0.0
+    return 1.0 - sum(sum(q <= r for q in ranks) / r for r in ranks) / len(ranks)
+
+
+REFERENCE_VALUES = {
+    "zero_one": lambda loss, z, y: 0.0 if z == y else 1.0,
+    "block_zero_one": _block_zero_one_value,
+    "hamming": lambda loss, z, y: sum(a != b for a, b in zip(z, y)) / loss.m,
+    "prec_at_k": lambda loss, z, y: 1.0 - sum(a & b for a, b in zip(z, y)) / loss.k,
+    "fscore": _fscore_value,
+    "ndcg": _ndcg_value,
+    "eru": _ndcg_value,
+    "pd": _pd_value,
+    "map": _map_value,
+}
+
+
+def reference_value(loss: DiscreteLoss, z, y) -> float:
+    """L(z, y) by the per-pair reference of the loss's name."""
+    return REFERENCE_VALUES[loss.name](loss, z, y)
+
+
 def small_losses(m_subset: int = 3, m_perm: int = 3) -> list:
     """One instance of every loss at enumeration-friendly sizes."""
     return [

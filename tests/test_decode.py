@@ -816,6 +816,50 @@ def test_table_decode_matches_oracle_with_ties(cls, m):
     assert compared >= 50 and rounded >= 25
 
 
+def _screen_cases(rng):
+    """(F table, thetas, the first one-row verdicts or "mixed") for the batched screen."""
+    # one-hot rows score theta exactly, so ties and gaps are set to the bit;
+    # rows 6 and 7 repeat rows 1 and 4, and the random rows score far above
+    f = np.vstack([np.eye(6), np.eye(6)[[1, 4]], 3.0 + rng.uniform(size=(4, 6))])
+    base_theta = 1.5 + rng.uniform(size=6) * 0.25
+    cases, want = [], []
+    for at, other, gap, untied in [(1, None, 0, True),  # benign: a row and its copy
+                                   (4, None, 0, True),
+                                   (0, 2, 0.0, False),  # distinct rows tie exactly
+                                   (0, 2, 1.001e-9, True),  # just above the tie gap
+                                   (0, 2, 0.999e-9, False),  # just below it
+                                   (3, 4, 1.001e-9, True),
+                                   (3, 4, 0.999e-9, False)]:
+        theta = base_theta.copy()
+        theta[at] = 1.0
+        if other is not None:
+            theta[other] = 1.0 + gap
+        cases.append(theta)
+        want.append(untied)
+    thetas = np.vstack([cases, rng.normal(size=(13, 6))])
+    pd = PairwiseDisagreement(4)  # integer thetas tie distinct rankings often
+    pd_thetas = rng.integers(-2, 3, size=(20, pd.r)).astype(float)
+    return [(f, thetas, want), (pd.output_table.rows, pd_thetas, "mixed"),
+            (FScore(3).output_table.rows, rng.normal(size=(20, FScore(3).r)), [])]
+
+
+def test_batched_tie_screen_equals_the_one_row_screen(rng):
+    for f, thetas, want in _screen_cases(rng):
+        single = [argmin_untied(f, theta) for theta in thetas]
+        assert all(type(v) is bool for v in single)
+        if want == "mixed":
+            assert 0 < sum(single) < len(single)  # both verdicts occur
+        else:
+            assert single[: len(want)] == want
+        for size in range(1, 18):
+            for _ in range(3):
+                pick = rng.permutation(len(thetas))[:size] if size <= len(thetas) else \
+                    rng.integers(len(thetas), size=size)
+                mask = argmin_untied(f, thetas[pick])
+                assert mask.dtype == bool and mask.shape == (size,)
+                assert mask.tolist() == [single[i] for i in pick]
+
+
 def test_table_is_built_once(monkeypatch):
     calls = []
     original = MeanAveragePrecision.f_row

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,7 @@ from conftest import (
     popcount_partition,
     random_instance,
     random_partition,
+    reference_value,
     small_losses,
 )
 
@@ -271,6 +273,47 @@ def test_map_value_equals_the_item_loop_bitwise(m):
         assert loss.value(z, y).hex() == _map_value_loop(loss, z, y).hex(), (z, y)
 
 
+def _one_of_each(m: int) -> list:
+    """One loss of every class make_loss builds, at m; NDCG and ERU observe
+    {0..2}^m up to m = 5 and bits at m = 6."""
+    top = 2 if m < 6 else 1
+    losses = [ZeroOne(m), BlockZeroOne(m, popcount_partition(m)), Hamming(m),
+              PrecAtK(m, max(1, m // 2)), FScore(m), NDCGType(m, R=top),
+              ExpectedRankUtility(m, R=top), MeanAveragePrecision(m)]
+    return losses + ([PairwiseDisagreement(m)] if m >= 2 else [])
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_each_loss_states_its_value_once(name):
+    cls = type(make_loss(name, 3, **REQUIRED.get(name, {})))
+    own = cls.__mro__[: cls.__mro__.index(DiscreteLoss)]
+    assert any("values" in vars(c) for c in own)
+    assert not any("value" in vars(c) for c in own)  # the one-row case is the base class's
+
+
+# NDCG's (and ERU's) gain sum_j G(y_j) D_{z_j} is added item by item in index
+# order, where the reference takes a BLAS dot product, which may order or fuse
+# the m products otherwise.  Either sum of m <= 6 non-negative terms lies within
+# 5 roundings of the exact one, and got / N <= 1, so the losses differ by at
+# most 2^-50; here they differ by at most 2^-52, one ulp of 1.
+VALUE_TOLERANCE = {"ndcg": 2.0 ** -50, "eru": 2.0 ** -50}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_values_equal_the_per_pair_reference(m):
+    for loss in _one_of_each(m):
+        zs, outputs = loss.output_space.array, list(loss.outputs())
+        for y in loss.observations():
+            got = loss.values(zs, y)
+            want = np.array([reference_value(loss, z, y) for z in outputs])
+            if loss.name in VALUE_TOLERANCE:
+                assert np.max(np.abs(got - want)) <= VALUE_TOLERANCE[loss.name], (loss.name, y)
+            else:
+                assert got.tobytes() == want.tobytes(), (loss.name, y)
+            if m <= 4:  # the one-row case is the row of the array, bitwise
+                assert [loss.value(z, y) for z in outputs] == got.tolist(), (loss.name, y)
+
+
 @pytest.mark.parametrize(
     "loss,expected",
     [
@@ -474,6 +517,47 @@ def test_label_space_kinds():
                     (MeanAveragePrecision(3), (1, 2))):
         with pytest.raises(InvalidLabelError):
             loss.observation_space.check(y)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_ksubsets_are_the_grid_labels_with_k_ones(m):
+    grid = list(LabelSpace.grid(m))
+    for k in range(m + 1):
+        space = LabelSpace.ksubsets(m, k)
+        want = [z for z in grid if sum(z) == k]
+        assert list(space) == want and len(want) == space.size
+        assert [tuple(z) for z in space.array.tolist()] == want
+
+
+def test_ksubsets_enumerate_only_their_labels():
+    start = time.perf_counter()
+    labels = list(LabelSpace.ksubsets(40, 2))  # of 2^40 grid labels
+    assert time.perf_counter() - start < 0.5
+    assert len(labels) == 780 == len(set(labels)) and all(sum(z) == 2 for z in labels)
+    assert labels == sorted(labels)
+
+
+SPACES = [LabelSpace.grid(3), LabelSpace.grid(3, 2), LabelSpace.ksubsets(5, 2),
+          LabelSpace.ksubsets(5, 5), LabelSpace.permutations(1), LabelSpace.permutations(4)]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"{s.kind}-{s.m}-{s.top}-{s.k}")
+def test_label_space_array_and_blocks_follow_the_canonical_order(space, monkeypatch):
+    want = list(space)
+    assert [tuple(z) for z in space.array.tolist()] == want
+    assert not space.array.flags.writeable and space.array is space.array  # kept
+    assert all(isinstance(v, int) for z in base.label_rows(space.array) for v in z)
+    # past TABLE_CELLS the blocks are made one at a time, and not kept
+    for cells in (space.m, 3 * space.m, 7 * space.m):
+        monkeypatch.setattr(base, "BLOCK_CELLS", cells)
+        monkeypatch.setattr(base, "TABLE_CELLS", space.size * space.m - 1)
+        fresh = LabelSpace(space.kind, space.m, space.top, space.k)
+        blocks = list(fresh.blocks())
+        assert [tuple(z) for block in blocks for z in block.tolist()] == want
+        assert all(0 < block.size <= cells for block in blocks)
+        assert "array" not in vars(fresh)
+        with pytest.raises(SpaceTooLargeError):
+            fresh.array
 
 
 # ---------------------------------------------------------------------------
