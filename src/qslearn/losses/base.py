@@ -19,9 +19,12 @@ Label conventions
   ranks 1..m; canonical order is lexicographic on one-line notation.
 - relevance vectors: tuples of m ints in {0..R}; lexicographic order.
 
-Every ``LabelSpace`` yields its labels in canonical order, and every decoder
-and brute-force argmin in this package breaks ties by canonical order, so
-fast and exhaustive inference are exactly interchangeable.
+Every ``LabelSpace`` yields its labels in canonical order, as tuples or as
+the rows of int arrays (``array``, ``blocks``), and every decoder and
+brute-force argmin in this package breaks ties by canonical order, so fast
+and exhaustive inference are exactly interchangeable.  Each loss evaluates
+itself once, as ``values`` over an array of outputs against one
+observation.
 """
 
 from __future__ import annotations
