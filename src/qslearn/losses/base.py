@@ -103,14 +103,8 @@ class LabelSpace:
         if self.kind == "perm":
             return itertools.permutations(range(1, self.m + 1))
         if self.kind == "ksubset":
-            return (tuple(int(j not in zeros) for j in range(self.m)) for zeros in self._zeros())
+            return itertools.chain.from_iterable(map(label_rows, self.blocks()))
         return itertools.product(range(self.top + 1), repeat=self.m)
-
-    def _zeros(self) -> Iterator[tuple]:
-        """The positions of a k-subset's zeros, label by label: lexicographic
-        order on them is the canonical order of the labels (the smaller of two
-        labels has the first zero where they differ)."""
-        return itertools.combinations(range(self.m), self.m - self.k)
 
     @functools.cached_property
     def array(self) -> np.ndarray:
@@ -146,7 +140,9 @@ class LabelSpace:
                 index = np.arange(lo, min(lo + rows, self.size))
                 yield (index[:, None] // powers % base).astype(dtype)
         elif self.kind == "ksubset":
-            zeros = self._zeros()
+            # the positions of the zeros, lexicographic, put the labels in
+            # order: the smaller of two labels has the first zero where they differ
+            zeros = itertools.combinations(range(m), m - self.k)
             while chunk := list(itertools.islice(zeros, rows)):
                 block = np.ones((len(chunk), m), dtype)
                 np.put_along_axis(block, np.array(chunk, np.intp).reshape(len(chunk), -1), 0, 1)
