@@ -205,7 +205,7 @@ class PrecAtK(DiscreteLoss):
         return {"k": self.k}
 
     def values(self, zs: np.ndarray, y: Label) -> np.ndarray:
-        return 1.0 - zs[:, np.asarray(y, dtype=bool)].sum(axis=1) / self.k
+        return 1.0 - np.add.reduce(zs, axis=1, where=np.asarray(y, dtype=bool)) / self.k
 
     def f_row(self, z: Label) -> np.ndarray:
         return -np.asarray(z, dtype=float) / self.k
@@ -253,7 +253,7 @@ class FScore(DiscreteLoss):
         sizes, sy = zs.sum(axis=1), np.count_nonzero(y)
         if sy == 0:
             return (sizes != 0) * 1.0
-        return 1.0 - 2.0 * zs[:, y].sum(axis=1) / (sizes + sy)
+        return 1.0 - 2.0 * np.add.reduce(zs, axis=1, where=y) / (sizes + sy)
 
     def _embed(self, x: Label, spread: bool, scale: float, empty: float) -> np.ndarray:
         """scale * b_x if ``spread``, else scale * a_x; x = 0 puts ``empty`` last."""

@@ -243,7 +243,7 @@ class PairwiseDisagreement(DiscreteLoss):
         if k in (0, self.m):
             return np.zeros(len(zs))
         # the relevant items' ranks add up to k(k+1)/2 plus the discordant pairs
-        return (zs[:, y].sum(axis=1) - k * (k + 1) // 2) / (k * (self.m - k))
+        return (np.add.reduce(zs, axis=1, where=y) - k * (k + 1) // 2) / (k * (self.m - k))
 
     def f_row(self, z: Label) -> np.ndarray:
         return np.asarray(z, dtype=float) - 0.5 * (self.m + 1)
