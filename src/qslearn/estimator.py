@@ -232,10 +232,10 @@ def _mean_loss(predictions, loss: DiscreteLoss, ys: list, y_at: np.ndarray) -> f
     # the distinct (y, z) pairs, grouped by y: one ``values`` call per observation
     pairs, inverse = np.unique(y_at * len(zs) + z_at, return_inverse=True)
     pair_y, pair_z = np.divmod(pairs, len(zs))
-    cuts = np.flatnonzero(np.diff(pair_y)) + 1
+    bounds = np.flatnonzero(np.diff(pair_y, prepend=-1, append=len(ys))).tolist()
     zs = np.array(zs)
-    values = np.concatenate([loss.values(zs[group], ys[y]) for group, y in
-                             zip(np.split(pair_z, cuts), pair_y[np.r_[0, cuts]].tolist())])
+    values = np.concatenate([loss.values(zs[pair_z[a:b]], ys[pair_y[a]])
+                             for a, b in zip(bounds, bounds[1:])])
     return float(np.mean(values[inverse]))
 
 
