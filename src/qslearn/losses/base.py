@@ -79,7 +79,8 @@ class LabelSpace:
 
     ``grid(m, top)`` is {0..top}^m (top = 1 gives the subsets as bit tuples),
     ``ksubsets(m, k)`` the bit tuples with exactly k ones and
-    ``permutations(m)`` the one-line permutations of 1..m.
+    ``permutations(m)`` the one-line permutations of 1..m.  ``array`` and
+    ``blocks`` give the same labels, in the same order, as rows of int arrays.
     """
 
     kind: str  # "grid", "ksubset" or "perm"
